@@ -10,6 +10,7 @@ always the lexicographic (canonical) order.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -149,7 +150,7 @@ def _check_map(mapping: dict, keys, what: str, lo: float = 0.0, hi: float | None
         raise ValidationError(f"{what}: keys mismatch (missing={missing}, extra={extra})")
     for k in keys:
         v = mapping[k]
-        if not isinstance(v, (int, float)) or v != v:
+        if not isinstance(v, (int, float)) or not math.isfinite(v):
             raise ValidationError(f"{what}[{k}] is not a finite number")
         if v < lo or (hi is not None and v > hi):
             bound = f"[{lo}, {hi}]" if hi is not None else f">= {lo}"
@@ -193,6 +194,7 @@ def validate_instance(inst: Instance) -> None:
     _check_map(inst.supplier_avail_prob, inst.suppliers, "supplier_avail_prob", 0.0, 1.0)
     _check_map(inst.plant_avail_prob, inst.plant_candidates, "plant_avail_prob", 0.0, 1.0)
 
+    _require(math.isfinite(inst.beta), "beta is not a finite number")
     _require(inst.beta >= 0.0, "beta out of [0, inf)")
     _require(0.0 <= inst.ban_threshold <= 1.0, "ban_threshold out of [0,1]")
 
@@ -200,6 +202,7 @@ def validate_instance(inst: Instance) -> None:
     if set(inst.transport1) != t1_keys:
         raise ValidationError("transport1: keys must cover all (supplier, plant) pairs")
     for (i, j), v in inst.transport1.items():
+        _require(math.isfinite(v), f"transport1 is not a finite number for ({i}, {j})")
         _require(v >= 0.0, f"transport1 negative for ({i}, {j})")
         if i == j:
             _require(v == 0.0, f"transport1 must be 0 on self pair ({i}, {j})")
@@ -207,6 +210,7 @@ def validate_instance(inst: Instance) -> None:
     if set(inst.transport2) != t2_keys:
         raise ValidationError("transport2: keys must cover all (plant, country) pairs")
     for (j, k), v in inst.transport2.items():
+        _require(math.isfinite(v), f"transport2 is not a finite number for ({j}, {k})")
         _require(v >= 0.0, f"transport2 negative for ({j}, {k})")
         if j == k:
             _require(v == 0.0, f"transport2 must be 0 on self pair ({j}, {k})")

@@ -4,7 +4,10 @@ The master minimizes fixed cost plus a lower envelope of the sampled mean
 recourse cost; the envelope starts at zero (recourse costs are nonnegative)
 and grows by one aggregated cut per iteration. The master itself is solved
 exactly: exhaustive enumeration up to ENUMERATION_LIMIT candidate plants,
-depth-first branch and bound with the single-cut relaxation bound beyond.
+depth-first branch and bound beyond, which bounds a node by the largest row
+of the cut matrix (zero floor row first) plus that row's suffix sum of
+min(0, fixed + coefficient) over the unassigned plants. On both paths ties
+go to the first design in lexicographic order.
 """
 
 from __future__ import annotations
@@ -109,59 +112,50 @@ def _master_by_enumeration(instance, plants, cuts, forced):
 
 
 def _master_by_branch_and_bound(instance, plants, cuts, forced):
+    """Depth-first branch and bound over plants in canonical order, 0 before 1.
+
+    Row 0 of the cut matrix is the theta >= 0 floor (all zeros), rows 1..k
+    the cuts. A node carries the fixed cost of its opened plants and each
+    row's value at them; its bound adds, per row, the suffix sum of
+    min(0, fixed + coefficient) over the unassigned positions and takes the
+    largest row (the >=1-plant constraint and forcing are relaxed). At a
+    leaf the suffix is empty and the bound is the design's value. Only a
+    strict improvement replaces the incumbent, so ties go to the first
+    design in lexicographic order, as in enumeration.
+    """
     n = len(plants)
     fixed = np.array([instance.fixed_cost[j] for j in plants])
-    consts = [c.constant for c in cuts]
-    coefs = [np.array([c.coeff[j] for j in plants]) for c in cuts]
-    order = list(range(n))  # canonical order keeps tie-breaking deterministic
+    consts = np.array([0.0] + [c.constant for c in cuts])
+    coefs = np.array([[0.0] * n] + [[c.coeff[j] for j in plants] for c in cuts])
+    tails = np.zeros((len(consts), n + 1))
+    tails[:, :n] = np.cumsum(np.minimum(0.0, fixed + coefs)[:, ::-1], axis=1)[:, ::-1]
+    choices = [(forced[j],) if j in forced else (0, 1) for j in plants]
 
-    best = {"value": np.inf, "bits": None}
+    bits = [0] * n
+    best_value = np.inf
+    best_bits = None
 
-    def bound(assign: np.ndarray, depth: int) -> float:
-        """Lower bound over all completions; the >=1-plant constraint is relaxed."""
-        assigned = np.zeros(n, dtype=bool)
-        assigned[order[:depth]] = True
-        opened = assigned & (assign == 1)
-        free = ~assigned
-        base = float(fixed[opened].sum())
-        cands = [base + float(np.minimum(0.0, fixed[free]).sum())]  # theta >= 0 floor
-        for const, coef in zip(consts, coefs):
-            assigned_part = const + float(coef[opened].sum())
-            free_part = float(np.minimum(0.0, fixed[free] + coef[free]).sum())
-            cands.append(base + assigned_part + free_part)
-        return max(cands)
-
-    def evaluate(bits: np.ndarray) -> float:
-        value = float(fixed[bits == 1].sum())
-        theta = 0.0
-        for const, coef in zip(consts, coefs):
-            theta = max(theta, const + float(coef[bits == 1].sum()))
-        return value + theta
-
-    def dfs(assign: np.ndarray, depth: int):
+    def dfs(depth: int, base: float, rows: np.ndarray) -> None:
+        nonlocal best_value, best_bits
+        bound = base + float((rows + tails[:, depth]).max())
         if depth == n:
-            if assign.sum() < 1:
-                return
-            value = evaluate(assign)
-            if value < best["value"] - 1e-15:
-                best["value"] = value
-                best["bits"] = assign.copy()
+            if any(bits) and bound < best_value - 1e-15:
+                best_value = bound
+                best_bits = list(bits)
             return
-        if bound(assign, depth) >= best["value"]:
+        if bound >= best_value:
             return
-        pos = order[depth]
-        j = plants[pos]
-        choices = (forced[j],) if j in forced else (0, 1)
-        for v in choices:
-            assign[pos] = v
-            dfs(assign, depth + 1)
-        assign[pos] = 0
+        for v in choices[depth]:
+            bits[depth] = v
+            if v:
+                dfs(depth + 1, base + fixed[depth], rows + coefs[:, depth])
+            else:
+                dfs(depth + 1, base, rows)
 
-    dfs(np.zeros(n, dtype=np.int64), 0)
-    if best["bits"] is None:
+    dfs(0, 0.0, consts)
+    if best_bits is None:
         raise ValidationError("forced assignments close every plant")
-    design = Design(open={j: int(b) for j, b in zip(plants, best["bits"])})
-    return design, float(best["value"])
+    return Design(open={j: int(b) for j, b in zip(plants, best_bits)}), float(best_value)
 
 
 def run_lshaped(

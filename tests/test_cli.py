@@ -188,6 +188,29 @@ def test_validation_problems_exit_one(workdir, tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("field", ["beta", "fixed_cost"])
+def test_non_finite_instance_numbers_exit_one_before_solving(workdir, monkeypatch, capsys, field):
+    tmp, instance_path, config_path = workdir
+    raw = json.loads(instance_path.read_text(encoding="utf-8"))
+    if field == "beta":
+        raw["beta"] = float("inf")
+    else:
+        raw["fixed_cost"][next(iter(raw["fixed_cost"]))] = float("inf")
+    bad = tmp / "inf.json"
+    bad.write_text(json.dumps(raw), encoding="utf-8")
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve started on an invalid instance")
+
+    monkeypatch.setattr("strainchain.cli.run_saa", no_solve)
+    out = tmp / "inf_run"
+    rc = cli_main(["solve", "--instance", str(bad), "--config", str(config_path),
+                   "--out", str(out)])
+    assert rc == 1
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_invalid_design_exits_one(workdir):
     tmp, instance_path, config_path = workdir
     rc = cli_main(

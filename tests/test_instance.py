@@ -35,6 +35,29 @@ def test_export_prob_out_of_range_is_rejected(tmp_path):
         load_instance(path)
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize(
+    "where, message",
+    [
+        (("beta",), "beta is not a finite"),
+        (("fixed_cost", "a"), r"fixed_cost\[a\] is not a finite"),
+        (("demand_mean", "a"), r"demand_mean\[a\] is not a finite"),
+        (("transport2", "a", "a"), "transport2 is not a finite"),
+    ],
+)
+def test_non_finite_numbers_are_rejected_at_load(tmp_path, where, message, value):
+    raw = instance_to_dict(tiny_instance(countries=("a",)))
+    *outer, last = where
+    target = raw
+    for key in outer:
+        target = target[key]
+    target[last] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")  # Infinity / NaN literals
+    with pytest.raises(ValidationError, match=message):
+        load_instance(path)
+
+
 def test_parse_error_reports_position(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"countries": [', encoding="utf-8")

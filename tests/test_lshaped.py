@@ -1,3 +1,6 @@
+import functools
+import itertools
+
 import numpy as np
 import pytest
 
@@ -58,23 +61,54 @@ def test_theta_floor_applies_when_cuts_go_negative():
     assert lb == pytest.approx(5.0)  # theta clamps at zero, not -100
 
 
+def _tie_count(inst, plants, cuts, forced):
+    """How many designs attain the master's optimum (brute force, exact for integer data)."""
+    designs = np.array(
+        [bits for bits in itertools.product((0, 1), repeat=len(plants))
+         if any(bits) and all(bits[plants.index(j)] == v for j, v in forced.items())]
+    )
+    values = designs @ np.array([inst.fixed_cost[j] for j in plants])
+    if cuts:
+        coefs = np.array([[c.coeff[j] for j in plants] for c in cuts])
+        consts = np.array([c.constant for c in cuts])
+        values = values + np.maximum((designs @ coefs.T + consts).max(axis=1), 0.0)
+    return int((values == values.min()).sum())
+
+
 def test_branch_and_bound_agrees_with_enumeration():
     rng = np.random.default_rng(12)
-    for _ in range(40):
-        inst = small_random_instance(seed=int(rng.integers(1_000_000)), n_countries=5)
+    tied = 0
+    for trial in range(60):
+        inst = small_random_instance(
+            seed=int(rng.integers(1_000_000)), n_countries=int(rng.integers(5, 13))
+        )
         plants = list(inst.plant_candidates)
+        integer = trial % 3 == 0  # small integer data: exact ties between designs
+        if integer:
+            inst = inst.perturbed(fixed_cost={j: float(rng.integers(0, 4)) for j in plants})
+        draw = rng.integers if integer else rng.uniform
+        const_range, coef_range = ((0, 20), (-6, 3)) if integer else ((0, 300), (-120, 20))
         cuts = [
             OptimalityCut(
-                constant=float(rng.uniform(0.0, 300.0)),
-                coeff={j: float(rng.uniform(-120.0, 20.0)) for j in plants},
+                constant=float(draw(*const_range)),
+                coeff={j: float(draw(*coef_range)) for j in plants},
             )
-            for _ in range(int(rng.integers(0, 4)))
+            for _ in range(int(rng.integers(0, 61)))
         ]
-        forced = {plants[0]: int(rng.integers(0, 2))} if rng.random() < 0.5 else {}
+        pinned = rng.choice(len(plants), size=int(rng.integers(0, 4)), replace=False)
+        forced = {plants[p]: int(rng.integers(0, 2)) for p in pinned}
         d1, v1 = _master_by_enumeration(inst, plants, cuts, forced)
         d2, v2 = _master_by_branch_and_bound(inst, plants, cuts, forced)
         assert v1 == pytest.approx(v2, rel=1e-9, abs=1e-9)
         assert d1.open == d2.open
+        if integer:
+            assert v1 == v2
+            tied += _tie_count(inst, plants, cuts, forced) > 1
+        closed = {j: 0 for j in plants}
+        for master in (_master_by_enumeration, _master_by_branch_and_bound):
+            with pytest.raises(ValidationError, match="close every plant"):
+                master(inst, plants, cuts, closed)
+    assert tied >= 5  # the integer batch really exercises the tie rule
 
 
 def _scenario_pool(inst, seed, n):
@@ -100,6 +134,23 @@ def test_exactness_against_enumeration_on_sampled_pools():
         best_val, best_design = enumeration_optimum(inst, scens, solver)
         assert result.objective == pytest.approx(best_val, rel=1e-6)
         assert result.design.open == best_design.open
+
+
+def test_decomposition_on_the_branch_and_bound_master(monkeypatch):
+    pools = []
+    for trial in range(4):
+        inst = small_random_instance(seed=760 + trial, n_countries=5)
+        pools.append((inst, _scenario_pool(inst, (16, trial), 12)))
+    by_enumeration = [run_lshaped(inst, scens, epsilon=1e-9) for inst, scens in pools]
+    monkeypatch.setattr(
+        "strainchain.lshaped.solve_master", functools.partial(solve_master, enumeration_limit=0)
+    )
+    by_bnb = [run_lshaped(inst, scens, epsilon=1e-9) for inst, scens in pools]
+    for first, second in zip(by_enumeration, by_bnb):
+        assert second.design.open == first.design.open
+        assert second.objective == first.objective
+        assert second.iterations == first.iterations
+        assert second.lb_trace == pytest.approx(first.lb_trace, rel=1e-9)
 
 
 def test_infinite_tolerance_stops_after_the_first_iteration():
