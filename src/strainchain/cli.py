@@ -50,8 +50,10 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _overrides_from_dict(d: dict | None) -> RiskOverrides:
+def _overrides_from_dict(d: dict | None, name: str) -> RiskOverrides:
     d = d or {}
+    if not isinstance(d, dict):
+        raise ValidationError(f"{name} must be a JSON object")
     known = {"force_export_prob_one", "export_prob_scale", "ban_threshold", "alliances_off"}
     unknown = sorted(set(d) - known)
     if unknown:
@@ -60,10 +62,12 @@ def _overrides_from_dict(d: dict | None) -> RiskOverrides:
 
 
 def saa_config_from_dict(d: dict | None) -> SaaConfig:
+    if not isinstance(d or {}, dict):
+        raise ValidationError("saa config must be a JSON object")
     d = dict(d or {})
     for key in ("optimize_overrides", "evaluate_overrides"):
         if key in d:
-            d[key] = _overrides_from_dict(d[key])
+            d[key] = _overrides_from_dict(d[key], key)
     try:
         cfg = SaaConfig(**d)
     except TypeError as exc:
@@ -113,7 +117,7 @@ def _resolve_threads(args, config: dict) -> int:
 def _resolve_saa(args, config: dict) -> SaaConfig:
     cfg = saa_config_from_dict(config.get("saa"))
     if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, base_seed=args.seed)
+        cfg = replace(cfg, base_seed=args.seed).validated()
     return cfg
 
 

@@ -188,14 +188,13 @@ def run_lshaped(
         fixed = sum(instance.fixed_cost[j] * candidate.open[j] for j in plants)
         mean_recourse = 0.0
         mean_const = 0.0
-        mean_coeff = {j: 0.0 for j in plants}
+        mean_coeff = np.zeros(len(plants))
         for scen in scenarios:
             sol = solver.solve(candidate, scen)
             mean_recourse += sol.objective / n_scen
-            const, coeff = cut_terms_from(instance, scen, sol)
+            const, coeff = cut_terms_from(scen, sol)
             mean_const += const / n_scen
-            for j in plants:
-                mean_coeff[j] += coeff[j] / n_scen
+            mean_coeff += coeff / n_scen
         z_n = fixed + mean_recourse
         if incumbent is None or z_n < ub:
             ub = z_n
@@ -212,7 +211,8 @@ def run_lshaped(
                 ub_trace=ub_trace,
                 cuts=cuts,
             )
-        cuts.append(OptimalityCut(constant=mean_const, coeff=dict(mean_coeff)))
+        coeff_map = dict(zip(plants, mean_coeff.tolist()))
+        cuts.append(OptimalityCut(constant=mean_const, coeff=coeff_map))
 
     raise IterationLimitError(
         f"no convergence within {max_iterations} iterations", lb_trace, ub_trace

@@ -10,17 +10,32 @@ per supplier, plant, country, and plant-balance only. Duals for the gate and
 tranche families are reconstructed from reduced costs; they are always
 feasible for the row formulation, which is what makes the cuts valid at
 every design.
+
+Inside a solve everything is an array in the solver's fixed orders:
+suppliers, plant candidates and countries as in the instance, then
+supplier-plant arcs (`u_arcs`) and plant-country arcs (`v_arcs`), row-major.
+A scenario's design-independent arrays (capacities, the demand right-hand
+side net of retained exports, the shielded volumes and the gated arc
+capacities) are built on its first solve and kept with the scenario. The
+start basis (slacks, the S2 or E column of each country by the sign of its
+right-hand side, and each plant's self-distribution column) has a 0/+-1
+inverse in closed form, so a solve starts pivoting without factorizing.
+Solutions keep flows and multipliers as arrays and cut terms come back as
+one coefficient array in plant order. Dicts keyed by country, plant or arc
+are built only where a report, a CSV, `verify` or a test reads them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .instance import Design, Instance, validate_design
-from .scenarios import Scenario, country_retained
+from .scenarios import Scenario, ban_flags, retained_by_country
 from .simplex import SimplexError, solve_bounded_lp
+from .stats import ordered_sum
 
 BALANCE_TOL = 1e-7       # absolute feasibility tolerance on balance rows
 DUALITY_REL_TOL = 1e-6   # relative primal/dual agreement required per solve
@@ -34,7 +49,9 @@ class RecourseError(RuntimeError):
 
 @dataclass(frozen=True)
 class DualVector:
-    supplier_capacity: dict    # supplier -> multiplier (<= 0)
+    """A solution's multipliers keyed by supplier, plant, country or arc."""
+
+    supplier_capacity: dict   # supplier -> multiplier (<= 0)
     supply_gate: dict          # (supplier, plant) cross arcs -> multiplier (<= 0)
     plant_capacity: dict       # plant -> multiplier (<= 0)
     distribution_gate: dict    # (plant, country) cross arcs -> multiplier (<= 0)
@@ -44,15 +61,79 @@ class DualVector:
 
 
 @dataclass(frozen=True)
+class ScenarioArrays:
+    """A scenario's design-independent data in the solver's orders."""
+
+    a_sup: np.ndarray          # supplier capacity x availability
+    b_pl: np.ndarray           # plant capacity x availability
+    demand: np.ndarray         # per country
+    retained: np.ndarray       # exports each country keeps home
+    rhs_dem: np.ndarray        # demand - retained, the demand rows' right-hand side
+    shield: np.ndarray         # demand held at the baseline price while banning
+    cap_u: np.ndarray          # origin capacity x export gate per supplier-plant arc
+    cap_v: np.ndarray          # origin capacity x export gate per plant-country arc
+
+
+@dataclass(frozen=True, eq=False)
 class RecourseSolution:
-    raw_flow: dict             # (supplier, plant) -> units
-    drug_flow: dict            # (plant, country) -> units
-    shortage: dict             # country -> units of unmet demand
-    shortage_aux: dict         # country -> escalated tranche of the shortage
-    excess: dict               # country -> leftover retained exports
+    """One scenario solve; arrays follow the solver's orders.
+
+    The dict views (raw_flow, drug_flow, shortage, shortage_aux, excess,
+    duals) are built on first access.
+    """
+
+    solver: RecourseSolver = field(repr=False)
+    design: Design                      # the first-stage decision this solve used
     objective: float
-    duals: DualVector
-    design: Design             # the first-stage decision this solve used
+    raw: np.ndarray                     # flow per supplier-plant arc
+    drug: np.ndarray                    # flow per plant-country arc
+    unmet: np.ndarray                   # shortage per country, both tranches
+    escalated: np.ndarray               # the escalated tranche per country
+    surplus: np.ndarray                 # leftover retained exports per country
+    pi_supplier: np.ndarray             # supplier capacity rows (<= 0)
+    pi_supply_gate: np.ndarray          # per supplier-plant arc, 0 on self arcs (<= 0)
+    pi_plant: np.ndarray                # plant capacity rows (<= 0)
+    pi_distribution_gate: np.ndarray    # per plant-country arc, 0 on self arcs (<= 0)
+    pi_demand: np.ndarray               # demand rows (free sign)
+    pi_balance: np.ndarray              # plant balance rows (free sign)
+    pi_aux: np.ndarray                  # shielded-tranche bound per country (>= 0)
+
+    @cached_property
+    def raw_flow(self) -> dict:
+        return dict(zip(self.solver.u_arcs, self.raw.tolist()))
+
+    @cached_property
+    def drug_flow(self) -> dict:
+        return dict(zip(self.solver.v_arcs, self.drug.tolist()))
+
+    @cached_property
+    def shortage(self) -> dict:
+        return dict(zip(self.solver.K, self.unmet.tolist()))
+
+    @cached_property
+    def shortage_aux(self) -> dict:
+        return dict(zip(self.solver.K, self.escalated.tolist()))
+
+    @cached_property
+    def excess(self) -> dict:
+        return dict(zip(self.solver.K, self.surplus.tolist()))
+
+    @cached_property
+    def duals(self) -> DualVector:
+        s = self.solver
+
+        def cross(arcs, cross_mask, values):
+            return {a: v for a, c, v in zip(arcs, cross_mask, values.tolist()) if c}
+
+        return DualVector(
+            supplier_capacity=dict(zip(s.sup, self.pi_supplier.tolist())),
+            supply_gate=cross(s.u_arcs, s.u_cross, self.pi_supply_gate),
+            plant_capacity=dict(zip(s.pl, self.pi_plant.tolist())),
+            distribution_gate=cross(s.v_arcs, s.v_cross, self.pi_distribution_gate),
+            demand=dict(zip(s.K, self.pi_demand.tolist())),
+            flow_balance=dict(zip(s.pl, self.pi_balance.tolist())),
+            shortage_aux=dict(zip(s.K, self.pi_aux.tolist())),
+        )
 
 
 class RecourseSolver:
@@ -85,8 +166,12 @@ class RecourseSolver:
         self.v_gate = np.array(
             [gate_class(j, k, ally_dist) for j, k in self.v_arcs], dtype=np.int8
         )
+        self.u_cross = self.u_gate != GATE_SELF
+        self.v_cross = self.v_gate != GATE_SELF
         self.u_origin = np.array([kpos[i] for i, _ in self.u_arcs])
         self.v_origin = np.array([kpos[j] for j, _ in self.v_arcs])
+        self.u_plant = np.tile(np.arange(nJ), nI)     # plant position of each arc
+        self.v_plant = np.repeat(np.arange(nJ), nK)
 
         nU, nV = nI * nJ, nJ * nK
         self.oU, self.oV = 0, nU
@@ -132,95 +217,117 @@ class RecourseSolver:
         base_cost[self.oS1 : self.oS1 + nK] = price
         base_cost[self.oS2 : self.oS2 + nK] = price  # price bump added per scenario
         self.base_cost = base_cost
+        self.raw_unit_cost = base_cost[self.oU : self.oV]
+        self.drug_unit_cost = base_cost[self.oV : self.oS1]
+        self.shortage_price = price
 
         self.sup_capacity = np.array([instance.supplier_capacity[i] for i in self.sup])
         self.pl_capacity = np.array([instance.plant_capacity[j] for j in self.pl])
-        self.exports_general = np.array([instance.exports_general[k] for k in K])
-        self.exports_to_c1 = np.array([instance.exports_to_c1[k] for k in K])
-        self.ally_mask = np.array([k in set(instance.ally_group) for k in K])
         self.plant_mask = np.array([k in set(self.pl) for k in K])
-        self.pl_row_of_country = np.array([self.pl.index(k) if k in self.pl else -1 for k in K])
+        self.plant_kpos = np.array([kpos[j] for j in self.pl])
+
+        # start basis with every country on its S2 column, and its inverse:
+        # rows Sup [I 0 0 0], Pl [0 I 0 I], Dem [0 0 I P], Bal [0 0 0 -I]
+        # (P maps each plant's balance row to its country's demand row); a
+        # country started on E instead has its Dem row negated
+        self_v = self.oV + np.arange(nJ) * nK + self.plant_kpos
+        self.start_basis_s2 = np.concatenate(
+            [
+                self.oSlackS + np.arange(nI),
+                self.oSlackP + np.arange(nJ),
+                self.oS2 + np.arange(nK),
+                self_v,
+            ]
+        )
+        inv = np.eye(m)
+        pj = np.arange(nJ)
+        inv[self.rPl + pj, self.rBal + pj] = 1.0
+        inv[self.rDem + self.plant_kpos, self.rBal + pj] = 1.0
+        inv[self.rBal + pj, self.rBal + pj] = -1.0
+        self.start_inverse_s2 = inv
 
     # -- scenario/design dependent pieces ---------------------------------
 
-    def _scenario_arrays(self, scenario: Scenario):
-        a_sup = self.sup_capacity * np.array(
-            [scenario.supplier_avail[i] for i in self.sup]
-        )
+    def arrays(self, scenario: Scenario) -> ScenarioArrays:
+        """The scenario's arrays, built on its first solve and kept with it."""
+        memo = scenario._arrays
+        if memo is not None and memo[0] is self.instance:
+            return memo[1]
+        nJ, nK = self.nJ, self.nK
+        a_sup = self.sup_capacity * np.array([scenario.supplier_avail[i] for i in self.sup])
         b_pl = self.pl_capacity * np.array([scenario.plant_avail[j] for j in self.pl])
         demand = np.array([scenario.demand[k] for k in self.K])
-        g = np.array([scenario.ban_general[k] for k in self.K], dtype=float)
-        g_ally = np.ones(self.nK)
-        for k, v in scenario.ban_ally.items():
-            g_ally[self.kpos[k]] = v
-        retained_k = self.exports_general * (1.0 - g) + self.exports_to_c1 * np.where(
-            self.ally_mask, 1.0 - g_ally, 1.0 - g
+        flags = ban_flags(self.instance, scenario.ban_general, scenario.ban_ally)
+        kept = retained_by_country(self.instance, flags)
+        retained = kept[:, 0] + kept[:, 1]
+        gate_u = self._gate_values(self.u_gate, self.u_origin, flags)
+        gate_v = self._gate_values(self.v_gate, self.v_origin, flags)
+        arrays = ScenarioArrays(
+            a_sup=a_sup,
+            b_pl=b_pl,
+            demand=demand,
+            retained=retained,
+            rhs_dem=demand - retained,
+            shield=demand * (1.0 - flags[:, 0]),
+            cap_u=np.repeat(a_sup, nJ) * gate_u,
+            cap_v=np.repeat(b_pl, nK) * gate_v,
         )
-        return a_sup, b_pl, demand, g, g_ally, retained_k
+        object.__setattr__(scenario, "_arrays", (self.instance, arrays))
+        return arrays
 
-    def _gate_values(self, gate_class: np.ndarray, origin: np.ndarray, g, g_ally) -> np.ndarray:
+    def _gate_values(self, gate_class: np.ndarray, origin: np.ndarray, flags) -> np.ndarray:
         vals = np.ones(len(gate_class))
         general = gate_class == GATE_GENERAL
-        vals[general] = g[origin[general]]
+        vals[general] = flags[origin[general], 0]
         ally = gate_class == GATE_ALLY
-        vals[ally] = g_ally[origin[ally]]
+        vals[ally] = flags[origin[ally], 1]
         return vals
+
+    def start_basis(self, rhs_dem: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Feasible start basis for the given demand right-hand side, and its inverse."""
+        basis = self.start_basis_s2.copy()
+        inverse = self.start_inverse_s2.copy()
+        short_rows = np.flatnonzero(rhs_dem < 0)
+        basis[self.rDem + short_rows] = self.oE + short_rows
+        inverse[self.rDem + short_rows] *= -1.0
+        return basis, inverse
 
     def solve(self, design: Design, scenario: Scenario) -> RecourseSolution:
         validate_design(self.instance, design)
         nI, nJ, nK = self.nI, self.nJ, self.nK
-        a_sup, b_pl, demand, g, g_ally, retained_k = self._scenario_arrays(scenario)
+        data = self.arrays(scenario)
         y = np.array([float(design.open[j]) for j in self.pl])
 
         cost = self.base_cost.copy()
         cost[self.oS2 : self.oS2 + nK] += scenario.price_increase
 
-        gate_u = self._gate_values(self.u_gate, self.u_origin, g, g_ally)
-        gate_v = self._gate_values(self.v_gate, self.v_origin, g, g_ally)
         upper = np.full(self.n, np.inf)
         # cross-country arcs are capped by origin capacity x export gate x Y;
         # self arcs stay unbounded (capacity and balance rows still bind them)
-        cap_u = np.repeat(a_sup, nJ) * gate_u * np.tile(y, nI)
         upper[self.oU : self.oU + nI * nJ] = np.where(
-            self.u_gate != GATE_SELF, cap_u, np.inf
+            self.u_cross, data.cap_u * y[self.u_plant], np.inf
         )
-        cap_v = np.repeat(b_pl, nK) * gate_v * np.repeat(y, nK)
         upper[self.oV : self.oV + nJ * nK] = np.where(
-            self.v_gate != GATE_SELF, cap_v, np.inf
+            self.v_cross, data.cap_v * y[self.v_plant], np.inf
         )
         # shielded tranche: only a country with its own open plant and an
         # active general ban keeps its demand at the baseline price
-        shield = demand * (1.0 - g)
         y_country = np.zeros(nK)
-        y_country[self.pl_row_of_country >= 0] = y[
-            self.pl_row_of_country[self.pl_row_of_country >= 0]
-        ]
+        y_country[self.plant_kpos] = y
         upper[self.oS1 : self.oS1 + nK] = np.where(
-            self.plant_mask, shield * y_country, 0.0
+            self.plant_mask, data.shield * y_country, 0.0
         )
 
-        b = np.concatenate([a_sup, b_pl * y, demand - retained_k, np.zeros(nJ)])
-
-        basis = np.empty(self.m, dtype=np.intp)
-        basis[self.rSup : self.rSup + nI] = self.oSlackS + np.arange(nI)
-        basis[self.rPl : self.rPl + nJ] = self.oSlackP + np.arange(nJ)
-        rhs_dem = b[self.rDem : self.rDem + nK]
-        basis[self.rDem : self.rDem + nK] = np.where(
-            rhs_dem >= 0, self.oS2 + np.arange(nK), self.oE + np.arange(nK)
-        )
-        # the self-distribution column of each plant carries its balance row
-        basis[self.rBal : self.rBal + nJ] = self.oV + np.array(
-            [pj * nK + self.kpos[j] for pj, j in enumerate(self.pl)]
-        )
-
+        b = np.concatenate([data.a_sup, data.b_pl * y, data.rhs_dem, np.zeros(nJ)])
+        basis, inverse = self.start_basis(data.rhs_dem)
         try:
-            sol = solve_bounded_lp(self.A, b, cost, upper, basis)
+            sol = solve_bounded_lp(self.A, b, cost, upper, basis, basis_inverse=inverse)
         except SimplexError as exc:
             raise RecourseError(f"scenario solve failed: {exc}") from exc
 
-        return self._package(sol, design, scenario, demand, retained_k)
+        return self._package(sol, design, scenario, data, y)
 
-    def _package(self, sol, design, scenario, demand, retained_k):
+    def _package(self, sol, design, scenario, data, y):
         nI, nJ, nK = self.nI, self.nJ, self.nK
         x = sol.x
         u_vals = x[self.oU : self.oU + nI * nJ]
@@ -235,53 +342,37 @@ class RecourseSolver:
         if np.abs(inflow - outflow).max(initial=0.0) > BALANCE_TOL * scale:
             raise RecourseError("flow balance residual beyond tolerance")
         served = v_vals.reshape(nJ, nK).sum(axis=0)
-        residual = served + s1 + s2 - e + retained_k - demand
+        residual = served + s1 + s2 - e + data.retained - data.demand
         if np.abs(residual).max(initial=0.0) > BALANCE_TOL * scale:
             raise RecourseError("demand balance residual beyond tolerance")
 
         y_rows = sol.row_duals
-        pi_sup = np.minimum(0.0, y_rows[self.rSup : self.rSup + nI])
-        pi_pl = np.minimum(0.0, y_rows[self.rPl : self.rPl + nJ])
-        pi_dem = y_rows[self.rDem : self.rDem + nK]
-        pi_bal = y_rows[self.rBal : self.rBal + nJ]
         rc = sol.reduced_costs
         gate_dual_u = np.minimum(0.0, rc[self.oU : self.oU + nI * nJ])
-        gate_dual_u[self.u_gate == GATE_SELF] = 0.0
+        gate_dual_u[~self.u_cross] = 0.0
         gate_dual_v = np.minimum(0.0, rc[self.oV : self.oV + nJ * nK])
-        gate_dual_v[self.v_gate == GATE_SELF] = 0.0
-        aux_dual = np.maximum(0.0, -rc[self.oS1 : self.oS1 + nK])
-
-        duals = DualVector(
-            supplier_capacity={i: float(pi_sup[si]) for si, i in enumerate(self.sup)},
-            supply_gate={
-                arc: float(gate_dual_u[a])
-                for a, arc in enumerate(self.u_arcs)
-                if self.u_gate[a] != GATE_SELF
-            },
-            plant_capacity={j: float(pi_pl[pj]) for pj, j in enumerate(self.pl)},
-            distribution_gate={
-                arc: float(gate_dual_v[a])
-                for a, arc in enumerate(self.v_arcs)
-                if self.v_gate[a] != GATE_SELF
-            },
-            demand={k: float(pi_dem[kn]) for kn, k in enumerate(self.K)},
-            flow_balance={j: float(pi_bal[pj]) for pj, j in enumerate(self.pl)},
-            shortage_aux={k: float(aux_dual[kn]) for kn, k in enumerate(self.K)},
-        )
+        gate_dual_v[~self.v_cross] = 0.0
 
         solution = RecourseSolution(
-            raw_flow={arc: float(u_vals[a]) for a, arc in enumerate(self.u_arcs)},
-            drug_flow={arc: float(v_vals[a]) for a, arc in enumerate(self.v_arcs)},
-            shortage={k: float(s1[kn] + s2[kn]) for kn, k in enumerate(self.K)},
-            shortage_aux={k: float(s2[kn]) for kn, k in enumerate(self.K)},
-            excess={k: float(e[kn]) for kn, k in enumerate(self.K)},
-            objective=sol.objective,
-            duals=duals,
+            solver=self,
             design=design,
+            objective=sol.objective,
+            raw=u_vals,
+            drug=v_vals,
+            unmet=s1 + s2,
+            escalated=s2,
+            surplus=e,
+            pi_supplier=np.minimum(0.0, y_rows[self.rSup : self.rSup + nI]),
+            pi_supply_gate=gate_dual_u,
+            pi_plant=np.minimum(0.0, y_rows[self.rPl : self.rPl + nJ]),
+            pi_distribution_gate=gate_dual_v,
+            pi_demand=y_rows[self.rDem : self.rDem + nK],
+            pi_balance=y_rows[self.rBal : self.rBal + nJ],
+            pi_aux=np.maximum(0.0, -rc[self.oS1 : self.oS1 + nK]),
         )
 
-        const, coeff = cut_terms_from(self.instance, scenario, solution)
-        tight = const + sum(coeff[j] * design.open[j] for j in self.pl)
+        const, coeff = cut_terms_from(scenario, solution)
+        tight = const + float(coeff @ y)
         tol = DUALITY_REL_TOL * max(1.0, abs(solution.objective))
         if abs(tight - solution.objective) > tol:
             raise RecourseError(
@@ -297,65 +388,48 @@ def solve_recourse(instance: Instance, design: Design, scenario: Scenario) -> Re
 # -- optimality-cut terms ----------------------------------------------------
 
 
-def cut_terms_from(
-    instance: Instance, scenario: Scenario, solution: RecourseSolution
-) -> tuple[float, dict]:
+def cut_terms_from(scenario: Scenario, solution: RecourseSolution) -> tuple[float, np.ndarray]:
     """Affine minorant of the scenario cost as a function of the design.
 
-    constant + sum_j coeff[j] * Y_j underestimates the scenario's optimal
-    cost at every feasible design and matches it at the design that produced
-    the solution.
+    constant + coeff @ Y underestimates the scenario's optimal cost at every
+    feasible design (Y in plant order) and matches it at the design that
+    produced the solution. The constant adds the supplier terms, then the
+    demand terms; coeff[j] adds plant j's supply-gate terms in supplier
+    order, its capacity term, its distribution-gate terms in country order
+    and its shield term, each one at a time (see `ordered_sum`).
     """
-    duals = solution.duals
-    a_sup = {
-        i: instance.supplier_capacity[i] * scenario.supplier_avail[i]
-        for i in instance.suppliers
-    }
-    b_pl = {
-        j: instance.plant_capacity[j] * scenario.plant_avail[j]
-        for j in instance.plant_candidates
-    }
-    ally_raw = instance.ally_supply_arcs()
-    ally_dist = instance.ally_distribution_arcs()
-
-    constant = sum(duals.supplier_capacity[i] * a_sup[i] for i in instance.suppliers)
-    for k in instance.countries:
-        rhs = scenario.demand[k] - country_retained(
-            instance, k, scenario.ban_general, scenario.ban_ally
+    s = solution.solver
+    data = s.arrays(scenario)
+    constant = ordered_sum(
+        np.concatenate(
+            (solution.pi_supplier * data.a_sup, solution.pi_demand * data.rhs_dem)
         )
-        constant += duals.demand[k] * rhs
-
-    coeff = {j: 0.0 for j in instance.plant_candidates}
-    for (i, j), pi in duals.supply_gate.items():
-        gate_val = (
-            scenario.ban_ally[i] if (i, j) in ally_raw else scenario.ban_general[i]
+    )
+    shield = data.shield[s.plant_kpos]
+    terms = np.concatenate(
+        (
+            (solution.pi_supply_gate * data.cap_u).reshape(s.nI, s.nJ),
+            (solution.pi_plant * data.b_pl)[None],
+            (solution.pi_distribution_gate * data.cap_v).reshape(s.nJ, s.nK).T,
+            (solution.pi_aux[s.plant_kpos] * -shield)[None],
         )
-        coeff[j] += pi * a_sup[i] * gate_val
-    for j in instance.plant_candidates:
-        coeff[j] += duals.plant_capacity[j] * b_pl[j]
-    for (j, k), pi in duals.distribution_gate.items():
-        gate_val = (
-            scenario.ban_ally[j] if (j, k) in ally_dist else scenario.ban_general[j]
-        )
-        coeff[j] += pi * b_pl[j] * gate_val
-    for j in instance.plant_candidates:
-        shield = scenario.demand[j] * (1 - scenario.ban_general[j])
-        coeff[j] += duals.shortage_aux[j] * (-shield)
-    return float(constant), coeff
+    )
+    return float(constant), ordered_sum(terms)
 
 
 def recourse_cut_terms(
     instance: Instance, scenario: Scenario, solution: RecourseSolution
 ) -> tuple[float, dict]:
-    """Cut terms with the tightness/duality guarantee re-verified."""
-    constant, coeff = cut_terms_from(instance, scenario, solution)
-    value = constant + sum(coeff[j] * solution.design.open[j] for j in coeff)
+    """Cut terms keyed by plant, with the tightness/duality guarantee re-verified."""
+    constant, coeff = cut_terms_from(scenario, solution)
+    y = np.array([float(solution.design.open[j]) for j in instance.plant_candidates])
+    value = constant + float(coeff @ y)
     tol = DUALITY_REL_TOL * max(1.0, abs(solution.objective))
     if abs(value - solution.objective) > tol:
         raise RecourseError(
             f"duality violation: cut value {value!r} vs objective {solution.objective!r}"
         )
-    return constant, coeff
+    return constant, dict(zip(instance.plant_candidates, coeff.tolist()))
 
 
 # -- structural diagnostics ---------------------------------------------------

@@ -16,11 +16,13 @@ from dataclasses import dataclass, field
 
 import math
 
+import numpy as np
+
 from .instance import Design, Instance, ValidationError, validate_design
 from .lshaped import run_lshaped
 from .recourse import RecourseSolver
 from .scenarios import RiskOverrides, sample_batch
-from .stats import critical_values
+from .stats import critical_values, ordered_sum
 
 ROLE_OPTIMIZE, ROLE_EVALUATE = 0, 1
 
@@ -41,12 +43,26 @@ class SaaConfig:
     max_iterations: int = 500             # decomposition iteration cap
 
     def validated(self) -> "SaaConfig":
+        """Check every field's type and range; a bad value names its field."""
+        for name in ("replications", "optimization_scenarios", "evaluation_scenarios",
+                     "base_seed", "max_passes", "max_iterations"):
+            _require_int(getattr(self, name), name)
+        for name in ("alpha", "outer_gap_tolerance", "inner_gap_tolerance"):
+            _require_finite(getattr(self, name), name)
+        for name in ("optimize_overrides", "evaluate_overrides"):
+            _check_overrides(getattr(self, name), name)
+        if not isinstance(self.forced_open, dict) or any(
+            _not_int(v) or v not in (0, 1) for v in self.forced_open.values()
+        ):
+            raise ValidationError(f"forced_open must map plants to 0 or 1, got {self.forced_open!r}")
         if self.replications < 2:
             raise ValidationError("need at least two replications")
         if self.optimization_scenarios < 1:
             raise ValidationError("need at least one optimization scenario")
         if self.evaluation_scenarios < self.optimization_scenarios:
             raise ValidationError("evaluation sample must be at least the optimization sample")
+        if self.base_seed < 0:
+            raise ValidationError(f"base_seed must be nonnegative, got {self.base_seed!r}")
         if not 0.0 < self.alpha < 0.5:
             raise ValidationError("alpha must lie strictly inside (0, 0.5)")
         if not (self.outer_gap_tolerance > 0 and self.inner_gap_tolerance > 0):
@@ -54,6 +70,35 @@ class SaaConfig:
         if self.max_passes < 1 or self.max_iterations < 1:
             raise ValidationError("pass and iteration caps must be positive")
         return self
+
+
+def _not_int(value) -> bool:
+    return isinstance(value, bool) or not isinstance(value, int)
+
+
+def _require_int(value, name: str) -> None:
+    if _not_int(value):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
+def _require_finite(value, name: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValidationError(f"{name} must be a finite number, got {value!r}")
+
+
+def _check_overrides(overrides: RiskOverrides, name: str) -> None:
+    for flag in ("force_export_prob_one", "alliances_off"):
+        if not isinstance(getattr(overrides, flag), bool):
+            raise ValidationError(f"{name}.{flag} must be true or false")
+    scale, threshold = overrides.export_prob_scale, overrides.ban_threshold
+    if scale is not None:
+        _require_finite(scale, f"{name}.export_prob_scale")
+        if scale < 0:
+            raise ValidationError(f"{name}.export_prob_scale must be nonnegative, got {scale!r}")
+    if threshold is not None:
+        _require_finite(threshold, f"{name}.ban_threshold")
+        if not 0.0 <= threshold <= 1.0:
+            raise ValidationError(f"{name}.ban_threshold must lie in [0, 1], got {threshold!r}")
 
 
 @dataclass(frozen=True)
@@ -116,30 +161,27 @@ def evaluate_design(
     n = len(scenarios)
     fixed = sum(instance.fixed_cost[j] * design.open[j] for j in instance.plant_candidates)
 
+    # per-arc and per-country sums run over scenarios; each scalar total
+    # adds one scenario's terms in arc or country order before the next
     samples = []
-    shortage = {k: 0.0 for k in instance.countries}
-    demand = {k: 0.0 for k in instance.countries}
-    raw_flow = {arc: 0.0 for arc in solver.u_arcs}
-    drug_flow = {arc: 0.0 for arc in solver.v_arcs}
+    shortage = np.zeros(solver.nK)
+    demand = np.zeros(solver.nK)
+    raw_flow = np.zeros(len(solver.u_arcs))
+    drug_flow = np.zeros(len(solver.v_arcs))
     raw_cost = outbound_cost = base_short = esc_short = sales = 0.0
 
     for scen in scenarios:
         sol = solver.solve(design, scen)
         samples.append(fixed + sol.objective)
-        for k in instance.countries:
-            shortage[k] += sol.shortage[k] / n
-            demand[k] += scen.demand[k] / n
-            base_short += instance.shortage_price[k] * sol.shortage[k] / n
-            esc_short += scen.price_increase * sol.shortage_aux[k] / n
-        for (i, j), v in sol.raw_flow.items():
-            raw_flow[(i, j)] += v / n
-            raw_cost += (instance.raw_cost[i] + instance.transport1[(i, j)]) * v / n
-        for (j, k), v in sol.drug_flow.items():
-            drug_flow[(j, k)] += v / n
-            outbound_cost += (
-                instance.production_cost[j] + instance.transport2[(j, k)]
-            ) * v / n
-            sales += v / n
+        shortage += sol.unmet / n
+        demand += solver.arrays(scen).demand / n
+        base_short = ordered_sum(solver.shortage_price * sol.unmet / n, base_short)
+        esc_short = ordered_sum(scen.price_increase * sol.escalated / n, esc_short)
+        raw_flow += sol.raw / n
+        raw_cost = ordered_sum(solver.raw_unit_cost * sol.raw / n, raw_cost)
+        drug_flow += sol.drug / n
+        outbound_cost = ordered_sum(solver.drug_unit_cost * sol.drug / n, outbound_cost)
+        sales = ordered_sum(sol.drug / n, sales)
 
     mean = sum(samples) / n
     if n > 1:
@@ -149,17 +191,17 @@ def evaluate_design(
     return DesignEvaluation(
         mean_objective=mean,
         std_error=math.sqrt(var),
-        expected_shortage=shortage,
-        expected_demand=demand,
-        expected_raw_flow=raw_flow,
-        expected_drug_flow=drug_flow,
-        sales_volume=sales,
+        expected_shortage=dict(zip(solver.K, shortage.tolist())),
+        expected_demand=dict(zip(solver.K, demand.tolist())),
+        expected_raw_flow=dict(zip(solver.u_arcs, raw_flow.tolist())),
+        expected_drug_flow=dict(zip(solver.v_arcs, drug_flow.tolist())),
+        sales_volume=float(sales),
         breakdown=CostBreakdown(
             fixed=fixed,
-            raw_and_inbound=raw_cost,
-            production_and_outbound=outbound_cost,
-            shortage_baseline=base_short,
-            shortage_escalation=esc_short,
+            raw_and_inbound=float(raw_cost),
+            production_and_outbound=float(outbound_cost),
+            shortage_baseline=float(base_short),
+            shortage_escalation=float(esc_short),
         ),
     )
 

@@ -17,12 +17,13 @@ numbers).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .instance import Instance
+from .stats import ordered_sum
 
 PRICE_LINK_TOL = 1e-12  # |price_increase - beta*retained| tolerance in validation
 
@@ -55,6 +56,9 @@ class Scenario:
     retained_exports: float     # units kept home by the bans
     price_increase: float       # money/unit bump applied to the escalated shortage tranche
     probability: float = 1.0
+    # (instance, arrays) memo of RecourseSolver.arrays, filled in by the first
+    # solve; dataclasses.replace starts a copy without it
+    _arrays: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def validate_scenario(instance: Instance, scen: Scenario) -> None:
@@ -74,17 +78,35 @@ def validate_scenario(instance: Instance, scen: Scenario) -> None:
             raise ValueError("ban flags present although average availability met the threshold")
 
 
+def ban_flags(instance: Instance, ban_general: dict, ban_ally: dict) -> np.ndarray:
+    """Export flags per country and channel, (countries x 2) in country order.
+
+    Column 0 gates general exports; column 1 gates exports on the c1/ally
+    channel, which follows the ally flag inside the ally group and the
+    general flag elsewhere.
+    """
+    ally_group = set(instance.ally_group)
+    return np.array(
+        [
+            (ban_general[k], ban_ally[k] if k in ally_group else ban_general[k])
+            for k in instance.countries
+        ],
+        dtype=float,
+    )
+
+
+def retained_by_country(instance: Instance, flags: np.ndarray) -> np.ndarray:
+    """Export volume each country keeps home, (countries x 2) as in `ban_flags`."""
+    exports = np.array(
+        [(instance.exports_general[k], instance.exports_to_c1[k]) for k in instance.countries]
+    )
+    return exports * (1.0 - flags)
+
+
 def retained_exports(instance: Instance, ban_general: dict, ban_ally: dict) -> float:
     """Total exogenous export volume kept inside banning countries."""
-    ally_group = set(instance.ally_group)
-    total = 0.0
-    for k in instance.countries:
-        total += instance.exports_general[k] * (1 - ban_general[k])
-        if k in ally_group:
-            total += instance.exports_to_c1[k] * (1 - ban_ally[k])
-        else:
-            total += instance.exports_to_c1[k] * (1 - ban_general[k])
-    return total
+    kept = retained_by_country(instance, ban_flags(instance, ban_general, ban_ally))
+    return float(ordered_sum(kept.ravel()))
 
 
 def price_increase(instance: Instance, retained: float) -> float:
@@ -92,16 +114,6 @@ def price_increase(instance: Instance, retained: float) -> float:
     if retained < 0:
         raise ValueError("retained volume must be nonnegative")
     return instance.beta * retained
-
-
-def country_retained(instance: Instance, k: str, ban_general: dict, ban_ally: dict) -> float:
-    """Export volume country k keeps for its own demand under the given flags."""
-    kept = instance.exports_general[k] * (1 - ban_general[k])
-    if k in set(instance.ally_group):
-        kept += instance.exports_to_c1[k] * (1 - ban_ally[k])
-    else:
-        kept += instance.exports_to_c1[k] * (1 - ban_general[k])
-    return kept
 
 
 def _effective_export_prob(instance: Instance, overrides: RiskOverrides) -> dict:

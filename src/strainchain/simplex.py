@@ -7,7 +7,10 @@ columns), so no phase-1 is needed here.
 
 Pivot rule is Dantzig with a permanent switch to Bland's rule after a long
 degenerate streak, which guarantees termination. The basis inverse is kept
-explicitly and refreshed from scratch periodically to control drift.
+explicitly, updated by one rank-1 product per pivot and refreshed from
+scratch periodically to control drift. A caller that knows the starting
+basis inverse in closed form passes it in and saves the first
+factorization.
 """
 
 from __future__ import annotations
@@ -42,7 +45,13 @@ def solve_bounded_lp(
     basis: np.ndarray,
     at_upper: np.ndarray | None = None,
     max_iterations: int | None = None,
+    basis_inverse: np.ndarray | None = None,
 ) -> LpSolution:
+    """Optimal vertex from a feasible starting basis.
+
+    basis_inverse, when given, must equal inv(A[:, basis]); it is updated in
+    place.
+    """
     m, n = A.shape
     basis = np.asarray(basis, dtype=np.intp).copy()
     if basis.shape != (m,):
@@ -59,19 +68,21 @@ def solve_bounded_lp(
         max_iterations = 500 + 40 * (m + n)
     rc_tol = 1e-9 * max(1.0, float(np.abs(c).max(initial=0.0)))
     piv_tol = 1e-10
+    spannable = upper > piv_tol  # a column with a shorter span never enters
 
-    def refactor():
-        B = A[:, basis]
+    def inverse():
         try:
-            Binv = np.linalg.inv(B)
+            return np.linalg.inv(A[:, basis])
         except np.linalg.LinAlgError as exc:
             raise SimplexError("singular basis") from exc
+
+    def basic_values(Binv):
         x_nb = np.where(at_upper & finite_ub, upper, 0.0)
         x_nb[basis] = 0.0
-        xB = Binv @ (b - A @ x_nb)
-        return Binv, xB
+        return Binv @ (b - A @ x_nb)
 
-    Binv, xB = refactor()
+    Binv = inverse() if basis_inverse is None else basis_inverse
+    xB = basic_values(Binv)
     bland = False
     degenerate_streak = 0
     pivots_since_refresh = 0
@@ -81,7 +92,7 @@ def solve_bounded_lp(
         rc = c - y @ A
 
         # entering candidate: at-lower wants rc < 0, at-upper wants rc > 0
-        movable = ~in_basis & (upper > piv_tol)
+        movable = spannable & ~in_basis
         viol = np.where(at_upper, rc, -rc)
         viol[~movable] = -np.inf
         if bland:
@@ -90,7 +101,7 @@ def solve_bounded_lp(
                 break
             e = int(idx[0])
         else:
-            e = int(np.argmax(viol))
+            e = int(viol.argmax())
             if viol[e] <= rc_tol:
                 break
 
@@ -103,9 +114,9 @@ def solve_bounded_lp(
         steps = np.full(m, np.inf)
         ub_basis = upper[basis]
         pos = delta > piv_tol
-        steps[pos] = xB[pos] / delta[pos]
-        neg = (delta < -piv_tol) & np.isfinite(ub_basis)
-        steps[neg] = (ub_basis[neg] - xB[neg]) / (-delta[neg])
+        np.divide(xB, delta, out=steps, where=pos)
+        neg = (delta < -piv_tol) & finite_ub[basis]
+        np.divide(ub_basis - xB, -delta, out=steps, where=neg)
         t_flip = upper[e] if finite_ub[e] else np.inf
         t_rows = float(steps.min()) if m else np.inf
         t_best = min(t_rows, t_flip)
@@ -122,7 +133,7 @@ def solve_bounded_lp(
             if bland:
                 leave = int(tied[np.argmin(basis[tied])])
             else:
-                leave = int(tied[np.argmax(np.abs(delta[tied]))])
+                leave = int(tied[np.abs(delta[tied]).argmax()])
             leave_to_upper = bool(neg[leave])
 
         if t_best <= DEGENERATE_STEP:
@@ -151,17 +162,20 @@ def solve_bounded_lp(
         if abs(piv) < piv_tol:
             raise SimplexError("numerically singular pivot")
         Binv[leave] /= piv
-        others = np.arange(m) != leave
-        Binv[others] -= np.outer(d[others], Binv[leave])
+        row = Binv[leave].copy()
+        Binv -= np.multiply.outer(d, row)
+        Binv[leave] = row
 
         pivots_since_refresh += 1
         if pivots_since_refresh >= REFRESH_EVERY:
-            Binv, xB = refactor()
+            Binv = inverse()
+            xB = basic_values(Binv)
             pivots_since_refresh = 0
     else:
         raise SimplexError(f"iteration cap {max_iterations} exceeded")
 
-    Binv, xB = refactor()  # final polish for accurate primals/duals
+    Binv = inverse()  # final polish for accurate primals/duals
+    xB = basic_values(Binv)
     y = c[basis] @ Binv
     rc = c - y @ A
 

@@ -1,6 +1,6 @@
-"""Self-contained normal and Student-t critical values.
+"""Self-contained normal and Student-t critical values, and ordered sums.
 
-Kept dependency-free on purpose: the normal inverse CDF uses a rational
+Kept free of scipy on purpose: the normal inverse CDF uses a rational
 approximation polished with one Halley step against erfc, and the t tail is
 evaluated through the regularized incomplete beta continued fraction and
 inverted by bisection. Both are accurate well beyond the 1e-6 contract.
@@ -9,6 +9,8 @@ inverted by bisection. Both are accurate well beyond the 1e-6 contract.
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 _MAX_CF_ITER = 300
 _CF_EPS = 1e-15
@@ -159,3 +161,17 @@ def critical_values(alpha: float, dof: int) -> tuple[float, float]:
     if dof < 1:
         raise ValueError("dof must be at least 1")
     return student_t_upper(alpha, dof), normal_upper(alpha)
+
+
+def ordered_sum(terms, start=0.0):
+    """Sum along axis 0 one term at a time after `start`, as a `+=` loop would.
+
+    np.sum adds a contiguous run pairwise, which rounds differently; the
+    cut terms, the retained-export total and the evaluation totals are
+    accumulated in this fixed order so every artifact stays reproducible.
+    """
+    terms = np.asarray(terms, dtype=float)
+    stacked = np.empty((len(terms) + 1,) + terms.shape[1:])
+    stacked[0] = start
+    stacked[1:] = terms
+    return np.add.accumulate(stacked, axis=0)[-1]

@@ -3,18 +3,124 @@
 The raw-formulation oracle rebuilds the scenario problem with one explicit
 row per constraint (capacities, gated arcs, demand, balance, shortage links)
 and hands it to scipy's HiGHS, completely bypassing the package's LP path.
+The dict-keyed retained-export, cut-term and evaluation loops are the
+references the package's array formulas must reproduce exactly.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 from scipy.optimize import linprog
 
-from strainchain import Design, DiscretePmf, Instance, Scenario, make_instance
+from strainchain import (
+    CostBreakdown,
+    Design,
+    DesignEvaluation,
+    DiscretePmf,
+    Instance,
+    Scenario,
+    make_instance,
+)
 from strainchain.recourse import RecourseSolver
-from strainchain.scenarios import country_retained, retained_exports
+from strainchain.scenarios import retained_exports
+
+
+def country_retained(instance: Instance, k: str, ban_general: dict, ban_ally: dict) -> float:
+    """Export volume country k keeps for its own demand under the given flags."""
+    kept = instance.exports_general[k] * (1 - ban_general[k])
+    if k in set(instance.ally_group):
+        kept += instance.exports_to_c1[k] * (1 - ban_ally[k])
+    else:
+        kept += instance.exports_to_c1[k] * (1 - ban_general[k])
+    return kept
+
+
+def reference_cut_terms(instance: Instance, scenario: Scenario, solution) -> tuple[float, dict]:
+    """Cut terms from the dict views, one `+=` at a time.
+
+    The sums are explicit loops because `sum()` of floats is compensated
+    from Python 3.12 on and would round differently.
+    """
+    duals = solution.duals
+    a_sup = {
+        i: instance.supplier_capacity[i] * scenario.supplier_avail[i]
+        for i in instance.suppliers
+    }
+    b_pl = {
+        j: instance.plant_capacity[j] * scenario.plant_avail[j]
+        for j in instance.plant_candidates
+    }
+    ally_raw = instance.ally_supply_arcs()
+    ally_dist = instance.ally_distribution_arcs()
+
+    constant = 0.0
+    for i in instance.suppliers:
+        constant += duals.supplier_capacity[i] * a_sup[i]
+    for k in instance.countries:
+        rhs = scenario.demand[k] - country_retained(
+            instance, k, scenario.ban_general, scenario.ban_ally
+        )
+        constant += duals.demand[k] * rhs
+
+    coeff = {j: 0.0 for j in instance.plant_candidates}
+    for (i, j), pi in duals.supply_gate.items():
+        gate_val = (
+            scenario.ban_ally[i] if (i, j) in ally_raw else scenario.ban_general[i]
+        )
+        coeff[j] += pi * a_sup[i] * gate_val
+    for j in instance.plant_candidates:
+        coeff[j] += duals.plant_capacity[j] * b_pl[j]
+    for (j, k), pi in duals.distribution_gate.items():
+        gate_val = (
+            scenario.ban_ally[j] if (j, k) in ally_dist else scenario.ban_general[j]
+        )
+        coeff[j] += pi * b_pl[j] * gate_val
+    for j in instance.plant_candidates:
+        shield = scenario.demand[j] * (1 - scenario.ban_general[j])
+        coeff[j] += duals.shortage_aux[j] * (-shield)
+    return constant, coeff
+
+
+def reference_evaluation(instance: Instance, design: Design, scenarios, solver) -> DesignEvaluation:
+    """evaluate_design as a loop over the dict views, scenario by scenario."""
+    n = len(scenarios)
+    fixed = sum(instance.fixed_cost[j] * design.open[j] for j in instance.plant_candidates)
+    samples = []
+    shortage = {k: 0.0 for k in instance.countries}
+    demand = {k: 0.0 for k in instance.countries}
+    raw_flow = {arc: 0.0 for arc in solver.u_arcs}
+    drug_flow = {arc: 0.0 for arc in solver.v_arcs}
+    raw_cost = outbound_cost = base_short = esc_short = sales = 0.0
+    for scen in scenarios:
+        sol = solver.solve(design, scen)
+        samples.append(fixed + sol.objective)
+        for k in instance.countries:
+            shortage[k] += sol.shortage[k] / n
+            demand[k] += scen.demand[k] / n
+            base_short += instance.shortage_price[k] * sol.shortage[k] / n
+            esc_short += scen.price_increase * sol.shortage_aux[k] / n
+        for (i, j), v in sol.raw_flow.items():
+            raw_flow[(i, j)] += v / n
+            raw_cost += (instance.raw_cost[i] + instance.transport1[(i, j)]) * v / n
+        for (j, k), v in sol.drug_flow.items():
+            drug_flow[(j, k)] += v / n
+            outbound_cost += (instance.production_cost[j] + instance.transport2[(j, k)]) * v / n
+            sales += v / n
+    mean = sum(samples) / n
+    var = sum((s - mean) ** 2 for s in samples) / ((n - 1) * n) if n > 1 else 0.0
+    return DesignEvaluation(
+        mean_objective=mean,
+        std_error=math.sqrt(var),
+        expected_shortage=shortage,
+        expected_demand=demand,
+        expected_raw_flow=raw_flow,
+        expected_drug_flow=drug_flow,
+        sales_volume=sales,
+        breakdown=CostBreakdown(fixed, raw_cost, outbound_cost, base_short, esc_short),
+    )
 
 
 def degenerate_pmf(level: float = 1.0) -> DiscretePmf:

@@ -211,6 +211,44 @@ def test_non_finite_instance_numbers_exit_one_before_solving(workdir, monkeypatc
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "path, value, field",
+    [
+        (("optimize_overrides", "export_prob_scale"), float("nan"), "export_prob_scale"),
+        (("evaluate_overrides", "export_prob_scale"), float("inf"), "export_prob_scale"),
+        (("optimize_overrides", "export_prob_scale"), "0.7", "export_prob_scale"),
+        (("optimize_overrides", "ban_threshold"), float("-inf"), "ban_threshold"),
+        (("evaluate_overrides", "ban_threshold"), float("nan"), "ban_threshold"),
+        (("replications",), 2.5, "replications"),
+        (("max_iterations",), "5", "max_iterations"),
+        (("base_seed",), -1, "base_seed"),
+        (("alpha",), float("nan"), "alpha"),
+    ],
+)
+def test_bad_saa_config_values_exit_one_before_solving(
+    workdir, monkeypatch, capsys, path, value, field
+):
+    tmp, instance_path, config_path = workdir
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    section = config["saa"]
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    bad = tmp / "bad_config.json"
+    bad.write_text(json.dumps(config), encoding="utf-8")
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve started with an invalid config")
+
+    monkeypatch.setattr("strainchain.cli.run_saa", no_solve)
+    out = tmp / "bad_config_run"
+    rc = cli_main(["solve", "--instance", str(instance_path), "--config", str(bad),
+                   "--out", str(out)])
+    assert rc == 1
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_invalid_design_exits_one(workdir):
     tmp, instance_path, config_path = workdir
     rc = cli_main(

@@ -13,6 +13,7 @@ from strainchain import (
 )
 
 from helpers import (
+    country_retained,
     enumerate_designs,
     plain_scenario,
     raw_lp_objective,
@@ -118,8 +119,6 @@ def test_family_duals_reproduce_the_objective():
         for (j, k), pi in duals.distribution_gate.items():
             gate = scen.ban_ally[j] if (j, k) in ally_dist else scen.ban_general[j]
             total += pi * b[j] * gate * design.open[j]
-        from strainchain.scenarios import country_retained
-
         for k in inst.countries:
             rhs = scen.demand[k] - country_retained(inst, k, scen.ban_general, scen.ban_ally)
             total += duals.demand[k] * rhs
@@ -348,10 +347,11 @@ def test_priority_rule_prefers_the_larger_penalty_saving():
     # a deliberately wrong allocation must be flagged
     import dataclasses
 
+    # arcs (a, a), (a, b), (a, c); countries a, b, c
     wrong = dataclasses.replace(
         sol,
-        drug_flow={("a", "a"): 0.0, ("a", "b"): 0.0, ("a", "c"): 1.0},
-        shortage={"a": 0.0, "b": 1.0, "c": 0.0},
+        drug=np.array([0.0, 0.0, 1.0]),
+        unmet=np.array([0.0, 1.0, 0.0]),
     )
     messages = check_structural_theorems(inst, design, scen, wrong)
     assert any("priority" in m for m in messages)
@@ -374,11 +374,12 @@ def test_flow_necessity_flags_uneconomic_flows():
     assert check_structural_theorems(inst, design, scen, sol) == []
     import dataclasses
 
+    # arcs (a, a), (a, b); countries a, b
     wrong = dataclasses.replace(
         sol,
-        drug_flow={("a", "a"): 0.0, ("a", "b"): 10.0},
-        raw_flow={("a", "a"): 10.0},
-        shortage={"a": 0.0, "b": 0.0},
+        drug=np.array([0.0, 10.0]),
+        raw=np.array([10.0]),
+        unmet=np.array([0.0, 0.0]),
     )
     messages = check_structural_theorems(inst, design, scen, wrong)
     assert any("flow-necessity" in m for m in messages)
