@@ -11,7 +11,6 @@ validation problems, 2 solver failures.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -33,8 +32,10 @@ from .policy import StudySpec, run_study
 from .recourse import RecourseError, RecourseSolver, check_structural_theorems
 from .report import (
     build_artifact,
+    country_rows,
     evaluation_to_dict,
     load_artifact,
+    write_country_csv,
     write_report,
 )
 from .saa import ROLE_EVALUATE, SaaConfig, evaluate_design, run_saa
@@ -214,42 +215,11 @@ def _cmd_evaluate(args) -> int:
     (out / "evaluation.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    _write_country_csv(out, inst, design, evaluation)
+    write_country_csv(out, country_rows(inst, design, evaluation))
     if args.dump_scenarios:
         dump_scenarios(inst, batch, args.dump_scenarios)
     print(f"mean objective {evaluation.mean_objective:.6g} -> {out}")
     return 0
-
-
-def _write_country_csv(out: Path, inst: Instance, design: Design, evaluation) -> None:
-    ally = set(inst.ally_group) - {inst.interest_country}
-    with (out / "shortage_by_country.csv").open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "country",
-                "income_level",
-                "ally",
-                "plant_open",
-                "expected_demand",
-                "expected_shortage",
-                "shortage_fraction",
-            ]
-        )
-        for k in inst.countries:
-            dem = evaluation.expected_demand[k]
-            short = evaluation.expected_shortage[k]
-            writer.writerow(
-                [
-                    k,
-                    inst.income_level[k],
-                    "true" if k in ally else "false",
-                    "true" if design.open.get(k, 0) else "false",
-                    repr(dem),
-                    repr(short),
-                    repr(short / dem if dem > 0 else 0.0),
-                ]
-            )
 
 
 def _cmd_study(args) -> int:
@@ -356,26 +326,28 @@ def build_parser() -> _Parser:
     gen.add_argument("--risk-profile", choices=RISK_PROFILES, default="low")
     gen.set_defaults(func=_cmd_gen)
 
-    def common(p, with_design=False):
+    # each subcommand offers only the flags it reads
+    def common(p, threads=False, dump=False):
         p.add_argument("--instance", required=True)
         p.add_argument("--config", default=None)
         p.add_argument("--out", required=True)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--dump-scenarios", default=None)
-        if with_design:
-            p.add_argument("--design", required=True)
+        if threads:
+            p.add_argument("--threads", type=int, default=None)
+        if dump:
+            p.add_argument("--dump-scenarios", default=None)
 
     solve = sub.add_parser("solve", help="one full sampled optimization run")
-    common(solve)
+    common(solve, threads=True, dump=True)
     solve.set_defaults(func=_cmd_solve)
 
     ev = sub.add_parser("evaluate", help="evaluate a fixed design on fresh scenarios")
-    common(ev, with_design=True)
+    common(ev, dump=True)
+    ev.add_argument("--design", required=True)
     ev.set_defaults(func=_cmd_evaluate)
 
     study = sub.add_parser("study", help="run the policy experiments from the config")
-    common(study)
+    common(study, threads=True)
     study.set_defaults(func=_cmd_study)
 
     verify = sub.add_parser("verify", help="re-check a finished run's solution")

@@ -8,6 +8,18 @@ depth-first branch and bound beyond, which bounds a node by the largest row
 of the cut matrix (zero floor row first) plus that row's suffix sum of
 min(0, fixed + coefficient) over the unassigned plants. On both paths ties
 go to the first design in lexicographic order.
+
+Enumeration carries its envelope across the iterations of one run
+(`EnumerationState`): per ENUM_BATCH chunk of design codes, the codes that
+forcing allows, their fixed cost and the running maximum of the cut values.
+Each iteration folds in only the new cut, whose values at all 2^n designs
+come from the doubling recurrence v = (v[:, None] + [0, coef_p]).ravel()
+over plants in canonical order, plus the constant: O(2^n) per cut and no
+(2^n x cuts) product. The recurrence adds a design's coefficients one at a
+time in plant order, which is how a gemm over 0/1 design rows accumulates
+them, so each value keeps the rounding of the former per-iteration
+`designs @ coefs.T`. A call without a state folds every cut into a fresh
+one.
 """
 
 from __future__ import annotations
@@ -55,13 +67,33 @@ def _theta_floor(values: np.ndarray) -> np.ndarray:
     return np.maximum(values, 0.0)
 
 
+class EnumerationState:
+    """The enumeration master's envelope, carried across one decomposition run.
+
+    `chunks` holds, per ENUM_BATCH chunk of design codes, the codes forcing
+    allows, their fixed cost and the running maximum of the folded cuts'
+    values (None before the first cut); `folded` counts those cuts.
+    """
+
+    def __init__(self):
+        self.chunks: list | None = None
+        self.folded = 0
+
+
 def solve_master(
     instance: Instance,
     cuts: list,
     forced: dict | None = None,
     enumeration_limit: int = ENUMERATION_LIMIT,
+    state: EnumerationState | None = None,
 ) -> tuple[Design, float]:
-    """Global minimizer of fixed cost + cut envelope over nonempty designs."""
+    """Global minimizer of fixed cost + cut envelope over nonempty designs.
+
+    `state` carries the enumeration envelope of one decomposition run from
+    call to call; it must come from a run with the same instance and forcing
+    whose cut list only grew. Without it every cut is folded into a fresh
+    envelope. The branch-and-bound path ignores it.
+    """
     plants = list(instance.plant_candidates)
     forced = dict(forced or {})
     unknown = sorted(set(forced) - set(plants))
@@ -69,45 +101,62 @@ def solve_master(
         raise ValidationError(f"forced assignment for non-candidates: {unknown}")
 
     if len(plants) <= enumeration_limit:
-        return _master_by_enumeration(instance, plants, cuts, forced)
+        return _master_by_enumeration(instance, plants, cuts, forced, state)
     return _master_by_branch_and_bound(instance, plants, cuts, forced)
 
 
-def _master_by_enumeration(instance, plants, cuts, forced):
+def _cut_values(plants: list, cut: OptimalityCut) -> np.ndarray:
+    """The cut's value at every design code, code 0 (all closed) included.
+
+    Doubling over plants in canonical order puts the first plant in the
+    code's top bit and adds a design's coefficients one at a time in plant
+    order, as the gemm over 0/1 design rows does.
+    """
+    values = np.zeros(1)
+    for j in plants:
+        values = (values[:, None] + [0.0, cut.coeff[j]]).ravel()
+    return values + cut.constant
+
+
+def _master_by_enumeration(instance, plants, cuts, forced, state=None):
     n = len(plants)
-    fixed = np.array([instance.fixed_cost[j] for j in plants])
-    consts = np.array([c.constant for c in cuts]) if cuts else np.zeros(0)
-    coefs = (
-        np.array([[c.coeff[j] for j in plants] for c in cuts]) if cuts else np.zeros((0, n))
-    )
-    forced_pos = {plants.index(j): v for j, v in forced.items()}
+    shifts = np.arange(n - 1, -1, -1)
+    if state is None:
+        state = EnumerationState()
+    if state.chunks is None:
+        fixed = np.array([instance.fixed_cost[j] for j in plants])
+        forced_pos = {plants.index(j): v for j, v in forced.items()}
+        state.chunks = []
+        for start in range(1, 1 << n, ENUM_BATCH):
+            stop = min(start + ENUM_BATCH, 1 << n)
+            codes = np.arange(start, stop, dtype=np.int64)
+            designs = (codes[:, None] >> shifts) & 1
+            mask = np.ones(len(codes), dtype=bool)
+            for pos, v in forced_pos.items():
+                mask &= designs[:, pos] == v
+            if mask.any():
+                state.chunks.append([codes[mask], designs[mask] @ fixed, None])
+
+    for cut in cuts[state.folded:]:
+        values = _cut_values(plants, cut)
+        for chunk in state.chunks:
+            mine = values[chunk[0]]
+            chunk[2] = mine if chunk[2] is None else np.maximum(chunk[2], mine, out=chunk[2])
+    state.folded = len(cuts)
 
     best_value = np.inf
-    best_bits = None
-    shifts = np.arange(n - 1, -1, -1)
-    for start in range(1, 1 << n, ENUM_BATCH):
-        stop = min(start + ENUM_BATCH, 1 << n)
-        codes = np.arange(start, stop, dtype=np.int64)
-        designs = (codes[:, None] >> shifts) & 1
-        mask = np.ones(len(codes), dtype=bool)
-        for pos, v in forced_pos.items():
-            mask &= designs[:, pos] == v
-        if not mask.any():
-            continue
-        designs = designs[mask]
-        values = designs @ fixed
-        if cuts:
-            theta = _theta_floor((designs @ coefs.T + consts).max(axis=1))
-        else:
-            theta = np.zeros(len(designs))
-        values = values + theta
+    best_code = None
+    for codes, fixed_cost, envelope in state.chunks:
+        theta = np.zeros(len(codes)) if envelope is None else _theta_floor(envelope)
+        values = fixed_cost + theta
         local = int(np.argmin(values))
         if values[local] < best_value - 1e-15:
             best_value = float(values[local])
-            best_bits = designs[local].copy()
-    if best_bits is None:
+            best_code = codes[local]
+    if best_code is None:
         raise ValidationError("forced assignments close every plant")
-    design = Design(open={j: int(b) for j, b in zip(plants, best_bits)})
+    bits = (best_code >> shifts) & 1
+    design = Design(open={j: int(b) for j, b in zip(plants, bits)})
     return design, best_value
 
 
@@ -176,13 +225,14 @@ def run_lshaped(
     n_scen = len(scenarios)
 
     cuts: list[OptimalityCut] = []
+    state = EnumerationState()
     lb_trace: list[float] = []
     ub_trace: list[float] = []
     ub = np.inf
     incumbent: Design | None = None
 
     for iteration in range(1, max_iterations + 1):
-        candidate, lb = solve_master(instance, cuts, forced)
+        candidate, lb = solve_master(instance, cuts, forced, state=state)
         lb_trace.append(lb)
 
         fixed = sum(instance.fixed_cost[j] * candidate.open[j] for j in plants)

@@ -103,6 +103,38 @@ def saa_report_from_dict(d: dict) -> SaaReport:
     )
 
 
+COUNTRY_COLUMNS = [
+    "country",
+    "income_level",
+    "ally",
+    "plant_open",
+    "expected_demand",
+    "expected_shortage",
+    "shortage_fraction",
+]
+
+
+def country_rows(instance: Instance, design: Design, ev: DesignEvaluation) -> list:
+    """One row per country in canonical order, keyed by COUNTRY_COLUMNS."""
+    ally = set(instance.ally_group) - {instance.interest_country}
+    rows = []
+    for k in instance.countries:
+        dem = ev.expected_demand[k]
+        short = ev.expected_shortage[k]
+        rows.append(
+            {
+                "country": k,
+                "income_level": instance.income_level[k],
+                "ally": k in ally,
+                "plant_open": bool(design.open.get(k, 0)),
+                "expected_demand": dem,
+                "expected_shortage": short,
+                "shortage_fraction": short / dem if dem > 0 else 0.0,
+            }
+        )
+    return rows
+
+
 def build_artifact(
     instance: Instance,
     report: SaaReport,
@@ -115,22 +147,6 @@ def build_artifact(
         raise ValidationError(
             f"cost breakdown total {total!r} disagrees with objective {ev.mean_objective!r}"
         )
-    ally = set(instance.ally_group) - {instance.interest_country}
-    per_country = []
-    for k in instance.countries:
-        dem = ev.expected_demand[k]
-        short = ev.expected_shortage[k]
-        per_country.append(
-            {
-                "country": k,
-                "income_level": instance.income_level[k],
-                "ally": k in ally,
-                "plant_open": bool(report.incumbent.open.get(k, 0)),
-                "expected_demand": dem,
-                "expected_shortage": short,
-                "shortage_fraction": short / dem if dem > 0 else 0.0,
-            }
-        )
     flows = [
         {"kind": "raw", "origin": i, "destination": j, "expected_flow": v}
         for (i, j), v in sorted(ev.expected_raw_flow.items())
@@ -141,7 +157,7 @@ def build_artifact(
     return RunArtifact(
         config_echo=config_echo,
         saa=report,
-        per_country=per_country,
+        per_country=country_rows(instance, report.incumbent, ev),
         flows=flows,
         timings=dict(timings or {}),
     )
@@ -199,6 +215,15 @@ def _write_csv(path: Path, header: list, rows: list) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
+def write_country_csv(out_dir, per_country: list) -> None:
+    """shortage_by_country.csv from `country_rows` output."""
+    _write_csv(
+        Path(out_dir) / "shortage_by_country.csv",
+        COUNTRY_COLUMNS,
+        [[row[c] for c in COUNTRY_COLUMNS] for row in per_country],
+    )
+
+
 def write_report(artifact: RunArtifact, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -209,30 +234,7 @@ def write_report(artifact: RunArtifact, out_dir) -> None:
             json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
 
-        _write_csv(
-            out / "shortage_by_country.csv",
-            [
-                "country",
-                "income_level",
-                "ally",
-                "plant_open",
-                "expected_demand",
-                "expected_shortage",
-                "shortage_fraction",
-            ],
-            [
-                [
-                    row["country"],
-                    row["income_level"],
-                    row["ally"],
-                    row["plant_open"],
-                    row["expected_demand"],
-                    row["expected_shortage"],
-                    row["shortage_fraction"],
-                ]
-                for row in artifact.per_country
-            ],
-        )
+        write_country_csv(out, artifact.per_country)
 
         by_income = {}
         for row in artifact.per_country:

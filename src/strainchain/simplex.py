@@ -11,6 +11,16 @@ explicitly, updated by one rank-1 product per pivot and refreshed from
 scratch periodically to control drift. A caller that knows the starting
 basis inverse in closed form passes it in and saves the first
 factorization.
+
+Pricing covers only the columns that can ever enter: those whose upper
+bound exceeds the pivot tolerance (a gated arc of a closed plant has upper
+bound 0 and never moves). Their reduced costs come from a copy of those
+columns, taken once per solve and laid out so that each is rounded exactly
+as in the full product, and each candidate's bound state is kept as a
+direction (-1 at lower, +1 at upper, 0 basic) updated at every pivot. The
+candidates are in column order, so Dantzig's first maximum and Bland's
+lowest index pick the column that full pricing would. The reduced costs
+returned after the final refactorization cover every column.
 """
 
 from __future__ import annotations
@@ -37,6 +47,24 @@ class LpSolution:
     iterations: int
 
 
+def _pricing_columns(A: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The columns `cand` of A, laid out so that y @ copy rounds like y @ A.
+
+    The BLAS vector-matrix product of a C-ordered matrix sums the last
+    n % 4 entries in a scalar tail and the others in blocks of four, with
+    different rounding. The copy therefore holds the candidates before A's
+    tail, padded with copies of column 0 to a multiple of four, followed by
+    A's whole tail. Returns the copy and the position of each candidate in it.
+    """
+    n = A.shape[1]
+    tail = n - n % 4
+    split = int(np.searchsorted(cand, tail))
+    pad = -split % 4
+    cols = np.concatenate([cand[:split], np.zeros(pad, dtype=np.intp), np.arange(tail, n)])
+    pos = np.concatenate([np.arange(split), cand[split:] + (split + pad - tail)])
+    return A.take(cols, axis=1), pos
+
+
 def solve_bounded_lp(
     A: np.ndarray,
     b: np.ndarray,
@@ -59,16 +87,26 @@ def solve_bounded_lp(
     at_upper = (
         np.zeros(n, dtype=bool) if at_upper is None else np.asarray(at_upper, dtype=bool).copy()
     )
-    in_basis = np.zeros(n, dtype=bool)
-    in_basis[basis] = True
-    at_upper[in_basis] = False
+    at_upper[basis] = False  # and stays False on every basic column
     finite_ub = np.isfinite(upper)
 
     if max_iterations is None:
         max_iterations = 500 + 40 * (m + n)
     rc_tol = 1e-9 * max(1.0, float(np.abs(c).max(initial=0.0)))
     piv_tol = 1e-10
-    spannable = upper > piv_tol  # a column with a shorter span never enters
+    # only a column whose span exceeds piv_tol can ever enter; cand is
+    # sorted, so both pivot rules pick the column full pricing would
+    cand = np.flatnonzero(upper > piv_tol)
+    A_price, price_pos = _pricing_columns(A, cand)
+    c_cand = c[cand]
+    cand_pos = np.full(n, -1)
+    cand_pos[cand] = np.arange(cand.size)
+    basis_pos = cand_pos[basis]  # -1 for a basic column that can never enter
+    # a candidate's violation is its reduced cost times its direction: -1 at
+    # lower (wants rc < 0), +1 at upper (wants rc > 0), 0 in the basis
+    direction = np.where(at_upper[cand], 1.0, -1.0)
+    direction[basis_pos[basis_pos >= 0]] = 0.0
+    no_step = np.full(m, np.inf)
 
     def inverse():
         try:
@@ -88,22 +126,21 @@ def solve_bounded_lp(
     pivots_since_refresh = 0
 
     for iteration in range(1, max_iterations + 1):
+        if not cand.size:
+            break
         y = c[basis] @ Binv
-        rc = c - y @ A
-
-        # entering candidate: at-lower wants rc < 0, at-upper wants rc > 0
-        movable = spannable & ~in_basis
-        viol = np.where(at_upper, rc, -rc)
-        viol[~movable] = -np.inf
+        rc = c_cand - (y @ A_price)[price_pos]
+        viol = rc * direction
         if bland:
             idx = np.nonzero(viol > rc_tol)[0]
             if idx.size == 0:
                 break
-            e = int(idx[0])
+            k = int(idx[0])
         else:
-            e = int(viol.argmax())
-            if viol[e] <= rc_tol:
+            k = int(viol.argmax())
+            if viol[k] <= rc_tol:
                 break
+        e = int(cand[k])
 
         sigma = -1.0 if at_upper[e] else 1.0
         d = Binv @ A[:, e]
@@ -111,7 +148,7 @@ def solve_bounded_lp(
 
         # step length to the first bound: basic vars to lower, basic vars to
         # upper, or the entering variable's own span (a bound flip)
-        steps = np.full(m, np.inf)
+        steps = no_step.copy()
         ub_basis = upper[basis]
         pos = delta > piv_tol
         np.divide(xB, delta, out=steps, where=pos)
@@ -146,17 +183,20 @@ def solve_bounded_lp(
         xB = xB - t_best * delta
         if leave < 0:
             at_upper[e] = ~at_upper[e]
+            direction[k] = -direction[k]
             continue
 
         # pivot: entering takes row `leave`
         x_enter = (upper[e] - t_best) if at_upper[e] else t_best
         out_col = int(basis[leave])
-        in_basis[out_col] = False
         at_upper[out_col] = leave_to_upper
-        in_basis[e] = True
         at_upper[e] = False
         basis[leave] = e
         xB[leave] = x_enter
+        if basis_pos[leave] >= 0:
+            direction[basis_pos[leave]] = 1.0 if leave_to_upper else -1.0
+        basis_pos[leave] = k
+        direction[k] = 0.0
 
         piv = d[leave]
         if abs(piv) < piv_tol:
@@ -187,7 +227,7 @@ def solve_bounded_lp(
         x=x,
         row_duals=y,
         reduced_costs=rc,
-        at_upper=at_upper & ~in_basis,
+        at_upper=at_upper,
         objective=objective,
         iterations=iteration,
     )

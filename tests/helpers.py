@@ -4,11 +4,14 @@ The raw-formulation oracle rebuilds the scenario problem with one explicit
 row per constraint (capacities, gated arcs, demand, balance, shortage links)
 and hands it to scipy's HiGHS, completely bypassing the package's LP path.
 The dict-keyed retained-export, cut-term and evaluation loops are the
-references the package's array formulas must reproduce exactly.
+references the package's array formulas must reproduce exactly; so are the
+stateless enumeration master, the full-pricing simplex and the evaluate
+command's per-country CSV writer below.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 
@@ -24,8 +27,11 @@ from strainchain import (
     Scenario,
     make_instance,
 )
+from strainchain.instance import ValidationError
+from strainchain.lshaped import ENUM_BATCH
 from strainchain.recourse import RecourseSolver
 from strainchain.scenarios import retained_exports
+from strainchain.simplex import DEGENERATE_STEP, REFRESH_EVERY, LpSolution, SimplexError
 
 
 def country_retained(instance: Instance, k: str, ban_general: dict, ban_ally: dict) -> float:
@@ -397,3 +403,215 @@ def raw_lp_objective(inst: Instance, design: Design, scen: Scenario) -> float:
     )
     assert res.status == 0, res.message
     return float(res.fun)
+
+
+def reference_master_by_enumeration(instance, plants, cuts, forced):
+    """The enumeration master recomputing `designs @ coefs.T` over every cut."""
+    n = len(plants)
+    fixed = np.array([instance.fixed_cost[j] for j in plants])
+    consts = np.array([c.constant for c in cuts]) if cuts else np.zeros(0)
+    coefs = (
+        np.array([[c.coeff[j] for j in plants] for c in cuts]) if cuts else np.zeros((0, n))
+    )
+    forced_pos = {plants.index(j): v for j, v in forced.items()}
+
+    best_value = np.inf
+    best_bits = None
+    shifts = np.arange(n - 1, -1, -1)
+    for start in range(1, 1 << n, ENUM_BATCH):
+        stop = min(start + ENUM_BATCH, 1 << n)
+        codes = np.arange(start, stop, dtype=np.int64)
+        designs = (codes[:, None] >> shifts) & 1
+        mask = np.ones(len(codes), dtype=bool)
+        for pos, v in forced_pos.items():
+            mask &= designs[:, pos] == v
+        if not mask.any():
+            continue
+        designs = designs[mask]
+        values = designs @ fixed
+        if cuts:
+            theta = np.maximum((designs @ coefs.T + consts).max(axis=1), 0.0)
+        else:
+            theta = np.zeros(len(designs))
+        values = values + theta
+        local = int(np.argmin(values))
+        if values[local] < best_value - 1e-15:
+            best_value = float(values[local])
+            best_bits = designs[local].copy()
+    if best_bits is None:
+        raise ValidationError("forced assignments close every plant")
+    design = Design(open={j: int(b) for j, b in zip(plants, best_bits)})
+    return design, best_value
+
+
+def reference_solve_bounded_lp(
+    A, b, c, upper, basis, at_upper=None, max_iterations=None, basis_inverse=None
+) -> LpSolution:
+    """The bounded simplex pricing every column with the full `y @ A`."""
+    m, n = A.shape
+    basis = np.asarray(basis, dtype=np.intp).copy()
+    if basis.shape != (m,):
+        raise SimplexError("basis must list exactly one column per row")
+    at_upper = (
+        np.zeros(n, dtype=bool) if at_upper is None else np.asarray(at_upper, dtype=bool).copy()
+    )
+    in_basis = np.zeros(n, dtype=bool)
+    in_basis[basis] = True
+    at_upper[in_basis] = False
+    finite_ub = np.isfinite(upper)
+
+    if max_iterations is None:
+        max_iterations = 500 + 40 * (m + n)
+    rc_tol = 1e-9 * max(1.0, float(np.abs(c).max(initial=0.0)))
+    piv_tol = 1e-10
+    spannable = upper > piv_tol
+
+    def inverse():
+        try:
+            return np.linalg.inv(A[:, basis])
+        except np.linalg.LinAlgError as exc:
+            raise SimplexError("singular basis") from exc
+
+    def basic_values(Binv):
+        x_nb = np.where(at_upper & finite_ub, upper, 0.0)
+        x_nb[basis] = 0.0
+        return Binv @ (b - A @ x_nb)
+
+    Binv = inverse() if basis_inverse is None else basis_inverse
+    xB = basic_values(Binv)
+    bland = False
+    degenerate_streak = 0
+    pivots_since_refresh = 0
+
+    for iteration in range(1, max_iterations + 1):
+        y = c[basis] @ Binv
+        rc = c - y @ A
+
+        movable = spannable & ~in_basis
+        viol = np.where(at_upper, rc, -rc)
+        viol[~movable] = -np.inf
+        if bland:
+            idx = np.nonzero(viol > rc_tol)[0]
+            if idx.size == 0:
+                break
+            e = int(idx[0])
+        else:
+            e = int(viol.argmax())
+            if viol[e] <= rc_tol:
+                break
+
+        sigma = -1.0 if at_upper[e] else 1.0
+        d = Binv @ A[:, e]
+        delta = sigma * d
+
+        steps = np.full(m, np.inf)
+        ub_basis = upper[basis]
+        pos = delta > piv_tol
+        np.divide(xB, delta, out=steps, where=pos)
+        neg = (delta < -piv_tol) & finite_ub[basis]
+        np.divide(ub_basis - xB, -delta, out=steps, where=neg)
+        t_flip = upper[e] if finite_ub[e] else np.inf
+        t_rows = float(steps.min()) if m else np.inf
+        t_best = min(t_rows, t_flip)
+        if not np.isfinite(t_best):
+            raise SimplexError("unbounded direction in a cost-nonnegative problem")
+        t_best = max(t_best, 0.0)
+        tie_tol = piv_tol * max(1.0, t_best)
+
+        if t_flip <= t_best + tie_tol:
+            leave = -1
+            t_best = t_flip
+        else:
+            tied = np.nonzero(steps <= t_best + tie_tol)[0]
+            if bland:
+                leave = int(tied[np.argmin(basis[tied])])
+            else:
+                leave = int(tied[np.abs(delta[tied]).argmax()])
+            leave_to_upper = bool(neg[leave])
+
+        if t_best <= DEGENERATE_STEP:
+            degenerate_streak += 1
+            if degenerate_streak > 40 + 2 * m:
+                bland = True
+        else:
+            degenerate_streak = 0
+
+        xB = xB - t_best * delta
+        if leave < 0:
+            at_upper[e] = ~at_upper[e]
+            continue
+
+        x_enter = (upper[e] - t_best) if at_upper[e] else t_best
+        out_col = int(basis[leave])
+        in_basis[out_col] = False
+        at_upper[out_col] = leave_to_upper
+        in_basis[e] = True
+        at_upper[e] = False
+        basis[leave] = e
+        xB[leave] = x_enter
+
+        piv = d[leave]
+        if abs(piv) < piv_tol:
+            raise SimplexError("numerically singular pivot")
+        Binv[leave] /= piv
+        row = Binv[leave].copy()
+        Binv -= np.multiply.outer(d, row)
+        Binv[leave] = row
+
+        pivots_since_refresh += 1
+        if pivots_since_refresh >= REFRESH_EVERY:
+            Binv = inverse()
+            xB = basic_values(Binv)
+            pivots_since_refresh = 0
+    else:
+        raise SimplexError(f"iteration cap {max_iterations} exceeded")
+
+    Binv = inverse()
+    xB = basic_values(Binv)
+    y = c[basis] @ Binv
+    rc = c - y @ A
+
+    x = np.where(at_upper & finite_ub, upper, 0.0)
+    x[basis] = xB
+    np.clip(x, 0.0, None, out=x)
+    objective = float(c @ x)
+    return LpSolution(
+        x=x,
+        row_duals=y,
+        reduced_costs=rc,
+        at_upper=at_upper & ~in_basis,
+        objective=objective,
+        iterations=iteration,
+    )
+
+
+def reference_country_csv(path, inst: Instance, design: Design, evaluation) -> None:
+    """The evaluate command's own shortage_by_country.csv writer."""
+    ally = set(inst.ally_group) - {inst.interest_country}
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            [
+                "country",
+                "income_level",
+                "ally",
+                "plant_open",
+                "expected_demand",
+                "expected_shortage",
+                "shortage_fraction",
+            ]
+        )
+        for k in inst.countries:
+            dem = evaluation.expected_demand[k]
+            short = evaluation.expected_shortage[k]
+            writer.writerow(
+                [
+                    k,
+                    inst.income_level[k],
+                    "true" if k in ally else "false",
+                    "true" if design.open.get(k, 0) else "false",
+                    repr(dem),
+                    repr(short),
+                    repr(short / dem if dem > 0 else 0.0),
+                ]
+            )

@@ -4,8 +4,8 @@ import pytest
 
 from strainchain.cli import cli_main
 
-from helpers import small_random_instance
-from strainchain import write_instance
+from helpers import reference_country_csv, small_random_instance
+from strainchain import Design, write_instance
 
 
 @pytest.fixture()
@@ -121,6 +121,58 @@ def test_evaluate_writes_shortage_csv(workdir):
     assert (out / "shortage_by_country.csv").exists()
     payload = json.loads((out / "evaluation.json").read_text(encoding="utf-8"))
     assert payload["design"][inst.plant_candidates[0]] == 1
+
+
+def test_evaluate_country_csv_matches_its_former_writer(workdir, monkeypatch):
+    tmp, instance_path, config_path = workdir
+    from strainchain import load_instance
+    from strainchain.cli import evaluate_design
+
+    seen = []
+
+    def recording(*args, **kwargs):
+        seen.append(evaluate_design(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr("strainchain.cli.evaluate_design", recording)
+    inst = load_instance(instance_path)
+    plants = list(inst.plant_candidates)
+    design = {plants[0]: 1, plants[-1]: 1}
+    out = tmp / "eval_csv"
+    rc = cli_main(
+        ["evaluate", "--instance", str(instance_path), "--config", str(config_path),
+         "--design", json.dumps(design), "--out", str(out)]
+    )
+    assert rc == 0
+    full = Design(open={j: design.get(j, 0) for j in plants})
+    reference_country_csv(tmp / "reference.csv", inst, full, seen[0])
+    assert (out / "shortage_by_country.csv").read_bytes() == (tmp / "reference.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("study", "--dump-scenarios", "scenarios.csv"), ("evaluate", "--threads", "2")],
+)
+def test_flags_a_subcommand_never_reads_exit_one(
+    workdir, monkeypatch, capsys, command, flag, value
+):
+    tmp, instance_path, config_path = workdir
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the command ran despite an unsupported flag")
+
+    monkeypatch.setattr("strainchain.cli.run_study", no_run)
+    monkeypatch.setattr("strainchain.cli.evaluate_design", no_run)
+    out = tmp / f"{command}_flag"
+    args = [command, "--instance", str(instance_path), "--config", str(config_path),
+            "--out", str(out), flag, str(tmp / value) if flag == "--dump-scenarios" else value]
+    if command == "evaluate":
+        args += ["--design", json.dumps({"k1": 1})]
+    assert cli_main(args) == 1
+    err = capsys.readouterr().err
+    assert "usage" in err and flag in err
+    assert not out.exists()
+    assert not (tmp / value).exists()
 
 
 def test_study_creates_per_arm_directories(workdir):

@@ -3,6 +3,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strainchain import (
     OptimalityCut,
@@ -14,12 +16,21 @@ from strainchain import (
     solve_master,
 )
 from strainchain.lshaped import (
+    EnumerationState,
     IterationLimitError,
     _master_by_branch_and_bound,
     _master_by_enumeration,
 )
 
-from helpers import enumeration_optimum, plain_scenario, small_random_instance, tiny_instance
+from helpers import (
+    enumeration_optimum,
+    plain_scenario,
+    reference_master_by_enumeration,
+    small_random_instance,
+    tiny_instance,
+)
+
+EXACT = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 def two_plant_instance():
@@ -109,6 +120,120 @@ def test_branch_and_bound_agrees_with_enumeration():
             with pytest.raises(ValidationError, match="close every plant"):
                 master(inst, plants, cuts, closed)
     assert tied >= 5  # the integer batch really exercises the tie rule
+
+
+def _plants_instance(fixed):
+    plants = tuple(f"p{n:02d}" for n in range(len(fixed)))
+    return tiny_instance(countries=plants, fixed_cost=dict(zip(plants, fixed))), list(plants)
+
+
+def _grow_and_compare(inst, plants, cuts, forced, exact_from=0):
+    """Feed the cuts one at a time to a carried state; after each (and before
+    the first) the state's answer must equal the stateless reference and a
+    fresh stateless call, design and value alike.
+
+    With a single cut the reference's product is a gemv, which may round a
+    float sum differently from the plant-order accumulation; values are
+    compared exactly from `exact_from` cuts on and to 1e-12 before that.
+    """
+    state = EnumerationState()
+    for k in range(len(cuts) + 1):
+        carried = solve_master(inst, cuts[:k], forced, state=state)
+        fresh = solve_master(inst, cuts[:k], forced)
+        ref = reference_master_by_enumeration(inst, plants, cuts[:k], forced)
+        assert carried[0].open == fresh[0].open == ref[0].open
+        assert carried[1] == fresh[1]
+        if k >= exact_from:
+            assert carried[1] == ref[1]
+        else:
+            assert carried[1] == pytest.approx(ref[1], rel=1e-12, abs=1e-12)
+        assert state.folded == k
+
+
+@st.composite
+def _master_cases(draw):
+    n = draw(st.integers(1, 12))
+    integer = draw(st.booleans())
+    number = (
+        (lambda lo, hi: st.integers(lo, hi).map(float))
+        if integer
+        else (lambda lo, hi: st.floats(lo, hi, allow_nan=False, allow_infinity=False))
+    )
+    fixed = draw(st.lists(number(0, 3) if integer else number(0, 50), min_size=n, max_size=n))
+    inst, plants = _plants_instance(fixed)
+    const_range, coef_range = ((0, 20), (-6, 3)) if integer else ((0, 300), (-120, 20))
+    cuts = draw(
+        st.lists(
+            st.builds(
+                lambda const, coefs: OptimalityCut(constant=const, coeff=dict(zip(plants, coefs))),
+                number(*const_range),
+                st.lists(number(*coef_range), min_size=n, max_size=n),
+            ),
+            max_size=8,
+        )
+    )
+    pinned = draw(st.lists(st.sampled_from(plants), max_size=min(3, n), unique=True))
+    forced = {j: draw(st.integers(0, 1)) for j in pinned}
+    return inst, plants, cuts, forced, integer
+
+
+@EXACT
+@given(_master_cases())
+def test_carried_envelope_matches_the_stateless_reference(case):
+    inst, plants, cuts, forced, integer = case
+    if not any(forced.get(j, 1) for j in plants):
+        with pytest.raises(ValidationError, match="close every plant"):
+            solve_master(inst, cuts, forced, state=EnumerationState())
+        return
+    _grow_and_compare(inst, plants, cuts, forced, exact_from=0 if integer else 2)
+    closed = {j: 0 for j in plants}
+    with pytest.raises(ValidationError, match="close every plant"):
+        solve_master(inst, cuts, closed, state=EnumerationState())
+
+
+def test_carried_envelope_across_two_enumeration_chunks():
+    # 17 plants: codes 1..2^16 form the first ENUM_BATCH chunk, every later
+    # code (plant p00 open with others) the second
+    fixed = [0.0] * 17
+    inst, plants = _plants_instance(fixed)
+    # value 0 at 2^16 (p00 alone, first chunk) and at 2^16 + 1 (p00 and
+    # p16, second chunk): the tie must go to the first chunk's design
+    tie = OptimalityCut(constant=5.0, coeff={j: -5.0 if j == "p00" else 0.0 for j in plants})
+    design, value = solve_master(inst, [tie])
+    assert value == 0.0
+    assert design.open == {j: int(j == "p00") for j in plants}
+
+    rng = np.random.default_rng(17)
+    for forced in ({}, {"p00": 1}, {"p03": 0, "p16": 1}):
+        inst, plants = _plants_instance([float(v) for v in rng.integers(0, 4, size=17)])
+        cuts = [tie] + [
+            OptimalityCut(
+                constant=float(rng.integers(0, 20)),
+                coeff={j: float(rng.integers(-6, 4)) for j in plants},
+            )
+            for _ in range(3)
+        ]
+        _grow_and_compare(inst, plants, cuts, forced)
+    with pytest.raises(ValidationError, match="close every plant"):
+        solve_master(inst, cuts, {j: 0 for j in plants}, state=EnumerationState())
+
+
+def test_decomposition_with_a_stateless_master(monkeypatch):
+    pools = []
+    for trial in range(4):
+        inst = small_random_instance(seed=780 + trial, n_countries=5)
+        pools.append((inst, _scenario_pool(inst, (17, trial), 12)))
+    carried = [run_lshaped(inst, scens, epsilon=1e-9) for inst, scens in pools]
+    monkeypatch.setattr(
+        "strainchain.lshaped.solve_master",
+        lambda instance, cuts, forced=None, state=None: solve_master(instance, cuts, forced),
+    )
+    stateless = [run_lshaped(inst, scens, epsilon=1e-9) for inst, scens in pools]
+    for first, second in zip(carried, stateless):
+        assert first.iterations > 1
+        assert second.design.open == first.design.open
+        assert second.objective == first.objective
+        assert second.lb_trace == first.lb_trace
 
 
 def _scenario_pool(inst, seed, n):

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from strainchain.simplex import SimplexError, solve_bounded_lp
+from strainchain import Design, RecourseSolver, RiskOverrides, sample_batch
+from strainchain.simplex import SimplexError, _pricing_columns, solve_bounded_lp
+
+from helpers import reference_solve_bounded_lp, small_random_instance
 
 
 def random_lp(rng):
@@ -90,3 +93,99 @@ def test_bad_basis_shape_raises():
     A = np.eye(2)
     with pytest.raises(SimplexError):
         solve_bounded_lp(A, np.ones(2), np.ones(2), np.full(2, np.inf), np.array([0]))
+
+
+def _assert_same_solution(args, kwargs=None):
+    """Restricted pricing against the full-pricing reference, bit for bit.
+
+    Both get their own copy of a passed basis inverse (it is updated in place).
+    """
+    kwargs = dict(kwargs or {})
+    inverse = kwargs.pop("basis_inverse", None)
+
+    def run(solve):
+        extra = {} if inverse is None else {"basis_inverse": inverse.copy()}
+        return solve(*args, **kwargs, **extra)
+
+    got, ref = run(solve_bounded_lp), run(reference_solve_bounded_lp)
+    for name in ("x", "row_duals", "reduced_costs", "at_upper"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+    assert got.objective == ref.objective
+    assert got.iterations == ref.iterations
+    return got
+
+
+def test_restricted_pricing_matches_full_pricing_on_recourse_lps(monkeypatch):
+    calls = []
+
+    def record(A, b, c, upper, basis, **kwargs):
+        calls.append(((A, b, c, upper, basis), {k: v.copy() for k, v in kwargs.items()}))
+        return solve_bounded_lp(A, b, c, upper, basis, **kwargs)
+
+    monkeypatch.setattr("strainchain.recourse.solve_bounded_lp", record)
+    rng = np.random.default_rng(31)
+    for trial in range(12):
+        inst = small_random_instance(seed=900 + trial, n_countries=int(rng.integers(3, 8)))
+        plants = list(inst.plant_candidates)
+        solver = RecourseSolver(inst)
+        scens = sample_batch(
+            inst, (31, trial), 6, RiskOverrides(export_prob_scale=0.6, ban_threshold=0.9)
+        )
+        for scen in scens:
+            opened, closed = rng.choice(plants, size=2, replace=False)
+            open_map = {j: int(rng.integers(0, 2)) for j in plants}
+            open_map.update({opened: 1, closed: 0})
+            solver.solve(Design(open=open_map), scen)
+    assert len(calls) == 72
+    for args, kwargs in calls:
+        assert (args[3] <= 1e-10).any()  # columns that can never enter
+        _assert_same_solution(args, kwargs)
+
+
+def test_lp_with_every_column_fixed_stops_at_once():
+    rng = np.random.default_rng(5)
+    m, n = 3, 7
+    A = np.hstack([np.eye(m), rng.normal(size=(m, n - m))])
+    sol = _assert_same_solution((A, np.zeros(m), rng.normal(size=n), np.zeros(n), np.arange(m)))
+    assert sol.iterations == 1
+    assert np.array_equal(sol.x, np.zeros(n))
+
+
+def test_degenerate_cycle_switches_to_blands_rule():
+    # Hall and McKinnon's two-row LP, on which Dantzig's rule cycles through
+    # degenerate pivots at the origin, closed by a sum row x1..x4 <= 1 so it
+    # is bounded; every pivot of the cycle is degenerate, so more than
+    # 40 + 2m iterations means the solver switched to Bland's rule
+    B = np.array([[0.4, 0.2, -1.4, -0.2], [-7.8, -1.4, 7.8, 0.4], [1.0, 1.0, 1.0, 1.0]])
+    m = B.shape[0]
+    A = np.hstack([B, np.eye(m)])
+    c = np.array([-2.3, -2.15, 13.55, 0.4, 0.0, 0.0, 0.0])
+    upper = np.full(7, np.inf)
+    upper[2] = 3.0  # a finite bound too, to exercise the flip test
+    sol = _assert_same_solution((A, np.array([0.0, 0.0, 1.0]), c, upper, np.arange(4, 7)))
+    assert sol.iterations > 40 + 2 * m
+    assert sol.objective == pytest.approx(-0.875)
+
+
+def test_tied_columns_enter_in_column_order():
+    # every column twice, the first copy of some fixed at zero: the first
+    # maximum must be the copy full pricing picks, or x lands on the other
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        (A, b, cc, uu, basis), _ = random_lp(rng)
+        fixed = np.where(rng.random(len(uu)) < 0.3, 0.0, uu)
+        fixed[basis] = uu[basis]
+        _assert_same_solution(
+            (np.hstack([A, A]), b, np.concatenate([cc, cc]), np.concatenate([fixed, uu]), basis)
+        )
+
+
+def test_pricing_columns_round_like_the_full_product():
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        m, n = int(rng.integers(1, 120)), int(rng.integers(1, 1400))
+        A = rng.normal(size=(m, n)) * (rng.random((m, n)) < rng.random())
+        y = rng.normal(size=m)
+        cand = np.flatnonzero(rng.random(n) < rng.random())
+        copy, pos = _pricing_columns(A, cand)
+        assert np.array_equal((y @ copy)[pos], (y @ A)[cand])
