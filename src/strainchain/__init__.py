@@ -47,7 +47,7 @@ from .recourse import (
     recourse_cut_terms,
     solve_recourse,
 )
-from .report import RunArtifact, build_artifact, load_artifact, write_report
+from .report import RunArtifact, build_artifact, dump_scenarios, load_artifact, write_report
 from .saa import (
     CostBreakdown,
     DesignEvaluation,
@@ -60,7 +60,6 @@ from .saa import (
 from .scenarios import (
     RiskOverrides,
     Scenario,
-    dump_scenarios,
     price_increase,
     retained_exports,
     sample_batch,

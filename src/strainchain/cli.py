@@ -3,16 +3,16 @@
 Subcommands: gen (synthetic instance), solve (one SAA run), evaluate (a
 fixed design on evaluation scenarios), study (policy experiments), verify
 (re-solve a finished run's incumbent and check duals plus structural
-properties). Flag > config file > default precedence; STRAINCHAIN_THREADS
-is the fallback for --threads. Exit codes: 0  updated artifacts, 1 usage or
-validation problems, 2 solver failures.
+properties). Flag > config file ("saa" and "studies" only) > default
+precedence; the worker count comes from --threads alone. Exit codes: 0
+updated artifacts, 1 usage or validation problems (an unwritable --out
+among them), 2 solver failures.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import asdict, replace
@@ -33,16 +33,20 @@ from .recourse import RecourseError, RecourseSolver, check_structural_theorems
 from .report import (
     build_artifact,
     country_rows,
+    dump_scenarios,
     evaluation_to_dict,
     load_artifact,
     write_country_csv,
+    write_json,
     write_report,
 )
-from .saa import ROLE_EVALUATE, SaaConfig, evaluate_design, run_saa
-from .scenarios import RiskOverrides, dump_scenarios, sample_batch
+from .saa import SaaConfig, evaluate_design, evaluation_batch, run_saa
+from .scenarios import RiskOverrides
 from .simplex import SimplexError
 
 SOLVER_ERRORS = (RecourseError, SimplexError, IterationLimitError)
+CONFIG_SECTIONS = {"saa", "studies"}
+STUDY_FIELDS = {"kind", "scheme", "quality", "pairs", "label"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -97,22 +101,42 @@ def _load_config_file(path: str | None) -> dict:
         ) from exc
     if not isinstance(raw, dict):
         raise ValidationError(f"{p}: config top level must be a JSON object")
+    unknown = sorted(set(raw) - CONFIG_SECTIONS)
+    if unknown:
+        raise ValidationError(f"{p}: unknown top-level config fields {unknown}")
     return raw
 
 
-def _resolve_threads(args, config: dict) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("STRAINCHAIN_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ValidationError(f"STRAINCHAIN_THREADS is not an integer: {env!r}") from exc
-    try:
-        return max(1, int(config.get("threads", 1)))
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"config threads field is not an integer: {exc}") from exc
+def _is_pair(pair) -> bool:
+    return isinstance(pair, list) and len(pair) == 2 and all(isinstance(c, str) for c in pair)
+
+
+def _is_dir_name(label) -> bool:
+    return isinstance(label, str) and label not in ("", ".", "..") and not set(label) & set("/\\")
+
+
+def _studies_from_config(studies) -> list:
+    """(label or None, validated StudySpec) for every entry of the config's studies."""
+    if not isinstance(studies, list) or not studies:
+        raise ValidationError("config 'studies' must be a non-empty list of objects")
+    entries = []
+    for n, raw in enumerate(studies):
+        where = f"studies[{n}]"
+        if not isinstance(raw, dict):
+            raise ValidationError(f"{where} must be a JSON object, got {raw!r}")
+        unknown = sorted(set(raw) - STUDY_FIELDS)
+        if unknown:
+            raise ValidationError(f"{where}: unknown fields {unknown}")
+        pairs = raw.get("pairs", [])
+        if not isinstance(pairs, list) or not all(_is_pair(p) for p in pairs):
+            raise ValidationError(f"{where}.pairs must be a list of 2-item lists of countries")
+        label = raw.get("label")
+        if label is not None and not _is_dir_name(label):
+            raise ValidationError(f"{where}.label must be a plain directory name, got {label!r}")
+        fields = {"kind": "", **raw, "pairs": tuple(tuple(p) for p in pairs)}
+        fields.pop("label", None)
+        entries.append((label, StudySpec(**fields).validated()))
+    return entries
 
 
 def _resolve_saa(args, config: dict) -> SaaConfig:
@@ -131,8 +155,6 @@ def _echo(instance_path: Path, cfg: SaaConfig) -> dict:
 
 
 def _cmd_gen(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     inst = generate_synthetic_instance(
         num_suppliers=args.suppliers,
         num_plants=args.plants,
@@ -140,7 +162,7 @@ def _cmd_gen(args) -> int:
         seed=args.seed if args.seed is not None else 0,
         risk_profile=args.risk_profile,
     )
-    path = out / "instance.json"
+    path = Path(args.out) / "instance.json"
     write_instance(inst, path)
     print(f"wrote {path}")
     return 0
@@ -149,12 +171,11 @@ def _cmd_gen(args) -> int:
 def _cmd_solve(args) -> int:
     config = _load_config_file(args.config)
     cfg = _resolve_saa(args, config)
-    threads = _resolve_threads(args, config)
     instance_path = Path(args.instance)
     inst = load_instance(instance_path)
 
     t0 = time.perf_counter()
-    report = run_saa(inst, cfg, threads=threads)
+    report = run_saa(inst, cfg, threads=args.threads)
     elapsed = time.perf_counter() - t0
 
     artifact = build_artifact(
@@ -162,13 +183,7 @@ def _cmd_solve(args) -> int:
     )
     write_report(artifact, args.out)
     if args.dump_scenarios:
-        batch = sample_batch(
-            inst,
-            (cfg.base_seed, report.passes - 1, ROLE_EVALUATE),
-            cfg.evaluation_scenarios,
-            cfg.evaluate_overrides,
-        )
-        dump_scenarios(inst, batch, args.dump_scenarios)
+        dump_scenarios(inst, evaluation_batch(inst, cfg, report.passes - 1), args.dump_scenarios)
     print(
         f"L={report.lower_bound:.6g} U={report.upper_bound:.6g} gap={report.gap:.4%} "
         f"plants={list(report.incumbent.open_plants())} -> {args.out}"
@@ -187,7 +202,11 @@ def _parse_design(raw: str, instance: Instance) -> Design:
         raise ValidationError("--design must be a JSON object of plant -> 0/1")
     open_map = {j: 0 for j in instance.plant_candidates}
     for j, v in data.items():
-        open_map[j] = int(v)
+        if j not in open_map:
+            raise ValidationError(f"--design: {j!r} is not a plant candidate")
+        if type(v) is not int or v not in (0, 1):
+            raise ValidationError(f"--design: plant {j!r} must be 0 or 1, got {v!r}")
+        open_map[j] = v
     design = Design(open=open_map)
     validate_design(instance, design)
     return design
@@ -200,21 +219,16 @@ def _cmd_evaluate(args) -> int:
     inst = load_instance(instance_path)
     design = _parse_design(args.design, inst)
 
-    batch = sample_batch(
-        inst, (cfg.base_seed, 0, ROLE_EVALUATE), cfg.evaluation_scenarios, cfg.evaluate_overrides
-    )
+    batch = evaluation_batch(inst, cfg, 0)
     evaluation = evaluate_design(inst, design, batch)
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     payload = {
         "config": _echo(instance_path, cfg),
         "design": dict(sorted(design.open.items())),
         "evaluation": evaluation_to_dict(evaluation),
     }
-    (out / "evaluation.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(out / "evaluation.json", payload)
     write_country_csv(out, country_rows(inst, design, evaluation))
     if args.dump_scenarios:
         dump_scenarios(inst, batch, args.dump_scenarios)
@@ -225,60 +239,42 @@ def _cmd_evaluate(args) -> int:
 def _cmd_study(args) -> int:
     config = _load_config_file(args.config)
     cfg = _resolve_saa(args, config)
-    threads = _resolve_threads(args, config)
+    entries = _studies_from_config(config.get("studies"))
     instance_path = Path(args.instance)
     inst = load_instance(instance_path)
 
-    studies = config.get("studies")
-    if not studies:
-        raise ValidationError("config has no 'studies' section")
     out = Path(args.out)
-    for n, raw in enumerate(studies):
-        spec = StudySpec(
-            kind=raw.get("kind", ""),
-            scheme=raw.get("scheme"),
-            quality=raw.get("quality", "base"),
-            variant=raw.get("variant"),
-            pairs=tuple(tuple(p) for p in raw.get("pairs", [])),
-        )
-        result = run_study(inst, spec, cfg, threads=threads)
-        label = raw.get("label") or f"{n:02d}_{result.kind}"
-        study_dir = out / label
-        study_dir.mkdir(parents=True, exist_ok=True)
+    for n, (label, spec) in enumerate(entries):
+        result = run_study(inst, spec, cfg, threads=args.threads)
+        study_dir = out / (label or f"{n:02d}_{result.kind}")
         for arm in result.arms:
             # each arm ships its own (possibly perturbed) instance so that
             # `verify` re-checks exactly what the arm solved
             arm_dir = study_dir / arm.name
-            arm_dir.mkdir(parents=True, exist_ok=True)
             arm_instance_path = arm_dir / "instance.json"
-            write_instance(arm.instance, arm_instance_path)
             artifact = build_artifact(
                 arm.instance, arm.report, _echo(arm_instance_path, arm.config)
             )
             write_report(artifact, arm_dir)
-        (study_dir / "study.json").write_text(
-            json.dumps(
-                {
-                    "kind": result.kind,
-                    "arms": [
-                        {
-                            "name": a.name,
-                            "changes": a.changes,
-                            "eval_objective": a.report.eval_objective,
-                            "open_plants": list(a.report.incumbent.open_plants()),
-                            "shortage_by_income": a.shortage_by_income,
-                        }
-                        for a in result.arms
-                    ],
-                    "comparison": result.comparison,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n",
-            encoding="utf-8",
+            write_instance(arm.instance, arm_instance_path)
+        write_json(
+            study_dir / "study.json",
+            {
+                "kind": result.kind,
+                "arms": [
+                    {
+                        "name": a.name,
+                        "changes": a.changes,
+                        "eval_objective": a.report.eval_objective,
+                        "open_plants": list(a.report.incumbent.open_plants()),
+                        "shortage_by_income": a.shortage_by_income,
+                    }
+                    for a in result.arms
+                ],
+                "comparison": result.comparison,
+            },
         )
-        print(f"study {label}: {len(result.arms)} arms -> {study_dir}")
+        print(f"study {study_dir.name}: {len(result.arms)} arms -> {study_dir}")
     return 0
 
 
@@ -293,24 +289,23 @@ def _cmd_verify(args) -> int:
     design = Design(open=dict(artifact.saa.incumbent.open))
     validate_design(inst, design)
 
-    batch = sample_batch(
-        inst,
-        (cfg.base_seed, artifact.saa.passes - 1, ROLE_EVALUATE),
-        cfg.evaluation_scenarios,
-        cfg.evaluate_overrides,
-    )
+    batch = evaluation_batch(inst, cfg, artifact.saa.passes - 1)
     solver = RecourseSolver(inst)
     violations = []
     for w, scen in enumerate(batch):
         solution = solver.solve(design, scen)  # raises on any duality violation
         for message in check_structural_theorems(inst, design, scen, solution):
             violations.append({"scenario": w, "message": message})
-    payload = {"scenarios_checked": len(batch), "violations": violations}
-    (run_dir / "verify.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(run_dir / "verify.json", {"scenarios_checked": len(batch), "violations": violations})
     print(f"checked {len(batch)} scenarios: {len(violations)} violations")
     return 0 if not violations else 2
+
+
+def _worker_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> _Parser:
@@ -333,7 +328,7 @@ def build_parser() -> _Parser:
         p.add_argument("--out", required=True)
         p.add_argument("--seed", type=int, default=None)
         if threads:
-            p.add_argument("--threads", type=int, default=None)
+            p.add_argument("--threads", type=_worker_count, default=1)
         if dump:
             p.add_argument("--dump-scenarios", default=None)
 

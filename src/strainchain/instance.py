@@ -332,4 +332,8 @@ def write_instance(inst: Instance, path) -> None:
     """Write the canonical textual form (sorted keys, round-trip exact floats)."""
     path = Path(path)
     payload = json.dumps(instance_to_dict(inst), indent=2, sort_keys=True)
-    path.write_text(payload + "\n", encoding="utf-8")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(payload + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc

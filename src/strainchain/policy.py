@@ -3,16 +3,18 @@
 Every study is a pure function of (instance, config, seeds): arms share the
 same base seed (common random numbers), derive private perturbed instance
 copies, and return per-arm reports plus the comparisons the experiment is
-about. Shortage fractions are reported both demand-weighted and
-country-averaged per income class since either aggregation is defensible.
+about. Shortage fractions (from report's `country_rows`/`income_rows`, as
+in the CSVs) are reported both demand-weighted and country-averaged per
+income class since either aggregation is defensible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .instance import INCOME_LEVELS, Instance, ValidationError
-from .saa import DesignEvaluation, SaaConfig, SaaReport, run_saa
+from .instance import Instance, ValidationError
+from .report import country_rows, shortage_by_income
+from .saa import SaaConfig, SaaReport, run_saa
 from .scenarios import RiskOverrides
 
 STUDY_KINDS = (
@@ -36,7 +38,6 @@ class StudySpec:
     kind: str
     scheme: str | None = None          # pricing
     quality: str = "base"              # backshoring
-    variant: str | None = None         # sensitivity: transport_x2 | rho_swap
     pairs: tuple = ()                  # rho_swap country pairs
 
     def validated(self) -> "StudySpec":
@@ -66,35 +67,9 @@ class StudyResult:
     comparison: dict = field(default_factory=dict)
 
 
-def shortage_fractions_by_income(instance: Instance, evaluation: DesignEvaluation) -> dict:
-    out = {}
-    for level in INCOME_LEVELS:
-        ks = [k for k in instance.countries if instance.income_level[k] == level]
-        if not ks:
-            continue
-        dem = sum(evaluation.expected_demand[k] for k in ks)
-        short = sum(evaluation.expected_shortage[k] for k in ks)
-        fracs = [
-            evaluation.expected_shortage[k] / evaluation.expected_demand[k]
-            for k in ks
-            if evaluation.expected_demand[k] > 0
-        ]
-        out[level] = {
-            "demand_weighted": short / dem if dem > 0 else 0.0,
-            "country_mean": sum(fracs) / len(fracs) if fracs else 0.0,
-        }
-    return out
-
-
-def shortage_fraction_by_country(instance: Instance, evaluation: DesignEvaluation) -> dict:
-    return {
-        k: (
-            evaluation.expected_shortage[k] / evaluation.expected_demand[k]
-            if evaluation.expected_demand[k] > 0
-            else 0.0
-        )
-        for k in instance.countries
-    }
+def _country_fractions(arm: ArmResult) -> dict:
+    rows = country_rows(arm.instance, arm.report.incumbent, arm.report.evaluation)
+    return {row["country"]: row["shortage_fraction"] for row in rows}
 
 
 def _arm(
@@ -109,7 +84,9 @@ def _arm(
         name=name,
         changes=changes,
         report=report,
-        shortage_by_income=shortage_fractions_by_income(instance, report.evaluation),
+        shortage_by_income=shortage_by_income(
+            country_rows(instance, report.incumbent, report.evaluation)
+        ),
         instance=instance,
         config=config,
     )
@@ -170,8 +147,7 @@ def run_alliances_off(
     arm_on = _arm("alliances_on", instance, on_cfg, {"alliances_off": False}, threads)
     arm_off = _arm("alliances_off", instance, off_cfg, {"alliances_off": True}, threads)
 
-    frac_on = shortage_fraction_by_country(instance, arm_on.report.evaluation)
-    frac_off = shortage_fraction_by_country(instance, arm_off.report.evaluation)
+    frac_on, frac_off = _country_fractions(arm_on), _country_fractions(arm_off)
     deltas_ppt = {
         k: 100.0 * (frac_off[k] - frac_on[k]) for k in instance.countries
     }
@@ -259,7 +235,7 @@ def run_backshoring(
     comparison = {
         "forced_minus_unforced_objective": arm_forced.report.eval_objective
         - arm_free.report.eval_objective,
-        "home_shortage_fraction": shortage_fraction_by_country(instance, ev)[c1],
+        "home_shortage_fraction": _country_fractions(arm_forced)[c1],
         "home_plant_utilization": produced / instance.plant_capacity[c1],
         "home_demand_domestic_share": domestic / inflow_c1 if inflow_c1 > 0 else 0.0,
     }

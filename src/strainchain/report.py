@@ -1,5 +1,11 @@
 """Run artifacts: deterministic JSON/CSV emission and round-trip loading.
 
+The one home of the shortage tables and of artifact writing: `country_rows`
+and `income_rows` feed both shortage CSVs, the study arms and the policy
+comparisons; `write_json` writes every JSON artifact (refusing non-finite
+numbers), and every writer here creates its directory and reports an
+unwritable path as a ValidationError naming it.
+
 report.json is byte-identical for identical configs (thread counts and
 wall-clock timings never enter it; timings go to a separate sidecar). CSVs
 are RFC-4180 (csv module defaults), UTF-8, '.' decimals, with canonical
@@ -11,11 +17,13 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .instance import INCOME_LEVELS, Design, Instance, ValidationError
 from .saa import CostBreakdown, DesignEvaluation, SaaReport
+from .scenarios import Scenario
 
 BREAKDOWN_REL_TOL = 1e-6
 
@@ -114,6 +122,10 @@ COUNTRY_COLUMNS = [
 ]
 
 
+def shortage_fraction(shortage: float, demand: float) -> float:
+    return shortage / demand if demand > 0 else 0.0
+
+
 def country_rows(instance: Instance, design: Design, ev: DesignEvaluation) -> list:
     """One row per country in canonical order, keyed by COUNTRY_COLUMNS."""
     ally = set(instance.ally_group) - {instance.interest_country}
@@ -129,10 +141,51 @@ def country_rows(instance: Instance, design: Design, ev: DesignEvaluation) -> li
                 "plant_open": bool(design.open.get(k, 0)),
                 "expected_demand": dem,
                 "expected_shortage": short,
-                "shortage_fraction": short / dem if dem > 0 else 0.0,
+                "shortage_fraction": shortage_fraction(short, dem),
             }
         )
     return rows
+
+
+INCOME_COLUMNS = [
+    "income_level",
+    "countries",
+    "expected_demand",
+    "expected_shortage",
+    "shortage_fraction_demand_weighted",
+    "shortage_fraction_country_mean",
+]
+
+
+def income_rows(per_country: list) -> list:
+    """One row per income class present, keyed by INCOME_COLUMNS.
+
+    Sums run over `country_rows` output in country order; the country mean
+    averages the fractions of the countries with positive demand.
+    """
+    rows = []
+    for level in INCOME_LEVELS:
+        members = [r for r in per_country if r["income_level"] == level]
+        if not members:
+            continue
+        dem = sum(r["expected_demand"] for r in members)
+        short = sum(r["expected_shortage"] for r in members)
+        fracs = [r["shortage_fraction"] for r in members if r["expected_demand"] > 0]
+        mean = sum(fracs) / len(fracs) if fracs else 0.0
+        values = (level, len(members), dem, short, shortage_fraction(short, dem), mean)
+        rows.append(dict(zip(INCOME_COLUMNS, values)))
+    return rows
+
+
+def shortage_by_income(per_country: list) -> dict:
+    """Income class -> both aggregate shortage fractions, from `country_rows` output."""
+    return {
+        row["income_level"]: {
+            "demand_weighted": row["shortage_fraction_demand_weighted"],
+            "country_mean": row["shortage_fraction_country_mean"],
+        }
+        for row in income_rows(per_country)
+    }
 
 
 def build_artifact(
@@ -207,89 +260,76 @@ def _fmt(value) -> str:
     return str(value)
 
 
+@contextmanager
+def _artifact_file(path: Path):
+    """Open `path` for writing, creating its directory; an OSError names the path."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with path.open("w", encoding="utf-8", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
+
+
+def write_json(path, payload) -> None:
+    """One JSON artifact: sorted keys, two-space indent, trailing newline."""
+    path = Path(path)
+    _assert_finite(payload, path.stem)
+    with _artifact_file(path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
 def _write_csv(path: Path, header: list, rows: list) -> None:
-    with path.open("w", encoding="utf-8", newline="") as fh:
+    with _artifact_file(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            writer.writerow([_fmt(row[c]) for c in header])
 
 
 def write_country_csv(out_dir, per_country: list) -> None:
     """shortage_by_country.csv from `country_rows` output."""
-    _write_csv(
-        Path(out_dir) / "shortage_by_country.csv",
-        COUNTRY_COLUMNS,
-        [[row[c] for c in COUNTRY_COLUMNS] for row in per_country],
+    _write_csv(Path(out_dir) / "shortage_by_country.csv", COUNTRY_COLUMNS, per_country)
+
+
+def dump_scenarios(instance: Instance, scenarios: list[Scenario], path) -> None:
+    """Audit CSV: one row per scenario with every sampled field plus G and the price bump."""
+    header = (
+        ["scenario", "probability"]
+        + [f"supplier_avail:{i}" for i in instance.suppliers]
+        + [f"plant_avail:{j}" for j in instance.plant_candidates]
+        + [f"demand:{k}" for k in instance.countries]
+        + [f"ban_general:{k}" for k in instance.countries]
+        + [f"ban_ally:{k}" for k in instance.ally_group]
+        + ["retained_exports", "price_increase"]
     )
+    with _artifact_file(Path(path)) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for w, s in enumerate(scenarios):
+            row = (
+                [w, repr(s.probability)]
+                + [repr(s.supplier_avail[i]) for i in instance.suppliers]
+                + [repr(s.plant_avail[j]) for j in instance.plant_candidates]
+                + [repr(s.demand[k]) for k in instance.countries]
+                + [s.ban_general[k] for k in instance.countries]
+                + [s.ban_ally[k] for k in instance.ally_group]
+                + [repr(s.retained_exports), repr(s.price_increase)]
+            )
+            writer.writerow(row)
 
 
 def write_report(artifact: RunArtifact, out_dir) -> None:
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    payload = artifact_to_dict(artifact)
-    _assert_finite(payload, "report")
-    try:
-        (out / "report.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+    write_json(out / "report.json", artifact_to_dict(artifact))
+    write_country_csv(out, artifact.per_country)
+    _write_csv(out / "shortage_by_income.csv", INCOME_COLUMNS, income_rows(artifact.per_country))
+    _write_csv(out / "flows.csv", ["kind", "origin", "destination", "expected_flow"], artifact.flows)
 
-        write_country_csv(out, artifact.per_country)
+    saa, header = artifact.saa, ["metric", "replication", "value"]
+    bounds = [("z_N", m, z) for m, z in enumerate(saa.replication_objectives)]
+    bounds += [("L", "", saa.lower_bound), ("U", "", saa.upper_bound), ("gap", "", saa.gap)]
+    _write_csv(out / "bounds.csv", header, [dict(zip(header, row)) for row in bounds])
 
-        by_income = {}
-        for row in artifact.per_country:
-            by_income.setdefault(row["income_level"], []).append(row)
-        income_rows = []
-        for level in INCOME_LEVELS:
-            rows = by_income.get(level)
-            if not rows:
-                continue
-            dem = sum(r["expected_demand"] for r in rows)
-            short = sum(r["expected_shortage"] for r in rows)
-            fracs = [r["shortage_fraction"] for r in rows if r["expected_demand"] > 0]
-            income_rows.append(
-                [
-                    level,
-                    len(rows),
-                    dem,
-                    short,
-                    short / dem if dem > 0 else 0.0,
-                    sum(fracs) / len(fracs) if fracs else 0.0,
-                ]
-            )
-        _write_csv(
-            out / "shortage_by_income.csv",
-            [
-                "income_level",
-                "countries",
-                "expected_demand",
-                "expected_shortage",
-                "shortage_fraction_demand_weighted",
-                "shortage_fraction_country_mean",
-            ],
-            income_rows,
-        )
-
-        _write_csv(
-            out / "flows.csv",
-            ["kind", "origin", "destination", "expected_flow"],
-            [[r["kind"], r["origin"], r["destination"], r["expected_flow"]] for r in artifact.flows],
-        )
-
-        bounds_rows = [
-            ["z_N", m, z] for m, z in enumerate(artifact.saa.replication_objectives)
-        ]
-        bounds_rows += [
-            ["L", "", artifact.saa.lower_bound],
-            ["U", "", artifact.saa.upper_bound],
-            ["gap", "", artifact.saa.gap],
-        ]
-        _write_csv(out / "bounds.csv", ["metric", "replication", "value"], bounds_rows)
-
-        if artifact.timings:
-            (out / "timings.json").write_text(
-                json.dumps(artifact.timings, indent=2, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
-    except OSError as exc:
-        raise ValidationError(f"cannot write report under {out}: {exc}") from exc
+    if artifact.timings:
+        write_json(out / "timings.json", artifact.timings)

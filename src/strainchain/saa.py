@@ -223,6 +223,16 @@ def confidence_bounds(
     return z_bar - t_crit * math.sqrt(var_bar), eval_mean + z_crit * eval_std_error
 
 
+def evaluation_batch(instance: Instance, config: SaaConfig, pass_idx: int) -> list:
+    """The evaluation sample shared by every candidate design of one pass."""
+    return sample_batch(
+        instance,
+        (config.base_seed, pass_idx, ROLE_EVALUATE),
+        config.evaluation_scenarios,
+        config.evaluate_overrides,
+    )
+
+
 def _run_replication(instance, config, solver, pass_idx, m):
     scens = sample_batch(
         instance,
@@ -263,12 +273,7 @@ def run_saa(instance: Instance, config: SaaConfig, threads: int = 1) -> SaaRepor
         objectives = [z for z, _ in outcomes]
         designs = [d for _, d in outcomes]
 
-        eval_batch = sample_batch(
-            instance,
-            (config.base_seed, pass_idx, ROLE_EVALUATE),
-            config.evaluation_scenarios,
-            config.evaluate_overrides,
-        )
+        eval_batch = evaluation_batch(instance, config, pass_idx)
         evals: dict = {}
         for d in designs:
             if d.key() not in evals:

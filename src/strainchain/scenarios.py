@@ -16,9 +16,7 @@ numbers).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -212,31 +210,3 @@ def sample_batch(
         sample_scenario(instance, scenario_rng(seed, w), overrides, probability=1.0 / n)
         for w in range(n)
     ]
-
-
-def dump_scenarios(instance: Instance, scenarios: list[Scenario], path) -> None:
-    """Audit CSV: one row per scenario with every sampled field plus G and the price bump."""
-    path = Path(path)
-    header = (
-        ["scenario", "probability"]
-        + [f"supplier_avail:{i}" for i in instance.suppliers]
-        + [f"plant_avail:{j}" for j in instance.plant_candidates]
-        + [f"demand:{k}" for k in instance.countries]
-        + [f"ban_general:{k}" for k in instance.countries]
-        + [f"ban_ally:{k}" for k in instance.ally_group]
-        + ["retained_exports", "price_increase"]
-    )
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for w, s in enumerate(scenarios):
-            row = (
-                [w, repr(s.probability)]
-                + [repr(s.supplier_avail[i]) for i in instance.suppliers]
-                + [repr(s.plant_avail[j]) for j in instance.plant_candidates]
-                + [repr(s.demand[k]) for k in instance.countries]
-                + [s.ban_general[k] for k in instance.countries]
-                + [s.ban_ally[k] for k in instance.ally_group]
-                + [repr(s.retained_exports), repr(s.price_increase)]
-            )
-            writer.writerow(row)

@@ -12,6 +12,7 @@ command's per-country CSV writer below.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import itertools
 import math
 
@@ -30,7 +31,7 @@ from strainchain import (
 from strainchain.instance import ValidationError
 from strainchain.lshaped import ENUM_BATCH
 from strainchain.recourse import RecourseSolver
-from strainchain.scenarios import retained_exports
+from strainchain.scenarios import RiskOverrides, retained_exports, sample_batch
 from strainchain.simplex import DEGENERATE_STEP, REFRESH_EVERY, LpSolution, SimplexError
 
 
@@ -282,6 +283,53 @@ def small_random_instance(seed: int, n_countries: int = 5, with_allies: bool = T
             j: DiscretePmf(levels=(0.7, 0.85, 1.0), probs=(0.15, 0.25, 0.6)) for j in countries
         },
     )
+
+
+PLANT_FIELDS = ("production_cost", "fixed_cost", "plant_capacity", "plant_avail_prob",
+                "plant_strain_pmf")
+
+
+def with_plants(inst: Instance, plants) -> Instance:
+    """The instance with only the given plant candidates (and their arcs)."""
+    keep = set(plants)
+    kwargs = {f.name: getattr(inst, f.name) for f in dataclasses.fields(Instance)}
+    for name in PLANT_FIELDS:
+        kwargs[name] = {j: v for j, v in kwargs[name].items() if j in keep}
+    kwargs["plant_candidates"] = tuple(plants)
+    kwargs["transport1"] = {(i, j): v for (i, j), v in inst.transport1.items() if j in keep}
+    kwargs["transport2"] = {(j, k): v for (j, k), v in inst.transport2.items() if j in keep}
+    return make_instance(**kwargs)
+
+
+CORNERS = ("sampled", "suppliers_down", "zero_demand", "all_banning")
+
+
+def corner_scenario(inst, seed, corner):
+    """A ban-heavy sampled scenario, or that scenario pushed into a degenerate corner."""
+    scen = sample_batch(
+        inst, (seed,), 1, RiskOverrides(export_prob_scale=0.4, ban_threshold=1.0)
+    )[0]
+    if corner == "suppliers_down":
+        return dataclasses.replace(scen, supplier_avail={i: 0.0 for i in inst.suppliers})
+    if corner == "zero_demand":
+        return dataclasses.replace(scen, demand={k: 0.0 for k in inst.countries})
+    if corner == "all_banning":
+        return plain_scenario(
+            inst,
+            demand=scen.demand,
+            sup=scen.supplier_avail,
+            pl=scen.plant_avail,
+            g={k: 0 for k in inst.countries},
+            ga={k: 0 for k in inst.ally_group},
+        )
+    return scen
+
+
+def design_from_code(inst, code):
+    """The design whose open plants are the bits of `code`; never all closed."""
+    plants = list(inst.plant_candidates)
+    code = code % ((1 << len(plants)) - 1) + 1
+    return Design(open={j: (code >> n) & 1 for n, j in enumerate(plants)})
 
 
 def enumerate_designs(instance: Instance, forced: dict | None = None):

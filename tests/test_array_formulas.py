@@ -10,13 +10,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strainchain import Design, RecourseSolver, RiskOverrides, evaluate_design, sample_batch
+from strainchain import RecourseSolver, evaluate_design, sample_batch
 from strainchain.recourse import cut_terms_from
 from strainchain.scenarios import ban_flags, retained_by_country, retained_exports
 
 from helpers import (
+    CORNERS,
+    corner_scenario,
     country_retained,
-    plain_scenario,
+    design_from_code,
     reference_cut_terms,
     reference_evaluation,
     small_random_instance,
@@ -24,28 +26,6 @@ from helpers import (
 )
 
 EXACT = settings(max_examples=60, deadline=None, derandomize=True, database=None)
-
-CORNERS = ("sampled", "suppliers_down", "zero_demand", "all_banning")
-
-
-def _scenario(inst, seed, corner):
-    scen = sample_batch(
-        inst, (seed,), 1, RiskOverrides(export_prob_scale=0.4, ban_threshold=1.0)
-    )[0]
-    if corner == "suppliers_down":
-        return dataclasses.replace(scen, supplier_avail={i: 0.0 for i in inst.suppliers})
-    if corner == "zero_demand":
-        return dataclasses.replace(scen, demand={k: 0.0 for k in inst.countries})
-    if corner == "all_banning":
-        return plain_scenario(
-            inst,
-            demand=scen.demand,
-            sup=scen.supplier_avail,
-            pl=scen.plant_avail,
-            g={k: 0 for k in inst.countries},
-            ga={k: 0 for k in inst.ally_group},
-        )
-    return scen
 
 
 def _random_duals(sol, seed):
@@ -71,12 +51,6 @@ def _random_duals(sol, seed):
     )
 
 
-def _design(inst, code):
-    plants = list(inst.plant_candidates)
-    code = code % ((1 << len(plants)) - 1) + 1  # never all closed
-    return Design(open={j: (code >> n) & 1 for n, j in enumerate(plants)})
-
-
 def _assert_cut_terms_match(inst, scen, sol):
     constant, coeff = cut_terms_from(scen, sol)
     ref_constant, ref_coeff = reference_cut_terms(inst, scen, sol)
@@ -97,8 +71,8 @@ def test_cut_terms_equal_the_dict_reference(
     inst_seed, n_countries, with_allies, design_code, scen_seed, corner
 ):
     inst = small_random_instance(inst_seed, n_countries, with_allies)
-    scen = _scenario(inst, scen_seed, corner)
-    sol = RecourseSolver(inst).solve(_design(inst, design_code), scen)
+    scen = corner_scenario(inst, scen_seed, corner)
+    sol = RecourseSolver(inst).solve(design_from_code(inst, design_code), scen)
     _assert_cut_terms_match(inst, scen, sol)
 
 
@@ -115,7 +89,7 @@ def test_cut_terms_add_in_the_reference_order(
 ):
     inst = small_random_instance(inst_seed, n_countries, with_allies)
     scen = sample_batch(inst, (scen_seed,), 1)[0]
-    sol = RecourseSolver(inst).solve(_design(inst, design_code), scen)
+    sol = RecourseSolver(inst).solve(design_from_code(inst, design_code), scen)
     _assert_cut_terms_match(inst, scen, _random_duals(sol, scen_seed))
 
 
@@ -128,7 +102,7 @@ def test_cut_terms_add_in_the_reference_order(
 )
 def test_retained_exports_equal_the_dict_reference(inst_seed, n_countries, scen_seed, corner):
     inst = small_random_instance(inst_seed, n_countries)
-    scen = _scenario(inst, scen_seed, corner)
+    scen = corner_scenario(inst, scen_seed, corner)
     g, ga = scen.ban_general, scen.ban_ally
     kept = retained_by_country(inst, ban_flags(inst, g, ga))
     assert (kept[:, 0] + kept[:, 1]).tolist() == [
@@ -152,8 +126,8 @@ def test_retained_exports_equal_the_dict_reference(inst_seed, n_countries, scen_
 )
 def test_evaluation_equals_the_dict_loop(inst_seed, n_countries, design_code, scen_seed, corners):
     inst = small_random_instance(inst_seed, n_countries)
-    scenarios = [_scenario(inst, scen_seed + w, c) for w, c in enumerate(corners)]
-    design = _design(inst, design_code)
+    scenarios = [corner_scenario(inst, scen_seed + w, c) for w, c in enumerate(corners)]
+    design = design_from_code(inst, design_code)
     solver = RecourseSolver(inst)
     expected = reference_evaluation(inst, design, scenarios, solver)
     assert evaluate_design(inst, design, scenarios, solver) == expected

@@ -9,13 +9,11 @@ from strainchain import Design, write_instance
 
 
 @pytest.fixture()
-def workdir(tmp_path, monkeypatch):
-    monkeypatch.delenv("STRAINCHAIN_THREADS", raising=False)
+def workdir(tmp_path):
     inst = small_random_instance(seed=110, n_countries=4)
     instance_path = tmp_path / "instance.json"
     write_instance(inst, instance_path)
     config = {
-        "threads": 1,
         "saa": {
             "replications": 2,
             "optimization_scenarios": 4,
@@ -319,24 +317,6 @@ def test_invalid_design_exits_one(workdir):
     assert rc == 1
 
 
-def test_threads_env_var_is_the_fallback(workdir, monkeypatch):
-    tmp, instance_path, config_path = workdir
-    out_env = tmp / "env_run"
-    monkeypatch.setenv("STRAINCHAIN_THREADS", "2")
-    rc = cli_main(
-        ["solve", "--instance", str(instance_path), "--config", str(config_path),
-         "--out", str(out_env)]
-    )
-    assert rc == 0
-    baseline = tmp / "run_baseline"
-    monkeypatch.delenv("STRAINCHAIN_THREADS")
-    cli_main(
-        ["solve", "--instance", str(instance_path), "--config", str(config_path),
-         "--out", str(baseline)]
-    )
-    assert (out_env / "report.json").read_bytes() == (baseline / "report.json").read_bytes()
-
-
 def test_solver_failures_exit_two(workdir):
     tmp, instance_path, config_path = workdir
     config = json.loads(config_path.read_text(encoding="utf-8"))
@@ -364,3 +344,134 @@ def test_seed_flag_overrides_config(workdir):
     assert ra["config"]["saa"]["base_seed"] == 99
     assert rb["config"]["saa"]["base_seed"] == 21
     assert ra["saa"]["replication_objectives"] != rb["saa"]["replication_objectives"]
+
+
+@pytest.mark.parametrize(
+    "value", [1.9, 0.4, 2, -1, "x", "1", None, True, [1]], ids=repr
+)
+def test_design_values_other_than_zero_or_one_exit_one(workdir, monkeypatch, capsys, value):
+    tmp, instance_path, config_path = workdir
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("evaluation started on an invalid design")
+
+    monkeypatch.setattr("strainchain.cli.evaluate_design", no_run)
+    out = tmp / "bad_design"
+    design = json.dumps({"k0": 1, "k2": value})
+    rc = cli_main(["evaluate", "--instance", str(instance_path), "--config", str(config_path),
+                   "--design", design, "--out", str(out)])
+    assert rc == 1
+    assert "'k2'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_design_naming_an_unknown_plant_exits_one(workdir, capsys):
+    tmp, instance_path, config_path = workdir
+    rc = cli_main(["evaluate", "--instance", str(instance_path), "--config", str(config_path),
+                   "--design", json.dumps({"k0": 1, "nowhere": 1}), "--out", str(tmp / "x")])
+    assert rc == 1
+    assert "'nowhere'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "studies, named",
+    [
+        (None, "studies"),
+        ([], "studies"),
+        (["transport_sensitivity"], "studies[0]"),
+        ([{"kind": "rho_swap", "pairs": [5]}], "studies[0].pairs"),
+        ([{"kind": "rho_swap", "pairs": [["k1"]]}], "studies[0].pairs"),
+        ([{"kind": "rho_swap", "pairs": [["k1", ["k3"]]]}], "studies[0].pairs"),
+        ([{"kind": "rho_swap", "pairs": "k1k3"}], "studies[0].pairs"),
+        ([{"kind": "transport_sensitivity", "variant": "transport_x2"}], "variant"),
+        ([{"kind": "transport_sensitivity", "label": "a/b"}], "studies[0].label"),
+        ([{"kind": "transport_sensitivity", "label": "."}], "studies[0].label"),
+        ([{"kind": "transport_sensitivity", "label": ".."}], "studies[0].label"),
+        ([{"kind": "transport_sensitivity", "label": 3}], "studies[0].label"),
+        ([{"kind": "transport_sensitivity"}, {"kind": "mystery"}], "mystery"),
+    ],
+)
+def test_bad_study_entries_exit_one_before_any_study_runs(
+    workdir, monkeypatch, capsys, studies, named
+):
+    tmp, instance_path, config_path = workdir
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    if studies is None:
+        del config["studies"]
+    else:
+        config["studies"] = studies
+    bad = tmp / "bad_studies.json"
+    bad.write_text(json.dumps(config), encoding="utf-8")
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a study ran despite an invalid studies section")
+
+    monkeypatch.setattr("strainchain.cli.run_study", no_run)
+    out = tmp / "bad_studies"
+    rc = cli_main(["study", "--instance", str(instance_path), "--config", str(bad),
+                   "--out", str(out)])
+    assert rc == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["threads", "sa"])
+def test_unknown_config_sections_exit_one(workdir, monkeypatch, capsys, key):
+    tmp, instance_path, config_path = workdir
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    config[key] = 1
+    bad = tmp / "extra_key.json"
+    bad.write_text(json.dumps(config), encoding="utf-8")
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve started with an unknown config section")
+
+    monkeypatch.setattr("strainchain.cli.run_saa", no_solve)
+    rc = cli_main(["solve", "--instance", str(instance_path), "--config", str(bad),
+                   "--out", str(tmp / "extra_key_run")])
+    assert rc == 1
+    assert repr(key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "study"])
+@pytest.mark.parametrize("threads", ["0", "-2", "two"])
+def test_threads_below_one_exit_one(workdir, monkeypatch, capsys, command, threads):
+    tmp, instance_path, config_path = workdir
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the command ran with an invalid worker count")
+
+    monkeypatch.setattr("strainchain.cli.run_saa", no_run)
+    monkeypatch.setattr("strainchain.cli.run_study", no_run)
+    rc = cli_main([command, "--instance", str(instance_path), "--config", str(config_path),
+                   "--out", str(tmp / "threads_run"), "--threads", threads])
+    assert rc == 1
+    assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "evaluate", "study"])
+def test_unusable_out_exits_one_naming_the_path(workdir, capsys, command):
+    tmp, instance_path, config_path = workdir
+    occupied = tmp / "occupied"
+    occupied.write_text("a file, not a directory\n", encoding="utf-8")
+    args = [command, "--instance", str(instance_path), "--config", str(config_path),
+            "--out", str(occupied)]
+    if command == "evaluate":
+        args += ["--design", json.dumps({"k0": 1})]
+    assert cli_main(args) == 1
+    assert str(occupied) in capsys.readouterr().err
+    assert occupied.read_text(encoding="utf-8") == "a file, not a directory\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "evaluate"])
+def test_unwritable_scenario_dump_exits_one_naming_the_path(workdir, capsys, command):
+    tmp, instance_path, config_path = workdir
+    occupied = tmp / "occupied"
+    occupied.write_text("a file, not a directory\n", encoding="utf-8")
+    dump = occupied / "scenarios.csv"
+    args = [command, "--instance", str(instance_path), "--config", str(config_path),
+            "--out", str(tmp / f"{command}_dump"), "--dump-scenarios", str(dump)]
+    if command == "evaluate":
+        args += ["--design", json.dumps({"k0": 1})]
+    assert cli_main(args) == 1
+    assert str(dump) in capsys.readouterr().err

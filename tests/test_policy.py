@@ -16,8 +16,8 @@ from strainchain.policy import (
     apply_backshoring_quality,
     apply_pricing_scheme,
     apply_sensitivity_variant,
-    shortage_fractions_by_income,
 )
+from strainchain.report import country_rows, shortage_by_income
 from strainchain.scenarios import _effective_export_prob
 
 from helpers import small_random_instance, tiny_instance
@@ -288,7 +288,7 @@ def test_generated_instances_show_the_differential_pricing_tension():
             outer_gap_tolerance=100.0,
         ),
     )
-    table = shortage_fractions_by_income(inst, report.evaluation)
+    table = shortage_by_income(country_rows(inst, report.incumbent, report.evaluation))
     rich = table["HIC"]["demand_weighted"]
     poor = min(table["LMIC"]["demand_weighted"], table["LIC"]["demand_weighted"])
     assert poor > 0.5
