@@ -22,9 +22,9 @@ from .instance import (
     write_instance,
 )
 from .lshaped import (
+    CutPool,
     IterationLimitError,
     LShapedResult,
-    OptimalityCut,
     run_lshaped,
     solve_master,
 )
@@ -44,8 +44,6 @@ from .recourse import (
     RecourseSolution,
     RecourseSolver,
     check_structural_theorems,
-    recourse_cut_terms,
-    solve_recourse,
 )
 from .report import RunArtifact, build_artifact, dump_scenarios, load_artifact, write_report
 from .saa import (
@@ -70,6 +68,7 @@ from .stats import critical_values
 
 __all__ = [
     "CostBreakdown",
+    "CutPool",
     "Design",
     "DesignEvaluation",
     "DiscretePmf",
@@ -78,7 +77,6 @@ __all__ = [
     "InstanceFormatError",
     "IterationLimitError",
     "LShapedResult",
-    "OptimalityCut",
     "RecourseError",
     "RecourseSolution",
     "RecourseSolver",
@@ -101,7 +99,6 @@ __all__ = [
     "load_instance",
     "make_instance",
     "price_increase",
-    "recourse_cut_terms",
     "retained_exports",
     "run_alliances_off",
     "run_backshoring",
@@ -114,7 +111,6 @@ __all__ = [
     "sample_batch",
     "sample_scenario",
     "solve_master",
-    "solve_recourse",
     "validate_design",
     "validate_instance",
     "validate_scenario",

@@ -32,6 +32,7 @@ from .policy import StudySpec, run_study
 from .recourse import RecourseError, RecourseSolver, check_structural_theorems
 from .report import (
     build_artifact,
+    check_writable_dir,
     country_rows,
     dump_scenarios,
     evaluation_to_dict,
@@ -116,10 +117,15 @@ def _is_dir_name(label) -> bool:
 
 
 def _studies_from_config(studies) -> list:
-    """(label or None, validated StudySpec) for every entry of the config's studies."""
+    """(output directory name, validated StudySpec) for every entry of the config's studies.
+
+    An entry writes to its label, or to NN_kind by position; two entries
+    that would share a directory are rejected, naming both.
+    """
     if not isinstance(studies, list) or not studies:
         raise ValidationError("config 'studies' must be a non-empty list of objects")
     entries = []
+    owner = {}
     for n, raw in enumerate(studies):
         where = f"studies[{n}]"
         if not isinstance(raw, dict):
@@ -135,7 +141,14 @@ def _studies_from_config(studies) -> list:
             raise ValidationError(f"{where}.label must be a plain directory name, got {label!r}")
         fields = {"kind": "", **raw, "pairs": tuple(tuple(p) for p in pairs)}
         fields.pop("label", None)
-        entries.append((label, StudySpec(**fields).validated()))
+        spec = StudySpec(**fields).validated()
+        directory = label or f"{n:02d}_{spec.kind}"
+        if directory in owner:
+            raise ValidationError(
+                f"studies[{owner[directory]}] and {where} both write to directory {directory!r}"
+            )
+        owner[directory] = n
+        entries.append((directory, spec))
     return entries
 
 
@@ -173,6 +186,7 @@ def _cmd_solve(args) -> int:
     cfg = _resolve_saa(args, config)
     instance_path = Path(args.instance)
     inst = load_instance(instance_path)
+    check_writable_dir(args.out)
 
     t0 = time.perf_counter()
     report = run_saa(inst, cfg, threads=args.threads)
@@ -218,6 +232,7 @@ def _cmd_evaluate(args) -> int:
     instance_path = Path(args.instance)
     inst = load_instance(instance_path)
     design = _parse_design(args.design, inst)
+    check_writable_dir(args.out)
 
     batch = evaluation_batch(inst, cfg, 0)
     evaluation = evaluate_design(inst, design, batch)
@@ -242,11 +257,12 @@ def _cmd_study(args) -> int:
     entries = _studies_from_config(config.get("studies"))
     instance_path = Path(args.instance)
     inst = load_instance(instance_path)
+    check_writable_dir(args.out)
 
     out = Path(args.out)
-    for n, (label, spec) in enumerate(entries):
+    for directory, spec in entries:
         result = run_study(inst, spec, cfg, threads=args.threads)
-        study_dir = out / (label or f"{n:02d}_{result.kind}")
+        study_dir = out / directory
         for arm in result.arms:
             # each arm ships its own (possibly perturbed) instance so that
             # `verify` re-checks exactly what the arm solved

@@ -381,10 +381,6 @@ class RecourseSolver:
         return solution
 
 
-def solve_recourse(instance: Instance, design: Design, scenario: Scenario) -> RecourseSolution:
-    return RecourseSolver(instance).solve(design, scenario)
-
-
 # -- optimality-cut terms ----------------------------------------------------
 
 
@@ -415,21 +411,6 @@ def cut_terms_from(scenario: Scenario, solution: RecourseSolution) -> tuple[floa
         )
     )
     return float(constant), ordered_sum(terms)
-
-
-def recourse_cut_terms(
-    instance: Instance, scenario: Scenario, solution: RecourseSolution
-) -> tuple[float, dict]:
-    """Cut terms keyed by plant, with the tightness/duality guarantee re-verified."""
-    constant, coeff = cut_terms_from(scenario, solution)
-    y = np.array([float(solution.design.open[j]) for j in instance.plant_candidates])
-    value = constant + float(coeff @ y)
-    tol = DUALITY_REL_TOL * max(1.0, abs(solution.objective))
-    if abs(value - solution.objective) > tol:
-        raise RecourseError(
-            f"duality violation: cut value {value!r} vs objective {solution.objective!r}"
-        )
-    return constant, dict(zip(instance.plant_candidates, coeff.tolist()))
 
 
 # -- structural diagnostics ---------------------------------------------------

@@ -4,7 +4,8 @@ The one home of the shortage tables and of artifact writing: `country_rows`
 and `income_rows` feed both shortage CSVs, the study arms and the policy
 comparisons; `write_json` writes every JSON artifact (refusing non-finite
 numbers), and every writer here creates its directory and reports an
-unwritable path as a ValidationError naming it.
+unwritable path as a ValidationError naming it; `check_writable_dir` lets
+a command find an unusable output directory before it solves anything.
 
 report.json is byte-identical for identical configs (thread counts and
 wall-clock timings never enter it; timings go to a separate sidecar). CSVs
@@ -17,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -269,6 +271,17 @@ def _artifact_file(path: Path):
             yield fh
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc}") from exc
+
+
+def check_writable_dir(out_dir) -> None:
+    """Create `out_dir` and write (then drop) a probe file in it; an OSError names the path."""
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        with tempfile.TemporaryFile(dir=out):
+            pass
+    except OSError as exc:
+        raise ValidationError(f"cannot write {out}: {exc}") from exc
 
 
 def write_json(path, payload) -> None:

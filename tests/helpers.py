@@ -5,8 +5,10 @@ row per constraint (capacities, gated arcs, demand, balance, shortage links)
 and hands it to scipy's HiGHS, completely bypassing the package's LP path.
 The dict-keyed retained-export, cut-term and evaluation loops are the
 references the package's array formulas must reproduce exactly; so are the
-stateless enumeration master, the full-pricing simplex and the evaluate
-command's per-country CSV writer below.
+former single-cut enumeration master, the full-pricing simplex and the
+evaluate command's per-country CSV writer below. Dict-keyed cuts
+(`OptimalityCut`) and the one-call solve and cut-term wrappers live here
+too: the package keeps cuts in array pools and never needs them.
 """
 
 from __future__ import annotations
@@ -29,8 +31,14 @@ from strainchain import (
     make_instance,
 )
 from strainchain.instance import ValidationError
-from strainchain.lshaped import ENUM_BATCH
-from strainchain.recourse import RecourseSolver
+from strainchain.lshaped import CutPool
+from strainchain.recourse import (
+    DUALITY_REL_TOL,
+    RecourseError,
+    RecourseSolution,
+    RecourseSolver,
+    cut_terms_from,
+)
 from strainchain.scenarios import RiskOverrides, retained_exports, sample_batch
 from strainchain.simplex import DEGENERATE_STEP, REFRESH_EVERY, LpSolution, SimplexError
 
@@ -453,8 +461,87 @@ def raw_lp_objective(inst: Instance, design: Design, scen: Scenario) -> float:
     return float(res.fun)
 
 
-def reference_master_by_enumeration(instance, plants, cuts, forced):
-    """The enumeration master recomputing `designs @ coefs.T` over every cut."""
+def solve_recourse(instance: Instance, design: Design, scenario: Scenario) -> RecourseSolution:
+    return RecourseSolver(instance).solve(design, scenario)
+
+
+def recourse_cut_terms(
+    instance: Instance, scenario: Scenario, solution: RecourseSolution
+) -> tuple[float, dict]:
+    """Cut terms keyed by plant, with the tightness/duality guarantee re-verified."""
+    constant, coeff = cut_terms_from(scenario, solution)
+    y = np.array([float(solution.design.open[j]) for j in instance.plant_candidates])
+    value = constant + float(coeff @ y)
+    tol = DUALITY_REL_TOL * max(1.0, abs(solution.objective))
+    if abs(value - solution.objective) > tol:
+        raise RecourseError(
+            f"duality violation: cut value {value!r} vs objective {solution.objective!r}"
+        )
+    return constant, dict(zip(instance.plant_candidates, coeff.tolist()))
+
+
+@dataclasses.dataclass(frozen=True)
+class OptimalityCut:
+    constant: float
+    coeff: dict  # plant candidate -> money
+
+
+def pool_from_rows(constants, coefficients) -> CutPool:
+    """A pool holding the (rows, G) constants and (rows, G, n) coefficients after its floor."""
+    constants = np.asarray(constants, dtype=float)
+    coefficients = np.asarray(coefficients, dtype=float)
+    pool = CutPool(coefficients.shape[2], coefficients.shape[1])
+    for const, coef in zip(constants, coefficients):
+        pool.append(const, coef)
+    return pool
+
+
+def pool_from_cuts(plants, cuts) -> CutPool:
+    """A one-group pool with one row per dict-keyed cut."""
+    pool = CutPool(len(plants), 1)
+    for cut in cuts:
+        pool.append([cut.constant], [[cut.coeff[j] for j in plants]])
+    return pool
+
+
+def aggregated_pool(pool: CutPool) -> CutPool:
+    """The one-group pool whose row k is the sum of row k's group cuts."""
+    return pool_from_rows(
+        pool.constants[1:].sum(axis=1, keepdims=True),
+        pool.coefficients[1:].sum(axis=1, keepdims=True),
+    )
+
+
+def master_values(instance, plants, pool: CutPool) -> dict:
+    """Master objective at every nonempty design, by brute force: bits -> value.
+
+    fixed cost + sum over groups of max(0, largest cut of the group), each
+    cut value a dot product (so only approximately the master's rounding).
+    """
+    fixed = np.array([instance.fixed_cost[j] for j in plants])
+    values = {}
+    for bits in itertools.product((0, 1), repeat=len(plants)):
+        if any(bits):
+            y = np.array(bits, dtype=float)
+            cut_values = pool.constants + pool.coefficients @ y  # (rows, G), floor row 0
+            values[bits] = float(fixed @ y) + math.fsum(cut_values.max(axis=0))
+    return values
+
+
+REFERENCE_BATCH = 1 << 16  # design codes per chunk of the former enumeration master
+
+
+def reference_master_by_enumeration(instance, plants, cuts, forced, plant_order_fixed=False):
+    """The former single-cut enumeration master, recomputing `designs @ coefs.T`
+    over every dict-keyed cut in chunks of design codes.
+
+    It sums fixed costs as `designs @ fixed`, a BLAS matrix-vector product
+    whose accumulation order depends on the number of rows and is not plant
+    order, so its value may differ from the array master's in the last bit.
+    `plant_order_fixed` adds them in plant order instead, the order in which
+    the array master and the cut values here (a matrix product over 0/1 rows,
+    from two cuts on) accumulate.
+    """
     n = len(plants)
     fixed = np.array([instance.fixed_cost[j] for j in plants])
     consts = np.array([c.constant for c in cuts]) if cuts else np.zeros(0)
@@ -466,8 +553,8 @@ def reference_master_by_enumeration(instance, plants, cuts, forced):
     best_value = np.inf
     best_bits = None
     shifts = np.arange(n - 1, -1, -1)
-    for start in range(1, 1 << n, ENUM_BATCH):
-        stop = min(start + ENUM_BATCH, 1 << n)
+    for start in range(1, 1 << n, REFERENCE_BATCH):
+        stop = min(start + REFERENCE_BATCH, 1 << n)
         codes = np.arange(start, stop, dtype=np.int64)
         designs = (codes[:, None] >> shifts) & 1
         mask = np.ones(len(codes), dtype=bool)
@@ -476,7 +563,12 @@ def reference_master_by_enumeration(instance, plants, cuts, forced):
         if not mask.any():
             continue
         designs = designs[mask]
-        values = designs @ fixed
+        if plant_order_fixed:
+            values = np.zeros(len(designs))
+            for pos in range(n):
+                values = values + designs[:, pos] * fixed[pos]
+        else:
+            values = designs @ fixed
         if cuts:
             theta = np.maximum((designs @ coefs.T + consts).max(axis=1), 0.0)
         else:

@@ -18,7 +18,6 @@ from strainchain import (
     confidence_bounds,
     critical_values,
     generate_synthetic_instance,
-    recourse_cut_terms,
     retained_exports,
     run_backshoring,
     run_lshaped,
@@ -34,6 +33,7 @@ from helpers import (
     enumerate_designs,
     enumeration_optimum,
     plain_scenario,
+    recourse_cut_terms,
     small_random_instance,
     tiny_instance,
 )

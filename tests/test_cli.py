@@ -415,6 +415,38 @@ def test_bad_study_entries_exit_one_before_any_study_runs(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "studies",
+    [
+        [{"kind": "transport_sensitivity", "label": "same"}, {"kind": "rho_swap", "label": "same"}],
+        [{"kind": "transport_sensitivity"},
+         {"kind": "rho_swap", "label": "00_transport_sensitivity"}],
+        [{"kind": "rho_swap", "label": "01_pricing"},
+         {"kind": "pricing", "scheme": "uniform_to_c1_price"}],
+    ],
+)
+def test_study_entries_sharing_a_directory_exit_one_naming_both(
+    workdir, monkeypatch, capsys, studies
+):
+    tmp, instance_path, config_path = workdir
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    config["studies"] = studies
+    clash = tmp / "clash.json"
+    clash.write_text(json.dumps(config), encoding="utf-8")
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a study ran although two entries share a directory")
+
+    monkeypatch.setattr("strainchain.cli.run_study", no_run)
+    out = tmp / "clash"
+    rc = cli_main(["study", "--instance", str(instance_path), "--config", str(clash),
+                   "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "studies[0]" in err and "studies[1]" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["threads", "sa"])
 def test_unknown_config_sections_exit_one(workdir, monkeypatch, capsys, key):
     tmp, instance_path, config_path = workdir
@@ -450,8 +482,14 @@ def test_threads_below_one_exit_one(workdir, monkeypatch, capsys, command, threa
 
 
 @pytest.mark.parametrize("command", ["solve", "evaluate", "study"])
-def test_unusable_out_exits_one_naming_the_path(workdir, capsys, command):
+def test_unusable_out_exits_one_naming_the_path(workdir, monkeypatch, capsys, command):
     tmp, instance_path, config_path = workdir
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the command solved before checking --out")
+
+    for name in ("run_saa", "run_study", "evaluate_design"):
+        monkeypatch.setattr(f"strainchain.cli.{name}", no_run)
     occupied = tmp / "occupied"
     occupied.write_text("a file, not a directory\n", encoding="utf-8")
     args = [command, "--instance", str(instance_path), "--config", str(config_path),

@@ -1,5 +1,4 @@
 import functools
-import itertools
 
 import numpy as np
 import pytest
@@ -7,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strainchain import (
-    OptimalityCut,
+    CutPool,
     RecourseSolver,
     RiskOverrides,
     ValidationError,
@@ -16,15 +15,19 @@ from strainchain import (
     solve_master,
 )
 from strainchain.lshaped import (
-    EnumerationState,
     IterationLimitError,
-    _master_by_branch_and_bound,
-    _master_by_enumeration,
+    MasterState,
+    _bound_terms,
+    cut_groups,
 )
 
 from helpers import (
+    OptimalityCut,
     enumeration_optimum,
+    master_values,
     plain_scenario,
+    pool_from_cuts,
+    pool_from_rows,
     reference_master_by_enumeration,
     small_random_instance,
     tiny_instance,
@@ -38,15 +41,19 @@ def two_plant_instance():
     return inst.perturbed(fixed_cost={"a": 5.0, "b": 7.0})
 
 
+def _one_cut_pool(cut):
+    return pool_from_cuts(["a", "b"], [cut])
+
+
 def test_master_without_cuts_opens_the_cheapest_plant():
-    design, lb = solve_master(two_plant_instance(), [])
+    design, lb = solve_master(two_plant_instance(), CutPool(2, 1))
     assert design.open == {"a": 1, "b": 0}
     assert lb == pytest.approx(5.0)
 
 
 def test_master_with_one_cut_hand_enumeration():
     cut = OptimalityCut(constant=10.0, coeff={"a": -3.0, "b": -2.0})
-    design, lb = solve_master(two_plant_instance(), [cut])
+    design, lb = solve_master(two_plant_instance(), _one_cut_pool(cut))
     # candidates: (1,0)->12, (0,1)->15, (1,1)->17
     assert design.open == {"a": 1, "b": 0}
     assert lb == pytest.approx(12.0)
@@ -54,36 +61,50 @@ def test_master_with_one_cut_hand_enumeration():
 
 def test_master_honors_forced_assignments():
     cut = OptimalityCut(constant=10.0, coeff={"a": -3.0, "b": -2.0})
-    design, lb = solve_master(two_plant_instance(), [cut], forced={"b": 1})
+    design, lb = solve_master(two_plant_instance(), _one_cut_pool(cut), forced={"b": 1})
     assert design.open == {"a": 0, "b": 1}
     assert lb == pytest.approx(15.0)
 
 
 def test_master_rejects_unsatisfiable_forcing():
     with pytest.raises(ValidationError):
-        solve_master(two_plant_instance(), [], forced={"a": 0, "b": 0})
+        solve_master(two_plant_instance(), CutPool(2, 1), forced={"a": 0, "b": 0})
     with pytest.raises(ValidationError):
-        solve_master(two_plant_instance(), [], forced={"zzz": 1})
+        solve_master(two_plant_instance(), CutPool(2, 1), forced={"zzz": 1})
 
 
 def test_theta_floor_applies_when_cuts_go_negative():
     cut = OptimalityCut(constant=-100.0, coeff={"a": 0.0, "b": 0.0})
-    design, lb = solve_master(two_plant_instance(), [cut])
+    design, lb = solve_master(two_plant_instance(), _one_cut_pool(cut))
     assert lb == pytest.approx(5.0)  # theta clamps at zero, not -100
 
 
-def _tie_count(inst, plants, cuts, forced):
+def test_group_floors_apply_one_group_at_a_time():
+    # group 0's cut is negative at every design, group 1's positive: only
+    # group 0 clamps, and the master adds 0 + group 1's cut
+    pool = pool_from_rows([[-100.0, 10.0]], [[[0.0, 0.0], [-3.0, -2.0]]])
+    design, lb = solve_master(two_plant_instance(), pool)
+    assert design.open == {"a": 1, "b": 0}
+    assert lb == 12.0
+    assert solve_master(two_plant_instance(), pool, enumeration_limit=0) == (design, lb)
+
+
+def _tie_count(inst, plants, pool, forced):
     """How many designs attain the master's optimum (brute force, exact for integer data)."""
-    designs = np.array(
-        [bits for bits in itertools.product((0, 1), repeat=len(plants))
-         if any(bits) and all(bits[plants.index(j)] == v for j, v in forced.items())]
+    values = [
+        value for bits, value in master_values(inst, plants, pool).items()
+        if all(bits[plants.index(j)] == v for j, v in forced.items())
+    ]
+    return values.count(min(values))
+
+
+def _random_pool(rng, plants, rows, groups, integer):
+    draw = rng.integers if integer else rng.uniform
+    const_range, coef_range = ((0, 20), (-6, 3)) if integer else ((0, 300), (-120, 20))
+    return pool_from_rows(
+        draw(*const_range, size=(rows, groups)).astype(float),
+        draw(*coef_range, size=(rows, groups, len(plants))).astype(float),
     )
-    values = designs @ np.array([inst.fixed_cost[j] for j in plants])
-    if cuts:
-        coefs = np.array([[c.coeff[j] for j in plants] for c in cuts])
-        consts = np.array([c.constant for c in cuts])
-        values = values + np.maximum((designs @ coefs.T + consts).max(axis=1), 0.0)
-    return int((values == values.min()).sum())
 
 
 def test_branch_and_bound_agrees_with_enumeration():
@@ -97,29 +118,78 @@ def test_branch_and_bound_agrees_with_enumeration():
         integer = trial % 3 == 0  # small integer data: exact ties between designs
         if integer:
             inst = inst.perturbed(fixed_cost={j: float(rng.integers(0, 4)) for j in plants})
-        draw = rng.integers if integer else rng.uniform
-        const_range, coef_range = ((0, 20), (-6, 3)) if integer else ((0, 300), (-120, 20))
-        cuts = [
-            OptimalityCut(
-                constant=float(draw(*const_range)),
-                coeff={j: float(draw(*coef_range)) for j in plants},
-            )
-            for _ in range(int(rng.integers(0, 61)))
-        ]
+        groups = int(rng.integers(1, 5))
+        pool = _random_pool(rng, plants, int(rng.integers(0, 61)) // groups, groups, integer)
         pinned = rng.choice(len(plants), size=int(rng.integers(0, 4)), replace=False)
         forced = {plants[p]: int(rng.integers(0, 2)) for p in pinned}
-        d1, v1 = _master_by_enumeration(inst, plants, cuts, forced)
-        d2, v2 = _master_by_branch_and_bound(inst, plants, cuts, forced)
-        assert v1 == pytest.approx(v2, rel=1e-9, abs=1e-9)
+        d1, v1 = solve_master(inst, pool, forced)
+        d2, v2 = solve_master(inst, pool, forced, enumeration_limit=0)
+        assert v1 == v2
         assert d1.open == d2.open
         if integer:
-            assert v1 == v2
-            tied += _tie_count(inst, plants, cuts, forced) > 1
+            tied += _tie_count(inst, plants, pool, forced) > 1
         closed = {j: 0 for j in plants}
-        for master in (_master_by_enumeration, _master_by_branch_and_bound):
+        for limit in (len(plants), 0):
             with pytest.raises(ValidationError, match="close every plant"):
-                master(inst, plants, cuts, closed)
+                solve_master(inst, pool, closed, enumeration_limit=limit)
     assert tied >= 5  # the integer batch really exercises the tie rule
+
+
+def test_forcing_tightens_the_node_bound():
+    # forcing replaces min(0, term) by the term (open) or 0 (closed) in every
+    # suffix that covers the plant, so no node bound can fall
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        n, rows, groups = int(rng.integers(1, 8)), int(rng.integers(1, 6)), int(rng.integers(1, 4))
+        fixed = rng.uniform(0, 50, n)
+        constants = rng.uniform(0, 300, (rows, groups))
+        coefficients = rng.uniform(-120, 60, (rows, groups, n))
+        pinned = rng.choice(n, int(rng.integers(1, n + 1)), replace=False)
+        forced_pos = {int(p): int(rng.integers(0, 2)) for p in pinned}
+        free = _bound_terms(fixed, constants, coefficients, {})
+        forcing = _bound_terms(fixed, constants, coefficients, forced_pos)
+        assert free.shape == forcing.shape == (n + 1, groups, rows)
+        assert (forcing >= free - 1e-9).all()
+        assert np.array_equal(forcing[n], constants.T) and np.array_equal(free[n], constants.T)
+    # a forced-open plant whose term is positive lifts the bound at the root
+    fixed = np.array([5.0, 7.0])
+    one = _bound_terms(fixed, np.array([[10.0]]), np.array([[[-3.0, -2.0]]]), {1: 1})
+    assert one[0, 0, 0] == 15.0
+    assert _bound_terms(fixed, np.array([[10.0]]), np.array([[[-3.0, -2.0]]]), {})[0, 0, 0] == 10.0
+
+
+def test_branch_and_bound_keeps_a_leaf_its_ancestors_bound_rounds_above():
+    # found by a random search: the all-open design is worth 251.8, but a
+    # bound above it rounds to at least 251.80000000000007, the value of the
+    # incumbent found first (p02 closed); pruning at bound >= incumbent
+    # returned that incumbent
+    inst, plants = _plants_instance([0.30000000000000004, 0.2, 0.30000000000000004, 0.0])
+    pool = pool_from_rows([[1002.1]], [[[-249.8, -250.6, -0.30000000000000004, -250.4]]])
+    by_enumeration = solve_master(inst, pool)
+    by_bnb = solve_master(inst, pool, enumeration_limit=0)
+    assert by_enumeration[0].open == {j: 1 for j in plants}
+    assert by_enumeration[1] == 251.8
+    assert (by_bnb[0].open, by_bnb[1]) == (by_enumeration[0].open, by_enumeration[1])
+
+
+def test_every_design_tied_goes_to_the_first_in_lexicographic_order():
+    # zero fixed costs and no cut: all 2^20 - 1 nonempty designs tie
+    inst, plants = _plants_instance([0.0] * 20)
+    design, value = solve_master(inst, CutPool(20, 1))
+    assert value == 0.0
+    assert design.open == {j: int(j == "p19") for j in plants}
+    design, _ = solve_master(inst, CutPool(20, 1), {"p19": 0, "p05": 1})
+    assert design.open == {j: int(j == "p05") for j in plants}
+
+
+def test_cut_groups_bound_the_enumeration_envelope():
+    assert cut_groups(16, 15) == 15
+    assert cut_groups(17, 15) == 8
+    assert cut_groups(20, 30) == 1
+    assert cut_groups(5, 30) == 30
+    assert cut_groups(21, 10) == 10  # branch and bound: one group per scenario
+    for n in range(1, 21):
+        assert cut_groups(n, 1000) << n <= 1 << 20
 
 
 def _plants_instance(fixed):
@@ -129,25 +199,38 @@ def _plants_instance(fixed):
 
 def _grow_and_compare(inst, plants, cuts, forced, exact_from=0):
     """Feed the cuts one at a time to a carried state; after each (and before
-    the first) the state's answer must equal the stateless reference and a
-    fresh stateless call, design and value alike.
+    the first) the state's answer must equal a fresh stateless call and the
+    former single-cut master, design and value alike.
 
-    With a single cut the reference's product is a gemv, which may round a
-    float sum differently from the plant-order accumulation; values are
-    compared exactly from `exact_from` cuts on and to 1e-12 before that.
+    The former master sums fixed costs with a gemv, and with a single cut
+    its cut product is one too; either may round a float sum differently
+    from the plant-order accumulation. Values are compared exactly to the
+    reference with plant-order fixed costs from `exact_from` cuts on (to
+    1e-12 before that), and to the former master exactly on integer data
+    (`exact_from` 0) and to 1e-12 otherwise.
     """
-    state = EnumerationState()
+    state = MasterState()
+    pool = CutPool(len(plants), 1)
     for k in range(len(cuts) + 1):
-        carried = solve_master(inst, cuts[:k], forced, state=state)
-        fresh = solve_master(inst, cuts[:k], forced)
-        ref = reference_master_by_enumeration(inst, plants, cuts[:k], forced)
-        assert carried[0].open == fresh[0].open == ref[0].open
+        if k:
+            pool.append([cuts[k - 1].constant], [[cuts[k - 1].coeff[j] for j in plants]])
+        carried = solve_master(inst, pool, forced, state=state)
+        fresh = solve_master(inst, pool, forced)
+        former = reference_master_by_enumeration(inst, plants, cuts[:k], forced)
+        ref = reference_master_by_enumeration(
+            inst, plants, cuts[:k], forced, plant_order_fixed=True
+        )
+        assert carried[0].open == fresh[0].open == ref[0].open == former[0].open
         assert carried[1] == fresh[1]
         if k >= exact_from:
             assert carried[1] == ref[1]
         else:
             assert carried[1] == pytest.approx(ref[1], rel=1e-12, abs=1e-12)
-        assert state.folded == k
+        if exact_from == 0:
+            assert carried[1] == former[1]
+        else:
+            assert carried[1] == pytest.approx(former[1], rel=1e-12, abs=1e-12)
+        assert state.folded == k + 1
 
 
 @st.composite
@@ -183,23 +266,24 @@ def test_carried_envelope_matches_the_stateless_reference(case):
     inst, plants, cuts, forced, integer = case
     if not any(forced.get(j, 1) for j in plants):
         with pytest.raises(ValidationError, match="close every plant"):
-            solve_master(inst, cuts, forced, state=EnumerationState())
+            solve_master(inst, pool_from_cuts(plants, cuts), forced, state=MasterState())
         return
     _grow_and_compare(inst, plants, cuts, forced, exact_from=0 if integer else 2)
     closed = {j: 0 for j in plants}
     with pytest.raises(ValidationError, match="close every plant"):
-        solve_master(inst, cuts, closed, state=EnumerationState())
+        solve_master(inst, pool_from_cuts(plants, cuts), closed, state=MasterState())
 
 
 def test_carried_envelope_across_two_enumeration_chunks():
-    # 17 plants: codes 1..2^16 form the first ENUM_BATCH chunk, every later
-    # code (plant p00 open with others) the second
+    # 17 plants: the former master split the codes into chunks of 2^16,
+    # codes 1..2^16 the first, every later code (plant p00 open with
+    # others) the second
     fixed = [0.0] * 17
     inst, plants = _plants_instance(fixed)
     # value 0 at 2^16 (p00 alone, first chunk) and at 2^16 + 1 (p00 and
     # p16, second chunk): the tie must go to the first chunk's design
     tie = OptimalityCut(constant=5.0, coeff={j: -5.0 if j == "p00" else 0.0 for j in plants})
-    design, value = solve_master(inst, [tie])
+    design, value = solve_master(inst, pool_from_cuts(plants, [tie]))
     assert value == 0.0
     assert design.open == {j: int(j == "p00") for j in plants}
 
@@ -214,8 +298,9 @@ def test_carried_envelope_across_two_enumeration_chunks():
             for _ in range(3)
         ]
         _grow_and_compare(inst, plants, cuts, forced)
+    closed = {j: 0 for j in plants}
     with pytest.raises(ValidationError, match="close every plant"):
-        solve_master(inst, cuts, {j: 0 for j in plants}, state=EnumerationState())
+        solve_master(inst, pool_from_cuts(plants, cuts), closed, state=MasterState())
 
 
 def test_decomposition_with_a_stateless_master(monkeypatch):
@@ -275,7 +360,7 @@ def test_decomposition_on_the_branch_and_bound_master(monkeypatch):
         assert second.design.open == first.design.open
         assert second.objective == first.objective
         assert second.iterations == first.iterations
-        assert second.lb_trace == pytest.approx(first.lb_trace, rel=1e-9)
+        assert second.lb_trace == first.lb_trace
 
 
 def test_infinite_tolerance_stops_after_the_first_iteration():
@@ -283,8 +368,8 @@ def test_infinite_tolerance_stops_after_the_first_iteration():
     scens = _scenario_pool(inst, (10, 0), 8)
     result = run_lshaped(inst, scens, epsilon=np.inf)
     assert result.iterations == 1
-    assert result.cuts == []
-    no_cut_design, _ = solve_master(inst, [])
+    assert len(result.cuts) == 0
+    no_cut_design, _ = solve_master(inst, CutPool(len(inst.plant_candidates), 1))
     assert result.design.open == no_cut_design.open
 
 

@@ -1,29 +1,46 @@
-"""Hypothesis-driven properties of the scenario solve on random small instances.
+"""Hypothesis-driven properties on random small instances and cut pools.
 
-Each example draws an instance of one to four countries (every country a
-plant candidate, or only the first), a scenario that is either sampled or
-pushed into a degenerate corner (all suppliers down, zero demand, every
-country banning), and a design. The recourse objective must match the
-HiGHS row formulation, and the optimality cut built from the solve must
-underestimate the recourse value at all 2^J designs and touch it at the
-design it came from. The all-closed design has no package solve (a design
-must open a plant), so HiGHS prices it.
+Each scenario example draws an instance of one to four countries (every
+country a plant candidate, or only the first), a scenario that is either
+sampled or pushed into a degenerate corner (all suppliers down, zero
+demand, every country banning), and a design. The recourse objective must
+match the HiGHS row formulation, and the optimality cut built from the
+solve must underestimate the recourse value at all 2^J designs and touch it
+at the design it came from. The all-closed design has no package solve (a
+design must open a plant), so HiGHS prices it.
+
+The master examples draw random multi-group cut pools, or pools built from
+real scenario solves: enumeration and branch and bound return the same
+design and value bit for bit, a one-group pool reproduces the former
+single-cut master, per-group cuts never value a design below the averaged
+cut, and forcing every plant closed fails on both paths.
 """
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strainchain import Design, RecourseSolver, recourse_cut_terms
+from strainchain import Design, RecourseSolver, SaaConfig, ValidationError, run_saa, sample_batch
+from strainchain.lshaped import MasterState, solve_master
+from strainchain.recourse import cut_terms_from
+from strainchain.scenarios import RiskOverrides
 
 from helpers import (
     CORNERS,
+    OptimalityCut,
+    aggregated_pool,
     corner_scenario,
     design_from_code,
+    master_values,
+    pool_from_rows,
     raw_lp_objective,
+    recourse_cut_terms,
+    reference_master_by_enumeration,
     small_random_instance,
+    tiny_instance,
     with_plants,
 )
 
@@ -75,3 +92,149 @@ def test_cut_is_valid_at_every_design_and_tight_at_its_source(case):
         else:
             value = raw_lp_objective(inst, design, scen)
         assert cut(design) <= value + CUT_TOL, design.open
+
+
+# -- the master over multi-group cut pools -----------------------------------
+
+
+@st.composite
+def pools(draw, max_plants=10):
+    """(instance, plants, pool, forced, integer): a random pool of G groups
+    and 0-3 forced plants; integer data makes exact ties between designs."""
+    n = draw(st.integers(1, max_plants))
+    integer = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    groups = draw(st.integers(1, 4))
+    rows = draw(st.integers(0, 12))
+    number = rng.integers if integer else rng.uniform
+    plants = tuple(f"p{p:02d}" for p in range(n))
+    fixed = number(0, 4 if integer else 50, size=n).astype(float)
+    inst = tiny_instance(countries=plants, fixed_cost=dict(zip(plants, fixed.tolist())))
+    const_range, coef_range = ((0, 20), (-6, 3)) if integer else ((0, 300), (-120, 20))
+    pool = pool_from_rows(
+        number(*const_range, size=(rows, groups)).astype(float),
+        number(*coef_range, size=(rows, groups, n)).astype(float),
+    )
+    pinned = draw(st.lists(st.sampled_from(plants), max_size=min(3, n), unique=True))
+    forced = {j: draw(st.integers(0, 1)) for j in pinned}
+    return inst, list(plants), pool, forced, integer
+
+
+def _master_or_error(inst, pool, forced, **kwargs):
+    try:
+        design, value = solve_master(inst, pool, forced, **kwargs)
+    except ValidationError as exc:
+        return str(exc)
+    return design.open, value
+
+
+@PROPERTY
+@given(pools())
+def test_enumeration_and_branch_and_bound_agree_exactly(case):
+    inst, plants, pool, forced, _ = case
+    by_enumeration = _master_or_error(inst, pool, forced)
+    assert _master_or_error(inst, pool, forced, enumeration_limit=0) == by_enumeration
+    if isinstance(by_enumeration, str):
+        assert not any(forced.get(j, 1) for j in plants)
+        return
+    allowed = {
+        bits: value
+        for bits, value in master_values(inst, plants, pool).items()
+        if all(bits[plants.index(j)] == v for j, v in forced.items())
+    }
+    design, value = by_enumeration
+    assert value == pytest.approx(min(allowed.values()), rel=1e-12, abs=1e-9)
+    assert value == pytest.approx(allowed[tuple(design[j] for j in plants)], rel=1e-12, abs=1e-9)
+
+
+@PROPERTY
+@given(pools())
+def test_one_group_pool_reproduces_the_former_single_cut_master(case):
+    inst, plants, pool, forced, integer = case
+    pool = pool_from_rows(pool.constants[1:, :1], pool.coefficients[1:, :1])
+    cuts = [
+        OptimalityCut(constant=float(c[0]), coeff=dict(zip(plants, a[0].tolist())))
+        for c, a in zip(pool.constants[1:], pool.coefficients[1:])
+    ]
+    try:
+        former = reference_master_by_enumeration(inst, plants, cuts, forced)
+    except ValidationError:
+        with pytest.raises(ValidationError, match="close every plant"):
+            solve_master(inst, pool, forced)
+        return
+    in_plant_order = reference_master_by_enumeration(
+        inst, plants, cuts, forced, plant_order_fixed=True
+    )
+    design, value = solve_master(inst, pool, forced)
+    assert design.open == former[0].open == in_plant_order[0].open
+    if integer:
+        assert value == former[1] == in_plant_order[1]
+        return
+    # the former master sums fixed costs with a matrix-vector product, and a
+    # single cut's values too; neither accumulates in plant order
+    assert value == pytest.approx(former[1], rel=1e-12, abs=1e-12)
+    if len(cuts) != 1:
+        assert value == in_plant_order[1]
+    else:
+        assert value == pytest.approx(in_plant_order[1], rel=1e-12, abs=1e-12)
+
+
+def _scenario_cut_pools(inst, scens, designs, groups):
+    """One row per design: every scenario's cut terms there, summed into G
+    groups and into one averaged cut, each divided by N in scenario order."""
+    solver = RecourseSolver(inst)
+    n_scen, n = len(scens), len(inst.plant_candidates)
+    multi_c, multi_a = np.zeros((len(designs), groups)), np.zeros((len(designs), groups, n))
+    avg_c, avg_a = np.zeros((len(designs), 1)), np.zeros((len(designs), 1, n))
+    for k, design in enumerate(designs):
+        for s, scen in enumerate(scens):
+            const, coeff = cut_terms_from(scen, solver.solve(design, scen))
+            multi_c[k, s * groups // n_scen] += const / n_scen
+            multi_a[k, s * groups // n_scen] += coeff / n_scen
+            avg_c[k, 0] += const / n_scen
+            avg_a[k, 0] += coeff / n_scen
+    return pool_from_rows(multi_c, multi_a), pool_from_rows(avg_c, avg_a)
+
+
+@PROPERTY
+@given(st.integers(0, 10_000), st.integers(1, 4), st.integers(1, 6), st.data())
+def test_group_cuts_never_value_a_design_below_the_averaged_cut(seed, n_countries, n_scen, data):
+    inst = small_random_instance(seed, n_countries)
+    plants = list(inst.plant_candidates)
+    groups = data.draw(st.integers(1, n_scen))
+    scens = sample_batch(inst, (seed, 1), n_scen, RiskOverrides(export_prob_scale=0.5))
+    codes = data.draw(st.lists(st.integers(0, 1 << 8), min_size=1, max_size=3))
+    multi, averaged = _scenario_cut_pools(
+        inst, scens, [design_from_code(inst, code) for code in codes], groups
+    )
+    # a row's group cuts sum to the averaged cut up to rounding
+    summed = aggregated_pool(multi)
+    assert np.allclose(summed.constants, averaged.constants, rtol=1e-12, atol=1e-9)
+    assert np.allclose(summed.coefficients, averaged.coefficients, rtol=1e-12, atol=1e-9)
+
+    solver = RecourseSolver(inst)
+    fixed = np.array([inst.fixed_cost[j] for j in plants])
+    averaged_values = master_values(inst, plants, averaged)
+    for bits, value in master_values(inst, plants, multi).items():
+        assert value >= averaged_values[bits] - 1e-9 * max(1.0, abs(value))
+        design = Design(open=dict(zip(plants, bits)))
+        recourse = [solver.solve(design, scen).objective for scen in scens]
+        sampled = float(fixed @ np.array(bits)) + sum(recourse) / n_scen
+        assert value <= sampled + CUT_TOL * max(1.0, sampled)  # still a lower bound
+    assert solve_master(inst, multi)[1] >= solve_master(inst, averaged)[1] - 1e-9
+
+
+@PROPERTY
+@given(pools(max_plants=6), st.integers(0, 10_000))
+def test_forcing_every_plant_closed_fails_on_both_paths(case, seed):
+    inst, plants, pool, _, _ = case
+    closed = {j: 0 for j in plants}
+    for limit in (len(plants), 0):
+        with pytest.raises(ValidationError, match="close every plant"):
+            solve_master(inst, pool, closed, enumeration_limit=limit, state=MasterState())
+    config = SaaConfig(
+        replications=2, optimization_scenarios=2, evaluation_scenarios=2, max_passes=1,
+        base_seed=seed, forced_open=closed,
+    )
+    with pytest.raises(ValidationError, match="close every plant"):
+        run_saa(inst, config)

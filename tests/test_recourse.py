@@ -7,9 +7,7 @@ from strainchain import (
     RiskOverrides,
     check_structural_theorems,
     generate_synthetic_instance,
-    recourse_cut_terms,
     sample_batch,
-    solve_recourse,
 )
 
 from helpers import (
@@ -17,7 +15,9 @@ from helpers import (
     enumerate_designs,
     plain_scenario,
     raw_lp_objective,
+    recourse_cut_terms,
     small_random_instance,
+    solve_recourse,
     tiny_instance,
 )
 
