@@ -4,9 +4,11 @@ Subcommands: gen (synthetic instance), solve (one SAA run), evaluate (a
 fixed design on evaluation scenarios), study (policy experiments), verify
 (re-solve a finished run's incumbent and check duals plus structural
 properties). Flag > config file ("saa" and "studies" only) > default
-precedence; the worker count comes from --threads alone. Exit codes: 0
-updated artifacts, 1 usage or validation problems (an unwritable --out
-among them), 2 solver failures.
+precedence. Every run is serial; solve and study still accept and
+validate --threads, which changes nothing. Exit codes: 0 updated
+artifacts, 1 usage or validation problems (an unwritable --out or
+--dump-scenarios, or an unreadable report for verify, among them), 2
+solver failures.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .recourse import RecourseError, RecourseSolver, check_structural_theorems
 from .report import (
     build_artifact,
     check_writable_dir,
+    check_writable_file,
     country_rows,
     dump_scenarios,
     evaluation_to_dict,
@@ -160,11 +163,17 @@ def _resolve_saa(args, config: dict) -> SaaConfig:
 
 
 def _echo(instance_path: Path, cfg: SaaConfig) -> dict:
-    # threads are deliberately absent: they must not change any artifact byte
     return {
         "instance": str(instance_path.resolve()),
         "saa": saa_config_to_dict(cfg),
     }
+
+
+def _check_outputs(args) -> None:
+    """Fail on an unusable --out or --dump-scenarios before anything is solved."""
+    check_writable_dir(args.out)
+    if args.dump_scenarios:
+        check_writable_file(args.dump_scenarios)
 
 
 def _cmd_gen(args) -> int:
@@ -186,10 +195,10 @@ def _cmd_solve(args) -> int:
     cfg = _resolve_saa(args, config)
     instance_path = Path(args.instance)
     inst = load_instance(instance_path)
-    check_writable_dir(args.out)
+    _check_outputs(args)
 
     t0 = time.perf_counter()
-    report = run_saa(inst, cfg, threads=args.threads)
+    report = run_saa(inst, cfg)
     elapsed = time.perf_counter() - t0
 
     artifact = build_artifact(
@@ -232,7 +241,7 @@ def _cmd_evaluate(args) -> int:
     instance_path = Path(args.instance)
     inst = load_instance(instance_path)
     design = _parse_design(args.design, inst)
-    check_writable_dir(args.out)
+    _check_outputs(args)
 
     batch = evaluation_batch(inst, cfg, 0)
     evaluation = evaluate_design(inst, design, batch)
@@ -261,7 +270,7 @@ def _cmd_study(args) -> int:
 
     out = Path(args.out)
     for directory, spec in entries:
-        result = run_study(inst, spec, cfg, threads=args.threads)
+        result = run_study(inst, spec, cfg)
         study_dir = out / directory
         for arm in result.arms:
             # each arm ships its own (possibly perturbed) instance so that
@@ -344,7 +353,9 @@ def build_parser() -> _Parser:
         p.add_argument("--out", required=True)
         p.add_argument("--seed", type=int, default=None)
         if threads:
-            p.add_argument("--threads", type=_worker_count, default=1)
+            # kept so that existing command lines still parse; every run is serial
+            p.add_argument("--threads", type=_worker_count, default=1,
+                           help="accepted and checked (at least 1); changes nothing")
         if dump:
             p.add_argument("--dump-scenarios", default=None)
 

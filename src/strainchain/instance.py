@@ -1,10 +1,10 @@
 """Problem data model: country sets, costs, capacities, and risk parameters.
 
-An Instance is immutable by convention after construction and safe to share
-across worker threads. Trade-route arc sets for the ally relationships are
-derived on demand from the country sets instead of being stored, so the file
-format has no redundancy to keep consistent. Country iteration order is
-always the lexicographic (canonical) order.
+An Instance is immutable by convention after construction. Trade-route arc
+sets for the ally relationships are derived on demand from the country sets
+instead of being stored, so the file format has no redundancy to keep
+consistent. Country iteration order is always the lexicographic (canonical)
+order.
 """
 
 from __future__ import annotations
@@ -90,10 +90,6 @@ class Instance:
         """Allies plus the interest country itself, canonical order."""
         return tuple(sorted(set(self.allies) | {self.interest_country}))
 
-    def supply_arcs(self) -> list[tuple[str, str]]:
-        """All cross-country raw-material arcs (i, j), i != j."""
-        return [(i, j) for i in self.suppliers for j in self.plant_candidates if i != j]
-
     def ally_supply_arcs(self) -> set[tuple[str, str]]:
         """Raw-material arcs routed through the interest country's alliances."""
         c1 = self.interest_country
@@ -104,10 +100,6 @@ class Instance:
         if c1 in self.suppliers:
             arcs.update((c1, j) for j in self.plant_candidates if j in allies)
         return arcs
-
-    def distribution_arcs(self) -> list[tuple[str, str]]:
-        """All cross-country drug arcs (j, k), j != k."""
-        return [(j, k) for j in self.plant_candidates for k in self.countries if j != k]
 
     def ally_distribution_arcs(self) -> set[tuple[str, str]]:
         """Drug arcs routed through the interest country's alliances."""

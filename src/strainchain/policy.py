@@ -72,14 +72,8 @@ def _country_fractions(arm: ArmResult) -> dict:
     return {row["country"]: row["shortage_fraction"] for row in rows}
 
 
-def _arm(
-    name: str,
-    instance: Instance,
-    config: SaaConfig,
-    changes: dict,
-    threads: int,
-) -> ArmResult:
-    report = run_saa(instance, config, threads=threads)
+def _arm(name: str, instance: Instance, config: SaaConfig, changes: dict) -> ArmResult:
+    report = run_saa(instance, config)
     return ArmResult(
         name=name,
         changes=changes,
@@ -92,9 +86,7 @@ def _arm(
     )
 
 
-def run_export_ban_cases(
-    instance: Instance, saa_template: SaaConfig, threads: int = 1
-) -> StudyResult:
+def run_export_ban_cases(instance: Instance, saa_template: SaaConfig) -> StudyResult:
     """Risk levels 0..3 plus the two plans optimized as if bans never happen."""
     none = RiskOverrides(force_export_prob_one=True)
     base = RiskOverrides()
@@ -111,15 +103,8 @@ def run_export_ban_cases(
     arms = []
     for name, opt, ev in cases:
         cfg = replace(saa_template, optimize_overrides=opt, evaluate_overrides=ev)
-        arms.append(
-            _arm(
-                name,
-                instance,
-                cfg,
-                {"optimize_overrides": opt.describe(), "evaluate_overrides": ev.describe()},
-                threads,
-            )
-        )
+        changes = {"optimize_overrides": opt.describe(), "evaluate_overrides": ev.describe()}
+        arms.append(_arm(name, instance, cfg, changes))
     comparison = {
         arm.name: {
             "open_plants": list(arm.report.incumbent.open_plants()),
@@ -131,9 +116,7 @@ def run_export_ban_cases(
     return StudyResult(kind="export_ban_cases", arms=arms, comparison=comparison)
 
 
-def run_alliances_off(
-    instance: Instance, saa_template: SaaConfig, threads: int = 1
-) -> StudyResult:
+def run_alliances_off(instance: Instance, saa_template: SaaConfig) -> StudyResult:
     """Same instance with and without the ally second chance on export bans."""
     def with_flag(ov: RiskOverrides) -> RiskOverrides:
         return replace(ov, alliances_off=True)
@@ -144,8 +127,8 @@ def run_alliances_off(
         optimize_overrides=with_flag(saa_template.optimize_overrides),
         evaluate_overrides=with_flag(saa_template.evaluate_overrides),
     )
-    arm_on = _arm("alliances_on", instance, on_cfg, {"alliances_off": False}, threads)
-    arm_off = _arm("alliances_off", instance, off_cfg, {"alliances_off": True}, threads)
+    arm_on = _arm("alliances_on", instance, on_cfg, {"alliances_off": False})
+    arm_off = _arm("alliances_off", instance, off_cfg, {"alliances_off": True})
 
     frac_on, frac_off = _country_fractions(arm_on), _country_fractions(arm_off)
     deltas_ppt = {
@@ -178,12 +161,10 @@ def apply_pricing_scheme(instance: Instance, scheme: str) -> Instance:
     return instance.perturbed(shortage_price=prices)
 
 
-def run_pricing(
-    instance: Instance, saa_template: SaaConfig, scheme: str, threads: int = 1
-) -> StudyResult:
+def run_pricing(instance: Instance, saa_template: SaaConfig, scheme: str) -> StudyResult:
     lifted = apply_pricing_scheme(instance, scheme)
-    arm_base = _arm("base_prices", instance, saa_template, {"scheme": None}, threads)
-    arm_new = _arm(scheme, lifted, saa_template, {"scheme": scheme}, threads)
+    arm_base = _arm("base_prices", instance, saa_template, {"scheme": None})
+    arm_new = _arm(scheme, lifted, saa_template, {"scheme": scheme})
     comparison = {
         "eval_objective_delta": arm_new.report.eval_objective - arm_base.report.eval_objective,
         "shortage_by_income_base": arm_base.shortage_by_income,
@@ -208,7 +189,7 @@ def apply_backshoring_quality(instance: Instance, quality: str) -> Instance:
 
 
 def run_backshoring(
-    instance: Instance, saa_template: SaaConfig, quality: str = "base", threads: int = 1
+    instance: Instance, saa_template: SaaConfig, quality: str = "base"
 ) -> StudyResult:
     c1 = instance.interest_country
     if c1 not in instance.plant_candidates:
@@ -217,13 +198,9 @@ def run_backshoring(
     forced_cfg = replace(
         saa_template, forced_open={**saa_template.forced_open, c1: 1}
     )
-    arm_free = _arm("unforced", instance, saa_template, {"forced": None}, threads)
+    arm_free = _arm("unforced", instance, saa_template, {"forced": None})
     arm_forced = _arm(
-        "forced_home_plant",
-        shore_instance,
-        forced_cfg,
-        {"forced": {c1: 1}, "quality": quality},
-        threads,
+        "forced_home_plant", shore_instance, forced_cfg, {"forced": {c1: 1}, "quality": quality}
     )
 
     ev = arm_forced.report.evaluation
@@ -262,17 +239,11 @@ def apply_sensitivity_variant(instance: Instance, variant: str, pairs=()) -> Ins
 
 
 def run_sensitivity(
-    instance: Instance,
-    saa_template: SaaConfig,
-    variant: str,
-    pairs=(),
-    threads: int = 1,
+    instance: Instance, saa_template: SaaConfig, variant: str, pairs=()
 ) -> StudyResult:
     perturbed = apply_sensitivity_variant(instance, variant, pairs)
-    arm_base = _arm("base", instance, saa_template, {"variant": None}, threads)
-    arm_new = _arm(
-        variant, perturbed, saa_template, {"variant": variant, "pairs": list(pairs)}, threads
-    )
+    arm_base = _arm("base", instance, saa_template, {"variant": None})
+    arm_new = _arm(variant, perturbed, saa_template, {"variant": variant, "pairs": list(pairs)})
     comparison = {
         "eval_objective_delta": arm_new.report.eval_objective - arm_base.report.eval_objective,
         "design_changed": arm_base.report.incumbent.open != arm_new.report.incumbent.open,
@@ -281,17 +252,15 @@ def run_sensitivity(
                        arms=[arm_base, arm_new], comparison=comparison)
 
 
-def run_study(
-    instance: Instance, spec: StudySpec, saa_template: SaaConfig, threads: int = 1
-) -> StudyResult:
+def run_study(instance: Instance, spec: StudySpec, saa_template: SaaConfig) -> StudyResult:
     spec = spec.validated()
     if spec.kind == "export_ban_cases":
-        return run_export_ban_cases(instance, saa_template, threads)
+        return run_export_ban_cases(instance, saa_template)
     if spec.kind == "alliances_off":
-        return run_alliances_off(instance, saa_template, threads)
+        return run_alliances_off(instance, saa_template)
     if spec.kind == "pricing":
-        return run_pricing(instance, saa_template, spec.scheme, threads)
+        return run_pricing(instance, saa_template, spec.scheme)
     if spec.kind == "backshoring":
-        return run_backshoring(instance, saa_template, spec.quality, threads)
+        return run_backshoring(instance, saa_template, spec.quality)
     variant = "transport_x2" if spec.kind == "transport_sensitivity" else "rho_swap"
-    return run_sensitivity(instance, saa_template, variant, spec.pairs, threads)
+    return run_sensitivity(instance, saa_template, variant, spec.pairs)

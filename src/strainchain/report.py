@@ -4,13 +4,15 @@ The one home of the shortage tables and of artifact writing: `country_rows`
 and `income_rows` feed both shortage CSVs, the study arms and the policy
 comparisons; `write_json` writes every JSON artifact (refusing non-finite
 numbers), and every writer here creates its directory and reports an
-unwritable path as a ValidationError naming it; `check_writable_dir` lets
-a command find an unusable output directory before it solves anything.
+unwritable path as a ValidationError naming it; `check_writable_dir` and
+`check_writable_file` let a command find an unusable output path before it
+solves anything, and `load_artifact` reports a missing, unparsable or
+incomplete report.json the same way.
 
-report.json is byte-identical for identical configs (thread counts and
-wall-clock timings never enter it; timings go to a separate sidecar). CSVs
-are RFC-4180 (csv module defaults), UTF-8, '.' decimals, with canonical
-country ordering so reruns produce identical bytes.
+report.json is byte-identical for identical configs (wall-clock timings
+never enter it; they go to a separate sidecar). CSVs are RFC-4180 (csv
+module defaults), UTF-8, '.' decimals, with canonical country ordering so
+reruns produce identical bytes.
 """
 
 from __future__ import annotations
@@ -229,7 +231,7 @@ def artifact_to_dict(artifact: RunArtifact) -> dict:
 
 def artifact_from_dict(d: dict) -> RunArtifact:
     return RunArtifact(
-        config_echo=d["config"],
+        config_echo=dict(d["config"]),
         saa=saa_report_from_dict(d["saa"]),
         per_country=d["per_country"],
         flows=d["flows"],
@@ -238,8 +240,18 @@ def artifact_from_dict(d: dict) -> RunArtifact:
 
 
 def load_artifact(path) -> RunArtifact:
-    with Path(path).open(encoding="utf-8") as fh:
-        return artifact_from_dict(json.load(fh))
+    path = Path(path)
+    try:
+        with path.open(encoding="utf-8") as fh:
+            return artifact_from_dict(json.load(fh))
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValidationError(
+            f"run report parse error in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"run report {path} is incomplete or malformed: {exc!r}") from exc
 
 
 def _assert_finite(node, where: str) -> None:
@@ -282,6 +294,23 @@ def check_writable_dir(out_dir) -> None:
             pass
     except OSError as exc:
         raise ValidationError(f"cannot write {out}: {exc}") from exc
+
+
+def check_writable_file(path) -> None:
+    """Create `path`'s directory and open `path` for appending; an OSError names the path.
+
+    A file the probe created is removed again, and an existing one keeps its bytes.
+    """
+    path = Path(path)
+    try:
+        existed = path.exists()
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with path.open("a", encoding="utf-8"):
+            pass
+        if not existed:
+            path.unlink()
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
 def write_json(path, payload) -> None:

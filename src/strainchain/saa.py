@@ -1,17 +1,16 @@
 """Replicated sampling driver: statistical bounds around the sampled optimum.
 
-Each pass runs M independent replications (optionally in parallel threads),
-solves each replication's sampled problem exactly with the decomposition
-loop, evaluates every candidate design on one shared evaluation batch
-(common random numbers), and forms a confidence lower bound from the
-replication objectives and an upper bound at the chosen design. Passes
-repeat with fresh counter-derived seeds until the statistical gap closes or
-the pass cap is hit.
+Each pass runs M independent replications one after another, solves each
+replication's sampled problem exactly with the decomposition loop,
+evaluates every candidate design on one shared evaluation batch (common
+random numbers), and forms a confidence lower bound from the replication
+objectives and an upper bound at the chosen design. Passes repeat with
+fresh counter-derived seeds until the statistical gap closes or the pass
+cap is hit.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import math
@@ -251,25 +250,16 @@ def _run_replication(instance, config, solver, pass_idx, m):
     return result.objective, result.design
 
 
-def run_saa(instance: Instance, config: SaaConfig, threads: int = 1) -> SaaReport:
+def run_saa(instance: Instance, config: SaaConfig) -> SaaReport:
     config = config.validated()
     solver = RecourseSolver(instance)
     m_reps = config.replications
 
     last = None
     for pass_idx in range(config.max_passes):
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                futures = [
-                    pool.submit(_run_replication, instance, config, solver, pass_idx, m)
-                    for m in range(m_reps)
-                ]
-                outcomes = [f.result() for f in futures]
-        else:
-            outcomes = [
-                _run_replication(instance, config, solver, pass_idx, m)
-                for m in range(m_reps)
-            ]
+        outcomes = [
+            _run_replication(instance, config, solver, pass_idx, m) for m in range(m_reps)
+        ]
         objectives = [z for z, _ in outcomes]
         designs = [d for _, d in outcomes]
 

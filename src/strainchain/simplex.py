@@ -71,11 +71,10 @@ def solve_bounded_lp(
     c: np.ndarray,
     upper: np.ndarray,
     basis: np.ndarray,
-    at_upper: np.ndarray | None = None,
     max_iterations: int | None = None,
     basis_inverse: np.ndarray | None = None,
 ) -> LpSolution:
-    """Optimal vertex from a feasible starting basis.
+    """Optimal vertex from a feasible starting basis, every nonbasic column at 0.
 
     basis_inverse, when given, must equal inv(A[:, basis]); it is updated in
     place.
@@ -84,10 +83,7 @@ def solve_bounded_lp(
     basis = np.asarray(basis, dtype=np.intp).copy()
     if basis.shape != (m,):
         raise SimplexError("basis must list exactly one column per row")
-    at_upper = (
-        np.zeros(n, dtype=bool) if at_upper is None else np.asarray(at_upper, dtype=bool).copy()
-    )
-    at_upper[basis] = False  # and stays False on every basic column
+    at_upper = np.zeros(n, dtype=bool)  # every column starts at 0; False while basic
     finite_ub = np.isfinite(upper)
 
     if max_iterations is None:
@@ -104,7 +100,7 @@ def solve_bounded_lp(
     basis_pos = cand_pos[basis]  # -1 for a basic column that can never enter
     # a candidate's violation is its reduced cost times its direction: -1 at
     # lower (wants rc < 0), +1 at upper (wants rc > 0), 0 in the basis
-    direction = np.where(at_upper[cand], 1.0, -1.0)
+    direction = np.full(cand.size, -1.0)
     direction[basis_pos[basis_pos >= 0]] = 0.0
     no_step = np.full(m, np.inf)
 

@@ -1,4 +1,5 @@
 import json
+import threading
 
 import pytest
 
@@ -325,11 +326,13 @@ def test_solver_failures_exit_two(workdir):
     config["saa"]["inner_gap_tolerance"] = 1e-15
     strict = tmp / "strict.json"
     strict.write_text(json.dumps(config), encoding="utf-8")
+    dump = tmp / "fail_run" / "scenarios.csv"
     rc = cli_main(
         ["solve", "--instance", str(instance_path), "--config", str(strict),
-         "--out", str(tmp / "fail_run")]
+         "--out", str(tmp / "fail_run"), "--dump-scenarios", str(dump)]
     )
     assert rc == 2
+    assert not dump.exists()  # the early writability probe leaves no file behind
 
 
 def test_seed_flag_overrides_config(workdir):
@@ -501,15 +504,60 @@ def test_unusable_out_exits_one_naming_the_path(workdir, monkeypatch, capsys, co
     assert occupied.read_text(encoding="utf-8") == "a file, not a directory\n"
 
 
+@pytest.mark.parametrize("target", ["under_a_file", "a_directory"])
 @pytest.mark.parametrize("command", ["solve", "evaluate"])
-def test_unwritable_scenario_dump_exits_one_naming_the_path(workdir, capsys, command):
+def test_unwritable_scenario_dump_exits_one_naming_the_path(
+    workdir, monkeypatch, capsys, command, target
+):
     tmp, instance_path, config_path = workdir
-    occupied = tmp / "occupied"
-    occupied.write_text("a file, not a directory\n", encoding="utf-8")
-    dump = occupied / "scenarios.csv"
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the command solved before checking --dump-scenarios")
+
+    for name in ("run_saa", "evaluate_design"):
+        monkeypatch.setattr(f"strainchain.cli.{name}", no_run)
+    if target == "under_a_file":
+        occupied = tmp / "occupied"
+        occupied.write_text("a file, not a directory\n", encoding="utf-8")
+        dump = occupied / "scenarios.csv"
+    else:
+        dump = tmp / "a_directory"
+        dump.mkdir()
     args = [command, "--instance", str(instance_path), "--config", str(config_path),
             "--out", str(tmp / f"{command}_dump"), "--dump-scenarios", str(dump)]
     if command == "evaluate":
         args += ["--design", json.dumps({"k0": 1})]
     assert cli_main(args) == 1
     assert str(dump) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "study"])
+def test_many_threads_start_no_thread(workdir, monkeypatch, command):
+    tmp, instance_path, config_path = workdir
+
+    def no_start(self):
+        raise AssertionError(f"a thread was started: {self!r}")
+
+    monkeypatch.setattr(threading.Thread, "start", no_start)
+    rc = cli_main([command, "--instance", str(instance_path), "--config", str(config_path),
+                   "--out", str(tmp / f"{command}_serial"), "--threads", "8"])
+    assert rc == 0
+
+
+@pytest.mark.parametrize("content", [None, '{"config": ', "{}", "config_not_an_object"])
+def test_verify_on_a_bad_report_exits_one_naming_it(workdir, capsys, content):
+    tmp, instance_path, config_path = workdir
+    run = tmp / "run"
+    report = run / "report.json"
+    if content == "config_not_an_object":
+        assert cli_main(["solve", "--instance", str(instance_path), "--config",
+                         str(config_path), "--out", str(run)]) == 0
+        payload = json.loads(report.read_text(encoding="utf-8"))
+        payload["config"] = ["x"]
+        content = json.dumps(payload)
+    run.mkdir(exist_ok=True)
+    if content is not None:
+        report.write_text(content, encoding="utf-8")
+    assert cli_main(["verify", "--run", str(run)]) == 1
+    assert str(report) in capsys.readouterr().err
+    assert not (run / "verify.json").exists()

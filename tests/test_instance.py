@@ -98,8 +98,8 @@ def test_ally_arcs_match_hand_enumeration():
 def test_derived_arc_sets_nest_and_avoid_self_loops():
     for seed in range(20):
         inst = generate_synthetic_instance(3, 4, 8, seed=seed)
-        R = set(inst.supply_arcs())
-        P = set(inst.distribution_arcs())
+        R = {(i, j) for i in inst.suppliers for j in inst.plant_candidates if i != j}
+        P = {(j, k) for j in inst.plant_candidates for k in inst.countries if j != k}
         assert inst.ally_supply_arcs() <= R
         assert inst.ally_distribution_arcs() <= P
         assert all(a != b for a, b in R | P)

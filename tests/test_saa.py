@@ -118,18 +118,6 @@ def test_misspecified_overrides_are_flagged():
     assert not base.overrides_differ
 
 
-def test_reports_identical_across_thread_counts():
-    inst = small_random_instance(seed=82, n_countries=4)
-    cfg = SaaConfig(
-        replications=4,
-        optimization_scenarios=6,
-        evaluation_scenarios=20,
-        base_seed=3,
-        outer_gap_tolerance=10.0,
-    )
-    assert run_saa(inst, cfg, threads=1) == run_saa(inst, cfg, threads=8)
-
-
 def test_pass_cap_reports_unresolved_gap():
     inst = small_random_instance(seed=83, n_countries=4)
     cfg = SaaConfig(
