@@ -50,6 +50,7 @@ from .saa import (
     CostBreakdown,
     DesignEvaluation,
     SaaConfig,
+    SaaMemo,
     SaaReport,
     confidence_bounds,
     evaluate_design,
@@ -83,6 +84,7 @@ __all__ = [
     "RiskOverrides",
     "RunArtifact",
     "SaaConfig",
+    "SaaMemo",
     "SaaReport",
     "Scenario",
     "StudyResult",

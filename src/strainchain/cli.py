@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from .generator import RISK_PROFILES, generate_synthetic_instance
@@ -305,12 +305,24 @@ def _cmd_study(args) -> int:
 
 def _cmd_verify(args) -> int:
     run_dir = Path(args.run)
-    artifact = load_artifact(run_dir / "report.json")
+    report_path = run_dir / "report.json"
+    artifact = load_artifact(report_path)
+    # a field the echo lacks would take its default, and verify would check
+    # scenarios the run never used
+    saa_echo = artifact.config_echo.get("saa")
+    if not isinstance(saa_echo, dict):
+        raise ValidationError(f"run report {report_path} does not record its saa config")
+    missing = sorted({f.name for f in fields(SaaConfig)} - set(saa_echo))
+    if missing:
+        raise ValidationError(f"run report {report_path}: saa config lacks {missing}")
+    try:
+        cfg = saa_config_from_dict(saa_echo)
+    except ValidationError as exc:
+        raise ValidationError(f"run report {report_path}: {exc}") from exc
     instance_path = args.instance or artifact.config_echo.get("instance")
     if not instance_path:
         raise ValidationError("run config does not record the instance path; pass --instance")
     inst = load_instance(instance_path)
-    cfg = saa_config_from_dict(artifact.config_echo.get("saa", {}))
     design = Design(open=dict(artifact.saa.incumbent.open))
     validate_design(inst, design)
 

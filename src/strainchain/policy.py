@@ -6,6 +6,15 @@ copies, and return per-arm reports plus the comparisons the experiment is
 about. Shortage fractions (from report's `country_rows`/`income_rows`, as
 in the CSVs) are reported both demand-weighted and country-averaged per
 income class since either aggregation is defensible.
+
+The six arms of the export-ban study share one `SaaMemo`: cases 4 and 5
+optimize exactly as case 0 does and so read its replications back, and an
+evaluation that another case already made on the same batch is read back
+too. The memo is keyed by every input of the shared computation, so each
+report equals the one a lone `run_saa` would give; arms may hold the same
+design and evaluation objects, which are read-only. The two arms of every
+other study have no work in common (one runs on a perturbed instance copy,
+or their overrides differ), so they run without a memo.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 from .instance import Instance, ValidationError
 from .report import country_rows, shortage_by_income
-from .saa import SaaConfig, SaaReport, run_saa
+from .saa import SaaConfig, SaaMemo, SaaReport, run_saa
 from .scenarios import RiskOverrides
 
 STUDY_KINDS = (
@@ -72,8 +81,10 @@ def _country_fractions(arm: ArmResult) -> dict:
     return {row["country"]: row["shortage_fraction"] for row in rows}
 
 
-def _arm(name: str, instance: Instance, config: SaaConfig, changes: dict) -> ArmResult:
-    report = run_saa(instance, config)
+def _arm(
+    name: str, instance: Instance, config: SaaConfig, changes: dict, memo: SaaMemo | None = None
+) -> ArmResult:
+    report = run_saa(instance, config, memo)
     return ArmResult(
         name=name,
         changes=changes,
@@ -88,6 +99,7 @@ def _arm(name: str, instance: Instance, config: SaaConfig, changes: dict) -> Arm
 
 def run_export_ban_cases(instance: Instance, saa_template: SaaConfig) -> StudyResult:
     """Risk levels 0..3 plus the two plans optimized as if bans never happen."""
+    memo = SaaMemo()  # cases 4 and 5 reuse case 0's replications
     none = RiskOverrides(force_export_prob_one=True)
     base = RiskOverrides()
     higher_threshold = RiskOverrides(ban_threshold=0.9)
@@ -104,7 +116,7 @@ def run_export_ban_cases(instance: Instance, saa_template: SaaConfig) -> StudyRe
     for name, opt, ev in cases:
         cfg = replace(saa_template, optimize_overrides=opt, evaluate_overrides=ev)
         changes = {"optimize_overrides": opt.describe(), "evaluate_overrides": ev.describe()}
-        arms.append(_arm(name, instance, cfg, changes))
+        arms.append(_arm(name, instance, cfg, changes, memo))
     comparison = {
         arm.name: {
             "open_plants": list(arm.report.incumbent.open_plants()),

@@ -7,6 +7,19 @@ random numbers), and forms a confidence lower bound from the replication
 objectives and an upper bound at the chosen design. Passes repeat with
 fresh counter-derived seeds until the statistical gap closes or the pass
 cap is hit.
+
+A `SaaMemo` lets the `run_saa` calls of one study share work. It holds
+replication outcomes (objective, design) and design evaluations, each under
+the same `Instance` object only and keyed by every input the computation
+reads: a replication by pass, replication index, base seed, N, optimize
+overrides, inner tolerance, forced plants and iteration cap; an evaluation
+by pass, base seed, N', evaluate overrides and the design. Sampling and the
+decomposition are deterministic functions of exactly those inputs, so a hit
+returns the very values a fresh computation would, and reports stay
+byte-identical. The misspecified export-ban arms, for example, optimize
+exactly as the no-risk arm does and so reuse its replications. A hit hands
+out the same `Design` and `DesignEvaluation` objects an earlier report
+holds, so reports made on one memo must be treated as read-only.
 """
 
 from __future__ import annotations
@@ -232,6 +245,45 @@ def evaluation_batch(instance: Instance, config: SaaConfig, pass_idx: int) -> li
     )
 
 
+class SaaMemo:
+    """Replication outcomes and design evaluations shared across run_saa calls.
+
+    Reports made on one memo share these objects; treat them as read-only.
+    """
+
+    def __init__(self):
+        # id(instance) -> (instance, replications, evaluations); holding the
+        # instance keeps its id from being reused while the memo lives
+        self._tables: dict = {}
+
+    def tables(self, instance: Instance) -> tuple[dict, dict]:
+        _, replications, evaluations = self._tables.setdefault(id(instance), (instance, {}, {}))
+        return replications, evaluations
+
+
+def _replication_key(config: SaaConfig, pass_idx: int, m: int) -> tuple:
+    return (
+        pass_idx,
+        m,
+        config.base_seed,
+        config.optimization_scenarios,
+        config.optimize_overrides,
+        config.inner_gap_tolerance,
+        tuple(sorted(config.forced_open.items())),
+        config.max_iterations,
+    )
+
+
+def _evaluation_key(config: SaaConfig, pass_idx: int, design: Design) -> tuple:
+    return (
+        pass_idx,
+        config.base_seed,
+        config.evaluation_scenarios,
+        config.evaluate_overrides,
+        design.key(),
+    )
+
+
 def _run_replication(instance, config, solver, pass_idx, m):
     scens = sample_batch(
         instance,
@@ -250,27 +302,33 @@ def _run_replication(instance, config, solver, pass_idx, m):
     return result.objective, result.design
 
 
-def run_saa(instance: Instance, config: SaaConfig) -> SaaReport:
+def run_saa(instance: Instance, config: SaaConfig, memo: SaaMemo | None = None) -> SaaReport:
+    """Sampled optimization with bounds; `memo` shares work with earlier calls."""
     config = config.validated()
     solver = RecourseSolver(instance)
+    replications, evaluations = (memo or SaaMemo()).tables(instance)
     m_reps = config.replications
 
     last = None
     for pass_idx in range(config.max_passes):
-        outcomes = [
-            _run_replication(instance, config, solver, pass_idx, m) for m in range(m_reps)
-        ]
+        outcomes = []
+        for m in range(m_reps):
+            key = _replication_key(config, pass_idx, m)
+            if key not in replications:
+                replications[key] = _run_replication(instance, config, solver, pass_idx, m)
+            outcomes.append(replications[key])
         objectives = [z for z, _ in outcomes]
         designs = [d for _, d in outcomes]
 
-        eval_batch = evaluation_batch(instance, config, pass_idx)
-        evals: dict = {}
-        for d in designs:
-            if d.key() not in evals:
-                evals[d.key()] = evaluate_design(instance, d, eval_batch, solver)
-        best_m = min(range(m_reps), key=lambda m: evals[designs[m].key()].mean_objective)
+        keys = [_evaluation_key(config, pass_idx, d) for d in designs]
+        missing = {k: d for k, d in zip(keys, designs) if k not in evaluations}
+        if missing:
+            eval_batch = evaluation_batch(instance, config, pass_idx)
+            for k, d in missing.items():
+                evaluations[k] = evaluate_design(instance, d, eval_batch, solver)
+        best_m = min(range(m_reps), key=lambda m: evaluations[keys[m]].mean_objective)
         incumbent = designs[best_m]
-        chosen = evals[incumbent.key()]
+        chosen = evaluations[keys[best_m]]
 
         lower, upper = confidence_bounds(
             objectives, config.alpha, chosen.mean_objective, chosen.std_error

@@ -6,7 +6,9 @@ and hands it to scipy's HiGHS, completely bypassing the package's LP path.
 The dict-keyed retained-export, cut-term and evaluation loops are the
 references the package's array formulas must reproduce exactly; so are the
 former single-cut enumeration master, the full-pricing simplex and the
-evaluate command's per-country CSV writer below. Dict-keyed cuts
+evaluate command's per-country CSV writer below. `count_calls` counts
+the calls made through one module binding, to show what a memo saved.
+Dict-keyed cuts
 (`OptimalityCut`) and the one-call solve and cut-term wrappers live here
 too: the package keeps cuts in array pools and never needs them.
 """
@@ -755,3 +757,16 @@ def reference_country_csv(path, inst: Instance, design: Design, evaluation) -> N
                     repr(short / dem if dem > 0 else 0.0),
                 ]
             )
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Wrap `module.name` for the test; the returned list gets one entry per call."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls

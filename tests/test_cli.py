@@ -561,3 +561,27 @@ def test_verify_on_a_bad_report_exits_one_naming_it(workdir, capsys, content):
     assert cli_main(["verify", "--run", str(run)]) == 1
     assert str(report) in capsys.readouterr().err
     assert not (run / "verify.json").exists()
+
+
+@pytest.mark.parametrize("change", ["missing", "not_an_object", "missing_field", "bad_value"])
+def test_verify_without_the_full_saa_echo_exits_one_naming_the_report(workdir, capsys, change):
+    tmp, instance_path, config_path = workdir
+    run = tmp / "run"
+    report = run / "report.json"
+    assert cli_main(["solve", "--instance", str(instance_path), "--config", str(config_path),
+                     "--out", str(run)]) == 0
+    payload = json.loads(report.read_text(encoding="utf-8"))
+    echo = payload["config"]
+    if change == "missing":
+        del echo["saa"]
+    elif change == "not_an_object":
+        echo["saa"] = 300
+    elif change == "missing_field":
+        del echo["saa"]["evaluation_scenarios"]
+    else:
+        echo["saa"]["alpha"] = 0.9
+    report.write_text(json.dumps(payload), encoding="utf-8")
+    capsys.readouterr()
+    assert cli_main(["verify", "--run", str(run)]) == 1
+    assert str(report) in capsys.readouterr().err
+    assert not (run / "verify.json").exists()

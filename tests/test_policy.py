@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from strainchain import (
@@ -9,9 +11,11 @@ from strainchain import (
     run_backshoring,
     run_export_ban_cases,
     run_pricing,
+    run_saa,
     run_sensitivity,
     run_study,
 )
+from strainchain import saa
 from strainchain.policy import (
     apply_backshoring_quality,
     apply_pricing_scheme,
@@ -20,7 +24,7 @@ from strainchain.policy import (
 from strainchain.report import country_rows, shortage_by_income
 from strainchain.scenarios import _effective_export_prob
 
-from helpers import small_random_instance, tiny_instance
+from helpers import count_calls, small_random_instance, tiny_instance
 
 FAST = SaaConfig(
     replications=2,
@@ -304,3 +308,39 @@ def test_income_fraction_aggregates_expose_both_conventions():
         assert set(row) == {"demand_weighted", "country_mean"}
         assert 0.0 <= row["demand_weighted"] <= 1.0 + 1e-9
         assert 0.0 <= row["country_mean"] <= 1.0 + 1e-9
+
+
+# -- work shared between arms ----------------------------------------------------
+
+def test_misspecified_arms_reuse_case_zero_and_evaluate_each_design_once(monkeypatch):
+    inst = small_random_instance(seed=93, n_countries=4)
+    decompositions = count_calls(monkeypatch, saa, "run_lshaped")
+    evaluations = count_calls(monkeypatch, saa, "evaluate_design")
+    result = run_export_ban_cases(inst, FAST)
+    assert all(arm.report.passes == 1 for arm in result.arms)
+    # four distinct optimize overrides: cases 4 and 5 optimize as case 0 does
+    assert len(decompositions) == 4 * FAST.replications
+    distinct = {
+        (arm.config.evaluate_overrides, d.key())
+        for arm in result.arms
+        for d in arm.report.candidate_designs
+    }
+    assert len(evaluations) == len(distinct)
+
+
+def test_a_misspecified_arm_solves_the_pass_case_zero_never_ran(monkeypatch):
+    inst = small_random_instance(seed=94, n_countries=4)
+    cfg = replace(FAST, max_passes=2, outer_gap_tolerance=4.0)
+    decompositions = count_calls(monkeypatch, saa, "run_lshaped")
+    result = run_export_ban_cases(inst, cfg)
+    by_name = {arm.name: arm for arm in result.arms}
+    assert by_name["case0_no_risk"].report.passes == 1
+    assert by_name["case4_misspecified_low"].report.passes == 2
+    passes = {}
+    for arm in result.arms:
+        opt = arm.config.optimize_overrides
+        passes[opt] = max(passes.get(opt, 0), arm.report.passes)
+    assert len(decompositions) == cfg.replications * sum(passes.values())
+    monkeypatch.undo()
+    for arm in result.arms:
+        assert arm.report == run_saa(arm.instance, arm.config), arm.name

@@ -8,15 +8,25 @@ from strainchain import (
     RecourseSolver,
     RiskOverrides,
     SaaConfig,
+    SaaMemo,
     ValidationError,
     confidence_bounds,
     evaluate_design,
+    run_lshaped,
     run_saa,
     sample_batch,
 )
+from strainchain import saa
+from strainchain.saa import ROLE_OPTIMIZE, evaluation_batch
 from strainchain.stats import critical_values
 
-from helpers import enumerate_designs, plain_scenario, small_random_instance, tiny_instance
+from helpers import (
+    count_calls,
+    enumerate_designs,
+    plain_scenario,
+    small_random_instance,
+    tiny_instance,
+)
 
 
 def test_config_domain_checks():
@@ -201,3 +211,98 @@ def test_bound_sandwich_on_an_enumeration_solvable_instance():
         if report.lower_bound <= z_star <= report.upper_bound:
             hits += 1
     assert hits >= trials - 2
+
+
+# -- the memo shared by the run_saa calls of one study --------------------------
+
+MEMO_CFG = SaaConfig(
+    replications=2,
+    optimization_scenarios=4,
+    evaluation_scenarios=12,
+    base_seed=17,
+    outer_gap_tolerance=100.0,
+    max_passes=1,
+)
+
+
+@pytest.mark.parametrize("pinned", [False, True])
+def test_each_pass_and_replication_solves_its_own_sample(pinned):
+    # an independent recomputation of the last pass, without run_saa or a memo;
+    # with every plant pinned open each pass evaluates the same design anew
+    inst = small_random_instance(seed=83, n_countries=4)
+    forced = {j: 1 for j in inst.plant_candidates} if pinned else {}
+    cfg = replace(
+        MEMO_CFG, replications=3, outer_gap_tolerance=1e-12, max_passes=2, forced_open=forced
+    )
+    report = run_saa(inst, cfg)
+    last = report.passes - 1
+    assert last == 1
+    samples = [
+        sample_batch(inst, (cfg.base_seed, last, ROLE_OPTIMIZE, m),
+                     cfg.optimization_scenarios, cfg.optimize_overrides)
+        for m in range(cfg.replications)
+    ]
+    expected = [
+        run_lshaped(inst, scens, epsilon=cfg.inner_gap_tolerance, forced=forced).objective
+        for scens in samples
+    ]
+    assert report.replication_objectives == expected
+    assert len(set(expected)) == cfg.replications
+    assert report.evaluation == evaluate_design(
+        inst, report.incumbent, evaluation_batch(inst, cfg, last)
+    )
+
+
+def test_a_repeated_config_reuses_everything_and_samples_nothing(monkeypatch):
+    inst = small_random_instance(seed=84, n_countries=4)
+    memo = SaaMemo()
+    first = run_saa(inst, MEMO_CFG, memo)
+    calls = [count_calls(monkeypatch, saa, name)
+             for name in ("run_lshaped", "evaluate_design", "sample_batch")]
+    assert run_saa(inst, MEMO_CFG, memo) == first
+    assert calls == [[], [], []]
+
+
+@pytest.mark.parametrize(
+    ("field", "value", "reads"),
+    [
+        ("base_seed", 18, {"replication", "evaluation"}),
+        ("optimization_scenarios", 5, {"replication"}),
+        ("evaluation_scenarios", 13, {"evaluation"}),
+        ("optimize_overrides", RiskOverrides(export_prob_scale=0.5), {"replication"}),
+        ("evaluate_overrides", RiskOverrides(export_prob_scale=0.5), {"evaluation"}),
+        ("inner_gap_tolerance", 1e-6, {"replication"}),
+        ("forced_open", {"k1": 1}, {"replication"}),
+        ("max_iterations", 400, {"replication"}),
+    ],
+)
+def test_configs_differing_in_a_key_field_do_not_share(monkeypatch, field, value, reads):
+    inst = small_random_instance(seed=84, n_countries=4)
+    memo = SaaMemo()
+    first = run_saa(inst, MEMO_CFG, memo)
+    other = replace(MEMO_CFG, **{field: value})
+    decompositions = count_calls(monkeypatch, saa, "run_lshaped")
+    evaluations = count_calls(monkeypatch, saa, "evaluate_design")
+    report = run_saa(inst, other, memo)
+
+    assert len(decompositions) == (other.replications if "replication" in reads else 0)
+    designs = {d.key() for d in report.candidate_designs}
+    if "evaluation" not in reads:
+        # an evaluation does not read this field, so known designs reuse theirs
+        designs -= {d.key() for d in first.candidate_designs}
+    assert len(evaluations) == len(designs)
+    monkeypatch.undo()
+    assert report == run_saa(inst, other)
+
+
+def test_an_equal_but_distinct_instance_shares_nothing(monkeypatch):
+    inst = small_random_instance(seed=84, n_countries=4)
+    memo = SaaMemo()
+    first = run_saa(inst, MEMO_CFG, memo)
+    copy = inst.perturbed()
+    assert copy == inst and copy is not inst
+    decompositions = count_calls(monkeypatch, saa, "run_lshaped")
+    evaluations = count_calls(monkeypatch, saa, "evaluate_design")
+    assert run_saa(copy, MEMO_CFG, memo) == first
+    assert len(decompositions) == MEMO_CFG.replications
+    assert len(evaluations) == len({d.key() for d in first.candidate_designs})
