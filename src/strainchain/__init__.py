@@ -39,7 +39,6 @@ from .policy import (
     run_study,
 )
 from .recourse import (
-    DualVector,
     RecourseError,
     RecourseSolution,
     RecourseSolver,
@@ -73,7 +72,6 @@ __all__ = [
     "Design",
     "DesignEvaluation",
     "DiscretePmf",
-    "DualVector",
     "Instance",
     "InstanceFormatError",
     "IterationLimitError",

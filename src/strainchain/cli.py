@@ -319,6 +319,12 @@ def _cmd_verify(args) -> int:
         cfg = saa_config_from_dict(saa_echo)
     except ValidationError as exc:
         raise ValidationError(f"run report {report_path}: {exc}") from exc
+    passes = artifact.saa.passes
+    if isinstance(passes, bool) or not isinstance(passes, int) or not 1 <= passes <= cfg.max_passes:
+        raise ValidationError(
+            f"run report {report_path}: saa.passes must be an integer in "
+            f"1..{cfg.max_passes}, got {passes!r}"
+        )
     instance_path = args.instance or artifact.config_echo.get("instance")
     if not instance_path:
         raise ValidationError("run config does not record the instance path; pass --instance")
@@ -326,7 +332,7 @@ def _cmd_verify(args) -> int:
     design = Design(open=dict(artifact.saa.incumbent.open))
     validate_design(inst, design)
 
-    batch = evaluation_batch(inst, cfg, artifact.saa.passes - 1)
+    batch = evaluation_batch(inst, cfg, passes - 1)
     solver = RecourseSolver(inst)
     violations = []
     for w, scen in enumerate(batch):

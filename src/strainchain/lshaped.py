@@ -105,25 +105,12 @@ class CutPool:
     def coefficients(self) -> np.ndarray:
         return self._coefficients[: self.rows]
 
-    def __len__(self) -> int:
-        """Appended rows, the floor not counted."""
-        return self.rows - 1
-
     def append(self, constants, coefficients) -> None:
         self._constants = _grown(self._constants, self.rows + 1)
         self._coefficients = _grown(self._coefficients, self.rows + 1)
         self._constants[self.rows] = constants
         self._coefficients[self.rows] = coefficients
         self.rows += 1
-
-    def __eq__(self, other) -> bool:
-        """Same rows; `LShapedResult` equality (run reproducibility) compares pools.
-        Appending mutates a pool, so it is unhashable."""
-        return (
-            isinstance(other, CutPool)
-            and np.array_equal(self.constants, other.constants)
-            and np.array_equal(self.coefficients, other.coefficients)
-        )
 
 
 def cut_groups(n_plants: int, n_scenarios: int) -> int:
@@ -143,7 +130,6 @@ class LShapedResult:
     iterations: int
     lb_trace: list = field(default_factory=list)
     ub_trace: list = field(default_factory=list)
-    cuts: CutPool | None = None
 
 
 class MasterState:
@@ -375,7 +361,6 @@ def run_lshaped(
                 iterations=iteration,
                 lb_trace=lb_trace,
                 ub_trace=ub_trace,
-                cuts=pool,
             )
         pool.append(constants, coefficients)
 

@@ -20,15 +20,14 @@ capacities) are built on its first solve and kept with the scenario. The
 start basis (slacks, the S2 or E column of each country by the sign of its
 right-hand side, and each plant's self-distribution column) has a 0/+-1
 inverse in closed form, so a solve starts pivoting without factorizing.
-Solutions keep flows and multipliers as arrays and cut terms come back as
-one coefficient array in plant order. Dicts keyed by country, plant or arc
-are built only where a report, a CSV, `verify` or a test reads them.
+Solutions hold flows and multipliers as arrays only, and cut terms come back
+as one coefficient array in plant order. Dicts keyed by country or arc are
+built only at the JSON/CSV boundary and by the structural diagnostics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -48,19 +47,6 @@ class RecourseError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class DualVector:
-    """A solution's multipliers keyed by supplier, plant, country or arc."""
-
-    supplier_capacity: dict   # supplier -> multiplier (<= 0)
-    supply_gate: dict          # (supplier, plant) cross arcs -> multiplier (<= 0)
-    plant_capacity: dict       # plant -> multiplier (<= 0)
-    distribution_gate: dict    # (plant, country) cross arcs -> multiplier (<= 0)
-    demand: dict               # country -> multiplier (free sign)
-    flow_balance: dict         # plant -> multiplier (free sign)
-    shortage_aux: dict         # country -> multiplier (>= 0)
-
-
-@dataclass(frozen=True)
 class ScenarioArrays:
     """A scenario's design-independent data in the solver's orders."""
 
@@ -76,11 +62,9 @@ class ScenarioArrays:
 
 @dataclass(frozen=True, eq=False)
 class RecourseSolution:
-    """One scenario solve; arrays follow the solver's orders.
-
-    The dict views (raw_flow, drug_flow, shortage, shortage_aux, excess,
-    duals) are built on first access.
-    """
+    """One scenario solve as arrays, each in the solver's order for its kind:
+    suppliers, plants or countries (`sup`, `pl`, `K`), or arcs (`u_arcs`,
+    `v_arcs`)."""
 
     solver: RecourseSolver = field(repr=False)
     design: Design                      # the first-stage decision this solve used
@@ -97,43 +81,6 @@ class RecourseSolution:
     pi_demand: np.ndarray               # demand rows (free sign)
     pi_balance: np.ndarray              # plant balance rows (free sign)
     pi_aux: np.ndarray                  # shielded-tranche bound per country (>= 0)
-
-    @cached_property
-    def raw_flow(self) -> dict:
-        return dict(zip(self.solver.u_arcs, self.raw.tolist()))
-
-    @cached_property
-    def drug_flow(self) -> dict:
-        return dict(zip(self.solver.v_arcs, self.drug.tolist()))
-
-    @cached_property
-    def shortage(self) -> dict:
-        return dict(zip(self.solver.K, self.unmet.tolist()))
-
-    @cached_property
-    def shortage_aux(self) -> dict:
-        return dict(zip(self.solver.K, self.escalated.tolist()))
-
-    @cached_property
-    def excess(self) -> dict:
-        return dict(zip(self.solver.K, self.surplus.tolist()))
-
-    @cached_property
-    def duals(self) -> DualVector:
-        s = self.solver
-
-        def cross(arcs, cross_mask, values):
-            return {a: v for a, c, v in zip(arcs, cross_mask, values.tolist()) if c}
-
-        return DualVector(
-            supplier_capacity=dict(zip(s.sup, self.pi_supplier.tolist())),
-            supply_gate=cross(s.u_arcs, s.u_cross, self.pi_supply_gate),
-            plant_capacity=dict(zip(s.pl, self.pi_plant.tolist())),
-            distribution_gate=cross(s.v_arcs, s.v_cross, self.pi_distribution_gate),
-            demand=dict(zip(s.K, self.pi_demand.tolist())),
-            flow_balance=dict(zip(s.pl, self.pi_balance.tolist())),
-            shortage_aux=dict(zip(s.K, self.pi_aux.tolist())),
-        )
 
 
 class RecourseSolver:
@@ -440,8 +387,12 @@ def check_structural_theorems(
     co = scenario.price_increase
     g, ga = scenario.ban_general, scenario.ban_ally
     d = scenario.demand
+    s = solution.solver
+    drug_flow = dict(zip(s.v_arcs, solution.drug.tolist()))
+    shortage = dict(zip(s.K, solution.unmet.tolist()))
+    excess = dict(zip(s.K, solution.surplus.tolist()))
     inflow = {
-        k: sum(solution.drug_flow[(j, k)] for j in instance.plant_candidates)
+        k: sum(drug_flow[(j, k)] for j in instance.plant_candidates)
         for k in instance.countries
     }
 
@@ -471,13 +422,13 @@ def check_structural_theorems(
         if not hit:
             continue
         scale = 1.0 + abs(d[k])
-        if solution.shortage[k] > tol * scale:
-            violations.append(f"covered-market: shortage {solution.shortage[k]!r} at {k}")
+        if shortage[k] > tol * scale:
+            violations.append(f"covered-market: shortage {shortage[k]!r} at {k}")
         if inflow[k] > tol * scale:
             violations.append(f"covered-market: inflow {inflow[k]!r} into {k}")
-        if expected_excess is not None and abs(solution.excess[k] - expected_excess) > tol * scale:
+        if expected_excess is not None and abs(excess[k] - expected_excess) > tol * scale:
             violations.append(
-                f"covered-market: excess {solution.excess[k]!r} at {k}, expected {expected_excess!r}"
+                f"covered-market: excess {excess[k]!r} at {k}, expected {expected_excess!r}"
             )
 
     def route_open(a: str, bnode: str, ally_arcs) -> bool:
@@ -488,7 +439,7 @@ def check_structural_theorems(
         return bool(g[a])
 
     # positive flows need open routes and a profitable supplier chain
-    for (j, k), flow in solution.drug_flow.items():
+    for (j, k), flow in drug_flow.items():
         if flow <= tol * (1.0 + d.get(k, 0.0)):
             continue
         if not route_open(j, k, ally_dist):
@@ -521,26 +472,26 @@ def check_structural_theorems(
             continue
         b_eff = instance.plant_capacity[j] * scenario.plant_avail[j]
         for k2 in instance.countries:
-            flow = solution.drug_flow[(j, k2)]
+            flow = drug_flow[(j, k2)]
             if flow <= tol * (1.0 + d[k2]):
                 continue
             # marginal relief at the currently served destination (upper estimate)
-            if solution.excess[k2] > tol * (1.0 + d[k2]):
+            if excess[k2] > tol * (1.0 + d[k2]):
                 out_rate = 0.0
             else:
-                bump2 = co if solution.shortage[k2] >= shield_cap(k2) - tol else 0.0
+                bump2 = co if shortage[k2] >= shield_cap(k2) - tol else 0.0
                 out_rate = price[k2] + bump2
             for k1 in instance.countries:
                 if k1 == k2:
                     continue
-                s1 = solution.shortage[k1]
+                s1 = shortage[k1]
                 if s1 <= tol * (1.0 + d[k1]):
                     continue
                 if not route_open(j, k1, ally_dist):
                     continue
                 if j != k1:
                     gate = ga[j] if (j, k1) in ally_dist else g[j]
-                    if solution.drug_flow[(j, k1)] >= b_eff * gate * design.open[j] - tol * (
+                    if drug_flow[(j, k1)] >= b_eff * gate * design.open[j] - tol * (
                         1.0 + b_eff
                     ):
                         continue  # arc already at capacity

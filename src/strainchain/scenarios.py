@@ -66,7 +66,7 @@ def validate_scenario(instance: Instance, scen: Scenario) -> None:
             raise ValueError(f"ally flag for {k!r} must be 1 when the general flag is 1")
     if scen.retained_exports < 0:
         raise ValueError("retained_exports negative")
-    expected = instance.beta * scen.retained_exports
+    expected = price_increase(instance, scen.retained_exports)
     if abs(scen.price_increase - expected) > PRICE_LINK_TOL * max(1.0, abs(expected)):
         raise ValueError("price_increase inconsistent with beta * retained_exports")
     avg = sum(scen.supplier_avail.values()) / len(instance.suppliers)
@@ -178,7 +178,7 @@ def sample_scenario(
         ban_general=ban_general,
         ban_ally=ban_ally,
         retained_exports=retained,
-        price_increase=instance.beta * retained,
+        price_increase=price_increase(instance, retained),
         probability=probability,
     )
 

@@ -56,12 +56,12 @@ def country_retained(instance: Instance, k: str, ban_general: dict, ban_ally: di
 
 
 def reference_cut_terms(instance: Instance, scenario: Scenario, solution) -> tuple[float, dict]:
-    """Cut terms from the dict views, one `+=` at a time.
+    """Cut terms from the solution's arrays read by position, one `+=` at a time.
 
     The sums are explicit loops because `sum()` of floats is compensated
     from Python 3.12 on and would round differently.
     """
-    duals = solution.duals
+    s = solution.solver
     a_sup = {
         i: instance.supplier_capacity[i] * scenario.supplier_avail[i]
         for i in instance.suppliers
@@ -72,37 +72,45 @@ def reference_cut_terms(instance: Instance, scenario: Scenario, solution) -> tup
     }
     ally_raw = instance.ally_supply_arcs()
     ally_dist = instance.ally_distribution_arcs()
+    pi_supplier = solution.pi_supplier.tolist()
+    pi_demand = solution.pi_demand.tolist()
+    pi_plant = solution.pi_plant.tolist()
+    pi_aux = solution.pi_aux.tolist()
 
     constant = 0.0
     for i in instance.suppliers:
-        constant += duals.supplier_capacity[i] * a_sup[i]
+        constant += pi_supplier[s.sup.index(i)] * a_sup[i]
     for k in instance.countries:
         rhs = scenario.demand[k] - country_retained(
             instance, k, scenario.ban_general, scenario.ban_ally
         )
-        constant += duals.demand[k] * rhs
+        constant += pi_demand[s.kpos[k]] * rhs
 
     coeff = {j: 0.0 for j in instance.plant_candidates}
-    for (i, j), pi in duals.supply_gate.items():
+    for (i, j), pi in zip(s.u_arcs, solution.pi_supply_gate.tolist()):
+        if i == j:
+            continue  # a self arc has no gate
         gate_val = (
             scenario.ban_ally[i] if (i, j) in ally_raw else scenario.ban_general[i]
         )
         coeff[j] += pi * a_sup[i] * gate_val
     for j in instance.plant_candidates:
-        coeff[j] += duals.plant_capacity[j] * b_pl[j]
-    for (j, k), pi in duals.distribution_gate.items():
+        coeff[j] += pi_plant[s.pl.index(j)] * b_pl[j]
+    for (j, k), pi in zip(s.v_arcs, solution.pi_distribution_gate.tolist()):
+        if j == k:
+            continue
         gate_val = (
             scenario.ban_ally[j] if (j, k) in ally_dist else scenario.ban_general[j]
         )
         coeff[j] += pi * b_pl[j] * gate_val
     for j in instance.plant_candidates:
         shield = scenario.demand[j] * (1 - scenario.ban_general[j])
-        coeff[j] += duals.shortage_aux[j] * (-shield)
+        coeff[j] += pi_aux[s.kpos[j]] * (-shield)
     return constant, coeff
 
 
 def reference_evaluation(instance: Instance, design: Design, scenarios, solver) -> DesignEvaluation:
-    """evaluate_design as a loop over the dict views, scenario by scenario."""
+    """evaluate_design as a loop over the solutions' arrays, scenario by scenario."""
     n = len(scenarios)
     fixed = sum(instance.fixed_cost[j] * design.open[j] for j in instance.plant_candidates)
     samples = []
@@ -114,15 +122,17 @@ def reference_evaluation(instance: Instance, design: Design, scenarios, solver) 
     for scen in scenarios:
         sol = solver.solve(design, scen)
         samples.append(fixed + sol.objective)
+        unmet, escalated = sol.unmet.tolist(), sol.escalated.tolist()
         for k in instance.countries:
-            shortage[k] += sol.shortage[k] / n
+            short = unmet[solver.kpos[k]]
+            shortage[k] += short / n
             demand[k] += scen.demand[k] / n
-            base_short += instance.shortage_price[k] * sol.shortage[k] / n
-            esc_short += scen.price_increase * sol.shortage_aux[k] / n
-        for (i, j), v in sol.raw_flow.items():
+            base_short += instance.shortage_price[k] * short / n
+            esc_short += scen.price_increase * escalated[solver.kpos[k]] / n
+        for (i, j), v in zip(solver.u_arcs, sol.raw.tolist()):
             raw_flow[(i, j)] += v / n
             raw_cost += (instance.raw_cost[i] + instance.transport1[(i, j)]) * v / n
-        for (j, k), v in sol.drug_flow.items():
+        for (j, k), v in zip(solver.v_arcs, sol.drug.tolist()):
             drug_flow[(j, k)] += v / n
             outbound_cost += (instance.production_cost[j] + instance.transport2[(j, k)]) * v / n
             sales += v / n

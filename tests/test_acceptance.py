@@ -143,11 +143,12 @@ def _classify_rows(inst, sol, tol=1e-7):
     c1 = inst.interest_country
     allies = set(inst.allies)
     rows = set()
-    for (j, k), v in sol.drug_flow.items():
+    u_arcs = sol.solver.u_arcs
+    for (j, k), v in zip(sol.solver.v_arcs, sol.drug.tolist()):
         if v <= tol:
             continue
         for i in inst.suppliers:
-            if sol.raw_flow[(i, j)] <= tol:
+            if sol.raw[u_arcs.index((i, j))] <= tol:
                 continue
             if j in allies:
                 rows.add((
@@ -213,14 +214,14 @@ def test_criterion_4_theorem_sweep_covers_every_case_row():
     # non-ally c fully banned with combined exports >= demand
     scen = plain_scenario(inst, g={"a": 1, "b": 1, "c": 0}, ga={"a": 1, "b": 1})
     sol = solver.solve(design, scen)
-    assert sol.shortage["c"] == pytest.approx(0.0)
-    assert sol.excess["c"] == pytest.approx(2.0)
+    assert sol.unmet[solver.kpos["c"]] == pytest.approx(0.0)
+    assert sol.surplus[solver.kpos["c"]] == pytest.approx(2.0)
     assert check_structural_theorems(inst, design, scen, sol) == []
     # ally b fully banned with combined exports >= demand
     scen = plain_scenario(inst, g={"a": 1, "b": 0, "c": 1}, ga={"a": 1, "b": 0})
     sol = solver.solve(design, scen)
-    assert sol.shortage["b"] == pytest.approx(0.0)
-    assert sol.excess["b"] == pytest.approx(4.0)
+    assert sol.unmet[solver.kpos["b"]] == pytest.approx(0.0)
+    assert sol.surplus[solver.kpos["b"]] == pytest.approx(4.0)
     assert check_structural_theorems(inst, design, scen, sol) == []
 
     # priority fixture: one unit of capacity goes to the higher saving
@@ -236,8 +237,9 @@ def test_criterion_4_theorem_sweep_covers_every_case_row():
     design = Design(open={"a": 1})
     scen = plain_scenario(inst)
     sol = RecourseSolver(inst).solve(design, scen)
-    assert sol.drug_flow[("a", "b")] == pytest.approx(1.0)
-    assert sol.drug_flow[("a", "c")] == pytest.approx(0.0)
+    arcs = sol.solver.v_arcs
+    assert sol.drug[arcs.index(("a", "b"))] == pytest.approx(1.0)
+    assert sol.drug[arcs.index(("a", "c"))] == pytest.approx(0.0)
     assert check_structural_theorems(inst, design, scen, sol) == []
     _ok(4, "200 scenarios, zero violations, all 22 case rows hit; fixtures pass")
 

@@ -544,16 +544,26 @@ def test_many_threads_start_no_thread(workdir, monkeypatch, command):
     assert rc == 0
 
 
-@pytest.mark.parametrize("content", [None, '{"config": ', "{}", "config_not_an_object"])
+# saa.passes values outside 1..max_passes (5 in the workdir config)
+BAD_PASSES = {"passes_0": 0, "passes_x": "x", "passes_null": None, "passes_1.5": 1.5,
+              "passes_above_max": 6}
+
+
+@pytest.mark.parametrize(
+    "content", [None, '{"config": ', "{}", "config_not_an_object", *BAD_PASSES]
+)
 def test_verify_on_a_bad_report_exits_one_naming_it(workdir, capsys, content):
     tmp, instance_path, config_path = workdir
     run = tmp / "run"
     report = run / "report.json"
-    if content == "config_not_an_object":
+    if content == "config_not_an_object" or content in BAD_PASSES:
         assert cli_main(["solve", "--instance", str(instance_path), "--config",
                          str(config_path), "--out", str(run)]) == 0
         payload = json.loads(report.read_text(encoding="utf-8"))
-        payload["config"] = ["x"]
+        if content in BAD_PASSES:
+            payload["saa"]["passes"] = BAD_PASSES[content]
+        else:
+            payload["config"] = ["x"]
         content = json.dumps(payload)
     run.mkdir(exist_ok=True)
     if content is not None:

@@ -368,7 +368,6 @@ def test_infinite_tolerance_stops_after_the_first_iteration():
     scens = _scenario_pool(inst, (10, 0), 8)
     result = run_lshaped(inst, scens, epsilon=np.inf)
     assert result.iterations == 1
-    assert len(result.cuts) == 0
     no_cut_design, _ = solve_master(inst, CutPool(len(inst.plant_candidates), 1))
     assert result.design.open == no_cut_design.open
 

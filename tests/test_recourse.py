@@ -38,16 +38,16 @@ def test_single_country_served_in_full():
     inst = one_country(80.0)
     sol = solve_recourse(inst, Design(open={"a": 1}), plain_scenario(inst))
     assert sol.objective == pytest.approx(240.0)
-    assert sol.raw_flow[("a", "a")] == pytest.approx(80.0)
-    assert sol.drug_flow[("a", "a")] == pytest.approx(80.0)
-    assert sol.shortage["a"] == pytest.approx(0.0)
+    assert sol.raw.tolist() == pytest.approx([80.0])
+    assert sol.drug.tolist() == pytest.approx([80.0])
+    assert sol.unmet.tolist() == pytest.approx([0.0])
 
 
 def test_single_country_supplier_capacity_binds():
     inst = one_country(150.0)
     sol = solve_recourse(inst, Design(open={"a": 1}), plain_scenario(inst))
-    assert sol.drug_flow[("a", "a")] == pytest.approx(100.0)
-    assert sol.shortage["a"] == pytest.approx(50.0)
+    assert sol.drug.tolist() == pytest.approx([100.0])
+    assert sol.unmet.tolist() == pytest.approx([50.0])
     assert sol.objective == pytest.approx(100.0 * 3 + 50.0 * 10)
 
 
@@ -65,20 +65,21 @@ def test_export_ban_cuts_off_the_non_ally_and_shields_the_home_market():
     )
     scen = plain_scenario(inst, g={"a": 0, "b": 1}, ga={"a": 0})
     sol = solve_recourse(inst, Design(open={"a": 1}), scen)
-    assert sol.drug_flow[("a", "b")] == pytest.approx(0.0)
-    assert sol.shortage["b"] == pytest.approx(40.0)
+    s = sol.solver
+    assert sol.drug[s.v_arcs.index(("a", "b"))] == pytest.approx(0.0)
+    assert sol.unmet[s.kpos["b"]] == pytest.approx(40.0)
     # home shortage stays below its banned demand, so the bump tranche is zero
-    assert sol.shortage_aux["a"] == pytest.approx(0.0)
-    assert sol.shortage["a"] <= scen.demand["a"] + 1e-9
+    assert sol.escalated[s.kpos["a"]] == pytest.approx(0.0)
+    assert sol.unmet[s.kpos["a"]] <= scen.demand["a"] + 1e-9
 
 
 def test_no_plant_capacity_means_pure_shortage():
     inst = tiny_instance(countries=("a", "b"), demand={"a": 30.0, "b": 20.0})
     scen = plain_scenario(inst, pl={"a": 0.0, "b": 0.0})
     sol = solve_recourse(inst, Design(open={"a": 1, "b": 1}), scen)
-    assert all(v == pytest.approx(0.0) for v in sol.drug_flow.values())
-    assert sol.shortage["a"] == pytest.approx(30.0)
-    assert sol.shortage["b"] == pytest.approx(20.0)
+    assert all(v == pytest.approx(0.0) for v in sol.drug.tolist())
+    assert sol.unmet[sol.solver.kpos["a"]] == pytest.approx(30.0)
+    assert sol.unmet[sol.solver.kpos["b"]] == pytest.approx(20.0)
 
 
 def _ban_heavy_batch(inst, seed, n):
@@ -106,25 +107,29 @@ def test_family_duals_reproduce_the_objective():
     for scen in _ban_heavy_batch(inst, (2, 0), 6):
         design = Design(open={j: 1 if n % 2 == 0 else 0 for n, j in enumerate(inst.plant_candidates)})
         sol = solver.solve(design, scen)
-        duals = sol.duals
         a = {i: inst.supplier_capacity[i] * scen.supplier_avail[i] for i in inst.suppliers}
         b = {j: inst.plant_capacity[j] * scen.plant_avail[j] for j in inst.plant_candidates}
-        total = sum(duals.supplier_capacity[i] * a[i] for i in inst.suppliers)
-        total += sum(
-            duals.plant_capacity[j] * b[j] * design.open[j] for j in inst.plant_candidates
+        total = sum(
+            sol.pi_supplier[solver.sup.index(i)] * a[i] for i in inst.suppliers
         )
-        for (i, j), pi in duals.supply_gate.items():
-            gate = scen.ban_ally[i] if (i, j) in ally_raw else scen.ban_general[i]
-            total += pi * a[i] * gate * design.open[j]
-        for (j, k), pi in duals.distribution_gate.items():
-            gate = scen.ban_ally[j] if (j, k) in ally_dist else scen.ban_general[j]
-            total += pi * b[j] * gate * design.open[j]
+        total += sum(
+            sol.pi_plant[solver.pl.index(j)] * b[j] * design.open[j]
+            for j in inst.plant_candidates
+        )
+        for (i, j), pi in zip(solver.u_arcs, sol.pi_supply_gate):
+            if i != j:
+                gate = scen.ban_ally[i] if (i, j) in ally_raw else scen.ban_general[i]
+                total += pi * a[i] * gate * design.open[j]
+        for (j, k), pi in zip(solver.v_arcs, sol.pi_distribution_gate):
+            if j != k:
+                gate = scen.ban_ally[j] if (j, k) in ally_dist else scen.ban_general[j]
+                total += pi * b[j] * gate * design.open[j]
         for k in inst.countries:
             rhs = scen.demand[k] - country_retained(inst, k, scen.ban_general, scen.ban_ally)
-            total += duals.demand[k] * rhs
+            total += sol.pi_demand[solver.kpos[k]] * rhs
         for k in inst.plant_candidates:
             cap = scen.demand[k] * (1 - scen.ban_general[k]) * design.open[k]
-            total += duals.shortage_aux[k] * (-cap)
+            total += sol.pi_aux[solver.kpos[k]] * (-cap)
         assert total == pytest.approx(sol.objective, rel=1e-6, abs=1e-6)
 
 
@@ -140,27 +145,33 @@ def test_family_duals_are_feasible_for_the_row_formulation():
         design = Design(open={j: (1 if n % 2 == trial % 2 else 0) for n, j in enumerate(plants)})
         if sum(design.open.values()) == 0:
             design = Design(open={j: 1 for j in plants})
+        # raw-LP column costs per supplier-plant arc, plant-country arc and country
+        raw_cost = np.array(
+            [inst.raw_cost[i] + inst.transport1[(i, j)] for i, j in solver.u_arcs]
+        )
+        drug_cost = np.array(
+            [inst.production_cost[j] + inst.transport2[(j, k)] for j, k in solver.v_arcs]
+        )
+        price = np.array([inst.shortage_price[k] for k in solver.K])
+        u_sup = np.array([solver.sup.index(i) for i, _ in solver.u_arcs])
+        u_pl = np.array([solver.pl.index(j) for _, j in solver.u_arcs])
+        v_pl = np.array([solver.pl.index(j) for j, _ in solver.v_arcs])
+        v_k = np.array([solver.kpos[k] for _, k in solver.v_arcs])
+        u_cross = np.array([i != j for i, j in solver.u_arcs])  # a self arc has no gate
+        v_cross = np.array([j != k for j, k in solver.v_arcs])
         for scen in _ban_heavy_batch(inst, (9, trial), 3):
             sol = solver.solve(design, scen)
-            du = sol.duals
             co = scen.price_increase
             tol = 1e-6
-            for i in inst.suppliers:
-                for j in plants:
-                    lhs = du.supplier_capacity[i] + du.flow_balance[j]
-                    if i != j:
-                        lhs += du.supply_gate[(i, j)]
-                    assert lhs <= inst.raw_cost[i] + inst.transport1[(i, j)] + tol
-            for j in plants:
-                for k in inst.countries:
-                    lhs = du.plant_capacity[j] + du.demand[k] - du.flow_balance[j]
-                    if j != k:
-                        lhs += du.distribution_gate[(j, k)]
-                    assert lhs <= inst.production_cost[j] + inst.transport2[(j, k)] + tol
-            for k in inst.countries:
-                assert du.demand[k] - du.shortage_aux[k] <= inst.shortage_price[k] + tol
-                assert du.shortage_aux[k] <= co + tol
-                assert -du.demand[k] <= tol  # the excess column has zero cost
+            lhs = sol.pi_supplier[u_sup] + sol.pi_balance[u_pl]
+            lhs += np.where(u_cross, sol.pi_supply_gate, 0.0)
+            assert np.all(lhs <= raw_cost + tol)
+            lhs = sol.pi_plant[v_pl] + sol.pi_demand[v_k] - sol.pi_balance[v_pl]
+            lhs += np.where(v_cross, sol.pi_distribution_gate, 0.0)
+            assert np.all(lhs <= drug_cost + tol)
+            assert np.all(sol.pi_demand - sol.pi_aux <= price + tol)
+            assert np.all(sol.pi_aux <= co + tol)
+            assert np.all(-sol.pi_demand <= tol)  # the excess column has zero cost
 
 
 def test_duality_holds_at_the_capacity_scaling_bound():
@@ -190,11 +201,11 @@ def test_dual_sign_conventions():
     solver = RecourseSolver(inst)
     for scen in _ban_heavy_batch(inst, (3, 0), 4):
         sol = solver.solve(Design(open={j: 1 for j in inst.plant_candidates}), scen)
-        assert all(v <= 1e-9 for v in sol.duals.supplier_capacity.values())
-        assert all(v <= 1e-9 for v in sol.duals.plant_capacity.values())
-        assert all(v <= 1e-9 for v in sol.duals.supply_gate.values())
-        assert all(v <= 1e-9 for v in sol.duals.distribution_gate.values())
-        assert all(v >= -1e-9 for v in sol.duals.shortage_aux.values())
+        assert np.all(sol.pi_supplier <= 1e-9)
+        assert np.all(sol.pi_plant <= 1e-9)
+        assert np.all(sol.pi_supply_gate <= 1e-9)
+        assert np.all(sol.pi_distribution_gate <= 1e-9)
+        assert np.all(sol.pi_aux >= -1e-9)
 
 
 def test_cuts_underestimate_everywhere_and_touch_at_the_source():
@@ -236,7 +247,7 @@ def test_banned_gates_contribute_nothing_to_cut_coefficients():
     # supplier country bans: the only inbound arc (a, b) closes entirely
     scen = plain_scenario(inst, g={"a": 0, "b": 1}, ga={"a": 0})
     sol = solve_recourse(inst, Design(open={"b": 1}), scen)
-    assert sol.shortage["b"] == pytest.approx(25.0)
+    assert sol.unmet[sol.solver.kpos["b"]] == pytest.approx(25.0)
     const, coeff = recourse_cut_terms(inst, scen, sol)
     # the gate multiplies the closed flag, so opening b cannot promise supply
     assert coeff["b"] >= -1e-9
@@ -297,8 +308,9 @@ def test_covered_market_rule_part_one():
     )
     scen = plain_scenario(inst, g={"a": 1, "b": 0}, ga={"a": 1})
     sol = solve_recourse(inst, Design(open={"a": 1}), scen)
-    assert sol.shortage["b"] == pytest.approx(0.0)
-    assert sol.excess["b"] == pytest.approx(3.0)
+    b = sol.solver.kpos["b"]
+    assert sol.unmet[b] == pytest.approx(0.0)
+    assert sol.surplus[b] == pytest.approx(3.0)
     assert check_structural_theorems(inst, Design(open={"a": 1}), scen, sol) == []
 
 
@@ -316,13 +328,25 @@ def test_covered_market_rule_part_two_ally_cases():
     )
     scen = plain_scenario(inst, g={"a": 1, "b": 0, "c": 1}, ga={"a": 1, "b": 1})
     sol = solve_recourse(inst, Design(open={"a": 1}), scen)
-    assert sol.shortage["b"] == pytest.approx(0.0)
+    b = sol.solver.kpos["b"]
+    assert sol.unmet[b] == pytest.approx(0.0)
     assert check_structural_theorems(inst, Design(open={"a": 1}), scen, sol) == []
     # full ally ban with combined exports covering demand fixes the excess too
     scen2 = plain_scenario(inst, g={"a": 1, "b": 0, "c": 1}, ga={"a": 1, "b": 0})
     sol2 = solve_recourse(inst, Design(open={"a": 1}), scen2)
-    assert sol2.excess["b"] == pytest.approx(14.0 + 2.0 - 12.0)
+    assert sol2.surplus[b] == pytest.approx(14.0 + 2.0 - 12.0)
     assert check_structural_theorems(inst, Design(open={"a": 1}), scen2, sol2) == []
+    # a shortage at the covered market, and the wrong excess, must be flagged
+    import dataclasses
+
+    unmet, surplus = sol2.unmet.copy(), sol2.surplus.copy()
+    unmet[b], surplus[b] = 3.0, 1.0
+    wrong = dataclasses.replace(sol2, unmet=unmet, surplus=surplus)
+    messages = check_structural_theorems(inst, Design(open={"a": 1}), scen2, wrong)
+    assert [m for m in messages if m.startswith("covered-market")] == [
+        "covered-market: shortage 3.0 at b",
+        "covered-market: excess 1.0 at b, expected 4.0",
+    ]
 
 
 def test_priority_rule_prefers_the_larger_penalty_saving():
@@ -341,8 +365,9 @@ def test_priority_rule_prefers_the_larger_penalty_saving():
     design = Design(open={"a": 1})
     scen = plain_scenario(inst)
     sol = solve_recourse(inst, design, scen)
-    assert sol.drug_flow[("a", "b")] == pytest.approx(1.0)
-    assert sol.drug_flow[("a", "c")] == pytest.approx(0.0)
+    arcs = sol.solver.v_arcs
+    assert sol.drug[arcs.index(("a", "b"))] == pytest.approx(1.0)
+    assert sol.drug[arcs.index(("a", "c"))] == pytest.approx(0.0)
     assert check_structural_theorems(inst, design, scen, sol) == []
     # a deliberately wrong allocation must be flagged
     import dataclasses
@@ -370,7 +395,7 @@ def test_flow_necessity_flags_uneconomic_flows():
     design = Design(open={"a": 1})
     scen = plain_scenario(inst)
     sol = solve_recourse(inst, design, scen)
-    assert sol.drug_flow[("a", "b")] == pytest.approx(0.0)
+    assert sol.drug[sol.solver.v_arcs.index(("a", "b"))] == pytest.approx(0.0)
     assert check_structural_theorems(inst, design, scen, sol) == []
     import dataclasses
 
