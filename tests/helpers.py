@@ -5,9 +5,11 @@ row per constraint (capacities, gated arcs, demand, balance, shortage links)
 and hands it to scipy's HiGHS, completely bypassing the package's LP path.
 The dict-keyed retained-export, cut-term and evaluation loops are the
 references the package's array formulas must reproduce exactly; so are the
-former single-cut enumeration master, the full-pricing simplex and the
-evaluate command's per-country CSV writer below. `count_calls` counts
-the calls made through one module binding, to show what a memo saved.
+former single-cut enumeration master, the full-pricing, refactorizing
+simplex and the evaluate command's per-country CSV writer below.
+`count_calls` counts the calls made through one module binding, to show
+what a memo saved or that no factorization ran; `record_recourse_lps`
+keeps each scenario LP's inputs and answer for a replay.
 Dict-keyed cuts
 (`OptimalityCut`) and the one-call solve and cut-term wrappers live here
 too: the package keeps cuts in array pools and never needs them.
@@ -34,6 +36,7 @@ from strainchain import (
 )
 from strainchain.instance import ValidationError
 from strainchain.lshaped import CutPool
+from strainchain import recourse
 from strainchain.recourse import (
     DUALITY_REL_TOL,
     RecourseError,
@@ -42,7 +45,13 @@ from strainchain.recourse import (
     cut_terms_from,
 )
 from strainchain.scenarios import RiskOverrides, retained_exports, sample_batch
-from strainchain.simplex import DEGENERATE_STEP, REFRESH_EVERY, LpSolution, SimplexError
+from strainchain.simplex import (
+    DEGENERATE_STEP,
+    REFRESH_EVERY,
+    LpSolution,
+    SimplexError,
+    solve_bounded_lp,
+)
 
 
 def country_retained(instance: Instance, k: str, ban_general: dict, ban_ally: dict) -> float:
@@ -780,3 +789,29 @@ def count_calls(monkeypatch, module, name: str) -> list:
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def record_recourse_lps(monkeypatch) -> list:
+    """Route the scenario solves' simplex calls through a recorder.
+
+    Each call appends ((A, b, c, upper, basis), start inverse, solution); the
+    start inverse is a copy, since the solver updates its own in place.
+    """
+    lps = []
+
+    def record(A, b, c, upper, basis, basis_inverse):
+        start = basis_inverse.copy()
+        solution = solve_bounded_lp(A, b, c, upper, basis, basis_inverse=basis_inverse)
+        lps.append(((A, b, c, upper, basis), start, solution))
+        return solution
+
+    monkeypatch.setattr(recourse, "solve_bounded_lp", record)
+    return lps
+
+
+def assert_same_lp_solution(got: LpSolution, ref: LpSolution) -> None:
+    """Byte for byte, so the sign of a zero counts."""
+    for name in ("x", "row_duals", "reduced_costs", "at_upper"):
+        assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
+    assert np.float64(got.objective).tobytes() == np.float64(ref.objective).tobytes()
+    assert got.iterations == ref.iterations

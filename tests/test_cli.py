@@ -4,6 +4,7 @@ import threading
 import pytest
 
 from strainchain.cli import cli_main
+from strainchain.recourse import RecourseSolver
 
 from helpers import reference_country_csv, small_random_instance
 from strainchain import Design, write_instance
@@ -333,6 +334,26 @@ def test_solver_failures_exit_two(workdir):
     )
     assert rc == 2
     assert not dump.exists()  # the early writability probe leaves no file behind
+
+
+def test_wrong_start_inverse_exits_two_naming_the_residual(workdir, monkeypatch, capsys):
+    tmp, instance_path, config_path = workdir
+    start_basis = RecourseSolver.start_basis
+
+    def flipped(self, rhs_dem):
+        basis, inverse = start_basis(self, rhs_dem)
+        inverse[self.rDem, self.rDem] *= -1.0  # the first demand row's basic value
+        return basis, inverse
+
+    monkeypatch.setattr(RecourseSolver, "start_basis", flipped)
+    out = tmp / "flipped"
+    rc = cli_main(
+        ["solve", "--instance", str(instance_path), "--config", str(config_path),
+         "--out", str(out)]
+    )
+    assert rc == 2
+    assert "primal residual" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
 
 
 def test_seed_flag_overrides_config(workdir):

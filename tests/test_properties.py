@@ -7,7 +7,10 @@ demand, every country banning), and a design. The recourse objective must
 match the HiGHS row formulation, and the optimality cut built from the
 solve must underestimate the recourse value at all 2^J designs and touch it
 at the design it came from. The all-closed design has no package solve (a
-design must open a plant), so HiGHS prices it.
+design must open a plant), so HiGHS prices it. Each scenario LP must also
+be byte-equal to the dense, refactorizing reference simplex while calling
+no LAPACK inverse: on these 0/+-1 problems the updated basis inverse is
+exact.
 
 The master examples draw random multi-group cut pools, or pools built from
 real scenario solves: enumeration and branch and bound return the same
@@ -32,13 +35,17 @@ from helpers import (
     CORNERS,
     OptimalityCut,
     aggregated_pool,
+    assert_same_lp_solution,
+    count_calls,
     corner_scenario,
     design_from_code,
     master_values,
     pool_from_rows,
     raw_lp_objective,
+    record_recourse_lps,
     recourse_cut_terms,
     reference_master_by_enumeration,
+    reference_solve_bounded_lp,
     small_random_instance,
     tiny_instance,
     with_plants,
@@ -72,6 +79,19 @@ def test_recourse_objective_matches_the_highs_row_formulation(case):
     inst, scen, design = case
     mine = RecourseSolver(inst).solve(design, scen).objective
     assert mine == pytest.approx(raw_lp_objective(inst, design, scen), rel=1e-6, abs=1e-7)
+
+
+@PROPERTY
+@given(cases())
+def test_scenario_lp_matches_the_refactorizing_reference_bit_for_bit_without_inv(case):
+    inst, scen, design = case
+    with pytest.MonkeyPatch.context() as patch:
+        lps = record_recourse_lps(patch)
+        inv_calls = count_calls(patch, np.linalg, "inv")
+        RecourseSolver(inst).solve(design, scen)
+    assert len(lps) == 1 and not inv_calls
+    args, start, solution = lps[0]
+    assert_same_lp_solution(solution, reference_solve_bounded_lp(*args, basis_inverse=start))
 
 
 @PROPERTY

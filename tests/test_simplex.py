@@ -2,10 +2,17 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from strainchain import Design, RecourseSolver, RiskOverrides, sample_batch
+from strainchain import Design, RecourseSolver, RiskOverrides, sample_batch, simplex
 from strainchain.simplex import SimplexError, _pricing_columns, solve_bounded_lp
 
-from helpers import reference_solve_bounded_lp, small_random_instance
+import helpers
+from helpers import (
+    assert_same_lp_solution,
+    count_calls,
+    record_recourse_lps,
+    reference_solve_bounded_lp,
+    small_random_instance,
+)
 
 
 def random_lp(rng):
@@ -96,7 +103,8 @@ def test_bad_basis_shape_raises():
 
 
 def _assert_same_solution(args, kwargs=None):
-    """Restricted pricing against the full-pricing reference, bit for bit.
+    """Restricted pricing and sparse pivots against the dense, refactorizing
+    full-pricing reference, byte for byte.
 
     Both get their own copy of a passed basis inverse (it is updated in place).
     """
@@ -107,39 +115,104 @@ def _assert_same_solution(args, kwargs=None):
         extra = {} if inverse is None else {"basis_inverse": inverse.copy()}
         return solve(*args, **kwargs, **extra)
 
-    got, ref = run(solve_bounded_lp), run(reference_solve_bounded_lp)
-    for name in ("x", "row_duals", "reduced_costs", "at_upper"):
-        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
-    assert got.objective == ref.objective
-    assert got.iterations == ref.iterations
+    got = run(solve_bounded_lp)
+    assert_same_lp_solution(got, run(reference_solve_bounded_lp))
     return got
 
 
+def _sampled_recourse_lps(monkeypatch):
+    """72 scenario LPs of random small instances and designs, as the solver posed them."""
+    with monkeypatch.context() as patch:
+        lps = record_recourse_lps(patch)
+        rng = np.random.default_rng(31)
+        for trial in range(12):
+            inst = small_random_instance(seed=900 + trial, n_countries=int(rng.integers(3, 8)))
+            plants = list(inst.plant_candidates)
+            solver = RecourseSolver(inst)
+            scens = sample_batch(
+                inst, (31, trial), 6, RiskOverrides(export_prob_scale=0.6, ban_threshold=0.9)
+            )
+            for scen in scens:
+                opened, closed = rng.choice(plants, size=2, replace=False)
+                open_map = {j: int(rng.integers(0, 2)) for j in plants}
+                open_map.update({opened: 1, closed: 0})
+                solver.solve(Design(open=open_map), scen)
+    assert len(lps) == 72
+    return lps
+
+
 def test_restricted_pricing_matches_full_pricing_on_recourse_lps(monkeypatch):
-    calls = []
-
-    def record(A, b, c, upper, basis, **kwargs):
-        calls.append(((A, b, c, upper, basis), {k: v.copy() for k, v in kwargs.items()}))
-        return solve_bounded_lp(A, b, c, upper, basis, **kwargs)
-
-    monkeypatch.setattr("strainchain.recourse.solve_bounded_lp", record)
-    rng = np.random.default_rng(31)
-    for trial in range(12):
-        inst = small_random_instance(seed=900 + trial, n_countries=int(rng.integers(3, 8)))
-        plants = list(inst.plant_candidates)
-        solver = RecourseSolver(inst)
-        scens = sample_batch(
-            inst, (31, trial), 6, RiskOverrides(export_prob_scale=0.6, ban_threshold=0.9)
-        )
-        for scen in scens:
-            opened, closed = rng.choice(plants, size=2, replace=False)
-            open_map = {j: int(rng.integers(0, 2)) for j in plants}
-            open_map.update({opened: 1, closed: 0})
-            solver.solve(Design(open=open_map), scen)
-    assert len(calls) == 72
-    for args, kwargs in calls:
+    for args, start, _ in _sampled_recourse_lps(monkeypatch):
         assert (args[3] <= 1e-10).any()  # columns that can never enter
-        _assert_same_solution(args, kwargs)
+        _assert_same_solution(args, {"basis_inverse": start})
+
+
+def test_recourse_lps_refreshed_every_two_pivots_match_without_inv(monkeypatch):
+    # no workload LP reaches REFRESH_EVERY pivots; at 2 every one with three
+    # or more pivots recomputes its basic values from the updated inverse
+    lps = _sampled_recourse_lps(monkeypatch)
+    monkeypatch.setattr(simplex, "REFRESH_EVERY", 2)
+    monkeypatch.setattr(helpers, "REFRESH_EVERY", 2)
+    assert max(sol.iterations for _, _, sol in lps) > 10
+    inv_calls = count_calls(monkeypatch, np.linalg, "inv")
+    for args, start, _ in lps:
+        got = solve_bounded_lp(*args, basis_inverse=start.copy())
+        assert not inv_calls
+        assert_same_lp_solution(got, reference_solve_bounded_lp(*args, basis_inverse=start.copy()))
+        inv_calls.clear()
+
+
+@pytest.mark.parametrize("refresh", [simplex.REFRESH_EVERY, 2])
+def test_real_valued_lps_refactorize_and_match_the_reference(monkeypatch, refresh):
+    # the first pivot brings in a real-valued column, so every later refresh
+    # and the final polish refactorize, as the reference does
+    monkeypatch.setattr(simplex, "REFRESH_EVERY", refresh)
+    monkeypatch.setattr(helpers, "REFRESH_EVERY", refresh)
+    inv_calls = count_calls(monkeypatch, np.linalg, "inv")
+    rng = np.random.default_rng(12)
+    pivoted = 0
+    for _ in range(60):
+        (A, b, cc, uu, basis), _ = random_lp(rng)
+        start = np.linalg.inv(A[:, basis])  # the +-1 slack and artificial columns
+        inv_calls.clear()
+        got = solve_bounded_lp(A, b, cc, uu, basis, basis_inverse=start.copy())
+        mine = len(inv_calls)
+        ref = reference_solve_bounded_lp(A, b, cc, uu, basis, basis_inverse=start.copy())
+        assert_same_lp_solution(got, ref)
+        if got.iterations > 1:
+            assert mine == len(inv_calls) - mine
+            pivoted += 1
+    assert pivoted > 30
+
+
+@pytest.mark.parametrize(
+    "entering, b",
+    [
+        # column 0 enters first (Dantzig's first maximum) and leaves row 0
+        ([2.0, 1.0], [4.0, 3.0]),          # at ratio 4/2 < 3/1: pivot element 2
+        ([1.0, 0.5], [4.0, 3.0]),          # at 4/1 < 3/0.5: a fractional column
+        ([1.0, 2.0**53], [1.0, 2.0**60]),  # at 1/1 < 2^60/2^53: B^-1 reaches 2^53
+        # at 1/1 < 2^40/2^27: B^-1 holds 2^27, which times a column of norm
+        # 2^27 + 1 could pass 2^53
+        ([1.0, 2.0**27], [1.0, 2.0**40]),
+    ],
+    ids=["pivot_element_two", "fractional_column", "beyond_2_53", "inverse_grows"],
+)
+def test_lps_outside_the_exact_class_refactorize(monkeypatch, entering, b):
+    A = np.array([[entering[0], 1.0, 1.0, 0.0], [entering[1], 1.0, 0.0, 1.0]])
+    args = (A, np.array(b), np.array([-1.0, -1.0, 0.0, 0.0]), np.full(4, np.inf), [2, 3])
+    inv_calls = count_calls(monkeypatch, np.linalg, "inv")
+    got = solve_bounded_lp(*args, basis_inverse=np.eye(2))
+    assert inv_calls
+    assert_same_lp_solution(got, reference_solve_bounded_lp(*args, basis_inverse=np.eye(2)))
+
+
+def test_wrong_start_inverse_raises_naming_the_primal_residual(monkeypatch):
+    (A, b, c, upper, basis), start, _ = _sampled_recourse_lps(monkeypatch)[0]
+    row = int(np.flatnonzero(b)[-1])  # a row whose basic value the flip changes
+    start[row, row] = -start[row, row]
+    with pytest.raises(SimplexError, match="primal residual"):
+        solve_bounded_lp(A, b, c, upper, basis, basis_inverse=start)
 
 
 def test_lp_with_every_column_fixed_stops_at_once():
