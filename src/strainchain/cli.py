@@ -2,19 +2,20 @@
 
 Subcommands: gen (synthetic instance), solve (one SAA run), evaluate (a
 fixed design on evaluation scenarios), study (policy experiments), verify
-(re-solve a finished run's incumbent and check duals plus structural
-properties). Flag > config file ("saa" and "studies" only) > default
-precedence. Every run is serial; solve and study still accept and
-validate --threads, which changes nothing. Exit codes: 0 updated
-artifacts, 1 usage or validation problems (an unwritable --out or
---dump-scenarios, or an unreadable report for verify, among them), 2
-solver failures.
+(re-solve a finished run's incumbent and check duals, structural
+properties and the reported evaluation mean). Flag > config file ("saa"
+and "studies" only) > default precedence. Every run is serial; solve and
+study still accept and validate --threads, which changes nothing. Exit
+codes: 0 updated artifacts, 1 usage or validation problems (an unwritable
+--out or --dump-scenarios, or an unreadable report for verify, among
+them), 2 solver failures.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, fields, replace
@@ -25,6 +26,7 @@ from .instance import (
     Design,
     Instance,
     ValidationError,
+    fixed_cost,
     load_instance,
     validate_design,
     write_instance,
@@ -49,6 +51,7 @@ from .scenarios import RiskOverrides
 from .simplex import SimplexError
 
 SOLVER_ERRORS = (RecourseError, SimplexError, IterationLimitError)
+EVAL_REL_TOL = 1e-9  # verify: reported evaluation mean vs cold solves, relative
 CONFIG_SECTIONS = {"saa", "studies"}
 STUDY_FIELDS = {"kind", "scheme", "quality", "pairs", "label"}
 
@@ -332,13 +335,33 @@ def _cmd_verify(args) -> int:
     design = Design(open=dict(artifact.saa.incumbent.open))
     validate_design(inst, design)
 
+    reported = artifact.saa.eval_objective
+    if (isinstance(reported, bool) or not isinstance(reported, (int, float))
+            or not math.isfinite(reported)):
+        raise ValidationError(
+            f"run report {report_path}: saa.eval_objective must be a finite number, "
+            f"got {reported!r}"
+        )
+
     batch = evaluation_batch(inst, cfg, passes - 1)
     solver = RecourseSolver(inst)
+    fixed = fixed_cost(inst, design)
     violations = []
+    samples = []
     for w, scen in enumerate(batch):
+        # no basis pool: each LP is solved from its start basis
         solution = solver.solve(design, scen)  # raises on any duality violation
+        samples.append(fixed + solution.objective)
         for message in check_structural_theorems(inst, design, scen, solution):
             violations.append({"scenario": w, "message": message})
+    # the run's evaluation answered its LPs from a basis pool; its mean must
+    # agree with these cold solves, added as evaluate_design adds them
+    cold = sum(samples) / len(batch)
+    if abs(cold - reported) > EVAL_REL_TOL * max(1.0, abs(reported)):
+        violations.append(
+            {"message": f"saa.eval_objective {reported!r} differs from the mean of "
+                        f"cold solves {cold!r}"}
+        )
     write_json(run_dir / "verify.json", {"scenarios_checked": len(batch), "violations": violations})
     print(f"checked {len(batch)} scenarios: {len(violations)} violations")
     return 0 if not violations else 2

@@ -248,6 +248,11 @@ def validate_design(instance: Instance, design: Design) -> None:
         raise ValidationError("no plant open")
 
 
+def fixed_cost(instance: Instance, design: Design) -> float:
+    """First-stage cost of the design's open plants, added in plant order."""
+    return sum(instance.fixed_cost[j] * design.open[j] for j in instance.plant_candidates)
+
+
 # -- file format -----------------------------------------------------------
 
 def _pairs_to_nested(pairs: dict) -> dict:

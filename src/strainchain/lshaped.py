@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instance import Design, Instance, ValidationError
+from .instance import Design, Instance, ValidationError, fixed_cost
 from .recourse import RecourseSolver, cut_terms_from
 
 ENUMERATION_LIMIT = 20
@@ -337,7 +337,7 @@ def run_lshaped(
         candidate, lb = solve_master(instance, pool, forced, state=state)
         lb_trace.append(lb)
 
-        fixed = sum(instance.fixed_cost[j] * candidate.open[j] for j in plants)
+        fixed = fixed_cost(instance, candidate)
         mean_recourse = 0.0
         constants = np.zeros(groups)
         coefficients = np.zeros((groups, len(plants)))

@@ -21,8 +21,13 @@ start basis (slacks, the S2 or E column of each country by the sign of its
 right-hand side, and each plant's self-distribution column) has a 0/+-1
 inverse in closed form, so a solve starts pivoting without factorizing.
 Solutions hold flows and multipliers as arrays only, and cut terms come back
-as one coefficient array in plant order. Dicts keyed by country or arc are
-built only at the JSON/CSV boundary and by the structural diagnostics.
+as one coefficient array in plant order. A solve may pass the simplex a pool
+of earlier optimal bases; `saa.evaluate_design` keeps one per evaluation,
+while the decomposition and `verify` pass none, so their cuts and checks
+come from LPs solved from the start basis. Every answer, pooled or not,
+passes the same balance and strong-duality checks. Dicts keyed by country
+or arc are built only at the JSON/CSV boundary and by the structural
+diagnostics.
 """
 
 from __future__ import annotations
@@ -239,7 +244,11 @@ class RecourseSolver:
         inverse[self.rDem + short_rows] *= -1.0
         return basis, inverse
 
-    def solve(self, design: Design, scenario: Scenario) -> RecourseSolution:
+    def solve(
+        self, design: Design, scenario: Scenario, pool: list | None = None
+    ) -> RecourseSolution:
+        """Solve one scenario at a design; `pool`, when given, is the
+        simplex's basis pool (see `simplex`), kept by the caller."""
         validate_design(self.instance, design)
         nI, nJ, nK = self.nI, self.nJ, self.nK
         data = self.arrays(scenario)
@@ -268,7 +277,7 @@ class RecourseSolver:
         b = np.concatenate([data.a_sup, data.b_pl * y, data.rhs_dem, np.zeros(nJ)])
         basis, inverse = self.start_basis(data.rhs_dem)
         try:
-            sol = solve_bounded_lp(self.A, b, cost, upper, basis, basis_inverse=inverse)
+            sol = solve_bounded_lp(self.A, b, cost, upper, basis, basis_inverse=inverse, pool=pool)
         except SimplexError as exc:
             raise RecourseError(f"scenario solve failed: {exc}") from exc
 

@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .instance import Design, Instance, ValidationError, validate_design
+from .instance import Design, Instance, ValidationError, fixed_cost, validate_design
 from .lshaped import run_lshaped
 from .recourse import RecourseSolver
 from .scenarios import RiskOverrides, sample_batch
@@ -165,13 +165,17 @@ def evaluate_design(
     scenarios: list,
     solver: RecourseSolver | None = None,
 ) -> DesignEvaluation:
-    """Sample mean, standard error, and per-country/cost detail for one design."""
+    """Sample mean, standard error, and per-country/cost detail for one design.
+
+    The scenario LPs share one basis pool (see `simplex`), so an earlier
+    scenario's optimal basis answers a later LP whenever it is optimal there.
+    """
     validate_design(instance, design)
     if not scenarios:
         raise ValidationError("need at least one evaluation scenario")
     solver = solver or RecourseSolver(instance)
     n = len(scenarios)
-    fixed = sum(instance.fixed_cost[j] * design.open[j] for j in instance.plant_candidates)
+    fixed = fixed_cost(instance, design)
 
     # per-arc and per-country sums run over scenarios; each scalar total
     # adds one scenario's terms in arc or country order before the next
@@ -182,8 +186,9 @@ def evaluate_design(
     drug_flow = np.zeros(len(solver.v_arcs))
     raw_cost = outbound_cost = base_short = esc_short = sales = 0.0
 
+    pool = []
     for scen in scenarios:
-        sol = solver.solve(design, scen)
+        sol = solver.solve(design, scen, pool)
         samples.append(fixed + sol.objective)
         shortage += sol.unmet / n
         demand += solver.arrays(scen).demand / n

@@ -38,6 +38,20 @@ start inverse. Otherwise LAPACK's inv refactorizes the basis at those points,
 as a drifting inverse needs. On the recourse bases LAPACK's inverse is exact
 too, and the two differ only in the sign of zero entries, which no returned
 array shows. The returned reduced costs cover every column.
+
+A caller that solves many LPs with the same A (one design's evaluation
+batch, which differs only in b, the bounds and some costs) may pass a pool:
+a list of (basis, at-upper mask, B^-1) entries of earlier optimal bases.
+Before pricing, each entry is tried in the order it was added; the first
+whose optimality certificate holds answers the LP with no pivot. The
+certificate is the one the pivot loop stops on: the basic values B^-1(b -
+A_N x_N), from the gemv of the final polish, lie within [0, u_B] up to
+POOL_PRIMAL_TOL, and no nonbasic column that can move has a reduced cost of
+the wrong sign beyond the pricing tolerance; an entry that holds a column at
+an upper bound this LP lacks is skipped. Otherwise the LP is solved from its
+start basis on the same pivot path as without a pool, and its final basis
+joins the pool only when the exactness proof above holds at the end, so the
+pool holds exact inverses only and adds no LAPACK call.
 """
 
 from __future__ import annotations
@@ -51,6 +65,7 @@ REFRESH_EVERY = 60      # pivots between full basis-inverse refactorizations
 DEGENERATE_STEP = 1e-11 # step sizes below this count toward the Bland switch
 EXACT_LIMIT = 2 ** 53   # integers up to this magnitude add and multiply exactly
 RESIDUAL_TOL = 1e-9     # |Ax - b| allowed without a refactorization, relative to the data
+POOL_PRIMAL_TOL = 1e-9  # bound violation a pooled basis may show, relative to 1 + max |b|
 
 
 class SimplexError(RuntimeError):
@@ -89,6 +104,45 @@ def _integral(values: np.ndarray) -> bool:
     return np.array_equal(values, np.trunc(values))
 
 
+def _pooled_answer(pool, A, b, c, upper, finite_ub, movable, rc_tol):
+    """(basis, at-upper mask, basic values, duals, reduced costs) of the
+    first pooled basis optimal for this LP, or None."""
+    tol = POOL_PRIMAL_TOL * (1.0 + float(np.abs(b).max(initial=0.0)))
+    rhs = {}  # b - A x_N, by the columns held at upper
+    for basis, at_upper, Binv in pool:
+        if not finite_ub[at_upper].all():
+            continue  # x_N would hold inf, and the basic values NaN
+        key = at_upper.tobytes()
+        if key not in rhs:
+            # basic columns are never at upper, so this is the polish's x_N
+            rhs[key] = b - A @ np.where(at_upper, upper, 0.0)
+        xB = Binv @ rhs[key]
+        if not (xB.min(initial=0.0) >= -tol and (xB - upper[basis]).max(initial=0.0) <= tol):
+            continue
+        y = c[basis] @ Binv
+        rc = c - y @ A
+        # a violation is rc times the direction the column may move in
+        viol = np.where(at_upper, rc, -rc)
+        viol[basis] = 0.0
+        if viol[movable].max(initial=0.0) <= rc_tol:
+            return basis, at_upper, xB, y, rc
+    return None
+
+
+def _solution(c, upper, finite_ub, basis, at_upper, xB, y, rc, iterations) -> LpSolution:
+    x = np.where(at_upper & finite_ub, upper, 0.0)
+    x[basis] = xB
+    np.clip(x, 0.0, None, out=x)
+    return LpSolution(
+        x=x,
+        row_duals=y,
+        reduced_costs=rc,
+        at_upper=at_upper,
+        objective=float(c @ x),
+        iterations=iterations,
+    )
+
+
 def solve_bounded_lp(
     A: np.ndarray,
     b: np.ndarray,
@@ -97,12 +151,15 @@ def solve_bounded_lp(
     basis: np.ndarray,
     max_iterations: int | None = None,
     basis_inverse: np.ndarray | None = None,
+    pool: list | None = None,
 ) -> LpSolution:
     """Optimal vertex from a feasible starting basis, every nonbasic column at 0.
 
     basis_inverse, when given, must equal inv(A[:, basis]); it is updated in
     place. A wrong one that no refactorization replaces raises SimplexError
-    naming the primal residual.
+    naming the primal residual. pool, when given, holds earlier optimal bases
+    of LPs with this same A; one of them may answer the LP with no pivot
+    (iterations 0), and an LP solved by pivoting adds its exact final basis.
     """
     m, n = A.shape
     basis = np.asarray(basis, dtype=np.intp).copy()
@@ -117,7 +174,13 @@ def solve_bounded_lp(
     piv_tol = 1e-10
     # only a column whose span exceeds piv_tol can ever enter; cand is
     # sorted, so both pivot rules pick the column full pricing would
-    cand = np.flatnonzero(upper > piv_tol)
+    movable = upper > piv_tol
+    if pool:
+        answer = _pooled_answer(pool, A, b, c, upper, finite_ub, movable, rc_tol)
+        if answer is not None:
+            basis, at_upper, xB, y, rc = answer
+            return _solution(c, upper, finite_ub, basis, at_upper.copy(), xB, y, rc, 0)
+    cand = np.flatnonzero(movable)
     A_price, price_pos = _pricing_columns(A, cand)
     c_cand = c[cand]
     cand_pos = np.full(n, -1)
@@ -279,23 +342,16 @@ def solve_bounded_lp(
     y = c_basis @ Binv
     rc = c - y @ A
 
-    x = np.where(at_upper & finite_ub, upper, 0.0)
-    x[basis] = xB
-    np.clip(x, 0.0, None, out=x)
+    solution = _solution(c, upper, finite_ub, basis, at_upper, xB, y, rc, iteration)
     if exact:
         # no factorization has checked a caller's start inverse: a wrong one shows here
+        x = solution.x
         residual = float(np.abs(A @ x - b).max(initial=0.0))
         scale = 1.0 + max(float(np.abs(b).max(initial=0.0)), float(x.max(initial=0.0)))
         if residual > RESIDUAL_TOL * scale:
             raise SimplexError(
                 f"primal residual |Ax - b| = {residual:.3g}: the start basis inverse is wrong"
             )
-    objective = float(c @ x)
-    return LpSolution(
-        x=x,
-        row_duals=y,
-        reduced_costs=rc,
-        at_upper=at_upper,
-        objective=objective,
-        iterations=iteration,
-    )
+        if pool is not None:
+            pool.append((basis, at_upper.copy(), Binv.copy()))
+    return solution

@@ -795,13 +795,14 @@ def record_recourse_lps(monkeypatch) -> list:
     """Route the scenario solves' simplex calls through a recorder.
 
     Each call appends ((A, b, c, upper, basis), start inverse, solution); the
-    start inverse is a copy, since the solver updates its own in place.
+    start inverse is a copy, since the solver updates its own in place. A
+    solve's basis pool is passed on, so a pooled answer is recorded as given.
     """
     lps = []
 
-    def record(A, b, c, upper, basis, basis_inverse):
+    def record(A, b, c, upper, basis, basis_inverse, pool=None):
         start = basis_inverse.copy()
-        solution = solve_bounded_lp(A, b, c, upper, basis, basis_inverse=basis_inverse)
+        solution = solve_bounded_lp(A, b, c, upper, basis, basis_inverse=basis_inverse, pool=pool)
         lps.append(((A, b, c, upper, basis), start, solution))
         return solution
 

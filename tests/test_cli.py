@@ -224,6 +224,24 @@ def test_verify_reports_zero_violations_on_a_fresh_run(workdir):
     assert payload["scenarios_checked"] == 10
 
 
+def test_verify_flags_a_reported_evaluation_mean_the_cold_solves_do_not_give(workdir):
+    tmp, instance_path, config_path = workdir
+    out = tmp / "run"
+    assert cli_main(["solve", "--instance", str(instance_path), "--config", str(config_path),
+                     "--out", str(out)]) == 0
+    report = out / "report.json"
+    payload = json.loads(report.read_text(encoding="utf-8"))
+    reported = payload["saa"]["eval_objective"]
+    altered = reported * (1 + 1e-6)
+    payload["saa"]["eval_objective"] = altered
+    report.write_text(json.dumps(payload), encoding="utf-8")
+    assert cli_main(["verify", "--run", str(out)]) == 2
+    violations = json.loads((out / "verify.json").read_text(encoding="utf-8"))["violations"]
+    assert len(violations) == 1
+    assert repr(altered) in violations[0]["message"]
+    assert repr(reported) in violations[0]["message"]
+
+
 def test_unknown_flag_exits_one(workdir, capsys):
     tmp, instance_path, config_path = workdir
     rc = cli_main(["solve", "--instance", str(instance_path), "--wat"])
@@ -565,24 +583,28 @@ def test_many_threads_start_no_thread(workdir, monkeypatch, command):
     assert rc == 0
 
 
-# saa.passes values outside 1..max_passes (5 in the workdir config)
-BAD_PASSES = {"passes_0": 0, "passes_x": "x", "passes_null": None, "passes_1.5": 1.5,
-              "passes_above_max": 6}
+# saa.passes values outside 1..max_passes (5 in the workdir config), and
+# saa.eval_objective values that are not finite numbers
+BAD_SAA = {"passes_0": ("passes", 0), "passes_x": ("passes", "x"),
+           "passes_null": ("passes", None), "passes_1.5": ("passes", 1.5),
+           "passes_above_max": ("passes", 6), "eval_objective_x": ("eval_objective", "x"),
+           "eval_objective_nan": ("eval_objective", float("nan"))}
 
 
 @pytest.mark.parametrize(
-    "content", [None, '{"config": ', "{}", "config_not_an_object", *BAD_PASSES]
+    "content", [None, '{"config": ', "{}", "config_not_an_object", *BAD_SAA]
 )
 def test_verify_on_a_bad_report_exits_one_naming_it(workdir, capsys, content):
     tmp, instance_path, config_path = workdir
     run = tmp / "run"
     report = run / "report.json"
-    if content == "config_not_an_object" or content in BAD_PASSES:
+    if content == "config_not_an_object" or content in BAD_SAA:
         assert cli_main(["solve", "--instance", str(instance_path), "--config",
                          str(config_path), "--out", str(run)]) == 0
         payload = json.loads(report.read_text(encoding="utf-8"))
-        if content in BAD_PASSES:
-            payload["saa"]["passes"] = BAD_PASSES[content]
+        if content in BAD_SAA:
+            name, value = BAD_SAA[content]
+            payload["saa"][name] = value
         else:
             payload["config"] = ["x"]
         content = json.dumps(payload)

@@ -10,7 +10,9 @@ at the design it came from. The all-closed design has no package solve (a
 design must open a plant), so HiGHS prices it. Each scenario LP must also
 be byte-equal to the dense, refactorizing reference simplex while calling
 no LAPACK inverse: on these 0/+-1 problems the updated basis inverse is
-exact.
+exact. A batch of such scenarios evaluated through one basis pool must
+answer each LP the pool answers with the objective of a solve without a
+pool, within 1e-9 relative, and each LP it solves cold byte-equal to one.
 
 The master examples draw random multi-group cut pools, or pools built from
 real scenario solves: enumeration and branch and bound return the same
@@ -26,10 +28,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strainchain import Design, RecourseSolver, SaaConfig, ValidationError, run_saa, sample_batch
+from strainchain import (
+    Design,
+    RecourseSolver,
+    SaaConfig,
+    ValidationError,
+    evaluate_design,
+    run_saa,
+    sample_batch,
+)
 from strainchain.lshaped import MasterState, solve_master
 from strainchain.recourse import cut_terms_from
 from strainchain.scenarios import RiskOverrides
+from strainchain.simplex import solve_bounded_lp
 
 from helpers import (
     CORNERS,
@@ -92,6 +103,30 @@ def test_scenario_lp_matches_the_refactorizing_reference_bit_for_bit_without_inv
     assert len(lps) == 1 and not inv_calls
     args, start, solution = lps[0]
     assert_same_lp_solution(solution, reference_solve_bounded_lp(*args, basis_inverse=start))
+
+
+@st.composite
+def evaluation_batches(draw):
+    inst, _, design = draw(cases())
+    seed = draw(st.integers(0, 10_000))
+    corners = draw(st.lists(st.sampled_from(CORNERS), min_size=2, max_size=8))
+    return inst, [corner_scenario(inst, seed + w, c) for w, c in enumerate(corners)], design
+
+
+@PROPERTY
+@given(evaluation_batches())
+def test_pooled_evaluation_answers_match_solves_without_a_pool(batch):
+    inst, scens, design = batch
+    with pytest.MonkeyPatch.context() as patch:
+        lps = record_recourse_lps(patch)
+        evaluate_design(inst, design, scens, RecourseSolver(inst))
+    assert len(lps) == len(scens)
+    for args, start, solution in lps:
+        cold = solve_bounded_lp(*args, basis_inverse=start)
+        if solution.iterations == 0:  # answered by a pooled basis
+            assert solution.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
+        else:
+            assert_same_lp_solution(solution, cold)
 
 
 @PROPERTY

@@ -24,6 +24,7 @@ from helpers import (
     count_calls,
     enumerate_designs,
     plain_scenario,
+    record_recourse_lps,
     small_random_instance,
     tiny_instance,
 )
@@ -145,10 +146,13 @@ def test_pass_cap_reports_unresolved_gap():
     assert report.gap_unresolved
 
 
-def test_evaluate_design_on_identical_scenarios_has_zero_error():
+def test_evaluate_design_on_identical_scenarios_has_zero_error(monkeypatch):
     inst = no_uncertainty_instance()
     scens = [plain_scenario(inst), plain_scenario(inst)]
+    lps = record_recourse_lps(monkeypatch)
     ev = evaluate_design(inst, Design(open={"a": 1, "b": 0}), scens)
+    # the first LP's optimal basis answers the second from the pool
+    assert [sol.iterations == 0 for _, _, sol in lps] == [False, True]
     assert ev.std_error == pytest.approx(0.0, abs=1e-12)
     single = evaluate_design(inst, Design(open={"a": 1, "b": 0}), scens[:1])
     assert ev.mean_objective == pytest.approx(single.mean_objective)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -120,8 +122,9 @@ def _assert_same_solution(args, kwargs=None):
     return got
 
 
-def _sampled_recourse_lps(monkeypatch):
-    """72 scenario LPs of random small instances and designs, as the solver posed them."""
+def _sampled_recourse_lps(monkeypatch, solvers=None):
+    """72 scenario LPs of random small instances and designs, as the solver
+    posed them; `solvers`, when given, gets the solver of each LP in turn."""
     with monkeypatch.context() as patch:
         lps = record_recourse_lps(patch)
         rng = np.random.default_rng(31)
@@ -137,6 +140,8 @@ def _sampled_recourse_lps(monkeypatch):
                 open_map = {j: int(rng.integers(0, 2)) for j in plants}
                 open_map.update({opened: 1, closed: 0})
                 solver.solve(Design(open=open_map), scen)
+                if solvers is not None:
+                    solvers.append(solver)
     assert len(lps) == 72
     return lps
 
@@ -202,8 +207,10 @@ def test_lps_outside_the_exact_class_refactorize(monkeypatch, entering, b):
     A = np.array([[entering[0], 1.0, 1.0, 0.0], [entering[1], 1.0, 0.0, 1.0]])
     args = (A, np.array(b), np.array([-1.0, -1.0, 0.0, 0.0]), np.full(4, np.inf), [2, 3])
     inv_calls = count_calls(monkeypatch, np.linalg, "inv")
-    got = solve_bounded_lp(*args, basis_inverse=np.eye(2))
+    pool = []
+    got = solve_bounded_lp(*args, basis_inverse=np.eye(2), pool=pool)
     assert inv_calls
+    assert not pool  # only a proven-exact inverse is pooled
     assert_same_lp_solution(got, reference_solve_bounded_lp(*args, basis_inverse=np.eye(2)))
 
 
@@ -213,6 +220,78 @@ def test_wrong_start_inverse_raises_naming_the_primal_residual(monkeypatch):
     start[row, row] = -start[row, row]
     with pytest.raises(SimplexError, match="primal residual"):
         solve_bounded_lp(A, b, c, upper, basis, basis_inverse=start)
+
+
+def _variant(kind, args, solver, entry, rng):
+    """The LP `args` with one part changed so that only one half of the
+    pooled entry's certificate can fail: its b, its S2 costs, or the bound of
+    a column the entry holds at upper."""
+    A, b, c, upper, basis = args
+    b, c, upper = b.copy(), c.copy(), upper.copy()
+    if kind == "capacities":
+        # the start basis keeps its slacks feasible at any nonnegative capacity
+        b[: solver.rDem] *= rng.uniform(0.0, 1.0, solver.rDem)
+    elif kind == "s2_costs":
+        c[solver.oS2 : solver.oS2 + solver.nK] *= rng.uniform(0.0, 2.0, solver.nK)
+    else:
+        upper[np.flatnonzero(entry[1])[0]] = np.inf
+    return A, b, c, upper, basis
+
+
+def _certificate_holds(kind, variant, entry):
+    """The reference's answer: is the pooled basis optimal for the variant?"""
+    A, b, c, upper, _ = variant
+    basis, at_upper, Binv = entry
+    if kind == "capacities":  # the costs and bounds are the entry's own: only b can break it
+        xB = Binv @ (b - A @ np.where(at_upper, upper, 0.0))
+        scale = 1.0 + np.abs(b).max()
+        return bool(((xB >= -1e-9 * scale) & (xB <= upper[basis] + 1e-9 * scale)).all())
+    if kind == "s2_costs":  # b is the entry's own: optimal iff the reference stops at once
+        ref = reference_solve_bounded_lp(
+            A, b, c, upper, basis, at_upper=at_upper, basis_inverse=Binv.copy()
+        )
+        return ref.iterations == 1
+    return False  # a column held at an upper bound the LP no longer has
+
+
+# an entry holding a column at an infinite bound is skipped before any
+# arithmetic, which would make its basic values NaN with a RuntimeWarning
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kind", ["capacities", "s2_costs", "unbounded_at_upper"])
+def test_a_pooled_basis_answers_only_where_its_certificate_holds(monkeypatch, kind):
+    solvers = []
+    lps = _sampled_recourse_lps(monkeypatch, solvers)
+    rng = np.random.default_rng(17)
+    outcomes = []
+    for (args, start, _), solver in zip(lps, solvers):
+        pool = []
+        first = solve_bounded_lp(*args, basis_inverse=start.copy(), pool=pool)
+        assert len(pool) == 1 and first.iterations > 0
+        if kind == "unbounded_at_upper" and not pool[0][1].any():
+            continue
+        variant = _variant(kind, args, solver, pool[0], rng)
+        expected = _certificate_holds(kind, variant, pool[0])
+        got = solve_bounded_lp(*variant, basis_inverse=start.copy(), pool=pool)
+        cold = solve_bounded_lp(*variant, basis_inverse=start.copy())
+        if expected:
+            assert got.iterations == 0 and len(pool) == 1  # a pooled answer adds nothing
+            assert got.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
+        else:
+            assert_same_lp_solution(got, cold)
+            assert len(pool) == 2  # an exact cold solve adds its final basis
+        outcomes.append(expected)
+    # both outcomes occur, except that an unbounded at-upper column always skips
+    assert outcomes.count(False) >= 4
+    assert kind == "unbounded_at_upper" or outcomes.count(True) >= 5
+
+
+def test_a_pooled_basis_answers_its_own_lp_to_the_bit(monkeypatch):
+    for args, start, _ in _sampled_recourse_lps(monkeypatch):
+        pool = []
+        cold = solve_bounded_lp(*args, basis_inverse=start.copy(), pool=pool)
+        again = solve_bounded_lp(*args, basis_inverse=start.copy(), pool=pool)
+        assert again.iterations == 0 and len(pool) == 1
+        assert_same_lp_solution(dataclasses.replace(again, iterations=cold.iterations), cold)
 
 
 def test_lp_with_every_column_fixed_stops_at_once():
