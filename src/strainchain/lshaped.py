@@ -315,7 +315,17 @@ def run_lshaped(
     max_iterations: int = 500,
     solver: RecourseSolver | None = None,
 ) -> LShapedResult:
-    """Alternate master solves and scenario solves until the gap closes."""
+    """Alternate master solves and scenario solves until the gap closes.
+
+    The N scenario LPs of one iteration share one basis pool (see
+    `simplex`): they share A and the candidate design, so an earlier
+    scenario's optimal basis often answers a later one without a pivot.
+    The pool lasts one iteration. A pool carried across the run keeps
+    growing, and every LP scans it in order: on the `solve_large` benchmark
+    workload it avoided under 5% more pivots and more than doubled the
+    simplex's own time. It is dropped before the next master solve, so its
+    inverses never sit in memory beside the enumeration envelope.
+    """
     if not scenarios:
         raise ValidationError("need at least one scenario")
     if not epsilon > 0:
@@ -341,12 +351,14 @@ def run_lshaped(
         mean_recourse = 0.0
         constants = np.zeros(groups)
         coefficients = np.zeros((groups, len(plants)))
+        bases = []
         for scen, g in zip(scenarios, group_of):
-            sol = solver.solve(candidate, scen)
+            sol = solver.solve(candidate, scen, bases)
             mean_recourse += sol.objective / n_scen
             const, coeff = cut_terms_from(scen, sol)
             constants[g] += const / n_scen
             coefficients[g] += coeff / n_scen
+        del bases
         z_n = fixed + mean_recourse
         if incumbent is None or z_n < ub:
             ub = z_n

@@ -22,12 +22,14 @@ right-hand side, and each plant's self-distribution column) has a 0/+-1
 inverse in closed form, so a solve starts pivoting without factorizing.
 Solutions hold flows and multipliers as arrays only, and cut terms come back
 as one coefficient array in plant order. A solve may pass the simplex a pool
-of earlier optimal bases; `saa.evaluate_design` keeps one per evaluation,
-while the decomposition and `verify` pass none, so their cuts and checks
-come from LPs solved from the start basis. Every answer, pooled or not,
-passes the same balance and strong-duality checks. Dicts keyed by country
-or arc are built only at the JSON/CSV boundary and by the structural
-diagnostics.
+of earlier optimal bases; `saa.evaluate_design` keeps one per evaluation and
+`lshaped.run_lshaped` one per iteration. A pooled answer may carry another
+optimal dual than a solve from the start basis, so its cut may differ, but
+it is still valid at every design and tight at its own. Only `verify` passes
+none, so its checks come from LPs solved from the start basis. Every
+answer, pooled or not, passes the same balance and strong-duality checks.
+Dicts keyed by country or arc are built only at the JSON/CSV boundary and by
+the structural diagnostics.
 """
 
 from __future__ import annotations

@@ -40,7 +40,8 @@ too, and the two differ only in the sign of zero entries, which no returned
 array shows. The returned reduced costs cover every column.
 
 A caller that solves many LPs with the same A (one design's evaluation
-batch, which differs only in b, the bounds and some costs) may pass a pool:
+batch, or the N scenario LPs of one decomposition iteration, which differ
+only in b, the bounds and some costs) may pass a pool:
 a list of (basis, at-upper mask, B^-1) entries of earlier optimal bases.
 Before pricing, each entry is tried in the order it was added; the first
 whose optimality certificate holds answers the LP with no pivot. The

@@ -10,6 +10,7 @@ from strainchain import (
     RecourseSolver,
     RiskOverrides,
     ValidationError,
+    generate_synthetic_instance,
     run_lshaped,
     sample_batch,
     solve_master,
@@ -20,14 +21,17 @@ from strainchain.lshaped import (
     _bound_terms,
     cut_groups,
 )
+from strainchain.simplex import solve_bounded_lp
 
 from helpers import (
     OptimalityCut,
+    assert_same_lp_solution,
     enumeration_optimum,
     master_values,
     plain_scenario,
     pool_from_cuts,
     pool_from_rows,
+    record_recourse_lps,
     reference_master_by_enumeration,
     small_random_instance,
     tiny_instance,
@@ -344,6 +348,32 @@ def test_exactness_against_enumeration_on_sampled_pools():
         best_val, best_design = enumeration_optimum(inst, scens, solver)
         assert result.objective == pytest.approx(best_val, rel=1e-6)
         assert result.design.open == best_design.open
+
+
+def test_each_decomposition_iteration_shares_one_basis_pool(monkeypatch):
+    # criterion 1's first instance and sample
+    inst = generate_synthetic_instance(2, 3, 5, seed=9000)
+    scens = sample_batch(
+        inst, (40, 0), 20, RiskOverrides(export_prob_scale=0.6, ban_threshold=0.95)
+    )
+    solver = RecourseSolver(inst)
+    lps = record_recourse_lps(monkeypatch)
+    result = run_lshaped(inst, scens, epsilon=1e-9, solver=solver)
+    n = len(scens)
+    assert result.iterations > 1 and len(lps) == result.iterations * n
+    pooled = 0
+    for at, (args, start, solution) in enumerate(lps):
+        cold = solve_bounded_lp(*args, basis_inverse=start)
+        # an iteration's first LP meets an empty pool, and an LP no pooled
+        # basis answers pivots on its own path
+        if at % n == 0 or solution.iterations:
+            assert_same_lp_solution(solution, cold)
+        else:
+            pooled += cold.iterations > 0
+    assert pooled
+    best_val, best_design = enumeration_optimum(inst, scens, solver)
+    assert result.objective == pytest.approx(best_val, rel=1e-6)
+    assert result.design.open == best_design.open
 
 
 def test_decomposition_on_the_branch_and_bound_master(monkeypatch):

@@ -15,6 +15,7 @@ from helpers import (
     enumerate_designs,
     plain_scenario,
     raw_lp_objective,
+    record_recourse_lps,
     recourse_cut_terms,
     small_random_instance,
     solve_recourse,
@@ -223,6 +224,41 @@ def test_cuts_underestimate_everywhere_and_touch_at_the_source():
                     assert predicted <= actual + 1e-7
                 src_val = const + sum(coeff[j] * src.open[j] for j in coeff)
                 assert src_val == pytest.approx(solutions[src.key()].objective, abs=1e-7)
+
+
+def test_cuts_from_pooled_answers_are_valid_and_tight(monkeypatch):
+    # criterion 3's sets, each design's scenarios solved in order through one
+    # basis pool, as one decomposition iteration solves them
+    lps = record_recourse_lps(monkeypatch)
+    pooled = moved = 0
+    for trial in range(10):
+        inst = small_random_instance(seed=7000 + trial, n_countries=4)
+        solver = RecourseSolver(inst)
+        designs = list(enumerate_designs(inst))
+        assert len(designs) == 15
+        scens = sample_batch(
+            inst, (42, trial), 5, RiskOverrides(export_prob_scale=0.45, ban_threshold=1.0)
+        )
+        cold = {(d.key(), s): solver.solve(d, scen) for d in designs for s, scen in enumerate(scens)}
+        for src in designs:
+            bases = []
+            for s, scen in enumerate(scens):
+                sol = solver.solve(src, scen, bases)
+                if lps[-1][2].iterations:
+                    continue
+                pooled += 1
+                const, coeff = recourse_cut_terms(inst, scen, sol)
+                cold_const, cold_coeff = recourse_cut_terms(inst, scen, cold[src.key(), s])
+                moved += not np.allclose(
+                    [const, *coeff.values()], [cold_const, *cold_coeff.values()], rtol=0, atol=1e-9
+                )
+                for tgt in designs:
+                    value = const + sum(coeff[j] * tgt.open[j] for j in coeff)
+                    assert value <= cold[tgt.key(), s].objective + 1e-7
+                own = const + sum(coeff[j] * src.open[j] for j in coeff)
+                assert own == pytest.approx(cold[src.key(), s].objective, abs=1e-7)
+    # some pooled answers carry another optimal dual than the cold solve
+    assert pooled and moved
 
 
 def test_zero_demand_zero_exports_gives_all_zero_cut():
