@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from dataclasses import asdict, fields, replace
@@ -27,12 +26,13 @@ from .instance import (
     Instance,
     ValidationError,
     fixed_cost,
+    is_finite_number,
     load_instance,
     validate_design,
     write_instance,
 )
 from .lshaped import IterationLimitError
-from .policy import StudySpec, run_study
+from .policy import KIND_FIELD, StudySpec, check_study, run_study
 from .recourse import RecourseError, RecourseSolver, check_structural_theorems
 from .report import (
     build_artifact,
@@ -53,7 +53,7 @@ from .simplex import SimplexError
 SOLVER_ERRORS = (RecourseError, SimplexError, IterationLimitError)
 EVAL_REL_TOL = 1e-9  # verify: reported evaluation mean vs cold solves, relative
 CONFIG_SECTIONS = {"saa", "studies"}
-STUDY_FIELDS = {"kind", "scheme", "quality", "pairs", "label"}
+STUDY_FIELDS = {f.name for f in fields(StudySpec)} | {"label"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,8 +66,7 @@ def _overrides_from_dict(d: dict | None, name: str) -> RiskOverrides:
     d = d or {}
     if not isinstance(d, dict):
         raise ValidationError(f"{name} must be a JSON object")
-    known = {"force_export_prob_one", "export_prob_scale", "ban_threshold", "alliances_off"}
-    unknown = sorted(set(d) - known)
+    unknown = sorted(set(d) - {f.name for f in fields(RiskOverrides)})
     if unknown:
         raise ValidationError(f"unknown override fields: {unknown}")
     return RiskOverrides(**d)
@@ -85,13 +84,6 @@ def saa_config_from_dict(d: dict | None) -> SaaConfig:
     except TypeError as exc:
         raise ValidationError(f"bad saa config: {exc}") from exc
     return cfg.validated()
-
-
-def saa_config_to_dict(cfg: SaaConfig) -> dict:
-    d = asdict(cfg)
-    d["optimize_overrides"] = cfg.optimize_overrides.describe()
-    d["evaluate_overrides"] = cfg.evaluate_overrides.describe()
-    return d
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -126,7 +118,8 @@ def _studies_from_config(studies) -> list:
     """(output directory name, validated StudySpec) for every entry of the config's studies.
 
     An entry writes to its label, or to NN_kind by position; two entries
-    that would share a directory are rejected, naming both.
+    that would share a directory are rejected, naming both, and so is a
+    field the entry's kind does not read.
     """
     if not isinstance(studies, list) or not studies:
         raise ValidationError("config 'studies' must be a non-empty list of objects")
@@ -145,9 +138,12 @@ def _studies_from_config(studies) -> list:
         label = raw.get("label")
         if label is not None and not _is_dir_name(label):
             raise ValidationError(f"{where}.label must be a plain directory name, got {label!r}")
-        fields = {"kind": "", **raw, "pairs": tuple(tuple(p) for p in pairs)}
-        fields.pop("label", None)
-        spec = StudySpec(**fields).validated()
+        kwargs = {"kind": "", **raw, "pairs": tuple(tuple(p) for p in pairs)}
+        kwargs.pop("label", None)
+        spec = StudySpec(**kwargs).validated()
+        unread = sorted(set(raw) - {"kind", "label", KIND_FIELD.get(spec.kind)})
+        if unread:
+            raise ValidationError(f"{where}: kind {spec.kind!r} does not read {unread}")
         directory = label or f"{n:02d}_{spec.kind}"
         if directory in owner:
             raise ValidationError(
@@ -168,7 +164,7 @@ def _resolve_saa(args, config: dict) -> SaaConfig:
 def _echo(instance_path: Path, cfg: SaaConfig) -> dict:
     return {
         "instance": str(instance_path.resolve()),
-        "saa": saa_config_to_dict(cfg),
+        "saa": asdict(cfg),
     }
 
 
@@ -269,6 +265,11 @@ def _cmd_study(args) -> int:
     entries = _studies_from_config(config.get("studies"))
     instance_path = Path(args.instance)
     inst = load_instance(instance_path)
+    for n, (_, spec) in enumerate(entries):
+        try:
+            check_study(inst, spec)
+        except ValidationError as exc:
+            raise ValidationError(f"studies[{n}]: {exc}") from exc
     check_writable_dir(args.out)
 
     out = Path(args.out)
@@ -336,8 +337,7 @@ def _cmd_verify(args) -> int:
     validate_design(inst, design)
 
     reported = artifact.saa.eval_objective
-    if (isinstance(reported, bool) or not isinstance(reported, (int, float))
-            or not math.isfinite(reported)):
+    if not is_finite_number(reported):
         raise ValidationError(
             f"run report {report_path}: saa.eval_objective must be a finite number, "
             f"got {reported!r}"

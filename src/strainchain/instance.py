@@ -134,16 +134,21 @@ def _require(cond: bool, message: str) -> None:
         raise ValidationError(message)
 
 
+def is_finite_number(value) -> bool:
+    """An int or float that is finite; a bool is not a number here."""
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+
+
 def _check_map(mapping: dict, keys, what: str, lo: float = 0.0, hi: float | None = None) -> None:
     keys = list(keys)
+    _require(isinstance(mapping, dict), f"{what} must be a map of country ids")
     if set(mapping) != set(keys):
         missing = sorted(set(keys) - set(mapping))
         extra = sorted(set(mapping) - set(keys))
         raise ValidationError(f"{what}: keys mismatch (missing={missing}, extra={extra})")
     for k in keys:
         v = mapping[k]
-        if not isinstance(v, (int, float)) or not math.isfinite(v):
-            raise ValidationError(f"{what}[{k}] is not a finite number")
+        _require(is_finite_number(v), f"{what}[{k}] is not a finite number, got {v!r}")
         if v < lo or (hi is not None and v > hi):
             bound = f"[{lo}, {hi}]" if hi is not None else f">= {lo}"
             raise ValidationError(f"{what} out of {bound} for {k!r}")
@@ -162,10 +167,12 @@ def validate_instance(inst: Instance) -> None:
     _require(set(inst.plant_candidates) <= kset, "plant_candidates not a subset of countries")
     _require(len(inst.suppliers) >= 1, "no suppliers")
     _require(len(inst.plant_candidates) >= 1, "no plant candidates")
-    _require(inst.interest_country in kset, "interest_country not in countries")
+    _require(isinstance(inst.interest_country, str) and inst.interest_country in kset,
+             "interest_country not in countries")
     _require(set(inst.allies) <= kset, "allies not a subset of countries")
     _require(inst.interest_country not in inst.allies, "interest_country listed as its own ally")
 
+    _require(isinstance(inst.income_level, dict), "income_level must be a map of country ids")
     if set(inst.income_level) != kset:
         raise ValidationError("income_level: keys mismatch with countries")
     bad = [k for k in K if inst.income_level[k] not in INCOME_LEVELS]
@@ -186,7 +193,9 @@ def validate_instance(inst: Instance) -> None:
     _check_map(inst.supplier_avail_prob, inst.suppliers, "supplier_avail_prob", 0.0, 1.0)
     _check_map(inst.plant_avail_prob, inst.plant_candidates, "plant_avail_prob", 0.0, 1.0)
 
-    _require(math.isfinite(inst.beta), "beta is not a finite number")
+    for name in ("beta", "ban_threshold"):
+        value = getattr(inst, name)
+        _require(is_finite_number(value), f"{name} is not a finite number, got {value!r}")
     _require(inst.beta >= 0.0, "beta out of [0, inf)")
     _require(0.0 <= inst.ban_threshold <= 1.0, "ban_threshold out of [0,1]")
 
@@ -194,7 +203,7 @@ def validate_instance(inst: Instance) -> None:
     if set(inst.transport1) != t1_keys:
         raise ValidationError("transport1: keys must cover all (supplier, plant) pairs")
     for (i, j), v in inst.transport1.items():
-        _require(math.isfinite(v), f"transport1 is not a finite number for ({i}, {j})")
+        _require(is_finite_number(v), f"transport1 is not a finite number for ({i}, {j})")
         _require(v >= 0.0, f"transport1 negative for ({i}, {j})")
         if i == j:
             _require(v == 0.0, f"transport1 must be 0 on self pair ({i}, {j})")
@@ -202,7 +211,7 @@ def validate_instance(inst: Instance) -> None:
     if set(inst.transport2) != t2_keys:
         raise ValidationError("transport2: keys must cover all (plant, country) pairs")
     for (j, k), v in inst.transport2.items():
-        _require(math.isfinite(v), f"transport2 is not a finite number for ({j}, {k})")
+        _require(is_finite_number(v), f"transport2 is not a finite number for ({j}, {k})")
         _require(v >= 0.0, f"transport2 negative for ({j}, {k})")
         if j == k:
             _require(v == 0.0, f"transport2 must be 0 on self pair ({j}, {k})")
@@ -217,6 +226,8 @@ def validate_instance(inst: Instance) -> None:
             pmf = pmfs[k]
             _require(len(pmf.levels) == len(pmf.probs) and len(pmf.levels) >= 1,
                      f"{what}[{k}]: levels/probs length mismatch")
+            _require(all(is_finite_number(v) for v in pmf.levels + pmf.probs),
+                     f"{what}[{k}]: levels and probs must be finite numbers")
             _require(all(0.0 <= l <= 1.0 for l in pmf.levels),
                      f"{what}[{k}]: support outside [0,1]")
             _require(all(p >= 0.0 for p in pmf.probs), f"{what}[{k}]: negative probability")
@@ -231,7 +242,10 @@ def make_instance(**kwargs) -> Instance:
     Country-like tuples are sorted, cross-country maps are left as given.
     """
     for name in ("countries", "suppliers", "plant_candidates", "allies"):
-        kwargs[name] = tuple(sorted(kwargs[name]))
+        ids = kwargs[name]
+        _require(isinstance(ids, (list, tuple)) and all(isinstance(k, str) for k in ids),
+                 f"{name} must be a list of country ids, got {ids!r}")
+        kwargs[name] = tuple(sorted(ids))
     inst = Instance(**kwargs)
     validate_instance(inst)
     return inst
@@ -303,7 +317,7 @@ def instance_from_dict(d: dict) -> Instance:
     for name in ("supplier_strain_pmf", "plant_strain_pmf"):
         try:
             kwargs[name] = {k: DiscretePmf.from_dict(v) for k, v in kwargs[name].items()}
-        except (KeyError, TypeError) as exc:
+        except (AttributeError, KeyError, TypeError) as exc:
             raise InstanceFormatError(f"{name}: expected maps with 'levels'/'probs'") from exc
     return make_instance(**kwargs)
 

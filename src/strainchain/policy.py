@@ -19,7 +19,7 @@ or their overrides differ), so they run without a memo.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from .instance import Instance, ValidationError
 from .report import country_rows, shortage_by_income
@@ -40,6 +40,9 @@ BACKSHORING_QUALITIES = ("base", "moderate", "high")
 
 # disruption-rate reduction per quality tier: new_p = 1 - keep * (1 - old_p)
 QUALITY_DISRUPTION_KEEP = {"moderate": 0.5, "high": 0.25}
+
+# the one StudySpec field besides `kind` that each kind reads
+KIND_FIELD = {"pricing": "scheme", "backshoring": "quality", "rho_swap": "pairs"}
 
 
 @dataclass(frozen=True)
@@ -115,7 +118,7 @@ def run_export_ban_cases(instance: Instance, saa_template: SaaConfig) -> StudyRe
     arms = []
     for name, opt, ev in cases:
         cfg = replace(saa_template, optimize_overrides=opt, evaluate_overrides=ev)
-        changes = {"optimize_overrides": opt.describe(), "evaluate_overrides": ev.describe()}
+        changes = {"optimize_overrides": asdict(opt), "evaluate_overrides": asdict(ev)}
         arms.append(_arm(name, instance, cfg, changes, memo))
     comparison = {
         arm.name: {
@@ -200,12 +203,18 @@ def apply_backshoring_quality(instance: Instance, quality: str) -> Instance:
     return instance.perturbed(plant_avail_prob=avail, plant_strain_pmf=pmfs)
 
 
-def run_backshoring(
-    instance: Instance, saa_template: SaaConfig, quality: str = "base"
-) -> StudyResult:
+def _home_plant(instance: Instance) -> str:
+    """The interest country, which backshoring opens as a plant."""
     c1 = instance.interest_country
     if c1 not in instance.plant_candidates:
         raise ValidationError(f"interest country {c1!r} is not a plant candidate")
+    return c1
+
+
+def run_backshoring(
+    instance: Instance, saa_template: SaaConfig, quality: str = "base"
+) -> StudyResult:
+    c1 = _home_plant(instance)
     shore_instance = apply_backshoring_quality(instance, quality)
     forced_cfg = replace(
         saa_template, forced_open={**saa_template.forced_open, c1: 1}
@@ -262,6 +271,14 @@ def run_sensitivity(
     }
     return StudyResult(kind="transport_sensitivity" if variant == "transport_x2" else variant,
                        arms=[arm_base, arm_new], comparison=comparison)
+
+
+def check_study(instance: Instance, spec: StudySpec) -> None:
+    """Raise the ValidationError that running `spec` on `instance` would, solving nothing."""
+    if spec.kind == "backshoring":
+        _home_plant(instance)
+    elif spec.kind == "rho_swap":
+        apply_sensitivity_variant(instance, "rho_swap", spec.pairs)
 
 
 def run_study(instance: Instance, spec: StudySpec, saa_template: SaaConfig) -> StudyResult:

@@ -9,6 +9,11 @@ unwritable path as a ValidationError naming it; `check_writable_dir` and
 solves anything, and `load_artifact` reports a missing, unparsable or
 incomplete report.json the same way.
 
+Records are written from their dataclass fields: `asdict` or `fields()`
+gives each key, and only the values JSON cannot hold (designs, arc-keyed
+flow maps, nested records) are converted. Loading reads every field by
+name, so a missing one names the report and an extra key is ignored.
+
 report.json is byte-identical for identical configs (wall-clock timings
 never enter it; they go to a separate sidecar). CSVs are RFC-4180 (csv
 module defaults), UTF-8, '.' decimals, with canonical country ordering so
@@ -22,7 +27,7 @@ import json
 import math
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .instance import INCOME_LEVELS, Design, Instance, ValidationError
@@ -49,70 +54,53 @@ def _rows_to_pairs(rows: list) -> dict:
     return {(a, b): v for a, b, v in rows}
 
 
+# the two arc-keyed maps, written as [origin, destination, value] rows
+_ARC_MAPS = ("expected_raw_flow", "expected_drug_flow")
+
+
+def _field_values(record) -> dict:
+    """Field name -> value for every field of dataclass `record`, values uncopied."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
+
+
+def _read_fields(cls, d: dict) -> dict:
+    """Field name -> d[name] for every field of dataclass `cls`; extra keys are ignored."""
+    return {f.name: d[f.name] for f in fields(cls)}
+
+
 def evaluation_to_dict(ev: DesignEvaluation) -> dict:
-    return {
-        "mean_objective": ev.mean_objective,
-        "std_error": ev.std_error,
-        "expected_shortage": dict(sorted(ev.expected_shortage.items())),
-        "expected_demand": dict(sorted(ev.expected_demand.items())),
-        "expected_raw_flow": _pairs_to_rows(ev.expected_raw_flow),
-        "expected_drug_flow": _pairs_to_rows(ev.expected_drug_flow),
-        "sales_volume": ev.sales_volume,
-        "breakdown": {
-            "fixed": ev.breakdown.fixed,
-            "raw_and_inbound": ev.breakdown.raw_and_inbound,
-            "production_and_outbound": ev.breakdown.production_and_outbound,
-            "shortage_baseline": ev.breakdown.shortage_baseline,
-            "shortage_escalation": ev.breakdown.shortage_escalation,
-        },
-    }
+    # not asdict(ev): its deep copy of the flow maps costs more than the writing
+    d = _field_values(ev)
+    for name in _ARC_MAPS:
+        d[name] = _pairs_to_rows(d[name])
+    d["breakdown"] = asdict(ev.breakdown)
+    return d
 
 
 def evaluation_from_dict(d: dict) -> DesignEvaluation:
-    return DesignEvaluation(
-        mean_objective=d["mean_objective"],
-        std_error=d["std_error"],
-        expected_shortage=dict(d["expected_shortage"]),
-        expected_demand=dict(d["expected_demand"]),
-        expected_raw_flow=_rows_to_pairs(d["expected_raw_flow"]),
-        expected_drug_flow=_rows_to_pairs(d["expected_drug_flow"]),
-        sales_volume=d["sales_volume"],
-        breakdown=CostBreakdown(**d["breakdown"]),
-    )
+    kwargs = _read_fields(DesignEvaluation, d)
+    for name in _ARC_MAPS:
+        kwargs[name] = _rows_to_pairs(kwargs[name])
+    kwargs["breakdown"] = CostBreakdown(**_read_fields(CostBreakdown, kwargs["breakdown"]))
+    return DesignEvaluation(**kwargs)
 
 
 def saa_report_to_dict(report: SaaReport) -> dict:
-    return {
-        "replication_objectives": list(report.replication_objectives),
-        "candidate_designs": [dict(sorted(d.open.items())) for d in report.candidate_designs],
-        "incumbent": dict(sorted(report.incumbent.open.items())),
-        "lower_bound": report.lower_bound,
-        "upper_bound": report.upper_bound,
-        "gap": report.gap,
-        "eval_objective": report.eval_objective,
-        "eval_std_error": report.eval_std_error,
-        "evaluation": evaluation_to_dict(report.evaluation),
-        "passes": report.passes,
-        "gap_unresolved": report.gap_unresolved,
-        "overrides_differ": report.overrides_differ,
-    }
+    d = _field_values(report)
+    d["replication_objectives"] = list(report.replication_objectives)
+    d["candidate_designs"] = [dict(design.open) for design in report.candidate_designs]
+    d["incumbent"] = dict(report.incumbent.open)
+    d["evaluation"] = evaluation_to_dict(report.evaluation)
+    return d
 
 
 def saa_report_from_dict(d: dict) -> SaaReport:
-    return SaaReport(
-        replication_objectives=list(d["replication_objectives"]),
-        candidate_designs=[Design(open=dict(o)) for o in d["candidate_designs"]],
-        incumbent=Design(open=dict(d["incumbent"])),
-        lower_bound=d["lower_bound"],
-        upper_bound=d["upper_bound"],
-        gap=d["gap"],
-        eval_objective=d["eval_objective"],
-        eval_std_error=d["eval_std_error"],
-        evaluation=evaluation_from_dict(d["evaluation"]),
-        passes=d["passes"],
-        gap_unresolved=d["gap_unresolved"],
-        overrides_differ=d["overrides_differ"],
-    )
+    kwargs = _read_fields(SaaReport, d)
+    kwargs["replication_objectives"] = list(kwargs["replication_objectives"])
+    kwargs["candidate_designs"] = [Design(open=dict(o)) for o in kwargs["candidate_designs"]]
+    kwargs["incumbent"] = Design(open=dict(kwargs["incumbent"]))
+    kwargs["evaluation"] = evaluation_from_dict(kwargs["evaluation"])
+    return SaaReport(**kwargs)
 
 
 COUNTRY_COLUMNS = [
@@ -135,19 +123,10 @@ def country_rows(instance: Instance, design: Design, ev: DesignEvaluation) -> li
     ally = set(instance.ally_group) - {instance.interest_country}
     rows = []
     for k in instance.countries:
-        dem = ev.expected_demand[k]
-        short = ev.expected_shortage[k]
-        rows.append(
-            {
-                "country": k,
-                "income_level": instance.income_level[k],
-                "ally": k in ally,
-                "plant_open": bool(design.open.get(k, 0)),
-                "expected_demand": dem,
-                "expected_shortage": short,
-                "shortage_fraction": shortage_fraction(short, dem),
-            }
-        )
+        dem, short = ev.expected_demand[k], ev.expected_shortage[k]
+        values = (k, instance.income_level[k], k in ally, bool(design.open.get(k, 0)),
+                  dem, short, shortage_fraction(short, dem))
+        rows.append(dict(zip(COUNTRY_COLUMNS, values)))
     return rows
 
 

@@ -30,7 +30,14 @@ import math
 
 import numpy as np
 
-from .instance import Design, Instance, ValidationError, fixed_cost, validate_design
+from .instance import (
+    Design,
+    Instance,
+    ValidationError,
+    fixed_cost,
+    is_finite_number,
+    validate_design,
+)
 from .lshaped import run_lshaped
 from .recourse import RecourseSolver
 from .scenarios import RiskOverrides, sample_batch
@@ -77,6 +84,15 @@ class SaaConfig:
             raise ValidationError(f"base_seed must be nonnegative, got {self.base_seed!r}")
         if not 0.0 < self.alpha < 0.5:
             raise ValidationError("alpha must lie strictly inside (0, 0.5)")
+        try:  # the bounds need both critical values; find a missing one before solving
+            finite = all(map(math.isfinite, critical_values(self.alpha, self.replications - 1)))
+        except (ArithmeticError, ValueError):
+            finite = False
+        if not finite:
+            raise ValidationError(
+                f"alpha {self.alpha!r} has no finite critical value at "
+                f"{self.replications - 1} degrees of freedom"
+            )
         if not (self.outer_gap_tolerance > 0 and self.inner_gap_tolerance > 0):
             raise ValidationError("tolerances must be positive")
         if self.max_passes < 1 or self.max_iterations < 1:
@@ -94,7 +110,7 @@ def _require_int(value, name: str) -> None:
 
 
 def _require_finite(value, name: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    if not is_finite_number(value):
         raise ValidationError(f"{name} must be a finite number, got {value!r}")
 
 

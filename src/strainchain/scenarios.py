@@ -35,14 +35,6 @@ class RiskOverrides:
     ban_threshold: float | None = None
     alliances_off: bool = False           # ally flags track the general flags
 
-    def describe(self) -> dict:
-        return {
-            "force_export_prob_one": self.force_export_prob_one,
-            "export_prob_scale": self.export_prob_scale,
-            "ban_threshold": self.ban_threshold,
-            "alliances_off": self.alliances_off,
-        }
-
 
 @dataclass(frozen=True)
 class Scenario:

@@ -151,7 +151,7 @@ def normal_upper(alpha: float) -> float:
     """z with P(Z > z) = alpha, alpha in (0, 0.5]."""
     if not 0.0 < alpha <= 0.5:
         raise ValueError("alpha must lie in (0, 0.5]")
-    return normal_ppf(1.0 - alpha)
+    return -normal_ppf(alpha)  # 1 - alpha would round away a small alpha
 
 
 def critical_values(alpha: float, dof: int) -> tuple[float, float]:

@@ -6,7 +6,7 @@ import pytest
 from strainchain.cli import cli_main
 from strainchain.recourse import RecourseSolver
 
-from helpers import reference_country_csv, small_random_instance
+from helpers import reference_country_csv, small_random_instance, tiny_instance
 from strainchain import Design, write_instance
 
 
@@ -258,14 +258,32 @@ def test_validation_problems_exit_one(workdir, tmp_path):
     assert rc == 1
 
 
-@pytest.mark.parametrize("field", ["beta", "fixed_cost"])
+# case -> (path into instance.json, value, field the error must name); None
+# in a path stands for the first key of that map
+BAD_INSTANCE = {
+    "beta": (("beta",), float("inf"), "beta"),
+    "fixed_cost": (("fixed_cost", None), float("inf"), "fixed_cost"),
+    "beta_text": (("beta",), "x", "beta"),
+    "fixed_cost_true": (("fixed_cost", None), True, "fixed_cost"),
+    "ban_threshold_text": (("ban_threshold",), "x", "ban_threshold"),
+    "transport1_text": (("transport1", None, None), "x", "transport1"),
+    "strain_level_text": (("supplier_strain_pmf", None, "levels", 0), "x", "supplier_strain_pmf"),
+    "strain_prob_nan": (("plant_strain_pmf", None, "probs", 0), float("nan"),
+                        "plant_strain_pmf[k0]: levels and probs must be finite"),
+    "countries_number": (("countries",), 5, "countries"),
+    "interest_country_list": (("interest_country",), ["k0"], "interest_country"),
+}
+
+
+@pytest.mark.parametrize("field", list(BAD_INSTANCE))
 def test_non_finite_instance_numbers_exit_one_before_solving(workdir, monkeypatch, capsys, field):
     tmp, instance_path, config_path = workdir
     raw = json.loads(instance_path.read_text(encoding="utf-8"))
-    if field == "beta":
-        raw["beta"] = float("inf")
-    else:
-        raw["fixed_cost"][next(iter(raw["fixed_cost"]))] = float("inf")
+    path, value, named = BAD_INSTANCE[field]
+    target = raw
+    for key in path[:-1]:
+        target = target[next(iter(target)) if key is None else key]
+    target[next(iter(target)) if path[-1] is None else path[-1]] = value
     bad = tmp / "inf.json"
     bad.write_text(json.dumps(raw), encoding="utf-8")
 
@@ -277,7 +295,8 @@ def test_non_finite_instance_numbers_exit_one_before_solving(workdir, monkeypatc
     rc = cli_main(["solve", "--instance", str(bad), "--config", str(config_path),
                    "--out", str(out)])
     assert rc == 1
-    assert field in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -293,6 +312,7 @@ def test_non_finite_instance_numbers_exit_one_before_solving(workdir, monkeypatc
         (("max_iterations",), "5", "max_iterations"),
         (("base_seed",), -1, "base_seed"),
         (("alpha",), float("nan"), "alpha"),
+        (("alpha",), 1e-20, "alpha"),  # no t critical value at 1 degree of freedom
     ],
 )
 def test_bad_saa_config_values_exit_one_before_solving(
@@ -431,12 +451,36 @@ def test_design_naming_an_unknown_plant_exits_one(workdir, capsys):
         ([{"kind": "transport_sensitivity", "label": ".."}], "studies[0].label"),
         ([{"kind": "transport_sensitivity", "label": 3}], "studies[0].label"),
         ([{"kind": "transport_sensitivity"}, {"kind": "mystery"}], "mystery"),
+        # entries checked against the instance, whose countries are k0..k3
+        ([{"kind": "alliances_off"}, {"kind": "rho_swap"}], "studies[1]: rho_swap needs"),
+        ([{"kind": "rho_swap", "pairs": [["k1", "nowhere"]]}], "studies[0]: invalid swap pair"),
+        # a field the entry's kind does not read
+        ([{"kind": "alliances_off", "scheme": "bogus"}], "studies[0]: kind 'alliances_off'"),
+        ([{"kind": "pricing", "scheme": "uniform_to_c1_price", "quality": "high"}], "quality"),
+        ([{"kind": "transport_sensitivity", "pairs": []}], "pairs"),
     ],
 )
 def test_bad_study_entries_exit_one_before_any_study_runs(
     workdir, monkeypatch, capsys, studies, named
 ):
     tmp, instance_path, config_path = workdir
+    assert named in _rejected_study_error(tmp, instance_path, config_path, studies,
+                                          monkeypatch, capsys)
+
+
+def test_backshoring_without_a_home_plant_exits_one_before_any_study_runs(
+    workdir, monkeypatch, capsys
+):
+    tmp, _, config_path = workdir
+    instance_path = tmp / "no_home_plant.json"
+    write_instance(tiny_instance(countries=("a", "b"), plants=("b",)), instance_path)
+    studies = [{"kind": "transport_sensitivity"}, {"kind": "backshoring"}]
+    err = _rejected_study_error(tmp, instance_path, config_path, studies, monkeypatch, capsys)
+    assert "studies[1]: interest country 'a' is not a plant candidate" in err
+
+
+def _rejected_study_error(tmp, instance_path, config_path, studies, monkeypatch, capsys) -> str:
+    """stderr of a study command that must exit 1 before any study runs or --out exists."""
     config = json.loads(config_path.read_text(encoding="utf-8"))
     if studies is None:
         del config["studies"]
@@ -453,8 +497,8 @@ def test_bad_study_entries_exit_one_before_any_study_runs(
     rc = cli_main(["study", "--instance", str(instance_path), "--config", str(bad),
                    "--out", str(out)])
     assert rc == 1
-    assert named in capsys.readouterr().err
     assert not out.exists()
+    return capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -35,7 +35,8 @@ def test_export_prob_out_of_range_is_rejected(tmp_path):
         load_instance(path)
 
 
-@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+# neither a string nor a bool counts as a number, nor as a list of country ids
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), "x", True])
 @pytest.mark.parametrize(
     "where, message",
     [
@@ -43,6 +44,13 @@ def test_export_prob_out_of_range_is_rejected(tmp_path):
         (("fixed_cost", "a"), r"fixed_cost\[a\] is not a finite"),
         (("demand_mean", "a"), r"demand_mean\[a\] is not a finite"),
         (("transport2", "a", "a"), "transport2 is not a finite"),
+        (("ban_threshold",), "ban_threshold is not a finite"),
+        (("transport1", "a", "a"), "transport1 is not a finite"),
+        (("supplier_strain_pmf", "a", "levels", 0), r"supplier_strain_pmf\[a\]: .* finite"),
+        (("plant_strain_pmf", "a", "probs", 0), r"plant_strain_pmf\[a\]: .* finite"),
+        (("countries",), "countries must be a list"),
+        (("income_level",), "income_level must be a map"),
+        (("plant_strain_pmf",), "plant_strain_pmf: expected maps"),
     ],
 )
 def test_non_finite_numbers_are_rejected_at_load(tmp_path, where, message, value):

@@ -32,6 +32,13 @@ def test_matches_reference_library_to_1e6():
         assert z == pytest.approx(scipy_stats.norm.ppf(1 - alpha), abs=1e-6)
 
 
+def test_normal_critical_value_matches_reference_library_for_small_alpha():
+    # 1 - alpha rounds for a small alpha, so the quantile is taken in the lower tail
+    rng = np.random.default_rng(2)
+    for alpha in 10.0 ** rng.uniform(-15.0, np.log10(0.49), 200):
+        assert normal_upper(alpha) == pytest.approx(scipy_stats.norm.isf(alpha), abs=1e-6)
+
+
 def test_values_shrink_to_zero_near_half():
     prev_t, prev_z = np.inf, np.inf
     for alpha in (0.3, 0.4, 0.45, 0.49, 0.499, 0.4999):
