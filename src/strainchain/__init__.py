@@ -22,9 +22,10 @@ from .instance import (
     write_instance,
 )
 from .lshaped import (
-    CutPool,
     IterationLimitError,
     LShapedResult,
+    Master,
+    check_forcing,
     run_lshaped,
     solve_master,
 )
@@ -68,7 +69,6 @@ from .stats import critical_values
 
 __all__ = [
     "CostBreakdown",
-    "CutPool",
     "Design",
     "DesignEvaluation",
     "DiscretePmf",
@@ -76,6 +76,7 @@ __all__ = [
     "InstanceFormatError",
     "IterationLimitError",
     "LShapedResult",
+    "Master",
     "RecourseError",
     "RecourseSolution",
     "RecourseSolver",
@@ -89,6 +90,7 @@ __all__ = [
     "StudySpec",
     "ValidationError",
     "build_artifact",
+    "check_forcing",
     "check_structural_theorems",
     "confidence_bounds",
     "critical_values",

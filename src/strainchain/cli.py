@@ -31,7 +31,7 @@ from .instance import (
     validate_design,
     write_instance,
 )
-from .lshaped import IterationLimitError
+from .lshaped import IterationLimitError, check_forcing
 from .policy import KIND_FIELD, StudySpec, check_study, run_study
 from .recourse import RecourseError, RecourseSolver, check_structural_theorems
 from .report import (
@@ -194,6 +194,7 @@ def _cmd_solve(args) -> int:
     cfg = _resolve_saa(args, config)
     instance_path = Path(args.instance)
     inst = load_instance(instance_path)
+    check_forcing(inst, cfg.forced_open)
     _check_outputs(args)
 
     t0 = time.perf_counter()
@@ -270,6 +271,7 @@ def _cmd_study(args) -> int:
             check_study(inst, spec)
         except ValidationError as exc:
             raise ValidationError(f"studies[{n}]: {exc}") from exc
+    check_forcing(inst, cfg.forced_open)
     check_writable_dir(args.out)
 
     out = Path(args.out)

@@ -51,6 +51,8 @@ def generate_synthetic_instance(
         raise ValidationError("num_countries must cover the supplier and plant counts")
     if risk_profile not in RISK_PROFILES:
         raise ValidationError(f"unknown risk profile {risk_profile!r}; choose from {RISK_PROFILES}")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
 
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(11,)))
     width = max(2, len(str(num_countries)))

@@ -1,14 +1,17 @@
 """Decomposition loop: binary master over plant openings plus multi-cuts.
 
-The N scenarios of a run are split into G contiguous groups (scenario s in
-group s * G // N). Each iteration solves every scenario at the master's
-candidate and appends one cut per group to the run's `CutPool`: group g's
-cut is the sum of its scenarios' `cut_terms_from` constant and coefficients
+One `Master` per run holds the cuts, the forcing (checked once), the path
+and the number of cut groups G (chosen once) and each path's folded arrays.
+
+The N scenarios are split into G contiguous groups (scenario s in group
+s * G // N). Each iteration solves every scenario at the master's
+candidate and adds one cut per group (`Master.add_cuts`): group g's cut
+is the sum of its scenarios' `cut_terms_from` constant and coefficients
 divided by N, accumulated in scenario order, so it underestimates the
-group's share of the sampled mean recourse cost at every design. The pool
-is iteration-major: row 0 is every group's theta_g >= 0 floor (all zeros),
-row k the (G,) constants and (G, n) coefficients, in plant order, of
-iteration k. The master minimises
+group's share of the sampled mean recourse cost at every design. The cuts
+are iteration-major: row 0 is every group's theta_g >= 0 floor (all
+zeros), row k the (G,) constants and (G, n) coefficients, in plant order,
+of iteration k. The master minimises
 
     fixed cost + sum over g of max(0, largest row-k cut of group g),
 
@@ -24,10 +27,9 @@ before open), and both add a design's fixed costs and each cut's
 coefficients one at a time in plant order and then the cut's constant, so
 the two paths return the same design and the same value bit for bit.
 
-Enumeration (G = min(N, ENVELOPE_LIMIT >> n)) carries, across the calls of
-one run (`MasterState`), the fixed cost and the (G, codes) floored envelope
-of every design that forcing allows. A call folds in only the rows appended
-since the last one: per group, a doubling pass over the plants fills a
+Enumeration (G = min(N, ENVELOPE_LIMIT >> n)) keeps the fixed cost and the
+(G, codes) floored envelope of every design that forcing allows. A call
+folds in each new row: per group, a doubling pass over the plants fills a
 preallocated buffer with the cut's value at every code, O(2^n) per cut and
 no design matrix. G * 2^n is at most ENVELOPE_LIMIT floats (8 MB), so 16
 plants get G = 15 at N = 15 and 20 plants the single averaged cut.
@@ -39,10 +41,10 @@ the largest row's sum + constant + suffix over the unassigned plants. Each
 group carries 1/G of every plant's fixed cost, so a plant's suffix term is
 min(0, coefficient + fixed/G) when it is free, coefficient + fixed/G when
 it is forced open and 0 when it is forced closed; with G = 1 that is
-min(0, coefficient + fixed). Each row's suffix sums are computed once, when
-the row joins the pool. The bound relaxes only the >= 1-plant constraint
-and the coupling of the groups; at a leaf it is the design's value, and
-only a strict improvement replaces the incumbent, which is the
+min(0, coefficient + fixed). Each row's suffix sums are computed once, by
+the first call after the row is added. The bound relaxes only the >= 1-plant
+constraint and the coupling of the groups; at a leaf it is the design's
+value, and only a strict improvement replaces the incumbent, which is the
 enumeration's tie rule. An inner node's bound adds the same terms in
 another order, so it may round above a leaf below it: a node is pruned only
 when its bound exceeds the incumbent by more than a slack that bounds this
@@ -84,43 +86,16 @@ def _grown(array: np.ndarray, rows: int, axis: int = 0) -> np.ndarray:
     return bigger
 
 
-class CutPool:
-    """The optimality cuts of one decomposition run, one row per iteration.
-
-    `constants` is (rows, G) and `coefficients` (rows, G, n) in plant order;
-    row 0 is the all-zero theta_g >= 0 floor. Rows are only appended.
-    """
-
-    def __init__(self, n_plants: int, groups: int):
-        self.groups = groups
-        self.rows = 1
-        self._constants = np.zeros((8, groups))
-        self._coefficients = np.zeros((8, groups, n_plants))
-
-    @property
-    def constants(self) -> np.ndarray:
-        return self._constants[: self.rows]
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        return self._coefficients[: self.rows]
-
-    def append(self, constants, coefficients) -> None:
-        self._constants = _grown(self._constants, self.rows + 1)
-        self._coefficients = _grown(self._coefficients, self.rows + 1)
-        self._constants[self.rows] = constants
-        self._coefficients[self.rows] = coefficients
-        self.rows += 1
-
-
-def cut_groups(n_plants: int, n_scenarios: int) -> int:
-    """G for a run: as many groups as ENVELOPE_LIMIT allows on the enumeration
-    path, every scenario its own group on the branch-and-bound path, where a
-    node costs O(G x rows) but the saved iterations outweigh it (measured at
-    N = 10, 30 and 100)."""
-    if n_plants > ENUMERATION_LIMIT:
-        return n_scenarios
-    return min(n_scenarios, ENVELOPE_LIMIT >> n_plants)
+def check_forcing(instance: Instance, forced: dict | None) -> dict:
+    """`forced` (plant -> 0/1) as a new dict, checked: it names only plant
+    candidates and leaves at least one plant open or free."""
+    forced = dict(forced or {})
+    unknown = sorted(set(forced) - set(instance.plant_candidates))
+    if unknown:
+        raise ValidationError(f"forced_open names non-candidates: {unknown}")
+    if not any(forced.get(j, 1) for j in instance.plant_candidates):
+        raise ValidationError("forced_open: forced assignments close every plant")
+    return forced
 
 
 @dataclass
@@ -132,46 +107,74 @@ class LShapedResult:
     ub_trace: list = field(default_factory=list)
 
 
-class MasterState:
-    """The master's arrays, carried across the calls of one decomposition run.
+class Master:
+    """The master problem of one decomposition run.
 
-    Built by the first call for the run's instance, forcing and pool; every
-    later call folds in only the pool rows appended since (`folded` counts
-    the rows already in). Enumeration keeps `steps` (the plants forcing
-    leaves open, in plant order, with whether each is free), the fixed cost
-    and the floored envelope per allowed code; branch and bound keeps each
-    row's node-bound terms (constant + suffix) per depth.
+    `constants` is (rows, G) and `coefficients` (rows, G, n) in plant order,
+    row 0 the all-zero theta_g >= 0 floor. G is as large as ENVELOPE_LIMIT
+    allows when enumerating, one group per scenario in branch and bound: a
+    node costs O(G x rows), but the saved iterations outweigh it (measured
+    at N = 10, 30 and 100). `folded` counts the rows already in the path's
+    arrays. Enumeration keeps `steps` (the plants forcing leaves open, in
+    plant order, with whether each is free), the fixed cost and the floored
+    envelope per allowed code; branch and bound each row's node-bound terms
+    (constant + suffix) per depth.
     """
 
-    def __init__(self):
-        self.folded = 0
-        self.steps: list | None = None
-        self.fixed: np.ndarray | None = None
-        self.envelope: np.ndarray | None = None
-        self.bound_terms: np.ndarray | None = None
+    def __init__(
+        self,
+        instance: Instance,
+        n_scenarios: int,
+        forced: dict | None = None,
+        enumeration_limit: int = ENUMERATION_LIMIT,
+    ):
+        self.forced = forced = check_forcing(instance, forced)
+        self.plants = plants = list(instance.plant_candidates)
+        n = len(plants)
+        self.fixed = np.array([instance.fixed_cost[j] for j in plants])
+        self.enumerates = n <= enumeration_limit
+        self.groups = min(n_scenarios, ENVELOPE_LIMIT >> n) if self.enumerates else n_scenarios
+        self.rows = 1
+        self._constants = np.zeros((8, self.groups))
+        self._coefficients = np.zeros((8, self.groups, n))
+        if self.enumerates:
+            self.steps = [(p, j not in forced) for p, j in enumerate(plants) if forced.get(j, 1)]
+            width = 1 << sum(free for _, free in self.steps)
+            self.code_fixed = _plant_order_values(self.steps, self.fixed, np.empty(width))
+            if all(free for _, free in self.steps):
+                self.code_fixed[0] = np.inf  # index 0 opens no plant
+            self.envelope = np.zeros((self.groups, width))  # row 0, the floor
+            self.folded = 1
+        else:
+            self.forced_pos = {p: forced[j] for p, j in enumerate(plants) if j in forced}
+            self.choices = [(forced[j],) if j in forced else (0, 1) for j in plants]
+            self.bound_terms = np.zeros((n + 1, self.groups, 0))
+            self.folded = 0
+
+    @property
+    def constants(self) -> np.ndarray:
+        return self._constants[: self.rows]
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        return self._coefficients[: self.rows]
+
+    def add_cuts(self, constants, coefficients) -> None:
+        """Append one row: the (G,) constants and (G, n) coefficients of the group cuts."""
+        self._constants = _grown(self._constants, self.rows + 1)
+        self._coefficients = _grown(self._coefficients, self.rows + 1)
+        self._constants[self.rows] = constants
+        self._coefficients[self.rows] = coefficients
+        self.rows += 1
 
 
-def solve_master(
-    instance: Instance,
-    pool: CutPool,
-    forced: dict | None = None,
-    enumeration_limit: int = ENUMERATION_LIMIT,
-    state: MasterState | None = None,
-) -> tuple[Design, float]:
-    """Global minimizer of fixed cost + summed group envelopes over nonempty designs.
-
-    `state` must come from earlier calls with the same instance, forcing,
-    path and pool; without it every row is folded into a fresh one.
-    """
-    plants = list(instance.plant_candidates)
-    forced = dict(forced or {})
-    unknown = sorted(set(forced) - set(plants))
-    if unknown:
-        raise ValidationError(f"forced assignment for non-candidates: {unknown}")
-    state = state if state is not None else MasterState()
-    if len(plants) <= enumeration_limit:
-        return _master_by_enumeration(instance, plants, pool, forced, state)
-    return _master_by_branch_and_bound(instance, plants, pool, forced, state)
+def solve_master(master: Master) -> tuple[Design, float]:
+    """Global minimizer of fixed cost + summed group envelopes over the
+    nonempty designs the forcing allows; folds in the rows added since the
+    last call."""
+    if master.enumerates:
+        return _master_by_enumeration(master)
+    return _master_by_branch_and_bound(master)
 
 
 def _plant_order_values(steps: list, terms, out: np.ndarray) -> np.ndarray:
@@ -193,45 +196,33 @@ def _plant_order_values(steps: list, terms, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _master_by_enumeration(instance, plants, pool, forced, state):
-    if state.envelope is None:
-        state.steps = [(p, j not in forced) for p, j in enumerate(plants) if forced.get(j, 1)]
-        width = 1 << sum(free for _, free in state.steps)
-        fixed = np.array([instance.fixed_cost[j] for j in plants])
-        state.fixed = _plant_order_values(state.steps, fixed, np.empty(width))
-        if all(free for _, free in state.steps):
-            state.fixed[0] = np.inf  # index 0 opens no plant
-        state.envelope = np.zeros((pool.groups, width))  # row 0, the floor
-        state.folded = 1
-
-    scratch = np.empty(state.envelope.shape[1])
-    constants, coefficients = pool.constants, pool.coefficients
-    for k in range(state.folded, pool.rows):
-        for g, envelope in enumerate(state.envelope):
-            values = _plant_order_values(state.steps, coefficients[k, g], scratch)
+def _master_by_enumeration(master: Master):
+    scratch = np.empty(master.envelope.shape[1])
+    constants, coefficients = master.constants, master.coefficients
+    for k in range(master.folded, master.rows):
+        for g, envelope in enumerate(master.envelope):
+            values = _plant_order_values(master.steps, coefficients[k, g], scratch)
             values += constants[k, g]
             np.maximum(envelope, values, out=envelope)
-    state.folded = pool.rows
+    master.folded = master.rows
 
     total = np.zeros_like(scratch)
-    for envelope in state.envelope:  # left to right, as ordered_sum adds
+    for envelope in master.envelope:  # left to right, as ordered_sum adds
         total += envelope
-    total += state.fixed
+    total += master.code_fixed
     value = total.min()
-    if value == np.inf:
-        raise ValidationError("forced assignments close every plant")
 
-    free = [p for p, is_free in state.steps if is_free]
+    free = [p for p, is_free in master.steps if is_free]
     ties = np.flatnonzero(total == value)
     for rank in range(len(free)):  # the first tie in lexicographic order
         closed = ties[((ties >> rank) & 1) == 0]
         if closed.size:
             ties = closed
     best = int(ties[0])
-    bits = [forced.get(j, 0) for j in plants]
+    bits = [master.forced.get(j, 0) for j in master.plants]
     for rank, p in enumerate(free):
         bits[p] = (best >> rank) & 1
-    return Design(open=dict(zip(plants, bits))), float(value)
+    return Design(open=dict(zip(master.plants, bits))), float(value)
 
 
 def _bound_terms(fixed, constants, coefficients, forced_pos: dict) -> np.ndarray:
@@ -251,24 +242,20 @@ def _bound_terms(fixed, constants, coefficients, forced_pos: dict) -> np.ndarray
     return (constants[:, :, None] + suffix).transpose(2, 1, 0)
 
 
-def _master_by_branch_and_bound(instance, plants, pool, forced, state):
+def _master_by_branch_and_bound(master: Master):
+    plants, fixed, choices = master.plants, master.fixed, master.choices
     n = len(plants)
-    fixed = np.array([instance.fixed_cost[j] for j in plants])
-    constants, coefficients = pool.constants, pool.coefficients
+    constants, coefficients = master.constants, master.coefficients
     rows, groups = constants.shape
-    if state.bound_terms is None:
-        state.bound_terms = np.zeros((n + 1, groups, 0))
-    if state.folded < rows:
-        forced_pos = {plants.index(j): v for j, v in forced.items()}
+    if master.folded < rows:
         new = _bound_terms(
-            fixed, constants[state.folded:], coefficients[state.folded:], forced_pos
+            fixed, constants[master.folded:], coefficients[master.folded:], master.forced_pos
         )
-        state.bound_terms = _grown(state.bound_terms, rows, axis=2)
-        state.bound_terms[:, :, state.folded : rows] = new
-        state.folded = rows
-    bound_terms = state.bound_terms[:, :, :rows]
+        master.bound_terms = _grown(master.bound_terms, rows, axis=2)
+        master.bound_terms[:, :, master.folded : rows] = new
+        master.folded = rows
+    bound_terms = master.bound_terms[:, :, :rows]
     by_plant = [coefficients[:, :, p].T for p in range(n)]
-    choices = [(forced[j],) if j in forced else (0, 1) for j in plants]
 
     levels = np.zeros((n + 1, groups, rows))  # opened plants' coefficient sums per depth
     work = np.empty((groups, rows))
@@ -302,8 +289,6 @@ def _master_by_branch_and_bound(instance, plants, pool, forced, state):
 
     dfs(0, 0.0, levels[0])
     del dfs  # the recursive closure is a reference cycle: free its buffers now, not at gc
-    if best_bits is None:
-        raise ValidationError("forced assignments close every plant")
     return Design(open=dict(zip(plants, best_bits))), float(best_value)
 
 
@@ -324,33 +309,31 @@ def run_lshaped(
     growing, and every LP scans it in order: on the `solve_large` benchmark
     workload it avoided under 5% more pivots and more than doubled the
     simplex's own time. It is dropped before the next master solve, so its
-    inverses never sit in memory beside the enumeration envelope.
+    inverses are freed before that call's work arrays are allocated.
     """
     if not scenarios:
         raise ValidationError("need at least one scenario")
     if not epsilon > 0:
         raise ValidationError("epsilon must be positive")
-    solver = solver or RecourseSolver(instance)
-    plants = list(instance.plant_candidates)
     n_scen = len(scenarios)
-    groups = cut_groups(len(plants), n_scen)
+    master = Master(instance, n_scen, forced)
+    solver = solver or RecourseSolver(instance)
+    groups = master.groups
     group_of = [s * groups // n_scen for s in range(n_scen)]
 
-    pool = CutPool(len(plants), groups)
-    state = MasterState()
     lb_trace: list[float] = []
     ub_trace: list[float] = []
     ub = np.inf
     incumbent: Design | None = None
 
     for iteration in range(1, max_iterations + 1):
-        candidate, lb = solve_master(instance, pool, forced, state=state)
+        candidate, lb = solve_master(master)
         lb_trace.append(lb)
 
         fixed = fixed_cost(instance, candidate)
         mean_recourse = 0.0
         constants = np.zeros(groups)
-        coefficients = np.zeros((groups, len(plants)))
+        coefficients = np.zeros((groups, len(master.plants)))
         bases = []
         for scen, g in zip(scenarios, group_of):
             sol = solver.solve(candidate, scen, bases)
@@ -374,7 +357,7 @@ def run_lshaped(
                 lb_trace=lb_trace,
                 ub_trace=ub_trace,
             )
-        pool.append(constants, coefficients)
+        master.add_cuts(constants, coefficients)
 
     raise IterationLimitError(
         f"no convergence within {max_iterations} iterations", lb_trace, ub_trace

@@ -12,7 +12,7 @@ what a memo saved or that no factorization ran; `record_recourse_lps`
 keeps each scenario LP's inputs and answer for a replay.
 Dict-keyed cuts
 (`OptimalityCut`) and the one-call solve and cut-term wrappers live here
-too: the package keeps cuts in array pools and never needs them.
+too: the package keeps cuts as arrays in its `Master` and never needs them.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from strainchain import (
     make_instance,
 )
 from strainchain.instance import ValidationError
-from strainchain.lshaped import CutPool
+from strainchain.lshaped import ENUMERATION_LIMIT, Master
 from strainchain import recourse
 from strainchain.recourse import (
     DUALITY_REL_TOL,
@@ -507,33 +507,34 @@ class OptimalityCut:
     coeff: dict  # plant candidate -> money
 
 
-def pool_from_rows(constants, coefficients) -> CutPool:
-    """A pool holding the (rows, G) constants and (rows, G, n) coefficients after its floor."""
+def master_from_rows(
+    instance, constants, coefficients, forced=None, enumeration_limit=ENUMERATION_LIMIT
+) -> Master:
+    """A master holding the (rows, G) constants and (rows, G, n) coefficients after its floor.
+
+    It is built for N = G scenarios, which gives G groups on either path at
+    the sizes the tests use.
+    """
     constants = np.asarray(constants, dtype=float)
     coefficients = np.asarray(coefficients, dtype=float)
-    pool = CutPool(coefficients.shape[2], coefficients.shape[1])
+    master = Master(instance, coefficients.shape[1], forced, enumeration_limit)
+    assert master.groups == coefficients.shape[1]
     for const, coef in zip(constants, coefficients):
-        pool.append(const, coef)
-    return pool
+        master.add_cuts(const, coef)
+    return master
 
 
-def pool_from_cuts(plants, cuts) -> CutPool:
-    """A one-group pool with one row per dict-keyed cut."""
-    pool = CutPool(len(plants), 1)
+def master_from_cuts(
+    instance, plants, cuts, forced=None, enumeration_limit=ENUMERATION_LIMIT
+) -> Master:
+    """A one-group master with one row per dict-keyed cut."""
+    master = Master(instance, 1, forced, enumeration_limit)
     for cut in cuts:
-        pool.append([cut.constant], [[cut.coeff[j] for j in plants]])
-    return pool
+        master.add_cuts([cut.constant], [[cut.coeff[j] for j in plants]])
+    return master
 
 
-def aggregated_pool(pool: CutPool) -> CutPool:
-    """The one-group pool whose row k is the sum of row k's group cuts."""
-    return pool_from_rows(
-        pool.constants[1:].sum(axis=1, keepdims=True),
-        pool.coefficients[1:].sum(axis=1, keepdims=True),
-    )
-
-
-def master_values(instance, plants, pool: CutPool) -> dict:
+def master_values(instance, plants, master: Master) -> dict:
     """Master objective at every nonempty design, by brute force: bits -> value.
 
     fixed cost + sum over groups of max(0, largest cut of the group), each
@@ -544,7 +545,7 @@ def master_values(instance, plants, pool: CutPool) -> dict:
     for bits in itertools.product((0, 1), repeat=len(plants)):
         if any(bits):
             y = np.array(bits, dtype=float)
-            cut_values = pool.constants + pool.coefficients @ y  # (rows, G), floor row 0
+            cut_values = master.constants + master.coefficients @ y  # (rows, G), floor row 0
             values[bits] = float(fixed @ y) + math.fsum(cut_values.max(axis=0))
     return values
 

@@ -1,4 +1,5 @@
 import json
+import re
 import threading
 
 import pytest
@@ -7,7 +8,7 @@ from strainchain.cli import cli_main
 from strainchain.recourse import RecourseSolver
 
 from helpers import reference_country_csv, small_random_instance, tiny_instance
-from strainchain import Design, write_instance
+from strainchain import Design, load_instance, write_instance
 
 
 @pytest.fixture()
@@ -565,6 +566,46 @@ def test_threads_below_one_exit_one(workdir, monkeypatch, capsys, command, threa
                    "--out", str(tmp / "threads_run"), "--threads", threads])
     assert rc == 1
     assert "--threads" in capsys.readouterr().err
+
+
+def test_negative_gen_seed_exits_one_naming_it(tmp_path, capsys):
+    out = tmp_path / "gen"
+    assert cli_main(["gen", "--out", str(out), "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed must be a nonnegative integer, got -1")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "forcing, named",
+    [("unknown", r"non-candidates: \['nowhere'\]"), ("all_closed", "close every plant")],
+)
+@pytest.mark.parametrize("command", ["solve", "study"])
+def test_bad_forced_open_exits_one_before_any_output(
+    workdir, monkeypatch, capsys, command, forcing, named
+):
+    tmp, instance_path, config_path = workdir
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    plants = load_instance(instance_path).plant_candidates
+    closed = dict.fromkeys(plants, 0)
+    config["saa"]["forced_open"] = {"nowhere": 1} if forcing == "unknown" else closed
+    bad = tmp / "bad_forcing.json"
+    bad.write_text(json.dumps(config), encoding="utf-8")
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the command solved with an invalid forced_open")
+
+    for name in ("run_saa", "run_study"):
+        monkeypatch.setattr(f"strainchain.cli.{name}", no_run)
+    out = tmp / "bad_forcing_run"
+    rc = cli_main([command, "--instance", str(instance_path), "--config", str(bad),
+                   "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert re.match(f"error: forced_open.*{named}", err)
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["solve", "evaluate", "study"])

@@ -184,6 +184,12 @@ def test_generator_rejects_inconsistent_sizes():
         generate_synthetic_instance(0, 1, 1, seed=0)
 
 
+@pytest.mark.parametrize("seed", [-1, 2.5, "3", True])
+def test_generator_rejects_a_seed_that_is_not_a_nonnegative_integer(seed):
+    with pytest.raises(ValidationError, match="seed must be a nonnegative integer"):
+        generate_synthetic_instance(3, 4, 8, seed=seed)
+
+
 def test_transport_self_cost_must_be_zero(tmp_path):
     inst = tiny_instance(countries=("a", "b"))
     raw = instance_to_dict(inst)

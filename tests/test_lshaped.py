@@ -6,20 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strainchain import (
-    CutPool,
+    Master,
     RecourseSolver,
     RiskOverrides,
     ValidationError,
+    check_forcing,
     generate_synthetic_instance,
     run_lshaped,
     sample_batch,
     solve_master,
 )
 from strainchain.lshaped import (
+    ENUMERATION_LIMIT,
+    ENVELOPE_LIMIT,
     IterationLimitError,
-    MasterState,
     _bound_terms,
-    cut_groups,
 )
 from strainchain.simplex import solve_bounded_lp
 
@@ -27,10 +28,10 @@ from helpers import (
     OptimalityCut,
     assert_same_lp_solution,
     enumeration_optimum,
+    master_from_cuts,
+    master_from_rows,
     master_values,
     plain_scenario,
-    pool_from_cuts,
-    pool_from_rows,
     record_recourse_lps,
     reference_master_by_enumeration,
     small_random_instance,
@@ -45,19 +46,19 @@ def two_plant_instance():
     return inst.perturbed(fixed_cost={"a": 5.0, "b": 7.0})
 
 
-def _one_cut_pool(cut):
-    return pool_from_cuts(["a", "b"], [cut])
+def _one_cut_master(cut, forced=None):
+    return master_from_cuts(two_plant_instance(), ["a", "b"], [cut], forced)
 
 
 def test_master_without_cuts_opens_the_cheapest_plant():
-    design, lb = solve_master(two_plant_instance(), CutPool(2, 1))
+    design, lb = solve_master(Master(two_plant_instance(), 1))
     assert design.open == {"a": 1, "b": 0}
     assert lb == pytest.approx(5.0)
 
 
 def test_master_with_one_cut_hand_enumeration():
     cut = OptimalityCut(constant=10.0, coeff={"a": -3.0, "b": -2.0})
-    design, lb = solve_master(two_plant_instance(), _one_cut_pool(cut))
+    design, lb = solve_master(_one_cut_master(cut))
     # candidates: (1,0)->12, (0,1)->15, (1,1)->17
     assert design.open == {"a": 1, "b": 0}
     assert lb == pytest.approx(12.0)
@@ -65,47 +66,63 @@ def test_master_with_one_cut_hand_enumeration():
 
 def test_master_honors_forced_assignments():
     cut = OptimalityCut(constant=10.0, coeff={"a": -3.0, "b": -2.0})
-    design, lb = solve_master(two_plant_instance(), _one_cut_pool(cut), forced={"b": 1})
+    design, lb = solve_master(_one_cut_master(cut, forced={"b": 1}))
     assert design.open == {"a": 0, "b": 1}
     assert lb == pytest.approx(15.0)
 
 
-def test_master_rejects_unsatisfiable_forcing():
-    with pytest.raises(ValidationError):
-        solve_master(two_plant_instance(), CutPool(2, 1), forced={"a": 0, "b": 0})
-    with pytest.raises(ValidationError):
-        solve_master(two_plant_instance(), CutPool(2, 1), forced={"zzz": 1})
+@pytest.mark.parametrize(
+    "forced, named",
+    [
+        ({"a": 0, "b": 0}, "forced_open: forced assignments close every plant"),
+        ({"zzz": 1}, r"forced_open names non-candidates: \['zzz'\]"),
+        ({"a": 1, "zzz": 0}, r"forced_open names non-candidates: \['zzz'\]"),
+    ],
+)
+@pytest.mark.parametrize("enumeration_limit", [2, 0])
+def test_a_bad_forcing_is_rejected_when_the_master_is_built(forced, named, enumeration_limit):
+    inst = two_plant_instance()
+    with pytest.raises(ValidationError, match=named):
+        check_forcing(inst, forced)
+    with pytest.raises(ValidationError, match=named):
+        Master(inst, 3, forced, enumeration_limit)
+    with pytest.raises(ValidationError, match=named):
+        run_lshaped(inst, [plain_scenario(inst)], epsilon=1e-9, forced=forced)
+    assert check_forcing(inst, {"a": 0}) == {"a": 0}
+    assert check_forcing(inst, None) == {}
 
 
 def test_theta_floor_applies_when_cuts_go_negative():
     cut = OptimalityCut(constant=-100.0, coeff={"a": 0.0, "b": 0.0})
-    design, lb = solve_master(two_plant_instance(), _one_cut_pool(cut))
+    design, lb = solve_master(_one_cut_master(cut))
     assert lb == pytest.approx(5.0)  # theta clamps at zero, not -100
 
 
 def test_group_floors_apply_one_group_at_a_time():
     # group 0's cut is negative at every design, group 1's positive: only
     # group 0 clamps, and the master adds 0 + group 1's cut
-    pool = pool_from_rows([[-100.0, 10.0]], [[[0.0, 0.0], [-3.0, -2.0]]])
-    design, lb = solve_master(two_plant_instance(), pool)
+    rows = ([[-100.0, 10.0]], [[[0.0, 0.0], [-3.0, -2.0]]])
+    design, lb = solve_master(master_from_rows(two_plant_instance(), *rows))
     assert design.open == {"a": 1, "b": 0}
     assert lb == 12.0
-    assert solve_master(two_plant_instance(), pool, enumeration_limit=0) == (design, lb)
+    by_bnb = master_from_rows(two_plant_instance(), *rows, enumeration_limit=0)
+    assert not by_bnb.enumerates
+    assert solve_master(by_bnb) == (design, lb)
 
 
-def _tie_count(inst, plants, pool, forced):
+def _tie_count(inst, plants, master, forced):
     """How many designs attain the master's optimum (brute force, exact for integer data)."""
     values = [
-        value for bits, value in master_values(inst, plants, pool).items()
+        value for bits, value in master_values(inst, plants, master).items()
         if all(bits[plants.index(j)] == v for j, v in forced.items())
     ]
     return values.count(min(values))
 
 
-def _random_pool(rng, plants, rows, groups, integer):
+def _random_rows(rng, plants, rows, groups, integer):
     draw = rng.integers if integer else rng.uniform
     const_range, coef_range = ((0, 20), (-6, 3)) if integer else ((0, 300), (-120, 20))
-    return pool_from_rows(
+    return (
         draw(*const_range, size=(rows, groups)).astype(float),
         draw(*coef_range, size=(rows, groups, len(plants))).astype(float),
     )
@@ -123,19 +140,22 @@ def test_branch_and_bound_agrees_with_enumeration():
         if integer:
             inst = inst.perturbed(fixed_cost={j: float(rng.integers(0, 4)) for j in plants})
         groups = int(rng.integers(1, 5))
-        pool = _random_pool(rng, plants, int(rng.integers(0, 61)) // groups, groups, integer)
+        rows = _random_rows(rng, plants, int(rng.integers(0, 61)) // groups, groups, integer)
         pinned = rng.choice(len(plants), size=int(rng.integers(0, 4)), replace=False)
         forced = {plants[p]: int(rng.integers(0, 2)) for p in pinned}
-        d1, v1 = solve_master(inst, pool, forced)
-        d2, v2 = solve_master(inst, pool, forced, enumeration_limit=0)
+        by_enumeration = master_from_rows(inst, *rows, forced)
+        by_bnb = master_from_rows(inst, *rows, forced, enumeration_limit=0)
+        assert by_enumeration.enumerates and not by_bnb.enumerates
+        d1, v1 = solve_master(by_enumeration)
+        d2, v2 = solve_master(by_bnb)
         assert v1 == v2
         assert d1.open == d2.open
         if integer:
-            tied += _tie_count(inst, plants, pool, forced) > 1
+            tied += _tie_count(inst, plants, by_enumeration, forced) > 1
         closed = {j: 0 for j in plants}
         for limit in (len(plants), 0):
             with pytest.raises(ValidationError, match="close every plant"):
-                solve_master(inst, pool, closed, enumeration_limit=limit)
+                Master(inst, groups, closed, limit)
     assert tied >= 5  # the integer batch really exercises the tie rule
 
 
@@ -168,9 +188,9 @@ def test_branch_and_bound_keeps_a_leaf_its_ancestors_bound_rounds_above():
     # incumbent found first (p02 closed); pruning at bound >= incumbent
     # returned that incumbent
     inst, plants = _plants_instance([0.30000000000000004, 0.2, 0.30000000000000004, 0.0])
-    pool = pool_from_rows([[1002.1]], [[[-249.8, -250.6, -0.30000000000000004, -250.4]]])
-    by_enumeration = solve_master(inst, pool)
-    by_bnb = solve_master(inst, pool, enumeration_limit=0)
+    rows = ([[1002.1]], [[[-249.8, -250.6, -0.30000000000000004, -250.4]]])
+    by_enumeration = solve_master(master_from_rows(inst, *rows))
+    by_bnb = solve_master(master_from_rows(inst, *rows, enumeration_limit=0))
     assert by_enumeration[0].open == {j: 1 for j in plants}
     assert by_enumeration[1] == 251.8
     assert (by_bnb[0].open, by_bnb[1]) == (by_enumeration[0].open, by_enumeration[1])
@@ -179,21 +199,27 @@ def test_branch_and_bound_keeps_a_leaf_its_ancestors_bound_rounds_above():
 def test_every_design_tied_goes_to_the_first_in_lexicographic_order():
     # zero fixed costs and no cut: all 2^20 - 1 nonempty designs tie
     inst, plants = _plants_instance([0.0] * 20)
-    design, value = solve_master(inst, CutPool(20, 1))
+    design, value = solve_master(Master(inst, 1))
     assert value == 0.0
     assert design.open == {j: int(j == "p19") for j in plants}
-    design, _ = solve_master(inst, CutPool(20, 1), {"p19": 0, "p05": 1})
+    design, _ = solve_master(Master(inst, 1, {"p19": 0, "p05": 1}))
     assert design.open == {j: int(j == "p05") for j in plants}
 
 
-def test_cut_groups_bound_the_enumeration_envelope():
-    assert cut_groups(16, 15) == 15
-    assert cut_groups(17, 15) == 8
-    assert cut_groups(20, 30) == 1
-    assert cut_groups(5, 30) == 30
-    assert cut_groups(21, 10) == 10  # branch and bound: one group per scenario
+def test_the_master_chooses_its_path_and_groups_once():
+    def master(n_plants, n_scenarios):
+        return Master(_plants_instance([1.0] * n_plants)[0], n_scenarios)
+
+    assert master(16, 15).groups == 15
+    assert master(17, 15).groups == 8
+    assert master(20, 30).groups == 1
+    assert master(5, 30).groups == 30
+    assert master(20, 1).enumerates
+    by_bnb = master(21, 10)
+    assert not by_bnb.enumerates
+    assert by_bnb.groups == 10  # branch and bound: one group per scenario
     for n in range(1, 21):
-        assert cut_groups(n, 1000) << n <= 1 << 20
+        assert master(n, 1000).envelope.size <= ENVELOPE_LIMIT
 
 
 def _plants_instance(fixed):
@@ -202,9 +228,10 @@ def _plants_instance(fixed):
 
 
 def _grow_and_compare(inst, plants, cuts, forced, exact_from=0):
-    """Feed the cuts one at a time to a carried state; after each (and before
-    the first) the state's answer must equal a fresh stateless call and the
-    former single-cut master, design and value alike.
+    """Feed the cuts one at a time to a carried master on each path; after
+    each (and before the first) its answer must equal, bit for bit, a
+    master rebuilt from its rows, and match the former single-cut master,
+    design and value alike.
 
     The former master sums fixed costs with a gemv, and with a single cut
     its cut product is one too; either may round a float sum differently
@@ -213,28 +240,28 @@ def _grow_and_compare(inst, plants, cuts, forced, exact_from=0):
     1e-12 before that), and to the former master exactly on integer data
     (`exact_from` 0) and to 1e-12 otherwise.
     """
-    state = MasterState()
-    pool = CutPool(len(plants), 1)
-    for k in range(len(cuts) + 1):
-        if k:
-            pool.append([cuts[k - 1].constant], [[cuts[k - 1].coeff[j] for j in plants]])
-        carried = solve_master(inst, pool, forced, state=state)
-        fresh = solve_master(inst, pool, forced)
-        former = reference_master_by_enumeration(inst, plants, cuts[:k], forced)
-        ref = reference_master_by_enumeration(
-            inst, plants, cuts[:k], forced, plant_order_fixed=True
-        )
-        assert carried[0].open == fresh[0].open == ref[0].open == former[0].open
-        assert carried[1] == fresh[1]
-        if k >= exact_from:
-            assert carried[1] == ref[1]
-        else:
-            assert carried[1] == pytest.approx(ref[1], rel=1e-12, abs=1e-12)
-        if exact_from == 0:
-            assert carried[1] == former[1]
-        else:
-            assert carried[1] == pytest.approx(former[1], rel=1e-12, abs=1e-12)
-        assert state.folded == k + 1
+    for limit in (ENUMERATION_LIMIT, 0):
+        master = Master(inst, 1, forced, limit)
+        for k in range(len(cuts) + 1):
+            if k:
+                master.add_cuts([cuts[k - 1].constant], [[cuts[k - 1].coeff[j] for j in plants]])
+            carried = solve_master(master)
+            rebuilt = solve_master(master_from_cuts(inst, plants, cuts[:k], forced, limit))
+            former = reference_master_by_enumeration(inst, plants, cuts[:k], forced)
+            ref = reference_master_by_enumeration(
+                inst, plants, cuts[:k], forced, plant_order_fixed=True
+            )
+            assert carried[0].open == rebuilt[0].open == ref[0].open == former[0].open
+            assert carried[1] == rebuilt[1]
+            if k >= exact_from:
+                assert carried[1] == ref[1]
+            else:
+                assert carried[1] == pytest.approx(ref[1], rel=1e-12, abs=1e-12)
+            if exact_from == 0:
+                assert carried[1] == former[1]
+            else:
+                assert carried[1] == pytest.approx(former[1], rel=1e-12, abs=1e-12)
+            assert master.folded == master.rows == k + 1
 
 
 @st.composite
@@ -266,16 +293,21 @@ def _master_cases(draw):
 
 @EXACT
 @given(_master_cases())
-def test_carried_envelope_matches_the_stateless_reference(case):
+def test_a_carried_master_matches_one_rebuilt_from_its_rows(case):
     inst, plants, cuts, forced, integer = case
     if not any(forced.get(j, 1) for j in plants):
         with pytest.raises(ValidationError, match="close every plant"):
-            solve_master(inst, pool_from_cuts(plants, cuts), forced, state=MasterState())
+            Master(inst, 1, forced)
         return
     _grow_and_compare(inst, plants, cuts, forced, exact_from=0 if integer else 2)
+    _assert_closing_every_plant_fails(inst, plants)
+
+
+def _assert_closing_every_plant_fails(inst, plants):
     closed = {j: 0 for j in plants}
-    with pytest.raises(ValidationError, match="close every plant"):
-        solve_master(inst, pool_from_cuts(plants, cuts), closed, state=MasterState())
+    for limit in (ENUMERATION_LIMIT, 0):
+        with pytest.raises(ValidationError, match="close every plant"):
+            Master(inst, 1, closed, limit)
 
 
 def test_carried_envelope_across_two_enumeration_chunks():
@@ -287,7 +319,7 @@ def test_carried_envelope_across_two_enumeration_chunks():
     # value 0 at 2^16 (p00 alone, first chunk) and at 2^16 + 1 (p00 and
     # p16, second chunk): the tie must go to the first chunk's design
     tie = OptimalityCut(constant=5.0, coeff={j: -5.0 if j == "p00" else 0.0 for j in plants})
-    design, value = solve_master(inst, pool_from_cuts(plants, [tie]))
+    design, value = solve_master(master_from_cuts(inst, plants, [tie]))
     assert value == 0.0
     assert design.open == {j: int(j == "p00") for j in plants}
 
@@ -302,27 +334,36 @@ def test_carried_envelope_across_two_enumeration_chunks():
             for _ in range(3)
         ]
         _grow_and_compare(inst, plants, cuts, forced)
-    closed = {j: 0 for j in plants}
-    with pytest.raises(ValidationError, match="close every plant"):
-        solve_master(inst, pool_from_cuts(plants, cuts), closed, state=MasterState())
+    _assert_closing_every_plant_fails(inst, plants)
 
 
-def test_decomposition_with_a_stateless_master(monkeypatch):
-    pools = []
+@pytest.mark.parametrize("enumeration_limit", [ENUMERATION_LIMIT, 0])
+def test_decomposition_master_matches_one_rebuilt_at_every_iteration(
+    monkeypatch, enumeration_limit
+):
+    monkeypatch.setattr(
+        "strainchain.lshaped.Master", functools.partial(Master, enumeration_limit=enumeration_limit)
+    )
+    calls = []
+
+    def rebuilt_alongside(master):
+        carried = solve_master(master)
+        rebuilt = master_from_rows(
+            inst, master.constants[1:], master.coefficients[1:], master.forced, enumeration_limit
+        )
+        assert master.enumerates == rebuilt.enumerates == (enumeration_limit > 0)
+        assert solve_master(rebuilt) == carried
+        calls.append(master.rows)
+        return carried
+
+    monkeypatch.setattr("strainchain.lshaped.solve_master", rebuilt_alongside)
     for trial in range(4):
         inst = small_random_instance(seed=780 + trial, n_countries=5)
-        pools.append((inst, _scenario_pool(inst, (17, trial), 12)))
-    carried = [run_lshaped(inst, scens, epsilon=1e-9) for inst, scens in pools]
-    monkeypatch.setattr(
-        "strainchain.lshaped.solve_master",
-        lambda instance, cuts, forced=None, state=None: solve_master(instance, cuts, forced),
-    )
-    stateless = [run_lshaped(inst, scens, epsilon=1e-9) for inst, scens in pools]
-    for first, second in zip(carried, stateless):
-        assert first.iterations > 1
-        assert second.design.open == first.design.open
-        assert second.objective == first.objective
-        assert second.lb_trace == first.lb_trace
+        forced = {inst.interest_country: 1} if trial % 2 else None
+        calls.clear()
+        result = run_lshaped(inst, _scenario_pool(inst, (17, trial), 12), 1e-9, forced)
+        assert result.iterations > 1
+        assert calls == list(range(1, result.iterations + 1))
 
 
 def _scenario_pool(inst, seed, n):
@@ -383,7 +424,7 @@ def test_decomposition_on_the_branch_and_bound_master(monkeypatch):
         pools.append((inst, _scenario_pool(inst, (16, trial), 12)))
     by_enumeration = [run_lshaped(inst, scens, epsilon=1e-9) for inst, scens in pools]
     monkeypatch.setattr(
-        "strainchain.lshaped.solve_master", functools.partial(solve_master, enumeration_limit=0)
+        "strainchain.lshaped.Master", functools.partial(Master, enumeration_limit=0)
     )
     by_bnb = [run_lshaped(inst, scens, epsilon=1e-9) for inst, scens in pools]
     for first, second in zip(by_enumeration, by_bnb):
@@ -398,7 +439,7 @@ def test_infinite_tolerance_stops_after_the_first_iteration():
     scens = _scenario_pool(inst, (10, 0), 8)
     result = run_lshaped(inst, scens, epsilon=np.inf)
     assert result.iterations == 1
-    no_cut_design, _ = solve_master(inst, CutPool(len(inst.plant_candidates), 1))
+    no_cut_design, _ = solve_master(Master(inst, 1))
     assert result.design.open == no_cut_design.open
 
 

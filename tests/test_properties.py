@@ -1,4 +1,4 @@
-"""Hypothesis-driven properties on random small instances and cut pools.
+"""Hypothesis-driven properties on random small instances and master cuts.
 
 Each scenario example draws an instance of one to four countries (every
 country a plant candidate, or only the first), a scenario that is either
@@ -14,11 +14,12 @@ exact. A batch of such scenarios evaluated through one basis pool must
 answer each LP the pool answers with the objective of a solve without a
 pool, within 1e-9 relative, and each LP it solves cold byte-equal to one.
 
-The master examples draw random multi-group cut pools, or pools built from
+The master examples draw random multi-group cut rows, or rows built from
 real scenario solves: enumeration and branch and bound return the same
-design and value bit for bit, a one-group pool reproduces the former
+design and value bit for bit, a one-group master reproduces the former
 single-cut master, per-group cuts never value a design below the averaged
-cut, and forcing every plant closed fails on both paths.
+cut, and forcing every plant closed fails on both paths when the master
+is built.
 """
 
 import itertools
@@ -37,7 +38,7 @@ from strainchain import (
     run_saa,
     sample_batch,
 )
-from strainchain.lshaped import MasterState, solve_master
+from strainchain.lshaped import Master, solve_master
 from strainchain.recourse import cut_terms_from
 from strainchain.scenarios import RiskOverrides
 from strainchain.simplex import solve_bounded_lp
@@ -45,13 +46,12 @@ from strainchain.simplex import solve_bounded_lp
 from helpers import (
     CORNERS,
     OptimalityCut,
-    aggregated_pool,
     assert_same_lp_solution,
     count_calls,
     corner_scenario,
     design_from_code,
+    master_from_rows,
     master_values,
-    pool_from_rows,
     raw_lp_objective,
     record_recourse_lps,
     recourse_cut_terms,
@@ -149,13 +149,14 @@ def test_cut_is_valid_at_every_design_and_tight_at_its_source(case):
         assert cut(design) <= value + CUT_TOL, design.open
 
 
-# -- the master over multi-group cut pools -----------------------------------
+# -- the master over multi-group cuts ----------------------------------------
 
 
 @st.composite
-def pools(draw, max_plants=10):
-    """(instance, plants, pool, forced, integer): a random pool of G groups
-    and 0-3 forced plants; integer data makes exact ties between designs."""
+def cut_rows(draw, max_plants=10):
+    """(instance, plants, constants, coefficients, forced, integer): random
+    cut rows of G groups and 0-3 forced plants; integer data makes exact
+    ties between designs."""
     n = draw(st.integers(1, max_plants))
     integer = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -166,35 +167,37 @@ def pools(draw, max_plants=10):
     fixed = number(0, 4 if integer else 50, size=n).astype(float)
     inst = tiny_instance(countries=plants, fixed_cost=dict(zip(plants, fixed.tolist())))
     const_range, coef_range = ((0, 20), (-6, 3)) if integer else ((0, 300), (-120, 20))
-    pool = pool_from_rows(
-        number(*const_range, size=(rows, groups)).astype(float),
-        number(*coef_range, size=(rows, groups, n)).astype(float),
-    )
+    constants = number(*const_range, size=(rows, groups)).astype(float)
+    coefficients = number(*coef_range, size=(rows, groups, n)).astype(float)
     pinned = draw(st.lists(st.sampled_from(plants), max_size=min(3, n), unique=True))
     forced = {j: draw(st.integers(0, 1)) for j in pinned}
-    return inst, list(plants), pool, forced, integer
+    return inst, list(plants), constants, coefficients, forced, integer
 
 
-def _master_or_error(inst, pool, forced, **kwargs):
+def _master_or_error(inst, constants, coefficients, forced, **kwargs):
     try:
-        design, value = solve_master(inst, pool, forced, **kwargs)
+        master = master_from_rows(inst, constants, coefficients, forced, **kwargs)
+        design, value = solve_master(master)
     except ValidationError as exc:
         return str(exc)
     return design.open, value
 
 
 @PROPERTY
-@given(pools())
+@given(cut_rows())
 def test_enumeration_and_branch_and_bound_agree_exactly(case):
-    inst, plants, pool, forced, _ = case
-    by_enumeration = _master_or_error(inst, pool, forced)
-    assert _master_or_error(inst, pool, forced, enumeration_limit=0) == by_enumeration
+    inst, plants, constants, coefficients, forced, _ = case
+    by_enumeration = _master_or_error(inst, constants, coefficients, forced)
+    by_bnb = _master_or_error(inst, constants, coefficients, forced, enumeration_limit=0)
+    assert by_bnb == by_enumeration
     if isinstance(by_enumeration, str):
         assert not any(forced.get(j, 1) for j in plants)
         return
     allowed = {
         bits: value
-        for bits, value in master_values(inst, plants, pool).items()
+        for bits, value in master_values(
+            inst, plants, master_from_rows(inst, constants, coefficients)
+        ).items()
         if all(bits[plants.index(j)] == v for j, v in forced.items())
     }
     design, value = by_enumeration
@@ -203,24 +206,24 @@ def test_enumeration_and_branch_and_bound_agree_exactly(case):
 
 
 @PROPERTY
-@given(pools())
-def test_one_group_pool_reproduces_the_former_single_cut_master(case):
-    inst, plants, pool, forced, integer = case
-    pool = pool_from_rows(pool.constants[1:, :1], pool.coefficients[1:, :1])
+@given(cut_rows())
+def test_one_group_master_reproduces_the_former_single_cut_master(case):
+    inst, plants, constants, coefficients, forced, integer = case
+    constants, coefficients = constants[:, :1], coefficients[:, :1]
     cuts = [
         OptimalityCut(constant=float(c[0]), coeff=dict(zip(plants, a[0].tolist())))
-        for c, a in zip(pool.constants[1:], pool.coefficients[1:])
+        for c, a in zip(constants, coefficients)
     ]
     try:
         former = reference_master_by_enumeration(inst, plants, cuts, forced)
     except ValidationError:
         with pytest.raises(ValidationError, match="close every plant"):
-            solve_master(inst, pool, forced)
+            master_from_rows(inst, constants, coefficients, forced)
         return
     in_plant_order = reference_master_by_enumeration(
         inst, plants, cuts, forced, plant_order_fixed=True
     )
-    design, value = solve_master(inst, pool, forced)
+    design, value = solve_master(master_from_rows(inst, constants, coefficients, forced))
     assert design.open == former[0].open == in_plant_order[0].open
     if integer:
         assert value == former[1] == in_plant_order[1]
@@ -234,7 +237,7 @@ def test_one_group_pool_reproduces_the_former_single_cut_master(case):
         assert value == pytest.approx(in_plant_order[1], rel=1e-12, abs=1e-12)
 
 
-def _scenario_cut_pools(inst, scens, designs, groups):
+def _scenario_cut_masters(inst, scens, designs, groups):
     """One row per design: every scenario's cut terms there, summed into G
     groups and into one averaged cut, each divided by N in scenario order."""
     solver = RecourseSolver(inst)
@@ -248,7 +251,7 @@ def _scenario_cut_pools(inst, scens, designs, groups):
             multi_a[k, s * groups // n_scen] += coeff / n_scen
             avg_c[k, 0] += const / n_scen
             avg_a[k, 0] += coeff / n_scen
-    return pool_from_rows(multi_c, multi_a), pool_from_rows(avg_c, avg_a)
+    return master_from_rows(inst, multi_c, multi_a), master_from_rows(inst, avg_c, avg_a)
 
 
 @PROPERTY
@@ -259,13 +262,14 @@ def test_group_cuts_never_value_a_design_below_the_averaged_cut(seed, n_countrie
     groups = data.draw(st.integers(1, n_scen))
     scens = sample_batch(inst, (seed, 1), n_scen, RiskOverrides(export_prob_scale=0.5))
     codes = data.draw(st.lists(st.integers(0, 1 << 8), min_size=1, max_size=3))
-    multi, averaged = _scenario_cut_pools(
+    multi, averaged = _scenario_cut_masters(
         inst, scens, [design_from_code(inst, code) for code in codes], groups
     )
     # a row's group cuts sum to the averaged cut up to rounding
-    summed = aggregated_pool(multi)
-    assert np.allclose(summed.constants, averaged.constants, rtol=1e-12, atol=1e-9)
-    assert np.allclose(summed.coefficients, averaged.coefficients, rtol=1e-12, atol=1e-9)
+    summed_constants = multi.constants.sum(axis=1, keepdims=True)
+    summed_coefficients = multi.coefficients.sum(axis=1, keepdims=True)
+    assert np.allclose(summed_constants, averaged.constants, rtol=1e-12, atol=1e-9)
+    assert np.allclose(summed_coefficients, averaged.coefficients, rtol=1e-12, atol=1e-9)
 
     solver = RecourseSolver(inst)
     fixed = np.array([inst.fixed_cost[j] for j in plants])
@@ -276,17 +280,17 @@ def test_group_cuts_never_value_a_design_below_the_averaged_cut(seed, n_countrie
         recourse = [solver.solve(design, scen).objective for scen in scens]
         sampled = float(fixed @ np.array(bits)) + sum(recourse) / n_scen
         assert value <= sampled + CUT_TOL * max(1.0, sampled)  # still a lower bound
-    assert solve_master(inst, multi)[1] >= solve_master(inst, averaged)[1] - 1e-9
+    assert solve_master(multi)[1] >= solve_master(averaged)[1] - 1e-9
 
 
 @PROPERTY
-@given(pools(max_plants=6), st.integers(0, 10_000))
+@given(cut_rows(max_plants=6), st.integers(0, 10_000))
 def test_forcing_every_plant_closed_fails_on_both_paths(case, seed):
-    inst, plants, pool, _, _ = case
+    inst, plants, _, _, _, _ = case
     closed = {j: 0 for j in plants}
     for limit in (len(plants), 0):
         with pytest.raises(ValidationError, match="close every plant"):
-            solve_master(inst, pool, closed, enumeration_limit=limit, state=MasterState())
+            Master(inst, 1, closed, limit)
     config = SaaConfig(
         replications=2, optimization_scenarios=2, evaluation_scenarios=2, max_passes=1,
         base_seed=seed, forced_open=closed,
