@@ -21,9 +21,9 @@ are added in plant order (the former master's matrix-vector product could
 round their sum differently in the last bit).
 
 The master is solved exactly: exhaustive enumeration up to ENUMERATION_LIMIT
-candidate plants, depth-first branch and bound beyond. On both paths ties go
-to the first design in lexicographic order (plant 0 the top bit, closed
-before open), and both add a design's fixed costs and each cut's
+candidate plants, branch and bound beyond. On both paths ties go to the
+first design in lexicographic order (plant 0 the top bit, closed before
+open), and both add a design's fixed costs and each cut's
 coefficients one at a time in plant order and then the cut's constant, so
 the two paths return the same design and the same value bit for bit.
 
@@ -34,23 +34,39 @@ preallocated buffer with the cut's value at every code, O(2^n) per cut and
 no design matrix. G * 2^n is at most ENVELOPE_LIMIT floats (8 MB), so 16
 plants get G = 15 at N = 15 and 20 plants the single averaged cut.
 
-Branch and bound (G = N) visits plants in canonical order, 0 before 1. A
-node holds the fixed cost of its opened plants and every (row, group) cut's
-coefficient sum over them. Its bound is that fixed cost plus, per group,
-the largest row's sum + constant + suffix over the unassigned plants. Each
-group carries 1/G of every plant's fixed cost, so a plant's suffix term is
-min(0, coefficient + fixed/G) when it is free, coefficient + fixed/G when
-it is forced open and 0 when it is forced closed; with G = 1 that is
-min(0, coefficient + fixed). Each row's suffix sums are computed once, by
-the first call after the row is added. The bound relaxes only the >= 1-plant
-constraint and the coupling of the groups; at a leaf it is the design's
-value, and only a strict improvement replaces the incumbent, which is the
-enumeration's tie rule. An inner node's bound adds the same terms in
-another order, so it may round above a leaf below it: a node is pruned only
-when its bound exceeds the incumbent by more than a slack that bounds this
-rounding: 4 (n + G + 3) eps times the sum of the fixed costs and of each
-group's largest |constant| + sum of |coefficients|, twice the usual error
-bound of a sum of n + G + 3 such terms.
+Branch and bound (G = N) fixes the plants in plant order, one depth at a
+time. A node holds the fixed cost of its opened plants, every (row, group)
+cut's coefficient sum over them and its design bits. Its bound is that fixed
+cost plus, per group, the largest row's sum + constant + suffix over the
+unassigned plants. Each group carries 1/G of every plant's fixed cost, so a
+plant's suffix term is min(0, coefficient + fixed/G) when it is free,
+coefficient + fixed/G when it is forced open and 0 when it is forced closed;
+with G = 1 that is min(0, coefficient + fixed). Each row's suffix sums are
+computed once, by the first call after the row is added. The bound relaxes
+only the >= 1-plant constraint and the coupling of the groups; at a leaf it
+is the design's value.
+
+A greedy dive from the root to a leaf, taking the child with the smaller
+bound (the closed one on ties, and the open one at the last plant that can
+open if none is open yet), gives the first incumbent. The search then runs
+depth-first over chunks of nodes: one vectorized step makes a chunk's
+children and bounds all of them, and a child whose bound exceeds the
+incumbent by more than the slack below is dropped. A chunk holds at most
+FRONTIER_LIMIT / (2 G rows) nodes, so its children take at most
+FRONTIER_LIMIT floats (512 KB); survivors are copied out a chunk at a time,
+so at most one chunk waits per depth. At the leaves the smallest value wins
+and ties go to the first design in lexicographic order, picked explicitly
+because chunks are not visited in that order.
+
+An inner node's bound adds the same terms as its leaves in another order,
+so it may round above a leaf below it. The slack bounds this rounding:
+4 (n + G + 3) eps times the sum of the fixed costs and of each group's
+largest |constant| + sum of |coefficients|, twice the usual error bound of a
+sum of n + G + 3 such terms. Every ancestor of a minimal leaf (value v*)
+thus has a bound of at most v* + slack, which is at most the incumbent +
+slack, so every minimal leaf is reached. Every sum is the one a recursive
+depth-first search adds, in the same order, so the search returns its
+design and value bit for bit.
 """
 
 from __future__ import annotations
@@ -64,6 +80,7 @@ from .recourse import RecourseSolver, cut_terms_from
 
 ENUMERATION_LIMIT = 20
 ENVELOPE_LIMIT = 1 << 20  # floats in the enumeration envelope, G x 2^n
+FRONTIER_LIMIT = 1 << 16  # floats in one branching's children, 2 x chunk x G x rows
 
 
 class IterationLimitError(RuntimeError):
@@ -86,10 +103,19 @@ def _grown(array: np.ndarray, rows: int, axis: int = 0) -> np.ndarray:
     return bigger
 
 
-def check_forcing(instance: Instance, forced: dict | None) -> dict:
-    """`forced` (plant -> 0/1) as a new dict, checked: it names only plant
-    candidates and leaves at least one plant open or free."""
+def check_forcing_values(forced: dict | None) -> dict:
+    """`forced` as a new dict, checked: every value is the integer 0 or 1."""
     forced = dict(forced or {})
+    for plant, value in forced.items():
+        if isinstance(value, bool) or not isinstance(value, int) or value not in (0, 1):
+            raise ValidationError(f"forced_open[{plant!r}] must be 0 or 1, got {value!r}")
+    return forced
+
+
+def check_forcing(instance: Instance, forced: dict | None) -> dict:
+    """`forced` (plant -> 0/1) as a new dict, checked: its values are 0 or 1,
+    it names only plant candidates and leaves at least one plant open or free."""
+    forced = check_forcing_values(forced)
     unknown = sorted(set(forced) - set(instance.plant_candidates))
     if unknown:
         raise ValidationError(f"forced_open names non-candidates: {unknown}")
@@ -228,8 +254,7 @@ def _master_by_enumeration(master: Master):
 def _bound_terms(fixed, constants, coefficients, forced_pos: dict) -> np.ndarray:
     """Per depth d, each (row, group) cut's constant plus its suffix over plants >= d.
 
-    Returns (n + 1, G, rows), each row of a group contiguous for the node's
-    max; depth n holds the constants alone.
+    Returns (n + 1, G, rows); depth n holds the constants alone.
     """
     terms = coefficients + fixed / coefficients.shape[1]  # each group carries 1/G of it
     for p in range(len(fixed)):
@@ -254,42 +279,78 @@ def _master_by_branch_and_bound(master: Master):
         master.bound_terms = _grown(master.bound_terms, rows, axis=2)
         master.bound_terms[:, :, master.folded : rows] = new
         master.folded = rows
-    bound_terms = master.bound_terms[:, :, :rows]
-    by_plant = [coefficients[:, :, p].T for p in range(n)]
-
-    levels = np.zeros((n + 1, groups, rows))  # opened plants' coefficient sums per depth
-    work = np.empty((groups, rows))
-    bits = [0] * n
-    best_value = np.inf
-    best_bits = None
+    # A chunk of F nodes is (fixed cost (F,), coefficient sums (rows, G, F),
+    # design bits (F, n)), the node index innermost in the sums, so the
+    # (rows, G, 1) views below broadcast over the nodes.
+    terms = [master.bound_terms[d, :, :rows].T[:, :, None] for d in range(n + 1)]
+    by_plant = [coefficients[:, :, p, None] for p in range(n)]
     # see the module docstring: the bound may round above a leaf below it
     scale = fixed.sum() + (np.abs(constants) + np.abs(coefficients).sum(axis=2)).max(axis=0).sum()
     slack = 4 * (n + groups + 3) * np.finfo(float).eps * scale
 
-    def dfs(depth: int, base: float, sums: np.ndarray) -> None:
-        nonlocal best_value, best_bits
-        np.add(sums, bound_terms[depth], out=work)
-        # left to right, as ordered_sum adds (and enumeration's total)
-        bound = base + np.add.accumulate(np.maximum.reduce(work, axis=1))[-1]
-        if depth == n:
-            if any(bits) and bound < best_value:
-                best_value = bound
-                best_bits = list(bits)
-            return
-        if bound > best_value + slack:
-            return
-        for v in choices[depth]:
-            bits[depth] = v
-            if v:
-                child = levels[depth + 1]
-                np.add(sums, by_plant[depth], out=child)
-                dfs(depth + 1, base + fixed[depth], child)
-            else:
-                dfs(depth + 1, base, sums)
+    def branch(depth, nodes):
+        """The children of depth-`depth` nodes, closed ones first."""
+        base, sums, bits = nodes
+        if len(choices[depth]) == 2:
+            width = len(base)
+            base = np.concatenate([base, base + fixed[depth]])
+            children = np.empty(sums.shape[:2] + (2 * width,))
+            children[:, :, :width] = sums
+            np.add(sums, by_plant[depth], out=children[:, :, width:])
+            bits = np.concatenate([bits, bits])
+            bits[width:, depth] = True
+            return base, children, bits
+        if choices[depth][0]:
+            return base + fixed[depth], sums + by_plant[depth], bits
+        return nodes
 
-    dfs(0, 0.0, levels[0])
-    del dfs  # the recursive closure is a reference cycle: free its buffers now, not at gc
-    return Design(open=dict(zip(plants, best_bits))), float(best_value)
+    def bound(depth, nodes):
+        base, sums, _ = nodes
+        # left to right, as ordered_sum adds (and enumeration's total)
+        maxima = np.maximum.reduce(sums + terms[depth], axis=0)
+        return base + np.add.accumulate(maxima, axis=0)[-1]
+
+    def select(nodes, index):
+        base, sums, bits = nodes
+        return base[index], sums[:, :, index], bits[index]
+
+    root_bits = np.array([choices[p] == (1,) for p in range(n)])
+    root = (np.zeros(1), np.zeros((rows, groups, 1)), root_bits[None])
+    last_open = max(p for p in range(n) if choices[p][-1])
+    nodes = root
+    for depth in range(n):  # the dive: its leaf is the first incumbent
+        opened = nodes[2].any()
+        nodes = branch(depth, nodes)
+        bounds = bound(depth + 1, nodes)
+        at = len(bounds) - 1 if depth == last_open and not opened else int(bounds.argmin())
+        nodes = select(nodes, slice(at, at + 1))
+    best_value, best_bits = bounds[at], nodes[2][0]
+
+    chunk = max(1, FRONTIER_LIMIT // (2 * groups * rows))  # parents per branching
+    stack = [(0, root)]
+    while stack:
+        depth, nodes = stack.pop()
+        nodes = branch(depth, nodes)  # drops this chunk's own arrays
+        depth += 1
+        bounds = bound(depth, nodes)
+        if depth == n:
+            bits = nodes[2]
+            bounds[~bits.any(axis=1)] = np.inf  # the design that opens no plant
+            value = bounds.min()
+            if value <= best_value:
+                ties = bits[bounds == value]
+                if value == best_value:
+                    ties = np.concatenate([ties, best_bits[None]])
+                best_value, best_bits = value, ties[np.lexsort(ties.T[::-1])[0]]
+            continue
+        keep = ~(bounds > best_value + slack)
+        if keep.all() and len(keep) <= chunk:
+            stack.append((depth, nodes))
+            continue
+        kept = np.flatnonzero(keep)  # survivors, copied one chunk at a time
+        for at in reversed(range(0, len(kept), chunk)):
+            stack.append((depth, select(nodes, kept[at : at + chunk])))
+    return Design(open=dict(zip(plants, best_bits.astype(int).tolist()))), float(best_value)
 
 
 def run_lshaped(

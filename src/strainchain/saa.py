@@ -38,7 +38,7 @@ from .instance import (
     is_finite_number,
     validate_design,
 )
-from .lshaped import run_lshaped
+from .lshaped import check_forcing_values, run_lshaped
 from .recourse import RecourseSolver
 from .scenarios import RiskOverrides, sample_batch
 from .stats import critical_values, ordered_sum
@@ -70,10 +70,9 @@ class SaaConfig:
             _require_finite(getattr(self, name), name)
         for name in ("optimize_overrides", "evaluate_overrides"):
             _check_overrides(getattr(self, name), name)
-        if not isinstance(self.forced_open, dict) or any(
-            _not_int(v) or v not in (0, 1) for v in self.forced_open.values()
-        ):
+        if not isinstance(self.forced_open, dict):
             raise ValidationError(f"forced_open must map plants to 0 or 1, got {self.forced_open!r}")
+        check_forcing_values(self.forced_open)
         if self.replications < 2:
             raise ValidationError("need at least two replications")
         if self.optimization_scenarios < 1:
@@ -100,12 +99,8 @@ class SaaConfig:
         return self
 
 
-def _not_int(value) -> bool:
-    return isinstance(value, bool) or not isinstance(value, int)
-
-
 def _require_int(value, name: str) -> None:
-    if _not_int(value):
+    if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 

@@ -5,8 +5,9 @@ row per constraint (capacities, gated arcs, demand, balance, shortage links)
 and hands it to scipy's HiGHS, completely bypassing the package's LP path.
 The dict-keyed retained-export, cut-term and evaluation loops are the
 references the package's array formulas must reproduce exactly; so are the
-former single-cut enumeration master, the full-pricing, refactorizing
-simplex and the evaluate command's per-country CSV writer below.
+former single-cut enumeration master, the former recursive branch and
+bound, the full-pricing, refactorizing simplex and the evaluate command's
+per-country CSV writer below.
 `count_calls` counts the calls made through one module binding, to show
 what a memo saved or that no factorization ran; `record_recourse_lps`
 keeps each scenario LP's inputs and answer for a replay.
@@ -35,7 +36,7 @@ from strainchain import (
     make_instance,
 )
 from strainchain.instance import ValidationError
-from strainchain.lshaped import ENUMERATION_LIMIT, Master
+from strainchain.lshaped import ENUMERATION_LIMIT, Master, _bound_terms
 from strainchain import recourse
 from strainchain.recourse import (
     DUALITY_REL_TOL,
@@ -604,6 +605,55 @@ def reference_master_by_enumeration(instance, plants, cuts, forced, plant_order_
         raise ValidationError("forced assignments close every plant")
     design = Design(open={j: int(b) for j, b in zip(plants, best_bits)})
     return design, best_value
+
+
+def reference_branch_and_bound(master: Master) -> tuple[Design, float]:
+    """The former recursive depth-first branch and bound over a branch-and-bound `Master`.
+
+    It visits designs in lexicographic order (closed before open) with one
+    incumbent, replaced only on a strict improvement, and prunes a node
+    whose bound exceeds the incumbent by more than the master's slack. Each
+    bound and leaf value adds the same terms in the same order as the
+    package's frontier search. The master is only read: its node-bound terms
+    are rebuilt here from all of its rows.
+    """
+    plants, fixed, choices = master.plants, master.fixed, master.choices
+    n = len(plants)
+    constants, coefficients = master.constants, master.coefficients
+    rows, groups = constants.shape
+    bound_terms = _bound_terms(fixed, constants, coefficients, master.forced_pos)
+    by_plant = [coefficients[:, :, p].T for p in range(n)]
+
+    levels = np.zeros((n + 1, groups, rows))  # opened plants' coefficient sums per depth
+    work = np.empty((groups, rows))
+    bits = [0] * n
+    best_value = np.inf
+    best_bits = None
+    scale = fixed.sum() + (np.abs(constants) + np.abs(coefficients).sum(axis=2)).max(axis=0).sum()
+    slack = 4 * (n + groups + 3) * np.finfo(float).eps * scale
+
+    def dfs(depth: int, base: float, sums: np.ndarray) -> None:
+        nonlocal best_value, best_bits
+        np.add(sums, bound_terms[depth], out=work)
+        bound = base + np.add.accumulate(np.maximum.reduce(work, axis=1))[-1]
+        if depth == n:
+            if any(bits) and bound < best_value:
+                best_value = bound
+                best_bits = list(bits)
+            return
+        if bound > best_value + slack:
+            return
+        for v in choices[depth]:
+            bits[depth] = v
+            if v:
+                child = levels[depth + 1]
+                np.add(sums, by_plant[depth], out=child)
+                dfs(depth + 1, base + fixed[depth], child)
+            else:
+                dfs(depth + 1, base, sums)
+
+    dfs(0, 0.0, levels[0])
+    return Design(open=dict(zip(plants, best_bits))), float(best_value)
 
 
 def reference_solve_bounded_lp(

@@ -579,7 +579,11 @@ def test_negative_gen_seed_exits_one_naming_it(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "forcing, named",
-    [("unknown", r"non-candidates: \['nowhere'\]"), ("all_closed", "close every plant")],
+    [
+        ("unknown", r"non-candidates: \['nowhere'\]"),
+        ("all_closed", "close every plant"),
+        ("two", r"\['.*'\] must be 0 or 1, got 2"),
+    ],
 )
 @pytest.mark.parametrize("command", ["solve", "study"])
 def test_bad_forced_open_exits_one_before_any_output(
@@ -589,7 +593,9 @@ def test_bad_forced_open_exits_one_before_any_output(
     config = json.loads(config_path.read_text(encoding="utf-8"))
     plants = load_instance(instance_path).plant_candidates
     closed = dict.fromkeys(plants, 0)
-    config["saa"]["forced_open"] = {"nowhere": 1} if forcing == "unknown" else closed
+    config["saa"]["forced_open"] = {
+        "unknown": {"nowhere": 1}, "all_closed": closed, "two": {plants[0]: 2}
+    }[forcing]
     bad = tmp / "bad_forcing.json"
     bad.write_text(json.dumps(config), encoding="utf-8")
 

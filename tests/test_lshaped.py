@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strainchain import (
+    Design,
     Master,
     RecourseSolver,
     RiskOverrides,
@@ -19,6 +21,7 @@ from strainchain import (
 from strainchain.lshaped import (
     ENUMERATION_LIMIT,
     ENVELOPE_LIMIT,
+    FRONTIER_LIMIT,
     IterationLimitError,
     _bound_terms,
 )
@@ -33,6 +36,7 @@ from helpers import (
     master_values,
     plain_scenario,
     record_recourse_lps,
+    reference_branch_and_bound,
     reference_master_by_enumeration,
     small_random_instance,
     tiny_instance,
@@ -77,6 +81,11 @@ def test_master_honors_forced_assignments():
         ({"a": 0, "b": 0}, "forced_open: forced assignments close every plant"),
         ({"zzz": 1}, r"forced_open names non-candidates: \['zzz'\]"),
         ({"a": 1, "zzz": 0}, r"forced_open names non-candidates: \['zzz'\]"),
+        ({"a": 2}, r"forced_open\['a'\] must be 0 or 1, got 2$"),
+        ({"a": 1, "b": 0.5}, r"forced_open\['b'\] must be 0 or 1, got 0.5$"),
+        ({"b": True}, r"forced_open\['b'\] must be 0 or 1, got True$"),
+        ({"a": 1.0}, r"forced_open\['a'\] must be 0 or 1, got 1.0$"),
+        ({"a": "1"}, r"forced_open\['a'\] must be 0 or 1, got '1'$"),
     ],
 )
 @pytest.mark.parametrize("enumeration_limit", [2, 0])
@@ -196,6 +205,20 @@ def test_branch_and_bound_keeps_a_leaf_its_ancestors_bound_rounds_above():
     assert (by_bnb[0].open, by_bnb[1]) == (by_enumeration[0].open, by_enumeration[1])
 
 
+def test_frontier_search_keeps_a_leaf_whose_ancestors_round_above_the_dive():
+    # found by a random search: the dive reaches the all-open design, worth
+    # 0.7, but p00 and p02 alone are worth 0.6999999999999886, and a bound
+    # above that leaf rounds above 0.7; pruning at bound > incumbent, with
+    # no slack, returned the all-open design
+    inst, plants = _plants_instance([0.3, 0.2, 0.2])
+    rows = ([[132.0]], [[[-71.0, -50.7, -60.8]]])
+    want = (Design(open={"p00": 1, "p01": 0, "p02": 1}), 0.6999999999999886)
+    _same_answer(solve_master(master_from_rows(inst, *rows)), want)
+    by_bnb = master_from_rows(inst, *rows, enumeration_limit=0)
+    _same_answer(solve_master(by_bnb), want)
+    _same_answer(reference_branch_and_bound(by_bnb), want)
+
+
 def test_every_design_tied_goes_to_the_first_in_lexicographic_order():
     # zero fixed costs and no cut: all 2^20 - 1 nonempty designs tie
     inst, plants = _plants_instance([0.0] * 20)
@@ -204,6 +227,95 @@ def test_every_design_tied_goes_to_the_first_in_lexicographic_order():
     assert design.open == {j: int(j == "p19") for j in plants}
     design, _ = solve_master(Master(inst, 1, {"p19": 0, "p05": 1}))
     assert design.open == {j: int(j == "p05") for j in plants}
+
+
+def _same_answer(got, want):
+    assert got[0].open == want[0].open
+    assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+
+
+@st.composite
+def _branch_and_bound_cases(draw):
+    """A random master: 1-12 free plants among up to 22, 1-5 groups, forcing,
+    integer data with ties and zero fixed costs."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_free, n_pinned = draw(st.integers(1, 12)), draw(st.integers(0, 10))
+    n = n_free + n_pinned
+    integer, zero_fixed = draw(st.booleans()), draw(st.booleans())
+    if zero_fixed:
+        fixed = [0.0] * n
+    else:
+        fixed = rng.integers(0, 4, n) if integer else rng.uniform(0, 50, n)
+    inst, plants = _plants_instance([float(v) for v in fixed])
+    groups = draw(st.integers(1, 5))
+    rows = _random_rows(rng, plants, draw(st.integers(0, 8)), groups, integer)
+    pinned = rng.choice(n, n_pinned, replace=False)
+    forced = {plants[p]: int(rng.integers(0, 2)) for p in pinned}
+    return inst, plants, rows, forced
+
+
+@EXACT
+@given(_branch_and_bound_cases())
+def test_frontier_search_matches_the_recursive_reference(case):
+    inst, plants, rows, forced = case
+    if not any(forced.get(j, 1) for j in plants):
+        return  # rejected when the master is built (see the forcing tests)
+    master = master_from_rows(inst, *rows, forced, enumeration_limit=0)
+    got = solve_master(master)
+    _same_answer(got, reference_branch_and_bound(master))
+    groups = rows[0].shape[1]
+    if len(plants) <= ENUMERATION_LIMIT and groups <= ENVELOPE_LIMIT >> len(plants):
+        _same_answer(got, solve_master(master_from_rows(inst, *rows, forced)))
+
+
+def test_frontier_search_above_62_plants():
+    # 70 plants, most of them pinned: no 64-bit design code could hold a design
+    rng = np.random.default_rng(62)
+    for trial in range(6):
+        integer = trial % 2 == 0
+        fixed = rng.integers(0, 4, 70) if integer else rng.uniform(0, 50, 70)
+        inst, plants = _plants_instance([float(v) for v in fixed])
+        rows = _random_rows(rng, plants, int(rng.integers(1, 6)), int(rng.integers(1, 6)), integer)
+        free = rng.choice(70, 10, replace=False)
+        forced = {j: int(rng.integers(0, 2)) for p, j in enumerate(plants) if p not in free}
+        master = master_from_rows(inst, *rows, forced, enumeration_limit=0)
+        _same_answer(solve_master(master), reference_branch_and_bound(master))
+    # every design ties: the first in lexicographic order differs from the
+    # others only in plants 64 to 69
+    inst, plants = _plants_instance([0.0] * 70)
+    for forced, opened in (
+        ({j: 0 for j in plants[:64]}, {"p69"}),
+        ({"p00": 1, **{j: 0 for j in plants[1:64]}}, {"p00"}),
+    ):
+        master = Master(inst, 3, forced, enumeration_limit=0)
+        design, value = solve_master(master)
+        assert value == 0.0
+        assert {j for j in plants if design.open[j]} == opened
+        _same_answer((design, value), reference_branch_and_bound(master))
+
+
+@pytest.mark.parametrize("limit", [FRONTIER_LIMIT, 1 << 12])
+def test_all_ties_frontier_stays_within_its_chunks(monkeypatch, limit):
+    # zero fixed costs and no cut: nothing is pruned, all 2^16 - 1 designs tie
+    monkeypatch.setattr("strainchain.lshaped.FRONTIER_LIMIT", limit)
+    inst, plants = _plants_instance([0.0] * 16)
+    master = Master(inst, 10, enumeration_limit=0)
+    assert (master.rows, master.groups) == (1, 10)
+    tracemalloc.start()
+    try:
+        design, value = solve_master(master)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == 0.0
+    assert design.open == {j: int(j == "p15") for j in plants}
+    # live at once: at most one pending chunk per depth, and the branching
+    # in hand (its children, their bound work array and their copies into
+    # chunks), each of at most 2 x chunk nodes; a node is G x rows = 10
+    # floats of sums, 16 design bits and its fixed cost
+    chunk = limit // (2 * 10)
+    node_bytes = 10 * 8 + 16 + 8
+    assert peak < (16 + 6) * chunk * node_bytes
 
 
 def test_the_master_chooses_its_path_and_groups_once():

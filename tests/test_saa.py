@@ -43,6 +43,14 @@ def test_config_domain_checks():
         replace(good, alpha=0.5).validated()
     with pytest.raises(ValidationError):
         replace(good, outer_gap_tolerance=0.0).validated()
+    for forced in ({"k1": 2}, {"k1": 0.5}, {"k1": True}):
+        with pytest.raises(ValidationError, match=r"forced_open\['k1'\] must be 0 or 1"):
+            replace(good, forced_open=forced).validated()
+    with pytest.raises(ValidationError, match="forced_open must map plants to 0 or 1"):
+        replace(good, forced_open=[("k1", 1)]).validated()
+    assert replace(good, forced_open={"k1": 0, "k2": 1}).validated().forced_open == {
+        "k1": 0, "k2": 1
+    }
 
 
 def test_hand_fixture_for_the_lower_bound():
