@@ -5,7 +5,8 @@ and the number of cut groups G (chosen once) and each path's folded arrays.
 
 The N scenarios are split into G contiguous groups (scenario s in group
 s * G // N). Each iteration solves every scenario at the master's
-candidate and adds one cut per group (`Master.add_cuts`): group g's cut
+candidate, taking the Pareto-optimal duals of `recourse`'s `pareto` solve,
+and adds one cut per group (`Master.add_cuts`): group g's cut
 is the sum of its scenarios' `cut_terms_from` constant and coefficients
 divided by N, accumulated in scenario order, so it underestimates the
 group's share of the sampled mean recourse cost at every design. The cuts
@@ -19,6 +20,11 @@ the group terms added left to right in the order of `stats.ordered_sum`.
 With G = 1 this is the averaged single-cut master, except that fixed costs
 are added in plant order (the former master's matrix-vector product could
 round their sum differently in the last bit).
+
+A run ends when the gap between the master's bound and the best sampled
+cost closes, or when the master proposes a design it has already
+evaluated: its cuts are tight there already, so solving it again would
+add nothing (see `run_lshaped`).
 
 The master is solved exactly: exhaustive enumeration up to ENUMERATION_LIMIT
 candidate plants, branch and bound beyond. On both paths ties go to the
@@ -128,9 +134,10 @@ def check_forcing(instance: Instance, forced: dict | None) -> dict:
 class LShapedResult:
     design: Design
     objective: float       # best sampled total cost found (the final upper bound)
-    iterations: int
-    lb_trace: list = field(default_factory=list)
-    ub_trace: list = field(default_factory=list)
+    iterations: int        # iterations that solved the N scenarios
+    lb_trace: list = field(default_factory=list)  # the master's bound, per master solve
+    ub_trace: list = field(default_factory=list)  # the upper bound after each master solve
+    kept_duals: int = 0    # decomposition LPs whose cut kept the unperturbed dual
 
 
 class Master:
@@ -363,6 +370,12 @@ def run_lshaped(
 ) -> LShapedResult:
     """Alternate master solves and scenario solves until the gap closes.
 
+    Each iteration solves the N scenario LPs at the master's candidate
+    with `pareto` set (see `recourse`), so each cut comes from an optimal
+    dual at the candidate that is also optimal at the openings perturbed
+    toward the core point: a Magnanti-Wong cut, still valid at every design
+    and tight at the candidate.
+
     The N scenario LPs of one iteration share one basis pool (see
     `simplex`): they share A and the candidate design, so an earlier
     scenario's optimal basis often answers a later one without a pivot.
@@ -371,6 +384,14 @@ def run_lshaped(
     workload it avoided under 5% more pivots and more than doubled the
     simplex's own time. It is dropped before the next master solve, so its
     inverses are freed before that call's work arrays are allocated.
+
+    A design the master proposes again has its tight cuts in the master
+    already, and solving it again would give the same upper bound, so the
+    run stops there: it returns if the gap test passes on the master's
+    bound and the known upper bound, and raises IterationLimitError naming
+    the stall if not. `iterations` counts the iterations that solved
+    scenarios, so a run solves iterations x N LPs; the traces hold one
+    entry per master solve.
     """
     if not scenarios:
         raise ValidationError("need at least one scenario")
@@ -386,10 +407,37 @@ def run_lshaped(
     ub_trace: list[float] = []
     ub = np.inf
     incumbent: Design | None = None
+    evaluated = set()
+    kept_duals = 0
 
-    for iteration in range(1, max_iterations + 1):
+    def gap(lb):
+        return (ub - lb) / ub if ub > 0 else 0.0
+
+    def result():
+        return LShapedResult(
+            design=incumbent,
+            objective=ub,
+            iterations=len(evaluated),
+            lb_trace=lb_trace,
+            ub_trace=ub_trace,
+            kept_duals=kept_duals,
+        )
+
+    for _ in range(max_iterations):
         candidate, lb = solve_master(master)
         lb_trace.append(lb)
+        key = candidate.key()
+        if key in evaluated:
+            ub_trace.append(ub)
+            if gap(lb) <= epsilon:
+                return result()
+            raise IterationLimitError(
+                f"stalled after {len(evaluated)} iterations: the master re-proposed an "
+                f"evaluated design at gap {gap(lb):.3g} > epsilon {epsilon!r}",
+                lb_trace,
+                ub_trace,
+            )
+        evaluated.add(key)
 
         fixed = fixed_cost(instance, candidate)
         mean_recourse = 0.0
@@ -397,7 +445,8 @@ def run_lshaped(
         coefficients = np.zeros((groups, len(master.plants)))
         bases = []
         for scen, g in zip(scenarios, group_of):
-            sol = solver.solve(candidate, scen, bases)
+            sol = solver.solve(candidate, scen, bases, pareto=True)
+            kept_duals += sol.kept_dual
             mean_recourse += sol.objective / n_scen
             const, coeff = cut_terms_from(scen, sol)
             constants[g] += const / n_scen
@@ -409,15 +458,8 @@ def run_lshaped(
             incumbent = candidate
         ub_trace.append(ub)
 
-        gap = (ub - lb) / ub if ub > 0 else 0.0
-        if gap <= epsilon:
-            return LShapedResult(
-                design=incumbent,
-                objective=ub,
-                iterations=iteration,
-                lb_trace=lb_trace,
-                ub_trace=ub_trace,
-            )
+        if gap(lb) <= epsilon:
+            return result()
         master.add_cuts(constants, coefficients)
 
     raise IterationLimitError(

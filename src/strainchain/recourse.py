@@ -19,17 +19,31 @@ side net of retained exports, the shielded volumes and the gated arc
 capacities) are built on its first solve and kept with the scenario. The
 start basis (slacks, the S2 or E column of each country by the sign of its
 right-hand side, and each plant's self-distribution column) has a 0/+-1
-inverse in closed form, so a solve starts pivoting without factorizing.
+inverse in closed form, so a solve starts pivoting without factorizing; it
+is built only when no pooled basis answers the LP.
 Solutions hold flows and multipliers as arrays only, and cut terms come back
 as one coefficient array in plant order. A solve may pass the simplex a pool
 of earlier optimal bases; `saa.evaluate_design` keeps one per evaluation and
 `lshaped.run_lshaped` one per iteration. A pooled answer may carry another
 optimal dual than a solve from the start basis, so its cut may differ, but
 it is still valid at every design and tight at its own. Only `verify` passes
-none, so its checks come from LPs solved from the start basis. Every
-answer, pooled or not, passes the same balance and strong-duality checks.
+none, so its checks come from LPs solved from the start basis.
 Dicts keyed by country or arc are built only at the JSON/CSV boundary and by
 the structural diagnostics.
+
+The transshipment's dual is degenerate: at a closed plant the capacity
+row's dual, which sets the plant's cut coefficient, can take a range of
+optimal values. The decomposition's solves (`pareto`) therefore also pass
+the simplex the right-hand side and bounds at the openings perturbed toward
+the core point, y + PARETO_STEP (CORE_POINT - y), and take the duals of a
+basis optimal at both points when the simplex finds one. Among the optimal
+duals at y these maximize the dual value at the core point (Magnanti and
+Wong 1981, from one perturbed right-hand side as in Sherali and Lunday
+2013), so the cut is Pareto-optimal; it stays valid at every design, and
+the certificate at y keeps it tight. The flows and the objective are the
+unperturbed answer's. Evaluation and `verify` pass no perturbation. Every
+answer, pooled, perturbed or not, passes the same balance and
+strong-duality checks.
 """
 
 from __future__ import annotations
@@ -45,6 +59,8 @@ from .stats import ordered_sum
 
 BALANCE_TOL = 1e-7       # absolute feasibility tolerance on balance rows
 DUALITY_REL_TOL = 1e-6   # relative primal/dual agreement required per solve
+PARETO_STEP = 1e-6       # mu: a `pareto` solve perturbs the openings y to y + mu (y0 - y)
+CORE_POINT = 0.5         # y0, every plant half open: inside the hull of the designs
 
 GATE_SELF, GATE_ALLY, GATE_GENERAL = 0, 1, 2
 
@@ -88,6 +104,7 @@ class RecourseSolution:
     pi_demand: np.ndarray               # demand rows (free sign)
     pi_balance: np.ndarray              # plant balance rows (free sign)
     pi_aux: np.ndarray                  # shielded-tranche bound per country (>= 0)
+    kept_dual: bool = False             # a `pareto` solve that kept the unperturbed dual
 
 
 class RecourseSolver:
@@ -247,18 +264,39 @@ class RecourseSolver:
         return basis, inverse
 
     def solve(
-        self, design: Design, scenario: Scenario, pool: list | None = None
+        self, design: Design, scenario: Scenario, pool: list | None = None, pareto: bool = False
     ) -> RecourseSolution:
         """Solve one scenario at a design; `pool`, when given, is the
-        simplex's basis pool (see `simplex`), kept by the caller."""
+        simplex's basis pool (see `simplex`), kept by the caller. With
+        `pareto` the duals come from a basis also optimal at the openings
+        perturbed toward CORE_POINT, when the simplex finds one."""
         validate_design(self.instance, design)
-        nI, nJ, nK = self.nI, self.nJ, self.nK
         data = self.arrays(scenario)
         y = np.array([float(design.open[j]) for j in self.pl])
-
         cost = self.base_cost.copy()
-        cost[self.oS2 : self.oS2 + nK] += scenario.price_increase
+        cost[self.oS2 : self.oS2 + self.nK] += scenario.price_increase
+        b, upper = self._rhs_and_bounds(data, y)
+        perturbed = None
+        if pareto:
+            perturbed = self._rhs_and_bounds(data, y + PARETO_STEP * (CORE_POINT - y))
+        try:
+            sol = solve_bounded_lp(
+                self.A,
+                b,
+                cost,
+                upper,
+                lambda: self.start_basis(data.rhs_dem),
+                pool=pool,
+                perturbed=perturbed,
+            )
+        except SimplexError as exc:
+            raise RecourseError(f"scenario solve failed: {exc}") from exc
 
+        return self._package(sol, design, scenario, data, y)
+
+    def _rhs_and_bounds(self, data: ScenarioArrays, y: np.ndarray):
+        """The LP's right-hand side and column upper bounds at plant openings y."""
+        nI, nJ, nK = self.nI, self.nJ, self.nK
         upper = np.full(self.n, np.inf)
         # cross-country arcs are capped by origin capacity x export gate x Y;
         # self arcs stay unbounded (capacity and balance rows still bind them)
@@ -275,15 +313,8 @@ class RecourseSolver:
         upper[self.oS1 : self.oS1 + nK] = np.where(
             self.plant_mask, data.shield * y_country, 0.0
         )
-
         b = np.concatenate([data.a_sup, data.b_pl * y, data.rhs_dem, np.zeros(nJ)])
-        basis, inverse = self.start_basis(data.rhs_dem)
-        try:
-            sol = solve_bounded_lp(self.A, b, cost, upper, basis, basis_inverse=inverse, pool=pool)
-        except SimplexError as exc:
-            raise RecourseError(f"scenario solve failed: {exc}") from exc
-
-        return self._package(sol, design, scenario, data, y)
+        return b, upper
 
     def _package(self, sol, design, scenario, data, y):
         nI, nJ, nK = self.nI, self.nJ, self.nK
@@ -327,6 +358,7 @@ class RecourseSolver:
             pi_demand=y_rows[self.rDem : self.rDem + nK],
             pi_balance=y_rows[self.rBal : self.rBal + nJ],
             pi_aux=np.maximum(0.0, -rc[self.oS1 : self.oS1 + nK]),
+            kept_dual=sol.kept_dual,
         )
 
         const, coeff = cut_terms_from(scenario, solution)

@@ -41,8 +41,8 @@ array shows. The returned reduced costs cover every column.
 
 A caller that solves many LPs with the same A (one design's evaluation
 batch, or the N scenario LPs of one decomposition iteration, which differ
-only in b, the bounds and some costs) may pass a pool:
-a list of (basis, at-upper mask, B^-1) entries of earlier optimal bases.
+only in b, the bounds and some costs) may pass a pool: a list of
+`PoolEntry`s, each an earlier optimal basis, its at-upper mask and B^-1.
 Before pricing, each entry is tried in the order it was added; the first
 whose optimality certificate holds answers the LP with no pivot. The
 certificate is the one the pivot loop stops on: the basic values B^-1(b -
@@ -52,7 +52,24 @@ the wrong sign beyond the pricing tolerance; an entry that holds a column at
 an upper bound this LP lacks is skipped. Otherwise the LP is solved from its
 start basis on the same pivot path as without a pool, and its final basis
 joins the pool only when the exactness proof above holds at the end, so the
-pool holds exact inverses only and adds no LAPACK call.
+pool holds exact inverses only and adds no LAPACK call. The start basis may
+be passed as a function, so that its inverse is built only when no pooled
+basis answers.
+
+A caller may also pass a perturbed right-hand side and bounds (b', u') of
+the same LP. The call first answers (b, u) as above. Then the primal
+simplex re-optimizes from that answer's basis and at-upper mask at
+(b', u'), and when the certificate shows the basis it ends on optimal at
+(b, u) too, the call returns that basis's duals and reduced costs: an
+optimal dual at (b, u) that is also optimal at (b', u'). x, the at-upper
+mask and the objective stay the (b, u) answer's. If the start is no
+feasible basis at (b', u'), or the re-optimized one fails the certificate
+at (b, u), the (b, u) answer's duals are kept and `kept_dual` is set. A
+pool entry keeps the basis last re-optimized from it (when exact); a later
+LP that the entry answers first tries that basis at both points and
+re-optimizes only if it fails. `iterations` counts every pricing pass of
+the call. `recourse` perturbs the decomposition's LPs toward a core point,
+which makes these duals Magnanti-Wong (Pareto-optimal) ones.
 """
 
 from __future__ import annotations
@@ -67,6 +84,7 @@ DEGENERATE_STEP = 1e-11 # step sizes below this count toward the Bland switch
 EXACT_LIMIT = 2 ** 53   # integers up to this magnitude add and multiply exactly
 RESIDUAL_TOL = 1e-9     # |Ax - b| allowed without a refactorization, relative to the data
 POOL_PRIMAL_TOL = 1e-9  # bound violation a pooled basis may show, relative to 1 + max |b|
+PIVOT_TOL = 1e-10       # pivot elements and column spans at or below this count as zero
 
 
 class SimplexError(RuntimeError):
@@ -81,6 +99,19 @@ class LpSolution:
     at_upper: np.ndarray   # nonbasic-at-upper-bound mask, length n
     objective: float
     iterations: int
+    kept_dual: bool = False  # a perturbation was given, but no re-optimized basis passed
+
+
+@dataclass(eq=False)
+class PoolEntry:
+    """An exact optimal basis in a pool: its columns, at-upper mask and B^-1,
+    and the (basis, at-upper mask, B^-1) last re-optimized from it at a
+    perturbation, if any."""
+
+    basis: np.ndarray
+    at_upper: np.ndarray
+    inverse: np.ndarray
+    pareto: tuple | None = None
 
 
 def _pricing_columns(A: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -105,12 +136,38 @@ def _integral(values: np.ndarray) -> bool:
     return np.array_equal(values, np.trunc(values))
 
 
+def _primal_tol(b) -> float:
+    return POOL_PRIMAL_TOL * (1.0 + float(np.abs(b).max(initial=0.0)))
+
+
+def _within_bounds(xB, ub_basis, tol) -> bool:
+    return xB.min(initial=0.0) >= -tol and (xB - ub_basis).max(initial=0.0) <= tol
+
+
+def _primal_feasible(A, b, upper, basis, at_upper, Binv) -> bool:
+    """Whether the basis, with the columns at_upper at their bounds, has its
+    basic values within their bounds at (b, upper)."""
+    if not np.isfinite(upper[at_upper]).all():
+        return False  # x_N would hold inf, and the basic values NaN
+    # basic columns are never at upper, so this is the polish's x_N
+    xB = Binv @ (b - A @ np.where(at_upper, upper, 0.0))
+    return _within_bounds(xB, upper[basis], _primal_tol(b))
+
+
+def _dual_feasible(rc, basis, at_upper, movable, rc_tol) -> bool:
+    # a violation is rc times the direction the column may move in
+    viol = np.where(at_upper, rc, -rc)
+    viol[basis] = 0.0
+    return viol[movable].max(initial=0.0) <= rc_tol
+
+
 def _pooled_answer(pool, A, b, c, upper, finite_ub, movable, rc_tol):
-    """(basis, at-upper mask, basic values, duals, reduced costs) of the
-    first pooled basis optimal for this LP, or None."""
-    tol = POOL_PRIMAL_TOL * (1.0 + float(np.abs(b).max(initial=0.0)))
+    """(entry, basic values, duals, reduced costs) of the first pooled basis
+    optimal for this LP, or None."""
+    tol = _primal_tol(b)
     rhs = {}  # b - A x_N, by the columns held at upper
-    for basis, at_upper, Binv in pool:
+    for entry in pool:
+        basis, at_upper, Binv = entry.basis, entry.at_upper, entry.inverse
         if not finite_ub[at_upper].all():
             continue  # x_N would hold inf, and the basic values NaN
         key = at_upper.tobytes()
@@ -118,15 +175,12 @@ def _pooled_answer(pool, A, b, c, upper, finite_ub, movable, rc_tol):
             # basic columns are never at upper, so this is the polish's x_N
             rhs[key] = b - A @ np.where(at_upper, upper, 0.0)
         xB = Binv @ rhs[key]
-        if not (xB.min(initial=0.0) >= -tol and (xB - upper[basis]).max(initial=0.0) <= tol):
+        if not _within_bounds(xB, upper[basis], tol):
             continue
         y = c[basis] @ Binv
         rc = c - y @ A
-        # a violation is rc times the direction the column may move in
-        viol = np.where(at_upper, rc, -rc)
-        viol[basis] = 0.0
-        if viol[movable].max(initial=0.0) <= rc_tol:
-            return basis, at_upper, xB, y, rc
+        if _dual_feasible(rc, basis, at_upper, movable, rc_tol):
+            return entry, xB, y, rc
     return None
 
 
@@ -149,39 +203,127 @@ def solve_bounded_lp(
     b: np.ndarray,
     c: np.ndarray,
     upper: np.ndarray,
-    basis: np.ndarray,
+    basis,
     max_iterations: int | None = None,
     basis_inverse: np.ndarray | None = None,
     pool: list | None = None,
+    perturbed: tuple | None = None,
 ) -> LpSolution:
     """Optimal vertex from a feasible starting basis, every nonbasic column at 0.
 
-    basis_inverse, when given, must equal inv(A[:, basis]); it is updated in
-    place. A wrong one that no refactorization replaces raises SimplexError
-    naming the primal residual. pool, when given, holds earlier optimal bases
+    basis is the start basis, or a function returning (start basis, its
+    inverse), called only when no pooled basis answers. basis_inverse, when
+    given, must equal inv(A[:, basis]); it is updated in place. A wrong one
+    that no refactorization replaces raises SimplexError naming the primal
+    residual. pool, when given, holds `PoolEntry`s of earlier optimal bases
     of LPs with this same A; one of them may answer the LP with no pivot
     (iterations 0), and an LP solved by pivoting adds its exact final basis.
+    perturbed, when given, is (b', upper') of the same LP: the duals returned
+    are then those of a basis optimal at both points, when one is found (see
+    the module docstring).
     """
     m, n = A.shape
-    basis = np.asarray(basis, dtype=np.intp).copy()
-    if basis.shape != (m,):
-        raise SimplexError("basis must list exactly one column per row")
-    at_upper = np.zeros(n, dtype=bool)  # every column starts at 0; False while basic
     finite_ub = np.isfinite(upper)
-
     if max_iterations is None:
         max_iterations = 500 + 40 * (m + n)
     rc_tol = 1e-9 * max(1.0, float(np.abs(c).max(initial=0.0)))
-    piv_tol = 1e-10
-    # only a column whose span exceeds piv_tol can ever enter; cand is
-    # sorted, so both pivot rules pick the column full pricing would
-    movable = upper > piv_tol
+    answer = None
     if pool:
-        answer = _pooled_answer(pool, A, b, c, upper, finite_ub, movable, rc_tol)
-        if answer is not None:
-            basis, at_upper, xB, y, rc = answer
-            return _solution(c, upper, finite_ub, basis, at_upper.copy(), xB, y, rc, 0)
-    cand = np.flatnonzero(movable)
+        answer = _pooled_answer(pool, A, b, c, upper, finite_ub, upper > PIVOT_TOL, rc_tol)
+    if answer is not None:
+        entry, xB, y, rc = answer
+        basis, at_upper, Binv = entry.basis, entry.at_upper, entry.inverse
+        solution = _solution(c, upper, finite_ub, basis, at_upper.copy(), xB, y, rc, 0)
+    else:
+        entry = None
+        if callable(basis):
+            basis, basis_inverse = basis()
+        basis = np.asarray(basis, dtype=np.intp).copy()
+        if basis.shape != (m,):
+            raise SimplexError("basis must list exactly one column per row")
+        at_upper = np.zeros(n, dtype=bool)  # every column starts at 0; False while basic
+        basis, at_upper, Binv, xB, y, rc, iterations, exact = _pivot(
+            A, b, c, upper, basis, at_upper, basis_inverse, max_iterations, rc_tol
+        )
+        solution = _solution(c, upper, finite_ub, basis, at_upper, xB, y, rc, iterations)
+        if exact:
+            # no factorization has checked a caller's start inverse: a wrong one shows here
+            x = solution.x
+            residual = float(np.abs(A @ x - b).max(initial=0.0))
+            scale = 1.0 + max(float(np.abs(b).max(initial=0.0)), float(x.max(initial=0.0)))
+            if residual > RESIDUAL_TOL * scale:
+                raise SimplexError(
+                    f"primal residual |Ax - b| = {residual:.3g}: the start basis inverse is wrong"
+                )
+            if pool is not None:
+                entry = PoolEntry(basis, at_upper.copy(), Binv.copy())
+                pool.append(entry)
+    if perturbed is None:
+        return solution
+    duals, passes = _reoptimized(
+        A, b, c, upper, perturbed, (basis, at_upper, Binv), entry, max_iterations, rc_tol
+    )
+    solution.iterations += passes
+    if duals is None:
+        solution.kept_dual = True
+    else:
+        solution.row_duals, solution.reduced_costs = duals
+    return solution
+
+
+def _reoptimized(A, b, c, upper, perturbed, start, entry, max_iterations, rc_tol):
+    """((duals, reduced costs) of a basis optimal both at `perturbed` and at
+    (b, upper), or None; the pricing passes spent).
+
+    start is the (basis, at-upper mask, B^-1) that answered (b, upper), and
+    entry its pool entry or None. The entry's stored basis is tried first;
+    otherwise the simplex re-optimizes from a copy of start at `perturbed`,
+    and an exact result is stored in the entry.
+    """
+    b2, upper2 = perturbed
+    movable = (upper > PIVOT_TOL) | (upper2 > PIVOT_TOL)
+
+    def optimal_at_both(basis, at_upper, Binv, rc) -> bool:
+        return (
+            _dual_feasible(rc, basis, at_upper, movable, rc_tol)
+            and _primal_feasible(A, b2, upper2, basis, at_upper, Binv)
+            and _primal_feasible(A, b, upper, basis, at_upper, Binv)
+        )
+
+    if entry is not None and entry.pareto is not None:
+        basis, at_upper, Binv = entry.pareto
+        y = c[basis] @ Binv
+        rc = c - y @ A
+        if optimal_at_both(basis, at_upper, Binv, rc):
+            return (y, rc), 0
+    basis, at_upper, Binv = (array.copy() for array in start)
+    if not _primal_feasible(A, b2, upper2, basis, at_upper, Binv):
+        return None, 0  # the start is no feasible basis of the perturbed LP
+    basis, at_upper, Binv, _, y, rc, passes, exact = _pivot(
+        A, b2, c, upper2, basis, at_upper, Binv, max_iterations, rc_tol
+    )
+    if not optimal_at_both(basis, at_upper, Binv, rc):
+        return None, passes
+    if entry is not None and exact:
+        entry.pareto = (basis, at_upper, Binv)
+    return (y, rc), passes
+
+
+def _pivot(A, b, c, upper, basis, at_upper, Binv, max_iterations, rc_tol):
+    """Pivot from a feasible basis to an optimal one.
+
+    basis, at_upper (the nonbasic columns held at upper) and Binv (None to
+    factorize the basis) are updated in place. Returns (basis,
+    at_upper, Binv, basic values, duals, reduced costs, iterations, whether
+    Binv was proven exact); Binv is refactorized at the end unless it was.
+    iterations counts the pricing passes, the last of which finds no
+    entering column.
+    """
+    m, n = A.shape
+    finite_ub = np.isfinite(upper)
+    # only a column whose span exceeds PIVOT_TOL can ever enter; cand is
+    # sorted, so both pivot rules pick the column full pricing would
+    cand = np.flatnonzero(upper > PIVOT_TOL)
     A_price, price_pos = _pricing_columns(A, cand)
     c_cand = c[cand]
     cand_pos = np.full(n, -1)
@@ -189,7 +331,7 @@ def solve_bounded_lp(
     basis_pos = cand_pos[basis]  # -1 for a basic column that can never enter
     # a candidate's violation is its reduced cost times its direction: -1 at
     # lower (wants rc < 0), +1 at upper (wants rc > 0), 0 in the basis
-    direction = np.full(cand.size, -1.0)
+    direction = np.where(at_upper[cand], 1.0, -1.0)
     direction[basis_pos[basis_pos >= 0]] = 0.0
     c_basis, ub_basis = c[basis], upper[basis]
 
@@ -204,7 +346,8 @@ def solve_bounded_lp(
         x_nb[basis] = 0.0
         return Binv @ (b - A @ x_nb)
 
-    Binv = inverse() if basis_inverse is None else basis_inverse
+    if Binv is None:
+        Binv = inverse()
     # inv_bound is the largest |entry| Binv has held while proven exact (inf
     # once it is not); entered lists the columns whose check is still due
     inv_bound = float(np.abs(Binv).max(initial=0.0)) if _integral(Binv) else np.inf
@@ -261,8 +404,8 @@ def solve_bounded_lp(
         # step length to the first bound: basic vars to lower, basic vars to
         # upper, or the entering variable's own span (a bound flip)
         steps = [
-            x / dl if dl > piv_tol
-            else (u - x) / -dl if dl < -piv_tol and math.isfinite(u)
+            x / dl if dl > PIVOT_TOL
+            else (u - x) / -dl if dl < -PIVOT_TOL and math.isfinite(u)
             else np.inf
             for dl, x, u in zip(delta, x_rows, ub_basis[rows].tolist())
         ]
@@ -271,7 +414,7 @@ def solve_bounded_lp(
         if not np.isfinite(t_best):
             raise SimplexError("unbounded direction in a cost-nonnegative problem")
         t_best = max(t_best, 0.0)
-        tie_tol = piv_tol * max(1.0, t_best)
+        tie_tol = PIVOT_TOL * max(1.0, t_best)
 
         if t_flip <= t_best + tie_tol:
             leave = -1          # bound flip, basis unchanged (always a strict step here)
@@ -283,7 +426,7 @@ def solve_bounded_lp(
             else:
                 i = max(tied, key=lambda j: abs(delta[j]))  # the first of equal maxima
             leave = row_list[i]
-            leave_to_upper = delta[i] < -piv_tol
+            leave_to_upper = delta[i] < -PIVOT_TOL
 
         if t_best <= DEGENERATE_STEP:
             degenerate_streak += 1
@@ -313,7 +456,7 @@ def solve_bounded_lp(
         direction[k] = 0.0
 
         piv = d[leave]
-        if abs(piv) < piv_tol:
+        if abs(piv) < PIVOT_TOL:
             raise SimplexError("numerically singular pivot")
         # rank-1 update of the rows where d is nonzero; every other row would
         # subtract an exact zero
@@ -342,17 +485,4 @@ def solve_bounded_lp(
     xB = basic_values(Binv)
     y = c_basis @ Binv
     rc = c - y @ A
-
-    solution = _solution(c, upper, finite_ub, basis, at_upper, xB, y, rc, iteration)
-    if exact:
-        # no factorization has checked a caller's start inverse: a wrong one shows here
-        x = solution.x
-        residual = float(np.abs(A @ x - b).max(initial=0.0))
-        scale = 1.0 + max(float(np.abs(b).max(initial=0.0)), float(x.max(initial=0.0)))
-        if residual > RESIDUAL_TOL * scale:
-            raise SimplexError(
-                f"primal residual |Ax - b| = {residual:.3g}: the start basis inverse is wrong"
-            )
-        if pool is not None:
-            pool.append((basis, at_upper.copy(), Binv.copy()))
-    return solution
+    return basis, at_upper, Binv, xB, y, rc, iteration, exact

@@ -845,16 +845,22 @@ def count_calls(monkeypatch, module, name: str) -> list:
 def record_recourse_lps(monkeypatch) -> list:
     """Route the scenario solves' simplex calls through a recorder.
 
-    Each call appends ((A, b, c, upper, basis), start inverse, solution); the
-    start inverse is a copy, since the solver updates its own in place. A
-    solve's basis pool is passed on, so a pooled answer is recorded as given.
+    Each call appends ((A, b, c, upper, basis), start inverse, solution,
+    perturbed); the start basis and its inverse are built for every call,
+    and the inverse is a copy, since the solver updates its own in place. A
+    solve's basis pool and perturbation are passed on, so a pooled answer is
+    recorded as given.
     """
     lps = []
 
-    def record(A, b, c, upper, basis, basis_inverse, pool=None):
+    def record(A, b, c, upper, basis, basis_inverse=None, pool=None, perturbed=None):
+        if callable(basis):
+            basis, basis_inverse = basis()
         start = basis_inverse.copy()
-        solution = solve_bounded_lp(A, b, c, upper, basis, basis_inverse=basis_inverse, pool=pool)
-        lps.append(((A, b, c, upper, basis), start, solution))
+        solution = solve_bounded_lp(
+            A, b, c, upper, basis, basis_inverse=basis_inverse, pool=pool, perturbed=perturbed
+        )
+        lps.append(((A, b, c, upper, basis), start, solution, perturbed))
         return solution
 
     monkeypatch.setattr(recourse, "solve_bounded_lp", record)

@@ -11,6 +11,7 @@ from strainchain import (
     Master,
     RecourseSolver,
     RiskOverrides,
+    SaaConfig,
     ValidationError,
     check_forcing,
     generate_synthetic_instance,
@@ -25,6 +26,8 @@ from strainchain.lshaped import (
     IterationLimitError,
     _bound_terms,
 )
+from strainchain import lshaped
+from strainchain.saa import ROLE_OPTIMIZE
 from strainchain.simplex import solve_bounded_lp
 
 from helpers import (
@@ -475,7 +478,8 @@ def test_decomposition_master_matches_one_rebuilt_at_every_iteration(
         calls.clear()
         result = run_lshaped(inst, _scenario_pool(inst, (17, trial), 12), 1e-9, forced)
         assert result.iterations > 1
-        assert calls == list(range(1, result.iterations + 1))
+        # the last master solve re-proposes an evaluated design and ends the run
+        assert calls == list(range(1, result.iterations + 2))
 
 
 def _scenario_pool(inst, seed, n):
@@ -503,6 +507,13 @@ def test_exactness_against_enumeration_on_sampled_pools():
         assert result.design.open == best_design.open
 
 
+def _dual_value(duals, rc, b, upper):
+    """The bounded LP's dual objective: y b minus each finite bound times
+    the part of its reduced cost below zero."""
+    finite = np.isfinite(upper)
+    return float(duals @ b - np.maximum(0.0, -rc[finite]) @ upper[finite])
+
+
 def test_each_decomposition_iteration_shares_one_basis_pool(monkeypatch):
     # criterion 1's first instance and sample
     inst = generate_synthetic_instance(2, 3, 5, seed=9000)
@@ -514,16 +525,42 @@ def test_each_decomposition_iteration_shares_one_basis_pool(monkeypatch):
     result = run_lshaped(inst, scens, epsilon=1e-9, solver=solver)
     n = len(scens)
     assert result.iterations > 1 and len(lps) == result.iterations * n
-    pooled = 0
-    for at, (args, start, solution) in enumerate(lps):
-        cold = solve_bounded_lp(*args, basis_inverse=start)
-        # an iteration's first LP meets an empty pool, and an LP no pooled
-        # basis answers pivots on its own path
-        if at % n == 0 or solution.iterations:
-            assert_same_lp_solution(solution, cold)
+    pooled = reoptimized = 0
+    for at, (args, start, solution, perturbed) in enumerate(lps):
+        if at % n == 0:
+            bases = []  # one pool per iteration, of unperturbed answers only
+        A, b, c, upper, _ = args
+        # x, the objective and the at-upper mask are the answer without a
+        # perturbation through the iteration's pool, which an LP no pooled
+        # basis answers pivots to on its own path
+        unperturbed = solve_bounded_lp(*args, basis_inverse=start.copy(), pool=bases)
+        for name in ("x", "at_upper"):
+            assert getattr(solution, name).tobytes() == getattr(unperturbed, name).tobytes()
+        assert solution.objective == unperturbed.objective
+        assert solution.iterations >= unperturbed.iterations
+        cold = solve_bounded_lp(*args, basis_inverse=start.copy())
+        if unperturbed.iterations:
+            assert_same_lp_solution(unperturbed, cold)
         else:
             pooled += cold.iterations > 0
-    assert pooled
+        # the duals are optimal at the candidate: dual feasible on every
+        # unbounded column, and the dual value is the objective
+        duals, rc = solution.row_duals, solution.reduced_costs
+        assert np.array_equal(rc, c - duals @ A)
+        assert rc[~np.isfinite(upper)].min() >= -1e-9 * np.abs(c).max()
+        assert _dual_value(duals, rc, b, upper) == pytest.approx(solution.objective, rel=1e-9)
+        # and, unless the unperturbed dual was kept, at the perturbed point too
+        if not solution.kept_dual:
+            reoptimized += 1
+            # the start basis is feasible there: only plant capacities change
+            b_mu, upper_mu = perturbed
+            at_perturbed = solve_bounded_lp(
+                A, b_mu, c, upper_mu, args[4], basis_inverse=start.copy()
+            )
+            assert _dual_value(duals, rc, b_mu, upper_mu) == pytest.approx(
+                at_perturbed.objective, rel=1e-9
+            )
+    assert pooled and reoptimized
     best_val, best_design = enumeration_optimum(inst, scens, solver)
     assert result.objective == pytest.approx(best_val, rel=1e-6)
     assert result.design.open == best_design.open
@@ -591,3 +628,53 @@ def test_iteration_cap_carries_traces():
         run_lshaped(inst, scens, epsilon=1e-12, max_iterations=1)
     assert len(err.value.lb_trace) == 1
     assert len(err.value.ub_trace) == 1
+
+
+def test_a_run_ends_when_the_master_re_proposes_a_design(monkeypatch):
+    inst = small_random_instance(seed=44, n_countries=5)
+    scens = _scenario_pool(inst, (11, 0), 25)
+    lps = record_recourse_lps(monkeypatch)
+    proposed = []
+
+    def recorded(master):
+        design, value = solve_master(master)
+        proposed.append(design.key())
+        return design, value
+
+    monkeypatch.setattr("strainchain.lshaped.solve_master", recorded)
+    result = run_lshaped(inst, scens, epsilon=1e-9)
+    # every master solve but the last proposed a new design and solved the
+    # N scenarios there; the last re-proposed one and solved nothing
+    assert len(lps) == result.iterations * len(scens)
+    assert len(proposed) == result.iterations + 1
+    assert len(set(proposed)) == result.iterations and proposed[-1] in proposed[:-1]
+    assert len(result.lb_trace) == len(result.ub_trace) == len(proposed)
+    assert result.ub_trace[-1] == result.ub_trace[-2] == result.objective
+
+
+def test_a_stall_raises_naming_it(monkeypatch):
+    # every cut lowered by one unit stays valid but is tight nowhere, so the
+    # master re-proposes an evaluated design before the gap closes
+    inst = small_random_instance(seed=44, n_countries=5)
+    scens = _scenario_pool(inst, (11, 0), 25)
+    real = lshaped.cut_terms_from
+    monkeypatch.setattr(
+        lshaped, "cut_terms_from", lambda scen, sol: (lambda c: (c[0] - 1.0, c[1]))(real(scen, sol))
+    )
+    with pytest.raises(IterationLimitError, match="re-proposed an evaluated design") as err:
+        run_lshaped(inst, scens, epsilon=1e-9, max_iterations=500)
+    assert len(err.value.lb_trace) < 500
+    assert err.value.ub_trace[-1] - err.value.lb_trace[-1] > 1e-9 * err.value.ub_trace[-1]
+
+
+def test_few_decomposition_lps_keep_the_unperturbed_dual():
+    # the solve_bnb benchmark's instance and its two replications' samples
+    inst = generate_synthetic_instance(3, 21, 21, seed=1)
+    assert len(inst.plant_candidates) > ENUMERATION_LIMIT
+    kept = lps = 0
+    for m in range(2):
+        scens = sample_batch(inst, (20240101, 0, ROLE_OPTIMIZE, m), 10)
+        result = run_lshaped(inst, scens, epsilon=SaaConfig().inner_gap_tolerance)
+        kept += result.kept_duals
+        lps += result.iterations * len(scens)
+    assert kept < 0.05 * lps, (kept, lps)

@@ -13,6 +13,11 @@ no LAPACK inverse: on these 0/+-1 problems the updated basis inverse is
 exact. A batch of such scenarios evaluated through one basis pool must
 answer each LP the pool answers with the objective of a solve without a
 pool, within 1e-9 relative, and each LP it solves cold byte-equal to one.
+Solved through a pool with the decomposition's perturbation, such a batch
+(one plant may have no capacity) must keep each unperturbed answer's flows
+and objective to the bit, and each cut from the re-optimized duals must be
+valid at every design, tight at its own and, at the core point, worth at
+least the cut from the unperturbed duals.
 
 The master examples draw random multi-group cut rows, or rows built from
 real scenario solves: enumeration and branch and bound return the same
@@ -39,7 +44,7 @@ from strainchain import (
     sample_batch,
 )
 from strainchain.lshaped import Master, solve_master
-from strainchain.recourse import cut_terms_from
+from strainchain.recourse import CORE_POINT, cut_terms_from
 from strainchain.scenarios import RiskOverrides
 from strainchain.simplex import solve_bounded_lp
 
@@ -101,7 +106,7 @@ def test_scenario_lp_matches_the_refactorizing_reference_bit_for_bit_without_inv
         inv_calls = count_calls(patch, np.linalg, "inv")
         RecourseSolver(inst).solve(design, scen)
     assert len(lps) == 1 and not inv_calls
-    args, start, solution = lps[0]
+    args, start, solution, _ = lps[0]
     assert_same_lp_solution(solution, reference_solve_bounded_lp(*args, basis_inverse=start))
 
 
@@ -121,7 +126,7 @@ def test_pooled_evaluation_answers_match_solves_without_a_pool(batch):
         lps = record_recourse_lps(patch)
         evaluate_design(inst, design, scens, RecourseSolver(inst))
     assert len(lps) == len(scens)
-    for args, start, solution in lps:
+    for args, start, solution, _ in lps:
         cold = solve_bounded_lp(*args, basis_inverse=start)
         if solution.iterations == 0:  # answered by a pooled basis
             assert solution.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
@@ -147,6 +152,50 @@ def test_cut_is_valid_at_every_design_and_tight_at_its_source(case):
         else:
             value = raw_lp_objective(inst, design, scen)
         assert cut(design) <= value + CUT_TOL, design.open
+
+
+@st.composite
+def pareto_batches(draw):
+    """A design and a batch of scenarios; one plant may have no capacity."""
+    inst, _, design = draw(cases())
+    if draw(st.booleans()):
+        empty = draw(st.sampled_from(inst.plant_candidates))
+        inst = inst.perturbed(plant_capacity={**inst.plant_capacity, empty: 0.0})
+    seed = draw(st.integers(0, 10_000))
+    corners = draw(st.lists(st.sampled_from(CORNERS), min_size=1, max_size=6))
+    return inst, [corner_scenario(inst, seed + w, c) for w, c in enumerate(corners)], design
+
+
+@PROPERTY
+@given(pareto_batches())
+def test_pareto_cuts_are_valid_tight_and_dominant(batch):
+    # the batch through one pool as a decomposition iteration solves it, and
+    # through another as evaluation does; the flows agree to the bit, and the
+    # re-optimized dual's cut is valid, tight and worth at least as much at
+    # the core point
+    inst, scens, source = batch
+    solver = RecourseSolver(inst)
+    bases, pareto_bases = [], []
+    for scen in scens:
+        sol = solver.solve(source, scen, bases)
+        pareto = solver.solve(source, scen, pareto_bases, pareto=True)
+        assert pareto.objective == sol.objective
+        assert pareto.drug.tobytes() == sol.drug.tobytes()
+        constant, coeff = recourse_cut_terms(inst, scen, pareto)
+        base_constant, base_coeff = recourse_cut_terms(inst, scen, sol)
+
+        def cut(design):
+            return constant + sum(coeff[j] * design.open[j] for j in inst.plant_candidates)
+
+        assert cut(source) == pytest.approx(sol.objective, abs=CUT_TOL)
+        for design in _all_designs(inst):
+            if any(design.open.values()):
+                value = solver.solve(design, scen).objective
+            else:
+                value = raw_lp_objective(inst, design, scen)
+            assert cut(design) <= value + CUT_TOL, design.open
+        at_core = constant + CORE_POINT * sum(coeff.values())
+        assert at_core >= base_constant + CORE_POINT * sum(base_coeff.values()) - CUT_TOL
 
 
 # -- the master over multi-group cuts ----------------------------------------

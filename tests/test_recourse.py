@@ -9,6 +9,7 @@ from strainchain import (
     generate_synthetic_instance,
     sample_batch,
 )
+from strainchain.recourse import CORE_POINT
 
 from helpers import (
     country_retained,
@@ -228,9 +229,10 @@ def test_cuts_underestimate_everywhere_and_touch_at_the_source():
 
 def test_cuts_from_pooled_answers_are_valid_and_tight(monkeypatch):
     # criterion 3's sets, each design's scenarios solved in order through one
-    # basis pool, as one decomposition iteration solves them
+    # basis pool, as one decomposition iteration solves them: once as
+    # evaluation does, once with the decomposition's re-optimized duals
     lps = record_recourse_lps(monkeypatch)
-    pooled = moved = 0
+    pooled = moved = dominant = 0
     for trial in range(10):
         inst = small_random_instance(seed=7000 + trial, n_countries=4)
         solver = RecourseSolver(inst)
@@ -240,25 +242,46 @@ def test_cuts_from_pooled_answers_are_valid_and_tight(monkeypatch):
             inst, (42, trial), 5, RiskOverrides(export_prob_scale=0.45, ban_threshold=1.0)
         )
         cold = {(d.key(), s): solver.solve(d, scen) for d in designs for s, scen in enumerate(scens)}
+
+        def assert_valid_and_tight(cut, src, s):
+            const, coeff = cut
+            for tgt in designs:
+                value = const + sum(coeff[j] * tgt.open[j] for j in coeff)
+                assert value <= cold[tgt.key(), s].objective + 1e-7
+            own = const + sum(coeff[j] * src.open[j] for j in coeff)
+            assert own == pytest.approx(cold[src.key(), s].objective, abs=1e-7)
+
         for src in designs:
-            bases = []
+            bases, pareto_bases = [], []
             for s, scen in enumerate(scens):
                 sol = solver.solve(src, scen, bases)
-                if lps[-1][2].iterations:
+                answered = not lps[-1][2].iterations
+                pareto = solver.solve(src, scen, pareto_bases, pareto=True)
+                # the flows are the unperturbed answer's, to the bit
+                for name in ("raw", "drug", "unmet", "escalated", "surplus"):
+                    assert getattr(pareto, name).tobytes() == getattr(sol, name).tobytes()
+                assert pareto.objective == sol.objective
+                cut = recourse_cut_terms(inst, scen, sol)
+                pareto_cut = recourse_cut_terms(inst, scen, pareto)
+                assert_valid_and_tight(pareto_cut, src, s)
+                if pareto.kept_dual:
+                    assert pareto_cut == cut
+                # Magnanti-Wong: no optimal dual at the design values the
+                # core point higher
+                at_core = [c + CORE_POINT * sum(coeff.values()) for c, coeff in (cut, pareto_cut)]
+                assert at_core[1] >= at_core[0] - 1e-7
+                dominant += at_core[1] > at_core[0] + 1e-7
+                if not answered:
                     continue
                 pooled += 1
-                const, coeff = recourse_cut_terms(inst, scen, sol)
+                assert_valid_and_tight(cut, src, s)
                 cold_const, cold_coeff = recourse_cut_terms(inst, scen, cold[src.key(), s])
                 moved += not np.allclose(
-                    [const, *coeff.values()], [cold_const, *cold_coeff.values()], rtol=0, atol=1e-9
+                    [cut[0], *cut[1].values()], [cold_const, *cold_coeff.values()], rtol=0, atol=1e-9
                 )
-                for tgt in designs:
-                    value = const + sum(coeff[j] * tgt.open[j] for j in coeff)
-                    assert value <= cold[tgt.key(), s].objective + 1e-7
-                own = const + sum(coeff[j] * src.open[j] for j in coeff)
-                assert own == pytest.approx(cold[src.key(), s].objective, abs=1e-7)
-    # some pooled answers carry another optimal dual than the cold solve
-    assert pooled and moved
+    # some pooled answers carry another optimal dual than the cold solve, and
+    # some re-optimized duals value the core point strictly higher
+    assert pooled and moved and dominant
 
 
 def test_zero_demand_zero_exports_gives_all_zero_cut():

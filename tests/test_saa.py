@@ -160,7 +160,7 @@ def test_evaluate_design_on_identical_scenarios_has_zero_error(monkeypatch):
     lps = record_recourse_lps(monkeypatch)
     ev = evaluate_design(inst, Design(open={"a": 1, "b": 0}), scens)
     # the first LP's optimal basis answers the second from the pool
-    assert [sol.iterations == 0 for _, _, sol in lps] == [False, True]
+    assert [sol.iterations == 0 for _, _, sol, _ in lps] == [False, True]
     assert ev.std_error == pytest.approx(0.0, abs=1e-12)
     single = evaluate_design(inst, Design(open={"a": 1, "b": 0}), scens[:1])
     assert ev.mean_objective == pytest.approx(single.mean_objective)

@@ -147,7 +147,7 @@ def _sampled_recourse_lps(monkeypatch, solvers=None):
 
 
 def test_restricted_pricing_matches_full_pricing_on_recourse_lps(monkeypatch):
-    for args, start, _ in _sampled_recourse_lps(monkeypatch):
+    for args, start, _, _ in _sampled_recourse_lps(monkeypatch):
         assert (args[3] <= 1e-10).any()  # columns that can never enter
         _assert_same_solution(args, {"basis_inverse": start})
 
@@ -158,9 +158,9 @@ def test_recourse_lps_refreshed_every_two_pivots_match_without_inv(monkeypatch):
     lps = _sampled_recourse_lps(monkeypatch)
     monkeypatch.setattr(simplex, "REFRESH_EVERY", 2)
     monkeypatch.setattr(helpers, "REFRESH_EVERY", 2)
-    assert max(sol.iterations for _, _, sol in lps) > 10
+    assert max(sol.iterations for _, _, sol, _ in lps) > 10
     inv_calls = count_calls(monkeypatch, np.linalg, "inv")
-    for args, start, _ in lps:
+    for args, start, _, _ in lps:
         got = solve_bounded_lp(*args, basis_inverse=start.copy())
         assert not inv_calls
         assert_same_lp_solution(got, reference_solve_bounded_lp(*args, basis_inverse=start.copy()))
@@ -215,7 +215,7 @@ def test_lps_outside_the_exact_class_refactorize(monkeypatch, entering, b):
 
 
 def test_wrong_start_inverse_raises_naming_the_primal_residual(monkeypatch):
-    (A, b, c, upper, basis), start, _ = _sampled_recourse_lps(monkeypatch)[0]
+    (A, b, c, upper, basis), start, _, _ = _sampled_recourse_lps(monkeypatch)[0]
     row = int(np.flatnonzero(b)[-1])  # a row whose basic value the flip changes
     start[row, row] = -start[row, row]
     with pytest.raises(SimplexError, match="primal residual"):
@@ -234,14 +234,14 @@ def _variant(kind, args, solver, entry, rng):
     elif kind == "s2_costs":
         c[solver.oS2 : solver.oS2 + solver.nK] *= rng.uniform(0.0, 2.0, solver.nK)
     else:
-        upper[np.flatnonzero(entry[1])[0]] = np.inf
+        upper[np.flatnonzero(entry.at_upper)[0]] = np.inf
     return A, b, c, upper, basis
 
 
 def _certificate_holds(kind, variant, entry):
     """The reference's answer: is the pooled basis optimal for the variant?"""
     A, b, c, upper, _ = variant
-    basis, at_upper, Binv = entry
+    basis, at_upper, Binv = entry.basis, entry.at_upper, entry.inverse
     if kind == "capacities":  # the costs and bounds are the entry's own: only b can break it
         xB = Binv @ (b - A @ np.where(at_upper, upper, 0.0))
         scale = 1.0 + np.abs(b).max()
@@ -263,11 +263,11 @@ def test_a_pooled_basis_answers_only_where_its_certificate_holds(monkeypatch, ki
     lps = _sampled_recourse_lps(monkeypatch, solvers)
     rng = np.random.default_rng(17)
     outcomes = []
-    for (args, start, _), solver in zip(lps, solvers):
+    for (args, start, _, _), solver in zip(lps, solvers):
         pool = []
         first = solve_bounded_lp(*args, basis_inverse=start.copy(), pool=pool)
         assert len(pool) == 1 and first.iterations > 0
-        if kind == "unbounded_at_upper" and not pool[0][1].any():
+        if kind == "unbounded_at_upper" and not pool[0].at_upper.any():
             continue
         variant = _variant(kind, args, solver, pool[0], rng)
         expected = _certificate_holds(kind, variant, pool[0])
@@ -286,7 +286,7 @@ def test_a_pooled_basis_answers_only_where_its_certificate_holds(monkeypatch, ki
 
 
 def test_a_pooled_basis_answers_its_own_lp_to_the_bit(monkeypatch):
-    for args, start, _ in _sampled_recourse_lps(monkeypatch):
+    for args, start, _, _ in _sampled_recourse_lps(monkeypatch):
         pool = []
         cold = solve_bounded_lp(*args, basis_inverse=start.copy(), pool=pool)
         again = solve_bounded_lp(*args, basis_inverse=start.copy(), pool=pool)
@@ -341,3 +341,29 @@ def test_pricing_columns_round_like_the_full_product():
         cand = np.flatnonzero(rng.random(n) < rng.random())
         copy, pos = _pricing_columns(A, cand)
         assert np.array_equal((y @ copy)[pos], (y @ A)[cand])
+
+
+def test_a_perturbation_changes_only_duals_it_certifies_at_both_points():
+    # min -x1 - 2 x2  s.t.  x1 + x2 + s = 1, with x2 fixed at 0: x1 is basic
+    # at 1 and the row dual is -1
+    A = np.array([[1.0, 1.0, 1.0]])
+    b, c = np.array([1.0]), np.array([-1.0, -2.0, 0.0])
+    upper = np.array([np.inf, 0.0, np.inf])
+    plain = solve_bounded_lp(A, b, c, upper, [2])
+    assert plain.row_duals.tolist() == [-1.0]
+
+    def perturbed(b2, upper2):
+        got = solve_bounded_lp(A, b, c, upper, [2], perturbed=(b2, upper2))
+        same = dataclasses.replace(got, iterations=plain.iterations, kept_dual=False)
+        assert_same_lp_solution(same, plain)  # the unperturbed answer and its duals
+        return got
+
+    # x2 may reach 2: re-optimized, it is basic at 1, above its unperturbed bound
+    got = perturbed(b, np.array([np.inf, 2.0, np.inf]))
+    assert got.kept_dual and got.iterations > plain.iterations
+    # x1 may not stay at 1: the start is no feasible basis there, and no pivot is made
+    got = perturbed(b, np.array([0.5, 0.0, np.inf]))
+    assert got.kept_dual and got.iterations == plain.iterations
+    # a larger right-hand side: the start stays optimal at both points
+    got = perturbed(2.0 * b, upper)
+    assert not got.kept_dual and got.iterations == plain.iterations + 1
