@@ -10,11 +10,14 @@ income class since either aggregation is defensible.
 The six arms of the export-ban study share one `SaaMemo`: cases 4 and 5
 optimize exactly as case 0 does and so read its replications back, and an
 evaluation that another case already made on the same batch is read back
-too. The memo is keyed by every input of the shared computation, so each
-report equals the one a lone `run_saa` would give; arms may hold the same
-design and evaluation objects, which are read-only. The two arms of every
-other study have no work in common (one runs on a perturbed instance copy,
-or their overrides differ), so they run without a memo.
+too. Those tables are keyed by every input of the shared computation, so
+a hit returns what a lone `run_saa` would compute; arms may hold the same
+design and evaluation objects, which are read-only. The memo also answers
+each scenario LP that an earlier arm already solved from its answer table
+(see `saa`): an optimal answer of the same LP, which for an LP with
+several optima may be another one than a lone run would find. The two arms
+of every other study have no work in common (one runs on a perturbed
+instance copy, or their overrides differ), so they run without a memo.
 """
 
 from __future__ import annotations

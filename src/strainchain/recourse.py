@@ -28,6 +28,14 @@ of earlier optimal bases; `saa.evaluate_design` keeps one per evaluation and
 optimal dual than a solve from the start basis, so its cut may differ, but
 it is still valid at every design and tight at its own. Only `verify` passes
 none, so its checks come from LPs solved from the start basis.
+A solver may also hold an answer table (see `simplex`), which it passes
+with every solve: an LP whose b, costs, bounds and perturbation the table
+holds is answered from it without the pool or a pivot. `saa.run_saa` gives
+its solver the table of its `SaaMemo`, so only LPs repeated across the
+`run_saa` calls of one study (or within one) are answered this way; a
+solver made without one, as in `evaluate` and `verify`, builds none. The
+table sits inside the one simplex call a solve makes, so every answer, from
+the table or not, still passes `_package`'s checks below.
 Dicts keyed by country or arc are built only at the JSON/CSV boundary and by
 the structural diagnostics.
 
@@ -108,10 +116,15 @@ class RecourseSolution:
 
 
 class RecourseSolver:
-    """Reusable scenario solver; precomputes everything design-independent."""
+    """Reusable scenario solver; precomputes everything design-independent.
 
-    def __init__(self, instance: Instance):
+    `answers`, when given, is the simplex's answer table for this instance's
+    LPs (see `simplex`), passed with every solve and kept by the caller.
+    """
+
+    def __init__(self, instance: Instance, answers: dict | None = None):
         self.instance = instance
+        self.answers = answers
         K = list(instance.countries)
         self.K = K
         self.sup = list(instance.suppliers)
@@ -288,6 +301,7 @@ class RecourseSolver:
                 lambda: self.start_basis(data.rhs_dem),
                 pool=pool,
                 perturbed=perturbed,
+                answers=self.answers,
             )
         except SimplexError as exc:
             raise RecourseError(f"scenario solve failed: {exc}") from exc

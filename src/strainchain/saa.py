@@ -20,6 +20,18 @@ byte-identical. The misspecified export-ban arms, for example, optimize
 exactly as the no-risk arm does and so reuse its replications. A hit hands
 out the same `Design` and `DesignEvaluation` objects an earlier report
 holds, so reports made on one memo must be treated as read-only.
+
+The memo also shares scenario LP answers by content: per instance, an
+answer table (see `simplex`) keyed by a digest of each LP's right-hand side,
+costs, bounds and perturbation, which `run_saa` hands its `RecourseSolver`.
+Under common random numbers most scenarios of a low-risk arm ban nothing
+and equal the no-risk arm's, so many of an arm's LPs repeat earlier ones
+exactly; a repeat is answered from the table with no pivot and no pool
+scan. A table answer is an optimal answer of the very same LP and passes
+the same checks, but it was found with the pool of the solve that first
+met the LP, so where an LP has several optimal vertices or duals it may be
+another one than a lone run would find. `run_saa` without a memo builds no
+table.
 """
 
 from __future__ import annotations
@@ -262,19 +274,25 @@ def evaluation_batch(instance: Instance, config: SaaConfig, pass_idx: int) -> li
 
 
 class SaaMemo:
-    """Replication outcomes and design evaluations shared across run_saa calls.
+    """Replication outcomes, design evaluations and scenario LP answers
+    shared across run_saa calls.
 
-    Reports made on one memo share these objects; treat them as read-only.
+    The LP answers are shared by content (see the module docstring); the
+    table keeps each in compact form and a hit returns fresh arrays. Reports
+    made on one memo share their designs and evaluations; treat them as
+    read-only.
     """
 
     def __init__(self):
-        # id(instance) -> (instance, replications, evaluations); holding the
-        # instance keeps its id from being reused while the memo lives
+        # id(instance) -> (instance, replications, evaluations, LP answers);
+        # holding the instance keeps its id from being reused while the memo lives
         self._tables: dict = {}
 
-    def tables(self, instance: Instance) -> tuple[dict, dict]:
-        _, replications, evaluations = self._tables.setdefault(id(instance), (instance, {}, {}))
-        return replications, evaluations
+    def tables(self, instance: Instance) -> tuple[dict, dict, dict]:
+        _, replications, evaluations, answers = self._tables.setdefault(
+            id(instance), (instance, {}, {}, {})
+        )
+        return replications, evaluations, answers
 
 
 def _replication_key(config: SaaConfig, pass_idx: int, m: int) -> tuple:
@@ -321,8 +339,11 @@ def _run_replication(instance, config, solver, pass_idx, m):
 def run_saa(instance: Instance, config: SaaConfig, memo: SaaMemo | None = None) -> SaaReport:
     """Sampled optimization with bounds; `memo` shares work with earlier calls."""
     config = config.validated()
-    solver = RecourseSolver(instance)
-    replications, evaluations = (memo or SaaMemo()).tables(instance)
+    if memo is None:
+        replications, evaluations, answers = {}, {}, None
+    else:
+        replications, evaluations, answers = memo.tables(instance)
+    solver = RecourseSolver(instance, answers)
     m_reps = config.replications
 
     last = None

@@ -67,9 +67,29 @@ feasible basis at (b', u'), or the re-optimized one fails the certificate
 at (b, u), the (b, u) answer's duals are kept and `kept_dual` is set. A
 pool entry keeps the basis last re-optimized from it (when exact); a later
 LP that the entry answers first tries that basis at both points and
-re-optimizes only if it fails. `iterations` counts every pricing pass of
-the call. `recourse` perturbs the decomposition's LPs toward a core point,
-which makes these duals Magnanti-Wong (Pareto-optimal) ones.
+re-optimizes only if it fails. `recourse` perturbs the decomposition's LPs
+toward a core point, which makes these duals Magnanti-Wong (Pareto-optimal)
+ones.
+
+`iterations` counts pricing passes, not pivots: each run of the pivot loop
+counts its final pass, which finds no entering column, and a bound flip
+counts as a pass like a pivot. A pooled answer makes no pass, and a
+perturbation's re-optimization adds its own. A pass after a bound flip
+reuses the previous pass's reduced costs, since a flip changes neither the
+basis nor B^-1.
+
+Beside the pool, a caller may pass an answer table: a dict from a digest of
+an LP's data (b, c, upper and the perturbation, if any) to the compact
+`TableAnswer` an earlier call gave for the same data. The table is looked up
+before the pool. A hit returns fresh arrays rebuilt from the stored answer,
+with the reduced costs recomputed as c - y @ A (the expression every answer
+path ends on, so they are the stored answer's bit for bit) and iterations
+0; it neither reads nor grows the pool. A miss is answered as without a
+table and its answer stored. The digest leaves out A and the start basis,
+so a table serves LPs with one A whose start basis is a function of b.
+A stored answer is optimal for the same LP, but it came from the pool the
+first call had: where the LP has several optimal vertices or duals, a call
+with another pool could have returned another of them.
 """
 
 from __future__ import annotations
@@ -85,6 +105,7 @@ EXACT_LIMIT = 2 ** 53   # integers up to this magnitude add and multiply exactly
 RESIDUAL_TOL = 1e-9     # |Ax - b| allowed without a refactorization, relative to the data
 POOL_PRIMAL_TOL = 1e-9  # bound violation a pooled basis may show, relative to 1 + max |b|
 PIVOT_TOL = 1e-10       # pivot elements and column spans at or below this count as zero
+ANSWER_KEY_BYTES = 16   # digest size of an answer table's keys
 
 
 class SimplexError(RuntimeError):
@@ -98,7 +119,7 @@ class LpSolution:
     reduced_costs: np.ndarray
     at_upper: np.ndarray   # nonbasic-at-upper-bound mask, length n
     objective: float
-    iterations: int
+    iterations: int        # pricing passes, not pivots (see the module docstring)
     kept_dual: bool = False  # a perturbation was given, but no re-optimized basis passed
 
 
@@ -112,6 +133,65 @@ class PoolEntry:
     at_upper: np.ndarray
     inverse: np.ndarray
     pareto: tuple | None = None
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class TableAnswer:
+    """An LP's answer as an answer table keeps it: one bytes object holding
+    the row duals and the nonzero entries of x (by bits, so a -0.0 is kept)
+    as float64, then the positions of those entries and of the columns at
+    upper as intp (index arrays of another type are converted on every
+    use); the number of those entries, the objective and `kept_dual`. Four
+    arrays per answer would spend about half its memory on array headers."""
+
+    packed: bytes
+    nonzeros: int
+    objective: float
+    kept_dual: bool
+
+    @classmethod
+    def of(cls, solution: LpSolution) -> "TableAnswer":
+        x_pos = np.flatnonzero(solution.x.view(np.uint64))
+        values = np.concatenate([solution.row_duals, solution.x[x_pos]])
+        positions = np.concatenate([x_pos, np.flatnonzero(solution.at_upper)])
+        return cls(
+            packed=values.tobytes() + positions.tobytes(),
+            nonzeros=x_pos.size,
+            objective=solution.objective,
+            kept_dual=solution.kept_dual,
+        )
+
+    def solution(self, A: np.ndarray, c: np.ndarray) -> LpSolution:
+        m, n = A.shape
+        count = m + self.nonzeros
+        values = np.frombuffer(self.packed, dtype=np.float64, count=count)
+        positions = np.frombuffer(self.packed, dtype=np.intp, offset=8 * count)
+        x = np.zeros(n)
+        x[positions[: self.nonzeros]] = values[m:]
+        at_upper = np.zeros(n, dtype=bool)
+        at_upper[positions[self.nonzeros :]] = True
+        y = values[:m].copy()
+        return LpSolution(
+            x=x,
+            row_duals=y,
+            reduced_costs=c - y @ A,
+            at_upper=at_upper,
+            objective=self.objective,
+            iterations=0,
+            kept_dual=self.kept_dual,
+        )
+
+
+def answer_key(b, c, upper, perturbed) -> bytes:
+    """The answer table's key of an LP: a digest of its data. With one A the
+    lengths tell an LP with a perturbation from one without."""
+    # imported here: hashlib loads OpenSSL (about 4 ms), which only a table needs
+    import hashlib
+
+    digest = hashlib.blake2b(digest_size=ANSWER_KEY_BYTES)
+    for array in (b, c, upper, *(perturbed or ())):
+        digest.update(np.asarray(array, dtype=float).tobytes())
+    return digest.digest()
 
 
 def _pricing_columns(A: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -208,6 +288,7 @@ def solve_bounded_lp(
     basis_inverse: np.ndarray | None = None,
     pool: list | None = None,
     perturbed: tuple | None = None,
+    answers: dict | None = None,
 ) -> LpSolution:
     """Optimal vertex from a feasible starting basis, every nonbasic column at 0.
 
@@ -220,8 +301,24 @@ def solve_bounded_lp(
     (iterations 0), and an LP solved by pivoting adds its exact final basis.
     perturbed, when given, is (b', upper') of the same LP: the duals returned
     are then those of a basis optimal at both points, when one is found (see
-    the module docstring).
+    the module docstring). answers, when given, is an answer table of LPs
+    with this same A: an LP it holds is answered from it (iterations 0),
+    and any other LP's answer is added to it. iterations counts pricing
+    passes, not pivots.
     """
+    if answers is not None:
+        key = answer_key(b, c, upper, perturbed)
+        known = answers.get(key)
+        if known is not None:
+            return known.solution(A, c)
+    solution = _solve(A, b, c, upper, basis, max_iterations, basis_inverse, pool, perturbed)
+    if answers is not None:
+        answers[key] = TableAnswer.of(solution)
+    return solution
+
+
+def _solve(A, b, c, upper, basis, max_iterations, basis_inverse, pool, perturbed) -> LpSolution:
+    """`solve_bounded_lp` without an answer table."""
     m, n = A.shape
     finite_ub = np.isfinite(upper)
     if max_iterations is None:
@@ -317,7 +414,7 @@ def _pivot(A, b, c, upper, basis, at_upper, Binv, max_iterations, rc_tol):
     at_upper, Binv, basic values, duals, reduced costs, iterations, whether
     Binv was proven exact); Binv is refactorized at the end unless it was.
     iterations counts the pricing passes, the last of which finds no
-    entering column.
+    entering column; a bound flip's pass counts too.
     """
     m, n = A.shape
     finite_ub = np.isfinite(upper)
@@ -373,11 +470,13 @@ def _pivot(A, b, c, upper, basis, at_upper, Binv, max_iterations, rc_tol):
     degenerate_streak = 0
     pivots_since_refresh = 0
 
+    flipped = False  # a bound flip changes neither the basis nor B^-1, so rc holds
     for iteration in range(1, max_iterations + 1):
         if not cand.size:
             break
-        y = c_basis @ Binv
-        rc = c_cand - (y @ A_price)[price_pos]
+        if not flipped:
+            y = c_basis @ Binv
+            rc = c_cand - (y @ A_price)[price_pos]
         viol = rc * direction
         if bland:
             idx = np.nonzero(viol > rc_tol)[0]
@@ -437,7 +536,8 @@ def _pivot(A, b, c, upper, basis, at_upper, Binv, max_iterations, rc_tol):
 
         for r, dl, x in zip(row_list, delta, x_rows):
             xB[r] = x - t_best * dl
-        if leave < 0:
+        flipped = leave < 0
+        if flipped:
             at_upper[e] = ~at_upper[e]
             direction[k] = -direction[k]
             continue

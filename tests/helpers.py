@@ -10,7 +10,8 @@ bound, the full-pricing, refactorizing simplex and the evaluate command's
 per-country CSV writer below.
 `count_calls` counts the calls made through one module binding, to show
 what a memo saved or that no factorization ran; `record_recourse_lps`
-keeps each scenario LP's inputs and answer for a replay.
+keeps each scenario LP's inputs and answer for a replay, and
+`record_table_lookups` the answer table each one was given.
 Dict-keyed cuts
 (`OptimalityCut`) and the one-call solve and cut-term wrappers live here
 too: the package keeps cuts as arrays in its `Master` and never needs them.
@@ -51,6 +52,7 @@ from strainchain.simplex import (
     REFRESH_EVERY,
     LpSolution,
     SimplexError,
+    answer_key,
     solve_bounded_lp,
 )
 
@@ -853,18 +855,35 @@ def record_recourse_lps(monkeypatch) -> list:
     """
     lps = []
 
-    def record(A, b, c, upper, basis, basis_inverse=None, pool=None, perturbed=None):
+    def record(A, b, c, upper, basis, basis_inverse=None, pool=None, perturbed=None,
+               answers=None):
         if callable(basis):
             basis, basis_inverse = basis()
         start = basis_inverse.copy()
         solution = solve_bounded_lp(
-            A, b, c, upper, basis, basis_inverse=basis_inverse, pool=pool, perturbed=perturbed
+            A, b, c, upper, basis, basis_inverse=basis_inverse, pool=pool, perturbed=perturbed,
+            answers=answers,
         )
         lps.append(((A, b, c, upper, basis), start, solution, perturbed))
         return solution
 
     monkeypatch.setattr(recourse, "solve_bounded_lp", record)
     return lps
+
+
+def record_table_lookups(monkeypatch) -> list:
+    """Route the scenario solves' simplex calls through a recorder of their
+    answer tables: each call appends (its table or None, whether the table
+    held the LP before the call)."""
+    lookups = []
+
+    def record(A, b, c, upper, basis, answers=None, **kwargs):
+        held = answers is not None and answer_key(b, c, upper, kwargs.get("perturbed")) in answers
+        lookups.append((answers, held))
+        return solve_bounded_lp(A, b, c, upper, basis, answers=answers, **kwargs)
+
+    monkeypatch.setattr(recourse, "solve_bounded_lp", record)
+    return lookups
 
 
 def assert_same_lp_solution(got: LpSolution, ref: LpSolution) -> None:

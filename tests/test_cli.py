@@ -4,10 +4,17 @@ import threading
 
 import pytest
 
+from strainchain import recourse
 from strainchain.cli import cli_main
 from strainchain.recourse import RecourseSolver
+from strainchain.simplex import solve_bounded_lp
 
-from helpers import reference_country_csv, small_random_instance, tiny_instance
+from helpers import (
+    record_table_lookups,
+    reference_country_csv,
+    small_random_instance,
+    tiny_instance,
+)
 from strainchain import Design, load_instance, write_instance
 
 
@@ -223,6 +230,54 @@ def test_verify_reports_zero_violations_on_a_fresh_run(workdir):
     payload = json.loads((out / "verify.json").read_text(encoding="utf-8"))
     assert payload["violations"] == []
     assert payload["scenarios_checked"] == 10
+
+
+def test_solve_evaluate_and_verify_build_no_answer_table(workdir, monkeypatch):
+    tmp, instance_path, config_path = workdir
+    out = tmp / "run"
+    lookups = record_table_lookups(monkeypatch)
+    common = ["--instance", str(instance_path), "--config", str(config_path)]
+    assert cli_main(["solve", *common, "--out", str(out)]) == 0
+    incumbent = json.loads((out / "report.json").read_text(encoding="utf-8"))["saa"]["incumbent"]
+    assert cli_main(["evaluate", *common, "--design", json.dumps(incumbent),
+                     "--out", str(tmp / "eval")]) == 0
+    assert cli_main(["verify", "--run", str(out)]) == 0
+    assert lookups and all(table is None for table, _ in lookups)
+
+
+def test_the_export_ban_study_answers_repeats_from_its_table_and_writes_the_same_bytes(
+    workdir, monkeypatch
+):
+    tmp, instance_path, config_path = workdir
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    config["studies"] = [{"kind": "export_ban_cases"}]
+    ban_config = tmp / "ban.json"
+    ban_config.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp / "studies"
+    argv = ["study", "--instance", str(instance_path), "--config", str(ban_config),
+            "--out", str(out)]
+
+    lookups = record_table_lookups(monkeypatch)
+    assert cli_main(argv) == 0
+    hits = sum(held for _, held in lookups)
+    assert 0 < hits < len(lookups)
+    # arms echo their paths, so both runs write to the same --out
+    out.rename(tmp / "with_table")
+    monkeypatch.setattr(
+        recourse, "solve_bounded_lp",
+        lambda *args, answers=None, **kwargs: solve_bounded_lp(*args, **kwargs),
+    )
+    assert cli_main(argv) == 0
+
+    def artifacts(root):
+        return {
+            path.relative_to(root): path.read_bytes()
+            for path in sorted(root.rglob("*"))
+            if path.is_file() and path.name != "timings.json"
+        }
+
+    with_table = artifacts(tmp / "with_table")
+    assert len(with_table) > 6 and with_table == artifacts(out)
 
 
 def test_verify_flags_a_reported_evaluation_mean_the_cold_solves_do_not_give(workdir):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,8 @@ from strainchain import (
     generate_synthetic_instance,
     sample_batch,
 )
-from strainchain.recourse import CORE_POINT
+from strainchain.recourse import CORE_POINT, RecourseError
+from strainchain.simplex import TableAnswer
 
 from helpers import (
     country_retained,
@@ -498,3 +501,24 @@ def test_randomized_sweep_has_no_violations():
                 assert check_structural_theorems(inst, design, scen, sol) == []
                 checked += 1
     assert checked >= 200
+
+
+@pytest.mark.parametrize("doctor", ["x", "row_duals", "objective"])
+def test_a_doctored_table_answer_fails_the_solve_checks(monkeypatch, doctor):
+    inst = small_random_instance(seed=95, n_countries=4)
+    scen = sample_batch(inst, (95,), 1, RiskOverrides(export_prob_scale=0.6))[0]
+    design = Design(open={j: 1 for j in inst.plant_candidates})
+    lps = record_recourse_lps(monkeypatch)
+    answers = {}
+    solver = RecourseSolver(inst, answers)
+    solver.solve(design, scen)
+    ((_, _, answer, _),) = lps
+    changed = {
+        "x": answer.x * 2.0,
+        "row_duals": answer.row_duals + 1.0,
+        "objective": answer.objective + 1e-3 * max(1.0, abs(answer.objective)),
+    }
+    ((key, _),) = answers.items()
+    answers[key] = TableAnswer.of(dataclasses.replace(answer, **{doctor: changed[doctor]}))
+    with pytest.raises(RecourseError):
+        solver.solve(design, scen)

@@ -25,6 +25,7 @@ from helpers import (
     enumerate_designs,
     plain_scenario,
     record_recourse_lps,
+    record_table_lookups,
     small_random_instance,
     tiny_instance,
 )
@@ -318,3 +319,16 @@ def test_an_equal_but_distinct_instance_shares_nothing(monkeypatch):
     assert run_saa(copy, MEMO_CFG, memo) == first
     assert len(decompositions) == MEMO_CFG.replications
     assert len(evaluations) == len({d.key() for d in first.candidate_designs})
+
+
+def test_only_a_memo_gives_the_scenario_solves_an_answer_table(monkeypatch):
+    inst = small_random_instance(seed=84, n_countries=4)
+    lookups = record_table_lookups(monkeypatch)
+    report = run_saa(inst, MEMO_CFG)
+    evaluate_design(inst, report.incumbent, evaluation_batch(inst, MEMO_CFG, 0))
+    assert lookups and all(table is None for table, _ in lookups)
+    lookups.clear()
+    memo = SaaMemo()
+    run_saa(inst, MEMO_CFG, memo)
+    table = memo.tables(inst)[2]
+    assert table and all(given is table for given, _ in lookups)

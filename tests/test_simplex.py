@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from strainchain import Design, RecourseSolver, RiskOverrides, sample_batch, simplex
-from strainchain.simplex import SimplexError, _pricing_columns, solve_bounded_lp
+from strainchain import Design, RecourseSolver, RiskOverrides, run_lshaped, sample_batch, simplex
+from strainchain.simplex import (
+    LpSolution,
+    SimplexError,
+    TableAnswer,
+    _pricing_columns,
+    solve_bounded_lp,
+)
 
 import helpers
 from helpers import (
@@ -367,3 +373,82 @@ def test_a_perturbation_changes_only_duals_it_certifies_at_both_points():
     # a larger right-hand side: the start stays optimal at both points
     got = perturbed(2.0 * b, upper)
     assert not got.kept_dual and got.iterations == plain.iterations + 1
+
+
+# -- the answer table ------------------------------------------------------------
+
+
+def _pareto_recourse_lps(monkeypatch):
+    """The scenario LPs of one decomposition run, each with its perturbation."""
+    with monkeypatch.context() as patch:
+        lps = record_recourse_lps(patch)
+        inst = small_random_instance(seed=907, n_countries=5)
+        run_lshaped(inst, sample_batch(inst, (32,), 6, RiskOverrides(export_prob_scale=0.6)), 1e-5)
+    assert lps and all(perturbed is not None for *_, perturbed in lps)
+    return lps
+
+
+@pytest.mark.parametrize("perturbation", [False, True])
+def test_a_repeated_lp_is_answered_from_the_table_to_the_bit(monkeypatch, perturbation):
+    lps = (_pareto_recourse_lps if perturbation else _sampled_recourse_lps)(monkeypatch)
+    for args, start, _, perturbed in lps:
+        answers = {}
+        first = solve_bounded_lp(
+            *args, basis_inverse=start.copy(), perturbed=perturbed, answers=answers
+        )
+        pool = [None]  # a hit reads no pool, or this entry would fail it
+        again = solve_bounded_lp(
+            *args, basis_inverse=start.copy(), pool=pool, perturbed=perturbed, answers=answers
+        )
+        assert again.iterations == 0 and len(answers) == 1 and pool == [None]
+        assert again.kept_dual == first.kept_dual
+        assert_same_lp_solution(dataclasses.replace(again, iterations=first.iterations), first)
+        for name in ("x", "row_duals", "reduced_costs", "at_upper"):
+            assert not np.shares_memory(getattr(again, name), getattr(first, name)), name
+
+
+def test_an_lp_differing_in_one_entry_misses_the_table(monkeypatch):
+    args, start, _, perturbed = _pareto_recourse_lps(monkeypatch)[0]
+    A, b, c, upper, basis = args
+    b2, upper2 = perturbed
+
+    def nudged(array):
+        # one ulp up on the first positive finite entry keeps the start basis feasible
+        out = array.copy()
+        j = np.flatnonzero(np.isfinite(out) & (out > 0))[0]
+        out[j] = np.nextafter(out[j], np.inf)
+        return out
+
+    answers = {}
+    solve_bounded_lp(*args, basis_inverse=start.copy(), perturbed=perturbed, answers=answers)
+    variants = [
+        (nudged(b), c, upper, perturbed),
+        (b, nudged(c), upper, perturbed),
+        (b, c, nudged(upper), perturbed),
+        (b, c, upper, (nudged(b2), upper2)),
+        (b, c, upper, (b2, nudged(upper2))),
+        (b, c, upper, None),
+    ]
+    for size, (b_, c_, upper_, perturbed_) in enumerate(variants, start=2):
+        got = solve_bounded_lp(
+            A, b_, c_, upper_, basis, basis_inverse=start.copy(), perturbed=perturbed_,
+            answers=answers,
+        )
+        assert got.iterations > 0 and len(answers) == size
+
+
+def test_a_table_answer_keeps_the_sign_of_a_zero():
+    A, c = np.eye(3), np.array([1.0, 2.0, 3.0])
+    y = np.array([0.5, -1.0, 2.0])
+    solution = LpSolution(
+        x=np.array([-0.0, 0.0, 4.0]),
+        row_duals=y,
+        reduced_costs=c - y @ A,
+        at_upper=np.array([False, True, False]),
+        objective=12.0,
+        iterations=3,
+        kept_dual=True,
+    )
+    got = TableAnswer.of(solution).solution(A, c)
+    assert_same_lp_solution(dataclasses.replace(got, iterations=3), solution)
+    assert got.iterations == 0 and got.kept_dual
