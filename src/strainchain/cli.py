@@ -345,27 +345,32 @@ def _cmd_verify(args) -> int:
             f"got {reported!r}"
         )
 
-    batch = evaluation_batch(inst, cfg, passes - 1)
+    scenarios = evaluation_batch(inst, cfg, passes - 1)
     solver = RecourseSolver(inst)
     fixed = fixed_cost(inst, design)
     violations = []
     samples = []
-    for w, scen in enumerate(batch):
-        # no basis pool: each LP is solved from its start basis
-        solution = solver.solve(design, scen)  # raises on any duality violation
-        samples.append(fixed + solution.objective)
-        for message in check_structural_theorems(inst, design, scen, solution):
-            violations.append({"scenario": w, "message": message})
+    # no basis pool: each LP is solved from its start basis; a batch raises
+    # on any balance or duality violation
+    for batch in solver.batches(design, scenarios):
+        for s in range(batch.size):
+            solution = batch.solution(s)
+            samples.append(fixed + solution.objective)
+            w = batch.first + s
+            for message in check_structural_theorems(inst, design, scenarios[w], solution):
+                violations.append({"scenario": w, "message": message})
     # the run's evaluation answered its LPs from a basis pool; its mean must
     # agree with these cold solves, added as evaluate_design adds them
-    cold = sum(samples) / len(batch)
+    cold = sum(samples) / len(scenarios)
     if abs(cold - reported) > EVAL_REL_TOL * max(1.0, abs(reported)):
         violations.append(
             {"message": f"saa.eval_objective {reported!r} differs from the mean of "
                         f"cold solves {cold!r}"}
         )
-    write_json(run_dir / "verify.json", {"scenarios_checked": len(batch), "violations": violations})
-    print(f"checked {len(batch)} scenarios: {len(violations)} violations")
+    write_json(
+        run_dir / "verify.json", {"scenarios_checked": len(scenarios), "violations": violations}
+    )
+    print(f"checked {len(scenarios)} scenarios: {len(violations)} violations")
     return 0 if not violations else 2
 
 

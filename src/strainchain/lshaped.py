@@ -5,14 +5,15 @@ and the number of cut groups G (chosen once) and each path's folded arrays.
 
 The N scenarios are split into G contiguous groups (scenario s in group
 s * G // N). Each iteration solves every scenario at the master's
-candidate, taking the Pareto-optimal duals of `recourse`'s `pareto` solve,
-and adds one cut per group (`Master.add_cuts`): group g's cut
-is the sum of its scenarios' `cut_terms_from` constant and coefficients
-divided by N, accumulated in scenario order, so it underestimates the
-group's share of the sampled mean recourse cost at every design. The cuts
-are iteration-major: row 0 is every group's theta_g >= 0 floor (all
-zeros), row k the (G,) constants and (G, n) coefficients, in plant order,
-of iteration k. The master minimises
+candidate in `recourse`'s batches, taking the Pareto-optimal duals of its
+`pareto` solves, and adds one cut per group (`Master.add_cuts`): group g's
+cut is the sum of its scenarios' `cut_terms_from` constants and
+coefficients divided by N, added one scenario row at a time in scenario
+order (across batches too, so bit for bit a per-scenario loop's sum), so
+it underestimates the group's share of the sampled mean recourse cost at
+every design. The cuts are iteration-major: row 0 is every group's
+theta_g >= 0 floor (all zeros), row k the (G,) constants and (G, n)
+coefficients, in plant order, of iteration k. The master minimises
 
     fixed cost + sum over g of max(0, largest row-k cut of group g),
 
@@ -83,6 +84,7 @@ import numpy as np
 
 from .instance import Design, Instance, ValidationError, fixed_cost
 from .recourse import RecourseSolver, cut_terms_from
+from .stats import ordered_sum
 
 ENUMERATION_LIMIT = 20
 ENVELOPE_LIMIT = 1 << 20  # floats in the enumeration envelope, G x 2^n
@@ -382,8 +384,9 @@ def run_lshaped(
     The pool lasts one iteration. A pool carried across the run keeps
     growing, and every LP scans it in order: on the `solve_large` benchmark
     workload it avoided under 5% more pivots and more than doubled the
-    simplex's own time. It is dropped before the next master solve, so its
-    inverses are freed before that call's work arrays are allocated.
+    simplex's own time. It and the iteration's last batch are dropped before
+    the next master solve, so their arrays are freed before that call's work
+    arrays are allocated.
 
     A design the master proposes again has its tight cuts in the master
     already, and solving it again would give the same upper bound, so the
@@ -401,7 +404,7 @@ def run_lshaped(
     master = Master(instance, n_scen, forced)
     solver = solver or RecourseSolver(instance)
     groups = master.groups
-    group_of = [s * groups // n_scen for s in range(n_scen)]
+    group_of = np.arange(n_scen) * groups // n_scen
 
     lb_trace: list[float] = []
     ub_trace: list[float] = []
@@ -444,14 +447,14 @@ def run_lshaped(
         constants = np.zeros(groups)
         coefficients = np.zeros((groups, len(master.plants)))
         bases = []
-        for scen, g in zip(scenarios, group_of):
-            sol = solver.solve(candidate, scen, bases, pareto=True)
-            kept_duals += sol.kept_dual
-            mean_recourse += sol.objective / n_scen
-            const, coeff = cut_terms_from(scen, sol)
-            constants[g] += const / n_scen
-            coefficients[g] += coeff / n_scen
-        del bases
+        for batch in solver.batches(candidate, scenarios, bases, pareto=True):
+            kept_duals += int(batch.kept_dual.sum())
+            mean_recourse = float(ordered_sum(batch.objective / n_scen, mean_recourse))
+            const, coeff = cut_terms_from(batch)
+            rows = group_of[batch.first : batch.first + batch.size]
+            np.add.at(constants, rows, const / n_scen)  # one row at a time, in scenario order
+            np.add.at(coefficients, rows, coeff / n_scen)
+        del batch, bases
         z_n = fixed + mean_recourse
         if incumbent is None or z_n < ub:
             ub = z_n

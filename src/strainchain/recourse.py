@@ -21,12 +21,29 @@ start basis (slacks, the S2 or E column of each country by the sign of its
 right-hand side, and each plant's self-distribution column) has a 0/+-1
 inverse in closed form, so a solve starts pivoting without factorizing; it
 is built only when no pooled basis answers the LP.
-Solutions hold flows and multipliers as arrays only, and cut terms come back
-as one coefficient array in plant order. A solve may pass the simplex a pool
-of earlier optimal bases; `saa.evaluate_design` keeps one per evaluation and
-`lshaped.run_lshaped` one per iteration. A pooled answer may carry another
-optimal dual than a solve from the start basis, so its cut may differ, but
-it is still valid at every design and tight at its own. Only `verify` passes
+
+The scenarios solved at one design are solved in batches
+(`RecourseSolver.batches`), after the design is checked once. A
+`ScenarioBatch` stacks k scenarios' arrays, right-hand sides, costs, upper
+bounds and, in the decomposition, perturbed (b', u') as (k, .) arrays built
+in one step. `RecourseSolver.solve` answers one row with one simplex call
+and stores the answer in the batch's stacks. Once every row is answered,
+`ScenarioBatch.check` derives the flows, the gate and tranche duals and the
+cut terms (`cut_terms_from`: (k,) constants and (k, J) coefficients in plant
+order) over the whole stack and checks every row's balances and strong
+duality; a failure names the row's scenario. Each sum runs along one row in
+the order a loop over that scenario adds it, so a batch answers bit for bit
+as k single solves. A batch holds at most BATCH_LIMIT floats per (k, n)
+stack, so a long scenario list (an evaluation's N' = 300 on 1,292 columns)
+comes in several batches, whose totals the callers carry from one to the
+next. A `RecourseSolution` is one row of a checked batch; a single LP is
+solved as a batch of one.
+
+A solve may pass the simplex a pool of earlier optimal bases;
+`saa.evaluate_design` keeps one per evaluation and `lshaped.run_lshaped`
+one per iteration. A pooled answer may carry another optimal dual than a
+solve from the start basis, so its cut may differ, but it is still valid
+at every design and tight at its own. Only `verify` passes
 none, so its checks come from LPs solved from the start basis.
 A solver may also hold an answer table (see `simplex`), which it passes
 with every solve: an LP whose b, costs, bounds and perturbation the table
@@ -35,7 +52,7 @@ its solver the table of its `SaaMemo`, so only LPs repeated across the
 `run_saa` calls of one study (or within one) are answered this way; a
 solver made without one, as in `evaluate` and `verify`, builds none. The
 table sits inside the one simplex call a solve makes, so every answer, from
-the table or not, still passes `_package`'s checks below.
+the table or not, still passes the batch's checks.
 Dicts keyed by country or arc are built only at the JSON/CSV boundary and by
 the structural diagnostics.
 
@@ -56,7 +73,7 @@ strong-duality checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -69,6 +86,7 @@ BALANCE_TOL = 1e-7       # absolute feasibility tolerance on balance rows
 DUALITY_REL_TOL = 1e-6   # relative primal/dual agreement required per solve
 PARETO_STEP = 1e-6       # mu: a `pareto` solve perturbs the openings y to y + mu (y0 - y)
 CORE_POINT = 0.5         # y0, every plant half open: inside the hull of the designs
+BATCH_LIMIT = 1 << 12    # floats in one (k, n) stack of a batch, k <= BATCH_LIMIT // n (32 KB)
 
 GATE_SELF, GATE_ALLY, GATE_GENERAL = 0, 1, 2
 
@@ -93,12 +111,12 @@ class ScenarioArrays:
 
 @dataclass(frozen=True, eq=False)
 class RecourseSolution:
-    """One scenario solve as arrays, each in the solver's order for its kind:
-    suppliers, plants or countries (`sup`, `pl`, `K`), or arcs (`u_arcs`,
-    `v_arcs`)."""
+    """One scenario solve: row `row` of a checked `ScenarioBatch`, as views
+    of its stacks, each in the solver's order for its kind: suppliers,
+    plants or countries (`sup`, `pl`, `K`), or arcs (`u_arcs`, `v_arcs`)."""
 
-    solver: RecourseSolver = field(repr=False)
-    design: Design                      # the first-stage decision this solve used
+    batch: ScenarioBatch = field(repr=False)
+    row: int
     objective: float
     raw: np.ndarray                     # flow per supplier-plant arc
     drug: np.ndarray                    # flow per plant-country arc
@@ -113,6 +131,128 @@ class RecourseSolution:
     pi_balance: np.ndarray              # plant balance rows (free sign)
     pi_aux: np.ndarray                  # shielded-tranche bound per country (>= 0)
     kept_dual: bool = False             # a `pareto` solve that kept the unperturbed dual
+
+    @property
+    def solver(self) -> RecourseSolver:
+        return self.batch.solver
+
+    @property
+    def design(self) -> Design:
+        """The first-stage decision this solve used."""
+        return self.batch.design
+
+
+# the fields a solution takes from a batch's stacks: `raw` to `pi_aux`
+SOLUTION_STACKS = tuple(f.name for f in fields(RecourseSolution))[3:-1]
+ARRAY_FIELDS = tuple(f.name for f in fields(ScenarioArrays))
+
+
+class ScenarioBatch:
+    """The LPs of k scenarios at one design as (k, .) stacks; row s is the
+    scenario `first + s` of the caller's list.
+
+    Built in one step: `data` holds the scenarios' `ScenarioArrays` stacked,
+    `b`, `cost` and `upper` the LPs, and `perturbed`, for a `pareto` batch,
+    their (b', u') at the openings perturbed toward CORE_POINT.
+    `RecourseSolver.solve` stores row s's answer in `x`, `row_duals`,
+    `reduced_costs`, `objective` and `kept_dual`; `check` then sets the
+    flows and multipliers, named as in `RecourseSolution`, and checks
+    every row.
+    """
+
+    def __init__(
+        self,
+        solver: RecourseSolver,
+        design: Design,
+        y: np.ndarray,
+        scenarios: list,
+        first: int,
+        pareto: bool,
+    ):
+        self.solver, self.design, self.y, self.first = solver, design, y, first
+        self.size = k = len(scenarios)
+        arrays = [solver.arrays(scen) for scen in scenarios]
+        self.data = ScenarioArrays(
+            *(np.stack([getattr(a, name) for a in arrays]) for name in ARRAY_FIELDS)
+        )
+        self.price_increase = np.array([scen.price_increase for scen in scenarios])
+        self.cost = np.repeat(solver.base_cost[None], k, axis=0)
+        self.cost[:, solver.oS2 : solver.oS2 + solver.nK] += self.price_increase[:, None]
+        self.b, self.upper = solver.rhs_and_bounds(self.data, y)
+        self.perturbed = None
+        if pareto:
+            y_mu = y + PARETO_STEP * (CORE_POINT - y)
+            self.perturbed = solver.rhs_and_bounds(self.data, y_mu)
+        self.x = np.empty((k, solver.n))
+        self.row_duals = np.empty((k, solver.m))
+        self.reduced_costs = np.empty((k, solver.n))
+        self.objective = np.empty(k)
+        self.kept_dual = np.zeros(k, dtype=bool)
+
+    def _fail(self, bad: np.ndarray, what: str, **values: np.ndarray) -> None:
+        """Raise naming the first bad row's scenario; `what` is formatted
+        with that row's entry of each of `values`."""
+        rows = np.flatnonzero(bad)
+        if rows.size:
+            s = int(rows[0])
+            detail = what.format(**{name: float(v[s]) for name, v in values.items()})
+            raise RecourseError(f"scenario {self.first + s}: {detail}")
+
+    def check(self) -> None:
+        """Set the flows and multipliers from the stored answers and check
+        every row: flow balance, demand balance, then strong duality of its
+        cut at the design. Gate and tranche duals come from reduced costs."""
+        s, k = self.solver, self.size
+        nI, nJ, nK = s.nI, s.nJ, s.nK
+        x = self.x
+        self.raw = x[:, s.oU : s.oU + nI * nJ]
+        self.drug = x[:, s.oV : s.oV + nJ * nK]
+        s1 = x[:, s.oS1 : s.oS1 + nK]
+        self.escalated = s2 = x[:, s.oS2 : s.oS2 + nK]
+        self.surplus = e = x[:, s.oE : s.oE + nK]
+        self.unmet = s1 + s2
+
+        drug = self.drug.reshape(k, nJ, nK)
+        inflow = self.raw.reshape(k, nI, nJ).sum(axis=1)
+        scale = 1.0 + np.abs(x).max(axis=1, initial=0.0)
+        residual = np.abs(inflow - drug.sum(axis=2)).max(axis=1, initial=0.0)
+        self._fail(residual > BALANCE_TOL * scale, "flow balance residual beyond tolerance")
+        data = self.data
+        residual = drug.sum(axis=1) + s1 + s2 - e + data.retained - data.demand
+        residual = np.abs(residual).max(axis=1, initial=0.0)
+        self._fail(residual > BALANCE_TOL * scale, "demand balance residual beyond tolerance")
+
+        y_rows, rc = self.row_duals, self.reduced_costs
+        self.pi_supplier = np.minimum(0.0, y_rows[:, s.rSup : s.rSup + nI])
+        self.pi_supply_gate = np.where(
+            s.u_cross, np.minimum(0.0, rc[:, s.oU : s.oU + nI * nJ]), 0.0
+        )
+        self.pi_plant = np.minimum(0.0, y_rows[:, s.rPl : s.rPl + nJ])
+        self.pi_distribution_gate = np.where(
+            s.v_cross, np.minimum(0.0, rc[:, s.oV : s.oV + nJ * nK]), 0.0
+        )
+        self.pi_demand = y_rows[:, s.rDem : s.rDem + nK]
+        self.pi_balance = y_rows[:, s.rBal : s.rBal + nJ]
+        self.pi_aux = np.maximum(0.0, -rc[:, s.oS1 : s.oS1 + nK])
+
+        constants, coefficients = cut_terms_from(self)
+        tight = constants + coefficients @ self.y
+        objective = self.objective
+        tol = DUALITY_REL_TOL * np.maximum(1.0, np.abs(objective))
+        self._fail(
+            np.abs(tight - objective) > tol,
+            "duality violation: dual value {tight!r} vs objective {objective!r}",
+            tight=tight,
+            objective=objective,
+        )
+
+    def solution(self, s: int) -> RecourseSolution:
+        """Row s of a checked batch."""
+        return RecourseSolution(
+            self, s, float(self.objective[s]),
+            *(getattr(self, name)[s] for name in SOLUTION_STACKS),
+            kept_dual=bool(self.kept_dual[s]),
+        )
 
 
 class RecourseSolver:
@@ -276,145 +416,111 @@ class RecourseSolver:
         inverse[self.rDem + short_rows] *= -1.0
         return basis, inverse
 
-    def solve(
-        self, design: Design, scenario: Scenario, pool: list | None = None, pareto: bool = False
-    ) -> RecourseSolution:
-        """Solve one scenario at a design; `pool`, when given, is the
-        simplex's basis pool (see `simplex`), kept by the caller. With
-        `pareto` the duals come from a basis also optimal at the openings
-        perturbed toward CORE_POINT, when the simplex finds one."""
+    def batches(
+        self, design: Design, scenarios: list, pool: list | None = None, pareto: bool = False
+    ):
+        """Solve the scenarios at a design; yields checked `ScenarioBatch`es
+        of at most max(1, BATCH_LIMIT // n) rows, in scenario order.
+
+        Each LP is one `solve` call, given `pool`; with `pareto` the batches
+        also hold the LPs perturbed toward CORE_POINT (see `solve`).
+        """
         validate_design(self.instance, design)
-        data = self.arrays(scenario)
         y = np.array([float(design.open[j]) for j in self.pl])
-        cost = self.base_cost.copy()
-        cost[self.oS2 : self.oS2 + self.nK] += scenario.price_increase
-        b, upper = self._rhs_and_bounds(data, y)
-        perturbed = None
-        if pareto:
-            perturbed = self._rhs_and_bounds(data, y + PARETO_STEP * (CORE_POINT - y))
+        rows = max(1, BATCH_LIMIT // self.n)
+        for first in range(0, len(scenarios), rows):
+            batch = ScenarioBatch(self, design, y, scenarios[first : first + rows], first, pareto)
+            for s in range(batch.size):
+                self.solve(batch, s, pool)
+            batch.check()
+            yield batch
+
+    def solve(self, batch: ScenarioBatch, s: int, pool: list | None = None) -> None:
+        """Solve row s of a batch and store its answer in the batch's stacks.
+
+        `pool`, when given, is the simplex's basis pool (see `simplex`), kept
+        by the caller. The duals of a batch built with `pareto` come from a
+        basis also optimal at the openings perturbed toward CORE_POINT, when
+        the simplex finds one.
+        """
+        rhs_dem = batch.data.rhs_dem[s]
+        perturbed = batch.perturbed
+        if perturbed is not None:
+            perturbed = (perturbed[0][s], perturbed[1][s])
         try:
             sol = solve_bounded_lp(
                 self.A,
-                b,
-                cost,
-                upper,
-                lambda: self.start_basis(data.rhs_dem),
+                batch.b[s],
+                batch.cost[s],
+                batch.upper[s],
+                lambda: self.start_basis(rhs_dem),
                 pool=pool,
                 perturbed=perturbed,
                 answers=self.answers,
             )
         except SimplexError as exc:
-            raise RecourseError(f"scenario solve failed: {exc}") from exc
+            raise RecourseError(f"scenario {batch.first + s}: solve failed: {exc}") from exc
+        batch.x[s] = sol.x
+        batch.row_duals[s] = sol.row_duals
+        batch.reduced_costs[s] = sol.reduced_costs
+        batch.objective[s] = sol.objective
+        batch.kept_dual[s] = sol.kept_dual
 
-        return self._package(sol, design, scenario, data, y)
-
-    def _rhs_and_bounds(self, data: ScenarioArrays, y: np.ndarray):
-        """The LP's right-hand side and column upper bounds at plant openings y."""
+    def rhs_and_bounds(self, data: ScenarioArrays, y: np.ndarray):
+        """The (k, m) right-hand sides and (k, n) column upper bounds of
+        stacked scenario data at plant openings y."""
         nI, nJ, nK = self.nI, self.nJ, self.nK
-        upper = np.full(self.n, np.inf)
+        k = len(data.a_sup)
+        upper = np.full((k, self.n), np.inf)
         # cross-country arcs are capped by origin capacity x export gate x Y;
         # self arcs stay unbounded (capacity and balance rows still bind them)
-        upper[self.oU : self.oU + nI * nJ] = np.where(
+        upper[:, self.oU : self.oU + nI * nJ] = np.where(
             self.u_cross, data.cap_u * y[self.u_plant], np.inf
         )
-        upper[self.oV : self.oV + nJ * nK] = np.where(
+        upper[:, self.oV : self.oV + nJ * nK] = np.where(
             self.v_cross, data.cap_v * y[self.v_plant], np.inf
         )
         # shielded tranche: only a country with its own open plant and an
         # active general ban keeps its demand at the baseline price
         y_country = np.zeros(nK)
         y_country[self.plant_kpos] = y
-        upper[self.oS1 : self.oS1 + nK] = np.where(
+        upper[:, self.oS1 : self.oS1 + nK] = np.where(
             self.plant_mask, data.shield * y_country, 0.0
         )
-        b = np.concatenate([data.a_sup, data.b_pl * y, data.rhs_dem, np.zeros(nJ)])
+        b = np.concatenate([data.a_sup, data.b_pl * y, data.rhs_dem, np.zeros((k, nJ))], axis=1)
         return b, upper
-
-    def _package(self, sol, design, scenario, data, y):
-        nI, nJ, nK = self.nI, self.nJ, self.nK
-        x = sol.x
-        u_vals = x[self.oU : self.oU + nI * nJ]
-        v_vals = x[self.oV : self.oV + nJ * nK]
-        s1 = x[self.oS1 : self.oS1 + nK]
-        s2 = x[self.oS2 : self.oS2 + nK]
-        e = x[self.oE : self.oE + nK]
-
-        inflow = u_vals.reshape(nI, nJ).sum(axis=0)
-        outflow = v_vals.reshape(nJ, nK).sum(axis=1)
-        scale = 1.0 + float(np.abs(sol.x).max(initial=0.0))
-        if np.abs(inflow - outflow).max(initial=0.0) > BALANCE_TOL * scale:
-            raise RecourseError("flow balance residual beyond tolerance")
-        served = v_vals.reshape(nJ, nK).sum(axis=0)
-        residual = served + s1 + s2 - e + data.retained - data.demand
-        if np.abs(residual).max(initial=0.0) > BALANCE_TOL * scale:
-            raise RecourseError("demand balance residual beyond tolerance")
-
-        y_rows = sol.row_duals
-        rc = sol.reduced_costs
-        gate_dual_u = np.minimum(0.0, rc[self.oU : self.oU + nI * nJ])
-        gate_dual_u[~self.u_cross] = 0.0
-        gate_dual_v = np.minimum(0.0, rc[self.oV : self.oV + nJ * nK])
-        gate_dual_v[~self.v_cross] = 0.0
-
-        solution = RecourseSolution(
-            solver=self,
-            design=design,
-            objective=sol.objective,
-            raw=u_vals,
-            drug=v_vals,
-            unmet=s1 + s2,
-            escalated=s2,
-            surplus=e,
-            pi_supplier=np.minimum(0.0, y_rows[self.rSup : self.rSup + nI]),
-            pi_supply_gate=gate_dual_u,
-            pi_plant=np.minimum(0.0, y_rows[self.rPl : self.rPl + nJ]),
-            pi_distribution_gate=gate_dual_v,
-            pi_demand=y_rows[self.rDem : self.rDem + nK],
-            pi_balance=y_rows[self.rBal : self.rBal + nJ],
-            pi_aux=np.maximum(0.0, -rc[self.oS1 : self.oS1 + nK]),
-            kept_dual=sol.kept_dual,
-        )
-
-        const, coeff = cut_terms_from(scenario, solution)
-        tight = const + float(coeff @ y)
-        tol = DUALITY_REL_TOL * max(1.0, abs(solution.objective))
-        if abs(tight - solution.objective) > tol:
-            raise RecourseError(
-                f"duality violation: dual value {tight!r} vs objective {solution.objective!r}"
-            )
-        return solution
 
 
 # -- optimality-cut terms ----------------------------------------------------
 
 
-def cut_terms_from(scenario: Scenario, solution: RecourseSolution) -> tuple[float, np.ndarray]:
-    """Affine minorant of the scenario cost as a function of the design.
+def cut_terms_from(batch: ScenarioBatch) -> tuple[np.ndarray, np.ndarray]:
+    """Affine minorants of the batch's scenario costs as functions of the design.
 
-    constant + coeff @ Y underestimates the scenario's optimal cost at every
-    feasible design (Y in plant order) and matches it at the design that
-    produced the solution. The constant adds the supplier terms, then the
-    demand terms; coeff[j] adds plant j's supply-gate terms in supplier
-    order, its capacity term, its distribution-gate terms in country order
-    and its shield term, each one at a time (see `ordered_sum`).
+    Returns (k,) constants and (k, J) coefficients: constants[s] +
+    coefficients[s] @ Y underestimates scenario s's optimal cost at every
+    feasible design (Y in plant order) and matches it at the batch's design.
+    A constant adds the supplier terms, then the demand terms; coefficient
+    j adds plant j's supply-gate terms in supplier order, its capacity term,
+    its distribution-gate terms in country order and its shield term, each
+    one at a time (see `ordered_sum`), row by row.
     """
-    s = solution.solver
-    data = s.arrays(scenario)
-    constant = ordered_sum(
-        np.concatenate(
-            (solution.pi_supplier * data.a_sup, solution.pi_demand * data.rhs_dem)
-        )
+    s, data, k = batch.solver, batch.data, batch.size
+    constants = ordered_sum(
+        np.concatenate((batch.pi_supplier * data.a_sup, batch.pi_demand * data.rhs_dem), axis=1),
+        axis=1,
     )
-    shield = data.shield[s.plant_kpos]
+    shield = data.shield[:, s.plant_kpos]
     terms = np.concatenate(
         (
-            (solution.pi_supply_gate * data.cap_u).reshape(s.nI, s.nJ),
-            (solution.pi_plant * data.b_pl)[None],
-            (solution.pi_distribution_gate * data.cap_v).reshape(s.nJ, s.nK).T,
-            (solution.pi_aux[s.plant_kpos] * -shield)[None],
-        )
+            (batch.pi_supply_gate * data.cap_u).reshape(k, s.nI, s.nJ),
+            (batch.pi_plant * data.b_pl)[:, None],
+            (batch.pi_distribution_gate * data.cap_v).reshape(k, s.nJ, s.nK).transpose(0, 2, 1),
+            (batch.pi_aux[:, s.plant_kpos] * -shield)[:, None],
+        ),
+        axis=1,
     )
-    return float(constant), ordered_sum(terms)
+    return constants, ordered_sum(terms, axis=1)
 
 
 # -- structural diagnostics ---------------------------------------------------

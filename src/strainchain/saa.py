@@ -8,6 +8,12 @@ objectives and an upper bound at the chosen design. Passes repeat with
 fresh counter-derived seeds until the statistical gap closes or the pass
 cap is hit.
 
+An evaluation solves its N' scenario LPs in the batches of
+`RecourseSolver.batches` (see `recourse`) and adds each batch's (k, .)
+flows and costs into its totals, carried from one batch to the next, one
+scenario row at a time (`stats.ordered_sum`): every total is bit for bit
+the one a loop over the scenarios adds.
+
 A `SaaMemo` lets the `run_saa` calls of one study share work. It holds
 replication outcomes (objective, design) and design evaluations, each under
 the same `Instance` object only and keyed by every input the computation
@@ -190,8 +196,9 @@ def evaluate_design(
 ) -> DesignEvaluation:
     """Sample mean, standard error, and per-country/cost detail for one design.
 
-    The scenario LPs share one basis pool (see `simplex`), so an earlier
-    scenario's optimal basis answers a later LP whenever it is optimal there.
+    The scenario LPs are solved in batches (see `recourse`) and share one
+    basis pool (see `simplex`), so an earlier scenario's optimal basis
+    answers a later LP whenever it is optimal there.
     """
     validate_design(instance, design)
     if not scenarios:
@@ -201,7 +208,8 @@ def evaluate_design(
     fixed = fixed_cost(instance, design)
 
     # per-arc and per-country sums run over scenarios; each scalar total
-    # adds one scenario's terms in arc or country order before the next
+    # adds one scenario's terms in arc or country order before the next;
+    # the batches carry them on, so every sum adds as a loop over scenarios
     samples = []
     shortage = np.zeros(solver.nK)
     demand = np.zeros(solver.nK)
@@ -209,19 +217,22 @@ def evaluate_design(
     drug_flow = np.zeros(len(solver.v_arcs))
     raw_cost = outbound_cost = base_short = esc_short = sales = 0.0
 
-    pool = []
-    for scen in scenarios:
-        sol = solver.solve(design, scen, pool)
-        samples.append(fixed + sol.objective)
-        shortage += sol.unmet / n
-        demand += solver.arrays(scen).demand / n
-        base_short = ordered_sum(solver.shortage_price * sol.unmet / n, base_short)
-        esc_short = ordered_sum(scen.price_increase * sol.escalated / n, esc_short)
-        raw_flow += sol.raw / n
-        raw_cost = ordered_sum(solver.raw_unit_cost * sol.raw / n, raw_cost)
-        drug_flow += sol.drug / n
-        outbound_cost = ordered_sum(solver.drug_unit_cost * sol.drug / n, outbound_cost)
-        sales = ordered_sum(sol.drug / n, sales)
+    for batch in solver.batches(design, scenarios, []):
+        samples += (fixed + batch.objective).tolist()
+        drug = batch.drug / n
+        shortage = ordered_sum(batch.unmet / n, shortage)
+        demand = ordered_sum(batch.data.demand / n, demand)
+        base_short = ordered_sum((solver.shortage_price * batch.unmet / n).ravel(), base_short)
+        esc_short = ordered_sum(
+            (batch.price_increase[:, None] * batch.escalated / n).ravel(), esc_short
+        )
+        raw_flow = ordered_sum(batch.raw / n, raw_flow)
+        raw_cost = ordered_sum((solver.raw_unit_cost * batch.raw / n).ravel(), raw_cost)
+        drug_flow = ordered_sum(drug, drug_flow)
+        outbound_cost = ordered_sum(
+            (solver.drug_unit_cost * batch.drug / n).ravel(), outbound_cost
+        )
+        sales = ordered_sum(drug.ravel(), sales)
 
     mean = sum(samples) / n
     if n > 1:

@@ -163,14 +163,14 @@ def critical_values(alpha: float, dof: int) -> tuple[float, float]:
     return student_t_upper(alpha, dof), normal_upper(alpha)
 
 
-def ordered_sum(terms, start=0.0):
-    """Sum along axis 0 one term at a time after `start`, as a `+=` loop would.
+def ordered_sum(terms, start=0.0, axis=0):
+    """Sum along `axis` one term at a time after `start`, as a `+=` loop would.
 
     np.sum adds a contiguous run pairwise, which rounds differently; the
     cut terms, the retained-export total and the evaluation totals are
     accumulated in this fixed order so every artifact stays reproducible.
     """
-    terms = np.asarray(terms, dtype=float)
+    terms = np.moveaxis(np.asarray(terms, dtype=float), axis, 0)
     stacked = np.empty((len(terms) + 1,) + terms.shape[1:])
     stacked[0] = start
     stacked[1:] = terms

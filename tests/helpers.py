@@ -5,16 +5,18 @@ row per constraint (capacities, gated arcs, demand, balance, shortage links)
 and hands it to scipy's HiGHS, completely bypassing the package's LP path.
 The dict-keyed retained-export, cut-term and evaluation loops are the
 references the package's array formulas must reproduce exactly; so are the
-former single-cut enumeration master, the former recursive branch and
-bound, the full-pricing, refactorizing simplex and the evaluate command's
-per-country CSV writer below.
+former per-scenario `evaluate_design` and `run_lshaped` sums (the batched
+ones must equal them bit for bit), the former single-cut enumeration
+master, the former recursive branch and bound, the full-pricing,
+refactorizing simplex and the evaluate command's per-country CSV writer
+below.
 `count_calls` counts the calls made through one module binding, to show
 what a memo saved or that no factorization ran; `record_recourse_lps`
 keeps each scenario LP's inputs and answer for a replay, and
 `record_table_lookups` the answer table each one was given.
-Dict-keyed cuts
-(`OptimalityCut`) and the one-call solve and cut-term wrappers live here
-too: the package keeps cuts as arrays in its `Master` and never needs them.
+Dict-keyed cuts (`OptimalityCut`), the one-scenario solve (`solve_one`, a
+batch of one) and the cut-term wrappers live here too: the package keeps
+cuts as arrays in its `Master` and solves scenarios in batches only.
 """
 
 from __future__ import annotations
@@ -36,8 +38,14 @@ from strainchain import (
     Scenario,
     make_instance,
 )
-from strainchain.instance import ValidationError
-from strainchain.lshaped import ENUMERATION_LIMIT, Master, _bound_terms
+from strainchain.instance import ValidationError, fixed_cost
+from strainchain.lshaped import (
+    ENUMERATION_LIMIT,
+    LShapedResult,
+    Master,
+    _bound_terms,
+    solve_master,
+)
 from strainchain import recourse
 from strainchain.recourse import (
     DUALITY_REL_TOL,
@@ -47,6 +55,7 @@ from strainchain.recourse import (
     cut_terms_from,
 )
 from strainchain.scenarios import RiskOverrides, retained_exports, sample_batch
+from strainchain.stats import ordered_sum
 from strainchain.simplex import (
     DEGENERATE_STEP,
     REFRESH_EVERY,
@@ -132,7 +141,7 @@ def reference_evaluation(instance: Instance, design: Design, scenarios, solver) 
     drug_flow = {arc: 0.0 for arc in solver.v_arcs}
     raw_cost = outbound_cost = base_short = esc_short = sales = 0.0
     for scen in scenarios:
-        sol = solver.solve(design, scen)
+        sol = solve_one(solver, design, scen)
         samples.append(fixed + sol.objective)
         unmet, escalated = sol.unmet.tolist(), sol.escalated.tolist()
         for k in instance.countries:
@@ -160,6 +169,88 @@ def reference_evaluation(instance: Instance, design: Design, scenarios, solver) 
         sales_volume=sales,
         breakdown=CostBreakdown(fixed, raw_cost, outbound_cost, base_short, esc_short),
     )
+
+
+def reference_evaluate_design(instance: Instance, design: Design, scenarios, solver):
+    """The former evaluate_design: one solve through one basis pool and one
+    round of sums per scenario, which the batched sums must equal bit for bit."""
+    n = len(scenarios)
+    fixed = fixed_cost(instance, design)
+    samples = []
+    shortage = np.zeros(solver.nK)
+    demand = np.zeros(solver.nK)
+    raw_flow = np.zeros(len(solver.u_arcs))
+    drug_flow = np.zeros(len(solver.v_arcs))
+    raw_cost = outbound_cost = base_short = esc_short = sales = 0.0
+    pool = []
+    for scen in scenarios:
+        sol = solve_one(solver, design, scen, pool)
+        samples.append(fixed + sol.objective)
+        shortage += sol.unmet / n
+        demand += solver.arrays(scen).demand / n
+        base_short = ordered_sum(solver.shortage_price * sol.unmet / n, base_short)
+        esc_short = ordered_sum(scen.price_increase * sol.escalated / n, esc_short)
+        raw_flow += sol.raw / n
+        raw_cost = ordered_sum(solver.raw_unit_cost * sol.raw / n, raw_cost)
+        drug_flow += sol.drug / n
+        outbound_cost = ordered_sum(solver.drug_unit_cost * sol.drug / n, outbound_cost)
+        sales = ordered_sum(sol.drug / n, sales)
+    mean = sum(samples) / n
+    var = sum((s - mean) ** 2 for s in samples) / ((n - 1) * n) if n > 1 else 0.0
+    return DesignEvaluation(
+        mean_objective=mean,
+        std_error=math.sqrt(var),
+        expected_shortage=dict(zip(solver.K, shortage.tolist())),
+        expected_demand=dict(zip(solver.K, demand.tolist())),
+        expected_raw_flow=dict(zip(solver.u_arcs, raw_flow.tolist())),
+        expected_drug_flow=dict(zip(solver.v_arcs, drug_flow.tolist())),
+        sales_volume=float(sales),
+        breakdown=CostBreakdown(
+            fixed, float(raw_cost), float(outbound_cost), float(base_short), float(esc_short)
+        ),
+    )
+
+
+def reference_run_lshaped(instance: Instance, scenarios, epsilon: float, solver) -> tuple:
+    """The former run_lshaped: one solve and one `+=` into its group's cut
+    per scenario. Returns the result (None after a stall) and the master."""
+    n_scen = len(scenarios)
+    master = Master(instance, n_scen)
+    groups = master.groups
+    ub, incumbent, evaluated, kept_duals = np.inf, None, set(), 0
+    lb_trace, ub_trace = [], []
+
+    def gap(lb):
+        return (ub - lb) / ub if ub > 0 else 0.0
+
+    def result():
+        return LShapedResult(incumbent, ub, len(evaluated), lb_trace, ub_trace, kept_duals)
+
+    while True:
+        candidate, lb = solve_master(master)
+        lb_trace.append(lb)
+        if candidate.key() in evaluated:
+            ub_trace.append(ub)
+            return (result() if gap(lb) <= epsilon else None), master
+        evaluated.add(candidate.key())
+        mean_recourse = 0.0
+        constants = np.zeros(groups)
+        coefficients = np.zeros((groups, len(master.plants)))
+        bases = []
+        for s, scen in enumerate(scenarios):
+            sol = solve_one(solver, candidate, scen, bases, pareto=True)
+            kept_duals += sol.kept_dual
+            mean_recourse += sol.objective / n_scen
+            const, coeff = (terms[0] for terms in cut_terms_from(sol.batch))
+            constants[s * groups // n_scen] += const / n_scen
+            coefficients[s * groups // n_scen] += coeff / n_scen
+        z_n = fixed_cost(instance, candidate) + mean_recourse
+        if incumbent is None or z_n < ub:
+            ub, incumbent = z_n, candidate
+        ub_trace.append(ub)
+        if gap(lb) <= epsilon:
+            return result(), master
+        master.add_cuts(constants, coefficients)
 
 
 def degenerate_pmf(level: float = 1.0) -> DiscretePmf:
@@ -384,7 +475,7 @@ def enumeration_optimum(instance, scenarios, solver=None, forced=None):
         fixed = sum(
             instance.fixed_cost[j] * design.open[j] for j in instance.plant_candidates
         )
-        mean_q = sum(solver.solve(design, s).objective for s in scenarios) / len(scenarios)
+        mean_q = sum(solve_one(solver, design, s).objective for s in scenarios) / len(scenarios)
         value = fixed + mean_q
         if value < best_val - 1e-12:
             best_val, best_design = value, design
@@ -485,15 +576,21 @@ def raw_lp_objective(inst: Instance, design: Design, scen: Scenario) -> float:
     return float(res.fun)
 
 
+def solve_one(solver, design: Design, scenario: Scenario, pool=None, pareto=False):
+    """One scenario's solve: the package's batch path on a batch of one."""
+    return next(solver.batches(design, [scenario], pool, pareto)).solution(0)
+
+
 def solve_recourse(instance: Instance, design: Design, scenario: Scenario) -> RecourseSolution:
-    return RecourseSolver(instance).solve(design, scenario)
+    return solve_one(RecourseSolver(instance), design, scenario)
 
 
 def recourse_cut_terms(
     instance: Instance, scenario: Scenario, solution: RecourseSolution
 ) -> tuple[float, dict]:
     """Cut terms keyed by plant, with the tightness/duality guarantee re-verified."""
-    constant, coeff = cut_terms_from(scenario, solution)
+    constants, coefficients = cut_terms_from(solution.batch)
+    constant, coeff = float(constants[solution.row]), coefficients[solution.row]
     y = np.array([float(solution.design.open[j]) for j in instance.plant_candidates])
     value = constant + float(coeff @ y)
     tol = DUALITY_REL_TOL * max(1.0, abs(solution.objective))

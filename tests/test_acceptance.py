@@ -35,6 +35,7 @@ from helpers import (
     plain_scenario,
     recourse_cut_terms,
     small_random_instance,
+    solve_one,
     tiny_instance,
 )
 
@@ -91,7 +92,7 @@ def test_criterion_2_duality_on_500_solves_with_complete_recourse():
             if bits.sum() == 0:
                 bits[int(rng.integers(len(plants)))] = 1
             design = Design(open={j: int(b) for j, b in zip(plants, bits)})
-            sol = solver.solve(design, scen)  # raises on any duality failure
+            sol = solve_one(solver, design, scen)  # raises on any duality failure
             const, coeff = recourse_cut_terms(inst, scen, sol)
             dual_value = const + sum(coeff[j] * design.open[j] for j in plants)
             assert dual_value == pytest.approx(
@@ -116,7 +117,7 @@ def test_criterion_3_cuts_are_valid_and_tight_to_1e7_absolute():
         for scen in sample_batch(
             inst, (42, trial), 5, RiskOverrides(export_prob_scale=0.45, ban_threshold=1.0)
         ):
-            sols = {d.key(): solver.solve(d, scen) for d in designs}
+            sols = {d.key(): solve_one(solver, d, scen) for d in designs}
             for src in designs:
                 const, coeff = recourse_cut_terms(inst, scen, sols[src.key()])
                 for tgt in designs:
@@ -186,7 +187,7 @@ def test_criterion_4_theorem_sweep_covers_every_case_row():
             if bits.sum() == 0:
                 bits[int(rng.integers(len(plants)))] = 1
             design = Design(open={j: int(b) for j, b in zip(plants, bits)})
-            sol = solver.solve(design, scen)
+            sol = solve_one(solver, design, scen)
             assert check_structural_theorems(inst, design, scen, sol) == []
             seen |= _classify_rows(inst, sol)
             count += 1
@@ -213,13 +214,13 @@ def test_criterion_4_theorem_sweep_covers_every_case_row():
     solver = RecourseSolver(inst)
     # non-ally c fully banned with combined exports >= demand
     scen = plain_scenario(inst, g={"a": 1, "b": 1, "c": 0}, ga={"a": 1, "b": 1})
-    sol = solver.solve(design, scen)
+    sol = solve_one(solver, design, scen)
     assert sol.unmet[solver.kpos["c"]] == pytest.approx(0.0)
     assert sol.surplus[solver.kpos["c"]] == pytest.approx(2.0)
     assert check_structural_theorems(inst, design, scen, sol) == []
     # ally b fully banned with combined exports >= demand
     scen = plain_scenario(inst, g={"a": 1, "b": 0, "c": 1}, ga={"a": 1, "b": 0})
-    sol = solver.solve(design, scen)
+    sol = solve_one(solver, design, scen)
     assert sol.unmet[solver.kpos["b"]] == pytest.approx(0.0)
     assert sol.surplus[solver.kpos["b"]] == pytest.approx(4.0)
     assert check_structural_theorems(inst, design, scen, sol) == []
@@ -236,7 +237,7 @@ def test_criterion_4_theorem_sweep_covers_every_case_row():
     )
     design = Design(open={"a": 1})
     scen = plain_scenario(inst)
-    sol = RecourseSolver(inst).solve(design, scen)
+    sol = solve_one(RecourseSolver(inst), design, scen)
     arcs = sol.solver.v_arcs
     assert sol.drug[arcs.index(("a", "b"))] == pytest.approx(1.0)
     assert sol.drug[arcs.index(("a", "c"))] == pytest.approx(0.0)

@@ -4,8 +4,6 @@ Every comparison is exact (`==`): the array forms add the same terms in the
 same order as the dict loops, which is what keeps report bytes stable.
 """
 
-import dataclasses
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +20,7 @@ from helpers import (
     reference_cut_terms,
     reference_evaluation,
     small_random_instance,
+    solve_one,
     tiny_instance,
 )
 
@@ -35,27 +34,25 @@ def _random_duals(sol, seed):
     order; random values make the term order of each sum observable.
     """
     rng = np.random.default_rng(seed)
-    s = sol.solver
+    s, batch = sol.solver, sol.batch
 
     def draw(size, sign=-1.0):
-        return sign * rng.uniform(0.1, 10.0, size)
+        return sign * rng.uniform(0.1, 10.0, (1, size))
 
-    return dataclasses.replace(
-        sol,
-        pi_supplier=draw(s.nI),
-        pi_supply_gate=np.where(s.u_cross, draw(len(s.u_arcs)), 0.0),
-        pi_plant=draw(s.nJ),
-        pi_distribution_gate=np.where(s.v_cross, draw(len(s.v_arcs)), 0.0),
-        pi_demand=draw(s.nK, rng.choice([-1.0, 1.0])),
-        pi_aux=draw(s.nK, 1.0),
-    )
+    batch.pi_supplier = draw(s.nI)
+    batch.pi_supply_gate = np.where(s.u_cross, draw(len(s.u_arcs)), 0.0)
+    batch.pi_plant = draw(s.nJ)
+    batch.pi_distribution_gate = np.where(s.v_cross, draw(len(s.v_arcs)), 0.0)
+    batch.pi_demand = draw(s.nK, rng.choice([-1.0, 1.0]))
+    batch.pi_aux = draw(s.nK, 1.0)
+    return batch.solution(0)
 
 
 def _assert_cut_terms_match(inst, scen, sol):
-    constant, coeff = cut_terms_from(scen, sol)
+    constants, coefficients = cut_terms_from(sol.batch)
     ref_constant, ref_coeff = reference_cut_terms(inst, scen, sol)
-    assert constant == ref_constant
-    assert coeff.tolist() == [ref_coeff[j] for j in inst.plant_candidates]
+    assert constants[sol.row] == ref_constant
+    assert coefficients[sol.row].tolist() == [ref_coeff[j] for j in inst.plant_candidates]
 
 
 @EXACT
@@ -72,7 +69,7 @@ def test_cut_terms_equal_the_dict_reference(
 ):
     inst = small_random_instance(inst_seed, n_countries, with_allies)
     scen = corner_scenario(inst, scen_seed, corner)
-    sol = RecourseSolver(inst).solve(design_from_code(inst, design_code), scen)
+    sol = solve_one(RecourseSolver(inst), design_from_code(inst, design_code), scen)
     _assert_cut_terms_match(inst, scen, sol)
 
 
@@ -89,7 +86,7 @@ def test_cut_terms_add_in_the_reference_order(
 ):
     inst = small_random_instance(inst_seed, n_countries, with_allies)
     scen = sample_batch(inst, (scen_seed,), 1)[0]
-    sol = RecourseSolver(inst).solve(design_from_code(inst, design_code), scen)
+    sol = solve_one(RecourseSolver(inst), design_from_code(inst, design_code), scen)
     _assert_cut_terms_match(inst, scen, _random_duals(sol, scen_seed))
 
 

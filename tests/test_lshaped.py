@@ -658,9 +658,12 @@ def test_a_stall_raises_naming_it(monkeypatch):
     inst = small_random_instance(seed=44, n_countries=5)
     scens = _scenario_pool(inst, (11, 0), 25)
     real = lshaped.cut_terms_from
-    monkeypatch.setattr(
-        lshaped, "cut_terms_from", lambda scen, sol: (lambda c: (c[0] - 1.0, c[1]))(real(scen, sol))
-    )
+
+    def lowered(batch):
+        constants, coefficients = real(batch)
+        return constants - 1.0, coefficients
+
+    monkeypatch.setattr(lshaped, "cut_terms_from", lowered)
     with pytest.raises(IterationLimitError, match="re-proposed an evaluated design") as err:
         run_lshaped(inst, scens, epsilon=1e-9, max_iterations=500)
     assert len(err.value.lb_trace) < 500

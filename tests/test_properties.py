@@ -52,8 +52,8 @@ from helpers import (
     CORNERS,
     OptimalityCut,
     assert_same_lp_solution,
-    count_calls,
     corner_scenario,
+    count_calls,
     design_from_code,
     master_from_rows,
     master_values,
@@ -63,6 +63,7 @@ from helpers import (
     reference_master_by_enumeration,
     reference_solve_bounded_lp,
     small_random_instance,
+    solve_one,
     tiny_instance,
     with_plants,
 )
@@ -93,7 +94,7 @@ def _all_designs(inst):
 @given(cases())
 def test_recourse_objective_matches_the_highs_row_formulation(case):
     inst, scen, design = case
-    mine = RecourseSolver(inst).solve(design, scen).objective
+    mine = solve_one(RecourseSolver(inst), design, scen).objective
     assert mine == pytest.approx(raw_lp_objective(inst, design, scen), rel=1e-6, abs=1e-7)
 
 
@@ -104,7 +105,7 @@ def test_scenario_lp_matches_the_refactorizing_reference_bit_for_bit_without_inv
     with pytest.MonkeyPatch.context() as patch:
         lps = record_recourse_lps(patch)
         inv_calls = count_calls(patch, np.linalg, "inv")
-        RecourseSolver(inst).solve(design, scen)
+        solve_one(RecourseSolver(inst), design, scen)
     assert len(lps) == 1 and not inv_calls
     args, start, solution, _ = lps[0]
     assert_same_lp_solution(solution, reference_solve_bounded_lp(*args, basis_inverse=start))
@@ -139,7 +140,7 @@ def test_pooled_evaluation_answers_match_solves_without_a_pool(batch):
 def test_cut_is_valid_at_every_design_and_tight_at_its_source(case):
     inst, scen, source = case
     solver = RecourseSolver(inst)
-    solution = solver.solve(source, scen)
+    solution = solve_one(solver, source, scen)
     constant, coeff = recourse_cut_terms(inst, scen, solution)
 
     def cut(design):
@@ -148,7 +149,7 @@ def test_cut_is_valid_at_every_design_and_tight_at_its_source(case):
     assert cut(source) == pytest.approx(solution.objective, abs=CUT_TOL)
     for design in _all_designs(inst):
         if any(design.open.values()):
-            value = solver.solve(design, scen).objective
+            value = solve_one(solver, design, scen).objective
         else:
             value = raw_lp_objective(inst, design, scen)
         assert cut(design) <= value + CUT_TOL, design.open
@@ -177,8 +178,8 @@ def test_pareto_cuts_are_valid_tight_and_dominant(batch):
     solver = RecourseSolver(inst)
     bases, pareto_bases = [], []
     for scen in scens:
-        sol = solver.solve(source, scen, bases)
-        pareto = solver.solve(source, scen, pareto_bases, pareto=True)
+        sol = solve_one(solver, source, scen, bases)
+        pareto = solve_one(solver, source, scen, pareto_bases, pareto=True)
         assert pareto.objective == sol.objective
         assert pareto.drug.tobytes() == sol.drug.tobytes()
         constant, coeff = recourse_cut_terms(inst, scen, pareto)
@@ -190,7 +191,7 @@ def test_pareto_cuts_are_valid_tight_and_dominant(batch):
         assert cut(source) == pytest.approx(sol.objective, abs=CUT_TOL)
         for design in _all_designs(inst):
             if any(design.open.values()):
-                value = solver.solve(design, scen).objective
+                value = solve_one(solver, design, scen).objective
             else:
                 value = raw_lp_objective(inst, design, scen)
             assert cut(design) <= value + CUT_TOL, design.open
@@ -294,12 +295,13 @@ def _scenario_cut_masters(inst, scens, designs, groups):
     multi_c, multi_a = np.zeros((len(designs), groups)), np.zeros((len(designs), groups, n))
     avg_c, avg_a = np.zeros((len(designs), 1)), np.zeros((len(designs), 1, n))
     for k, design in enumerate(designs):
-        for s, scen in enumerate(scens):
-            const, coeff = cut_terms_from(scen, solver.solve(design, scen))
-            multi_c[k, s * groups // n_scen] += const / n_scen
-            multi_a[k, s * groups // n_scen] += coeff / n_scen
-            avg_c[k, 0] += const / n_scen
-            avg_a[k, 0] += coeff / n_scen
+        for batch in solver.batches(design, scens):
+            for row, (const, coeff) in enumerate(zip(*cut_terms_from(batch))):
+                s = batch.first + row
+                multi_c[k, s * groups // n_scen] += const / n_scen
+                multi_a[k, s * groups // n_scen] += coeff / n_scen
+                avg_c[k, 0] += const / n_scen
+                avg_a[k, 0] += coeff / n_scen
     return master_from_rows(inst, multi_c, multi_a), master_from_rows(inst, avg_c, avg_a)
 
 
@@ -326,7 +328,7 @@ def test_group_cuts_never_value_a_design_below_the_averaged_cut(seed, n_countrie
     for bits, value in master_values(inst, plants, multi).items():
         assert value >= averaged_values[bits] - 1e-9 * max(1.0, abs(value))
         design = Design(open=dict(zip(plants, bits)))
-        recourse = [solver.solve(design, scen).objective for scen in scens]
+        recourse = [solve_one(solver, design, scen).objective for scen in scens]
         sampled = float(fixed @ np.array(bits)) + sum(recourse) / n_scen
         assert value <= sampled + CUT_TOL * max(1.0, sampled)  # still a lower bound
     assert solve_master(multi)[1] >= solve_master(averaged)[1] - 1e-9

@@ -22,6 +22,7 @@ from helpers import (
     record_recourse_lps,
     recourse_cut_terms,
     small_random_instance,
+    solve_one,
     solve_recourse,
     tiny_instance,
 )
@@ -99,7 +100,7 @@ def test_matches_raw_formulation_oracle_on_random_instances():
         solver = RecourseSolver(inst)
         for scen in _ban_heavy_batch(inst, (1, trial), 3):
             for design in enumerate_designs(inst):
-                mine = solver.solve(design, scen).objective
+                mine = solve_one(solver, design, scen).objective
                 ref = raw_lp_objective(inst, design, scen)
                 assert mine == pytest.approx(ref, rel=1e-6, abs=1e-7)
 
@@ -111,7 +112,7 @@ def test_family_duals_reproduce_the_objective():
     ally_raw, ally_dist = inst.ally_supply_arcs(), inst.ally_distribution_arcs()
     for scen in _ban_heavy_batch(inst, (2, 0), 6):
         design = Design(open={j: 1 if n % 2 == 0 else 0 for n, j in enumerate(inst.plant_candidates)})
-        sol = solver.solve(design, scen)
+        sol = solve_one(solver, design, scen)
         a = {i: inst.supplier_capacity[i] * scen.supplier_avail[i] for i in inst.suppliers}
         b = {j: inst.plant_capacity[j] * scen.plant_avail[j] for j in inst.plant_candidates}
         total = sum(
@@ -165,7 +166,7 @@ def test_family_duals_are_feasible_for_the_row_formulation():
         u_cross = np.array([i != j for i, j in solver.u_arcs])  # a self arc has no gate
         v_cross = np.array([j != k for j, k in solver.v_arcs])
         for scen in _ban_heavy_batch(inst, (9, trial), 3):
-            sol = solver.solve(design, scen)
+            sol = solve_one(solver, design, scen)
             co = scen.price_increase
             tol = 1e-6
             lhs = sol.pi_supplier[u_sup] + sol.pi_balance[u_pl]
@@ -196,7 +197,7 @@ def test_duality_holds_at_the_capacity_scaling_bound():
     solver = RecourseSolver(inst)
     design = Design(open={j: 1 for j in inst.plant_candidates})
     for scen in _ban_heavy_batch(inst, (10, 0), 5):
-        sol = solver.solve(design, scen)  # enforces 1e-6 relative duality internally
+        sol = solve_one(solver, design, scen)  # enforces 1e-6 relative duality internally
         ref = raw_lp_objective(inst, design, scen)
         assert sol.objective == pytest.approx(ref, rel=1e-6)
 
@@ -205,7 +206,7 @@ def test_dual_sign_conventions():
     inst = small_random_instance(seed=31, n_countries=4)
     solver = RecourseSolver(inst)
     for scen in _ban_heavy_batch(inst, (3, 0), 4):
-        sol = solver.solve(Design(open={j: 1 for j in inst.plant_candidates}), scen)
+        sol = solve_one(solver, Design(open={j: 1 for j in inst.plant_candidates}), scen)
         assert np.all(sol.pi_supplier <= 1e-9)
         assert np.all(sol.pi_plant <= 1e-9)
         assert np.all(sol.pi_supply_gate <= 1e-9)
@@ -219,7 +220,7 @@ def test_cuts_underestimate_everywhere_and_touch_at_the_source():
         solver = RecourseSolver(inst)
         designs = list(enumerate_designs(inst))
         for scen in _ban_heavy_batch(inst, (4, trial), 2):
-            solutions = {d.key(): solver.solve(d, scen) for d in designs}
+            solutions = {d.key(): solve_one(solver, d, scen) for d in designs}
             for src in designs:
                 const, coeff = recourse_cut_terms(inst, scen, solutions[src.key()])
                 for tgt in designs:
@@ -244,7 +245,7 @@ def test_cuts_from_pooled_answers_are_valid_and_tight(monkeypatch):
         scens = sample_batch(
             inst, (42, trial), 5, RiskOverrides(export_prob_scale=0.45, ban_threshold=1.0)
         )
-        cold = {(d.key(), s): solver.solve(d, scen) for d in designs for s, scen in enumerate(scens)}
+        cold = {(d.key(), s): solve_one(solver, d, scen) for d in designs for s, scen in enumerate(scens)}
 
         def assert_valid_and_tight(cut, src, s):
             const, coeff = cut
@@ -257,9 +258,9 @@ def test_cuts_from_pooled_answers_are_valid_and_tight(monkeypatch):
         for src in designs:
             bases, pareto_bases = [], []
             for s, scen in enumerate(scens):
-                sol = solver.solve(src, scen, bases)
+                sol = solve_one(solver, src, scen, bases)
                 answered = not lps[-1][2].iterations
-                pareto = solver.solve(src, scen, pareto_bases, pareto=True)
+                pareto = solve_one(solver, src, scen, pareto_bases, pareto=True)
                 # the flows are the unperturbed answer's, to the bit
                 for name in ("raw", "drug", "unmet", "escalated", "surplus"):
                     assert getattr(pareto, name).tobytes() == getattr(sol, name).tobytes()
@@ -321,7 +322,7 @@ def test_objective_monotone_in_the_price_bump():
     solver = RecourseSolver(inst)
     design = Design(open={j: 1 for j in inst.plant_candidates})
     scen = _ban_heavy_batch(inst, (5, 0), 1)[0]
-    lows = solver.solve(design, scen).objective
+    lows = solve_one(solver, design, scen).objective
     import dataclasses
 
     bumped = dataclasses.replace(
@@ -329,7 +330,7 @@ def test_objective_monotone_in_the_price_bump():
         retained_exports=scen.retained_exports,
         price_increase=scen.price_increase + 3.0,
     )
-    highs = solver.solve(design, bumped).objective
+    highs = solve_one(solver, design, bumped).objective
     assert highs >= lows - 1e-9
 
 
@@ -350,7 +351,7 @@ def test_complete_recourse_never_fails():
             design = Design(open={j: int(rng.random() < 0.5) for j in inst.plant_candidates})
             if sum(design.open.values()) == 0:
                 design = Design(open={j: 1 for j in inst.plant_candidates})
-            sol = solver.solve(design, harsh)
+            sol = solve_one(solver, design, harsh)
             assert np.isfinite(sol.objective)
 
 
@@ -483,7 +484,7 @@ def test_generator_scale_instances_solve_cleanly():
     rng = np.random.default_rng(5)
     for scen in scens:
         for design in (designs[int(i)] for i in rng.integers(0, len(designs), 6)):
-            sol = solver.solve(design, scen)
+            sol = solve_one(solver, design, scen)
             ref = raw_lp_objective(inst, design, scen)
             assert sol.objective == pytest.approx(ref, rel=1e-6)
 
@@ -497,7 +498,7 @@ def test_randomized_sweep_has_no_violations():
                                                        // 4)]
         for scen in _ban_heavy_batch(inst, (8, trial), 3):
             for design in designs[:4]:
-                sol = solver.solve(design, scen)
+                sol = solve_one(solver, design, scen)
                 assert check_structural_theorems(inst, design, scen, sol) == []
                 checked += 1
     assert checked >= 200
@@ -511,7 +512,7 @@ def test_a_doctored_table_answer_fails_the_solve_checks(monkeypatch, doctor):
     lps = record_recourse_lps(monkeypatch)
     answers = {}
     solver = RecourseSolver(inst, answers)
-    solver.solve(design, scen)
+    solve_one(solver, design, scen)
     ((_, _, answer, _),) = lps
     changed = {
         "x": answer.x * 2.0,
@@ -521,4 +522,4 @@ def test_a_doctored_table_answer_fails_the_solve_checks(monkeypatch, doctor):
     ((key, _),) = answers.items()
     answers[key] = TableAnswer.of(dataclasses.replace(answer, **{doctor: changed[doctor]}))
     with pytest.raises(RecourseError):
-        solver.solve(design, scen)
+        solve_one(solver, design, scen)

@@ -27,6 +27,7 @@ from helpers import (
     record_recourse_lps,
     record_table_lookups,
     small_random_instance,
+    solve_one,
     tiny_instance,
 )
 
@@ -174,8 +175,8 @@ def test_evaluate_design_two_scenario_hand_arithmetic():
     design = Design(open={"a": 1, "b": 0})
     solver = RecourseSolver(inst)
     fixed = 10.0
-    q1 = solver.solve(design, s1).objective
-    q2 = solver.solve(design, s2).objective
+    q1 = solve_one(solver, design, s1).objective
+    q2 = solve_one(solver, design, s2).objective
     ev = evaluate_design(inst, design, [s1, s2], solver)
     mean = (fixed + q1 + fixed + q2) / 2
     var = ((fixed + q1 - mean) ** 2 + (fixed + q2 - mean) ** 2) / (1 * 2)

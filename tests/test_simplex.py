@@ -20,6 +20,7 @@ from helpers import (
     record_recourse_lps,
     reference_solve_bounded_lp,
     small_random_instance,
+    solve_one,
 )
 
 
@@ -145,7 +146,7 @@ def _sampled_recourse_lps(monkeypatch, solvers=None):
                 opened, closed = rng.choice(plants, size=2, replace=False)
                 open_map = {j: int(rng.integers(0, 2)) for j in plants}
                 open_map.update({opened: 1, closed: 0})
-                solver.solve(Design(open=open_map), scen)
+                solve_one(solver, Design(open=open_map), scen)
                 if solvers is not None:
                     solvers.append(solver)
     assert len(lps) == 72
