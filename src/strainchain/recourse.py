@@ -12,11 +12,13 @@ feasible for the row formulation, which is what makes the cuts valid at
 every design.
 
 Inside a solve everything is an array in the solver's fixed orders:
-suppliers, plant candidates and countries as in the instance, then
-supplier-plant arcs (`u_arcs`) and plant-country arcs (`v_arcs`), row-major.
-A scenario's design-independent arrays (capacities, the demand right-hand
-side net of retained exports, the shielded volumes and the gated arc
-capacities) are built on its first solve and kept with the scenario. The
+suppliers, plant candidates and countries as in the instance (a sampled
+`Scenario` is already arrays in these orders), then supplier-plant arcs
+(`u_arcs`) and plant-country arcs (`v_arcs`), row-major. The
+design-independent arrays of the scenarios solved at one design
+(capacities, the demand right-hand side net of retained exports, the
+shielded volumes and the gated arc capacities) are derived as (n, .) stacks
+in one step per `RecourseSolver.batches` call (`RecourseSolver.arrays`). The
 start basis (slacks, the S2 or E column of each country by the sign of its
 right-hand side, and each plant's self-distribution column) has a 0/+-1
 inverse in closed form, so a solve starts pivoting without factorizing; it
@@ -24,10 +26,10 @@ is built only when no pooled basis answers the LP.
 
 The scenarios solved at one design are solved in batches
 (`RecourseSolver.batches`), after the design is checked once. A
-`ScenarioBatch` stacks k scenarios' arrays, right-hand sides, costs, upper
-bounds and, in the decomposition, perturbed (b', u') as (k, .) arrays built
-in one step. `RecourseSolver.solve` answers one row with one simplex call
-and stores the answer in the batch's stacks. Once every row is answered,
+`ScenarioBatch` takes k rows of those stacks and builds its right-hand
+sides, costs, upper bounds and, in the decomposition, perturbed (b', u') as
+(k, .) arrays in one step. `RecourseSolver.solve` answers one row with one
+simplex call and stores the answer in the batch's stacks. Once every row is answered,
 `ScenarioBatch.check` derives the flows, the gate and tranche duals and the
 cut terms (`cut_terms_from`: (k,) constants and (k, J) coefficients in plant
 order) over the whole stack and checks every row's balances and strong
@@ -78,7 +80,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .instance import Design, Instance, validate_design
-from .scenarios import Scenario, ban_flags, retained_by_country
+from .scenarios import Scenario, retained_by_country
 from .simplex import SimplexError, solve_bounded_lp
 from .stats import ordered_sum
 
@@ -88,8 +90,6 @@ PARETO_STEP = 1e-6       # mu: a `pareto` solve perturbs the openings y to y + m
 CORE_POINT = 0.5         # y0, every plant half open: inside the hull of the designs
 BATCH_LIMIT = 1 << 12    # floats in one (k, n) stack of a batch, k <= BATCH_LIMIT // n (32 KB)
 
-GATE_SELF, GATE_ALLY, GATE_GENERAL = 0, 1, 2
-
 
 class RecourseError(RuntimeError):
     """Numerical failure inside a scenario solve."""
@@ -97,7 +97,8 @@ class RecourseError(RuntimeError):
 
 @dataclass(frozen=True)
 class ScenarioArrays:
-    """A scenario's design-independent data in the solver's orders."""
+    """Scenarios' design-independent data as (n, .) stacks, one row per
+    scenario, in the solver's orders."""
 
     a_sup: np.ndarray          # supplier capacity x availability
     b_pl: np.ndarray           # plant capacity x availability
@@ -107,6 +108,11 @@ class ScenarioArrays:
     shield: np.ndarray         # demand held at the baseline price while banning
     cap_u: np.ndarray          # origin capacity x export gate per supplier-plant arc
     cap_v: np.ndarray          # origin capacity x export gate per plant-country arc
+    price_increase: np.ndarray  # the scenario's bump on the escalated tranche, (n,)
+
+    def rows(self, start: int, stop: int) -> ScenarioArrays:
+        """The stacks' rows start to stop, as views."""
+        return ScenarioArrays(*(getattr(self, f.name)[start:stop] for f in fields(self)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,16 +150,16 @@ class RecourseSolution:
 
 # the fields a solution takes from a batch's stacks: `raw` to `pi_aux`
 SOLUTION_STACKS = tuple(f.name for f in fields(RecourseSolution))[3:-1]
-ARRAY_FIELDS = tuple(f.name for f in fields(ScenarioArrays))
 
 
 class ScenarioBatch:
     """The LPs of k scenarios at one design as (k, .) stacks; row s is the
     scenario `first + s` of the caller's list.
 
-    Built in one step: `data` holds the scenarios' `ScenarioArrays` stacked,
-    `b`, `cost` and `upper` the LPs, and `perturbed`, for a `pareto` batch,
-    their (b', u') at the openings perturbed toward CORE_POINT.
+    Built in one step: `data` holds the scenarios' rows of the solver's
+    `ScenarioArrays`, `b`, `cost` and `upper` the LPs, and `perturbed`, for
+    a `pareto` batch, their (b', u') at the openings perturbed toward
+    CORE_POINT.
     `RecourseSolver.solve` stores row s's answer in `x`, `row_duals`,
     `reduced_costs`, `objective` and `kept_dual`; `check` then sets the
     flows and multipliers, named as in `RecourseSolution`, and checks
@@ -165,19 +171,14 @@ class ScenarioBatch:
         solver: RecourseSolver,
         design: Design,
         y: np.ndarray,
-        scenarios: list,
+        data: ScenarioArrays,
         first: int,
         pareto: bool,
     ):
-        self.solver, self.design, self.y, self.first = solver, design, y, first
-        self.size = k = len(scenarios)
-        arrays = [solver.arrays(scen) for scen in scenarios]
-        self.data = ScenarioArrays(
-            *(np.stack([getattr(a, name) for a in arrays]) for name in ARRAY_FIELDS)
-        )
-        self.price_increase = np.array([scen.price_increase for scen in scenarios])
+        self.solver, self.design, self.y, self.data, self.first = solver, design, y, data, first
+        self.size = k = len(data.a_sup)
         self.cost = np.repeat(solver.base_cost[None], k, axis=0)
-        self.cost[:, solver.oS2 : solver.oS2 + solver.nK] += self.price_increase[:, None]
+        self.cost[:, solver.oS2 : solver.oS2 + solver.nK] += data.price_increase[:, None]
         self.b, self.upper = solver.rhs_and_bounds(self.data, y)
         self.perturbed = None
         if pareto:
@@ -276,24 +277,22 @@ class RecourseSolver:
 
         ally_raw = instance.ally_supply_arcs()
         ally_dist = instance.ally_distribution_arcs()
+        self_gate = 2 * nK
 
-        def gate_class(a: str, bnode: str, ally_arcs) -> int:
+        # each arc's export gate as a column of the gate table in `arrays`:
+        # its origin's general flag (2 k) or c1/ally flag (2 k + 1), or the
+        # last column, all ones, on a self arc
+        def gate_column(a: str, bnode: str, ally_arcs) -> int:
             if a == bnode:
-                return GATE_SELF
-            return GATE_ALLY if (a, bnode) in ally_arcs else GATE_GENERAL
+                return self_gate
+            return 2 * kpos[a] + ((a, bnode) in ally_arcs)
 
         self.u_arcs = [(i, j) for i in self.sup for j in self.pl]
         self.v_arcs = [(j, k) for j in self.pl for k in K]
-        self.u_gate = np.array(
-            [gate_class(i, j, ally_raw) for i, j in self.u_arcs], dtype=np.int8
-        )
-        self.v_gate = np.array(
-            [gate_class(j, k, ally_dist) for j, k in self.v_arcs], dtype=np.int8
-        )
-        self.u_cross = self.u_gate != GATE_SELF
-        self.v_cross = self.v_gate != GATE_SELF
-        self.u_origin = np.array([kpos[i] for i, _ in self.u_arcs])
-        self.v_origin = np.array([kpos[j] for j, _ in self.v_arcs])
+        self.u_gate = np.array([gate_column(i, j, ally_raw) for i, j in self.u_arcs])
+        self.v_gate = np.array([gate_column(j, k, ally_dist) for j, k in self.v_arcs])
+        self.u_cross = self.u_gate != self_gate
+        self.v_cross = self.v_gate != self_gate
         self.u_plant = np.tile(np.arange(nJ), nI)     # plant position of each arc
         self.v_plant = np.repeat(np.arange(nJ), nK)
 
@@ -372,40 +371,33 @@ class RecourseSolver:
 
     # -- scenario/design dependent pieces ---------------------------------
 
-    def arrays(self, scenario: Scenario) -> ScenarioArrays:
-        """The scenario's arrays, built on its first solve and kept with it."""
-        memo = scenario._arrays
-        if memo is not None and memo[0] is self.instance:
-            return memo[1]
-        nJ, nK = self.nJ, self.nK
-        a_sup = self.sup_capacity * np.array([scenario.supplier_avail[i] for i in self.sup])
-        b_pl = self.pl_capacity * np.array([scenario.plant_avail[j] for j in self.pl])
-        demand = np.array([scenario.demand[k] for k in self.K])
-        flags = ban_flags(self.instance, scenario.ban_general, scenario.ban_ally)
+    def arrays(self, scenarios: list[Scenario]) -> ScenarioArrays:
+        """The scenarios' design-independent arrays, (n, .) stacks in one step."""
+        n = len(scenarios)
+        a_sup = self.sup_capacity * np.stack([scen.supplier_avail for scen in scenarios])
+        b_pl = self.pl_capacity * np.stack([scen.plant_avail for scen in scenarios])
+        demand = np.stack([scen.demand for scen in scenarios])
+        flags = np.stack([scen.flags for scen in scenarios])
         kept = retained_by_country(self.instance, flags)
-        retained = kept[:, 0] + kept[:, 1]
-        gate_u = self._gate_values(self.u_gate, self.u_origin, flags)
-        gate_v = self._gate_values(self.v_gate, self.v_origin, flags)
-        arrays = ScenarioArrays(
+        retained = kept[..., 0] + kept[..., 1]
+        gates = np.ones((n, 2 * self.nK + 1))
+        gates[:, :-1] = flags.reshape(n, -1)
+        # origin capacity x gate, multiplied in place: arcs are origin-major
+        cap_u = gates[:, self.u_gate].reshape(n, self.nI, self.nJ)
+        cap_u *= a_sup[:, :, None]
+        cap_v = gates[:, self.v_gate].reshape(n, self.nJ, self.nK)
+        cap_v *= b_pl[:, :, None]
+        return ScenarioArrays(
             a_sup=a_sup,
             b_pl=b_pl,
             demand=demand,
             retained=retained,
             rhs_dem=demand - retained,
-            shield=demand * (1.0 - flags[:, 0]),
-            cap_u=np.repeat(a_sup, nJ) * gate_u,
-            cap_v=np.repeat(b_pl, nK) * gate_v,
+            shield=demand * (1.0 - flags[..., 0]),
+            cap_u=cap_u.reshape(n, -1),
+            cap_v=cap_v.reshape(n, -1),
+            price_increase=np.array([scen.price_increase for scen in scenarios]),
         )
-        object.__setattr__(scenario, "_arrays", (self.instance, arrays))
-        return arrays
-
-    def _gate_values(self, gate_class: np.ndarray, origin: np.ndarray, flags) -> np.ndarray:
-        vals = np.ones(len(gate_class))
-        general = gate_class == GATE_GENERAL
-        vals[general] = flags[origin[general], 0]
-        ally = gate_class == GATE_ALLY
-        vals[ally] = flags[origin[ally], 1]
-        return vals
 
     def start_basis(self, rhs_dem: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Feasible start basis for the given demand right-hand side, and its inverse."""
@@ -422,14 +414,17 @@ class RecourseSolver:
         """Solve the scenarios at a design; yields checked `ScenarioBatch`es
         of at most max(1, BATCH_LIMIT // n) rows, in scenario order.
 
-        Each LP is one `solve` call, given `pool`; with `pareto` the batches
-        also hold the LPs perturbed toward CORE_POINT (see `solve`).
+        The scenarios' arrays are derived once (`arrays`) and each batch
+        takes its rows. Each LP is one `solve` call, given `pool`; with
+        `pareto` the batches also hold the LPs perturbed toward CORE_POINT
+        (see `solve`).
         """
         validate_design(self.instance, design)
         y = np.array([float(design.open[j]) for j in self.pl])
+        data = self.arrays(scenarios)
         rows = max(1, BATCH_LIMIT // self.n)
         for first in range(0, len(scenarios), rows):
-            batch = ScenarioBatch(self, design, y, scenarios[first : first + rows], first, pareto)
+            batch = ScenarioBatch(self, design, y, data.rows(first, first + rows), first, pareto)
             for s in range(batch.size):
                 self.solve(batch, s, pool)
             batch.check()
@@ -548,9 +543,13 @@ def check_structural_theorems(
     ally_raw = instance.ally_supply_arcs()
     ally_dist = instance.ally_distribution_arcs()
     co = scenario.price_increase
-    g, ga = scenario.ban_general, scenario.ban_ally
-    d = scenario.demand
     s = solution.solver
+    flags = scenario.flags.tolist()
+    g = {k: f[0] for k, f in zip(s.K, flags)}    # general flag
+    ga = {k: f[1] for k, f in zip(s.K, flags)}   # c1/ally channel flag
+    d = dict(zip(s.K, scenario.demand.tolist()))
+    supplier_avail = dict(zip(s.sup, scenario.supplier_avail.tolist()))
+    plant_avail = dict(zip(s.pl, scenario.plant_avail.tolist()))
     drug_flow = dict(zip(s.v_arcs, solution.drug.tolist()))
     shortage = dict(zip(s.K, solution.unmet.tolist()))
     excess = dict(zip(s.K, solution.surplus.tolist()))
@@ -610,7 +609,7 @@ def check_structural_theorems(
             continue
         chain_ok = False
         for i in instance.suppliers:
-            if instance.supplier_capacity[i] * scenario.supplier_avail[i] <= tol:
+            if instance.supplier_capacity[i] * supplier_avail[i] <= tol:
                 continue
             if not route_open(i, j, ally_raw):
                 continue
@@ -633,7 +632,7 @@ def check_structural_theorems(
     for j in instance.plant_candidates:
         if not design.open[j]:
             continue
-        b_eff = instance.plant_capacity[j] * scenario.plant_avail[j]
+        b_eff = instance.plant_capacity[j] * plant_avail[j]
         for k2 in instance.countries:
             flow = drug_flow[(j, k2)]
             if flow <= tol * (1.0 + d[k2]):

@@ -324,17 +324,18 @@ def dump_scenarios(instance: Instance, scenarios: list[Scenario], path) -> None:
         + [f"ban_ally:{k}" for k in instance.ally_group]
         + ["retained_exports", "price_increase"]
     )
+    allies = [instance.countries.index(k) for k in instance.ally_group]
     with _artifact_file(Path(path)) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for w, s in enumerate(scenarios):
             row = (
                 [w, repr(s.probability)]
-                + [repr(s.supplier_avail[i]) for i in instance.suppliers]
-                + [repr(s.plant_avail[j]) for j in instance.plant_candidates]
-                + [repr(s.demand[k]) for k in instance.countries]
-                + [s.ban_general[k] for k in instance.countries]
-                + [s.ban_ally[k] for k in instance.ally_group]
+                + [repr(v) for v in s.supplier_avail.tolist()]
+                + [repr(v) for v in s.plant_avail.tolist()]
+                + [repr(v) for v in s.demand.tolist()]
+                + s.flags[:, 0].tolist()
+                + s.flags[allies, 1].tolist()
                 + [repr(s.retained_exports), repr(s.price_increase)]
             )
             writer.writerow(row)

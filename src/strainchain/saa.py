@@ -224,7 +224,7 @@ def evaluate_design(
         demand = ordered_sum(batch.data.demand / n, demand)
         base_short = ordered_sum((solver.shortage_price * batch.unmet / n).ravel(), base_short)
         esc_short = ordered_sum(
-            (batch.price_increase[:, None] * batch.escalated / n).ravel(), esc_short
+            (batch.data.price_increase[:, None] * batch.escalated / n).ravel(), esc_short
         )
         raw_flow = ordered_sum(batch.raw / n, raw_flow)
         raw_cost = ordered_sum((solver.raw_unit_cost * batch.raw / n).ravel(), raw_cost)

@@ -7,6 +7,12 @@ availability fraction falls below the instance's ban threshold; allies get a
 second Bernoulli chance when the general flag comes up banned. Retained
 exports and the induced unit-price bump are computed last.
 
+A scenario is arrays in the instance's orders, which are the solver's:
+suppliers, plant candidates and countries. Its export flags are one
+(countries x 2) array: column 0 gates general exports, column 1 the c1/ally
+channel, which follows the ally flag inside the ally group and the general
+flag elsewhere.
+
 Streams: one root seed; each scenario draws from its own counter-derived
 substream so batches are reproducible regardless of evaluation order or
 parallelism. Ban flags are drawn after everything else, which keeps
@@ -16,7 +22,7 @@ numbers).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,67 +42,49 @@ class RiskOverrides:
     alliances_off: bool = False           # ally flags track the general flags
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
-    supplier_avail: dict        # supplier -> capacity fraction in [0, 1]
-    plant_avail: dict           # plant -> capacity fraction in [0, 1]
-    demand: dict                # country -> units, >= 0
-    ban_general: dict           # country -> 0/1, 1 = exports allowed
-    ban_ally: dict              # ally-group country -> 0/1, 1 = exports to allies allowed
+    """One sampled scenario as arrays in the instance's orders."""
+
+    supplier_avail: np.ndarray  # (suppliers,) capacity fraction in [0, 1]
+    plant_avail: np.ndarray     # (plant candidates,) capacity fraction in [0, 1]
+    demand: np.ndarray          # (countries,) units, >= 0
+    flags: np.ndarray           # (countries, 2) int8: general, c1/ally channel; 1 = open
     retained_exports: float     # units kept home by the bans
     price_increase: float       # money/unit bump applied to the escalated shortage tranche
     probability: float = 1.0
-    # (instance, arrays) memo of RecourseSolver.arrays, filled in by the first
-    # solve; dataclasses.replace starts a copy without it
-    _arrays: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def validate_scenario(instance: Instance, scen: Scenario) -> None:
-    """Assert the documented scenario invariants; used by tests and loaders."""
-    for k in instance.ally_group:
-        if scen.ban_general[k] == 1 and scen.ban_ally[k] != 1:
+    """Assert the documented scenario invariants; used by tests."""
+    ally_group = set(instance.ally_group)
+    for k, (general, channel) in zip(instance.countries, scen.flags.tolist()):
+        if k not in ally_group and channel != general:
+            raise ValueError(f"c1-channel flag for {k!r} must equal its general flag")
+        if k in ally_group and general == 1 and channel != 1:
             raise ValueError(f"ally flag for {k!r} must be 1 when the general flag is 1")
     if scen.retained_exports < 0:
         raise ValueError("retained_exports negative")
     expected = price_increase(instance, scen.retained_exports)
     if abs(scen.price_increase - expected) > PRICE_LINK_TOL * max(1.0, abs(expected)):
         raise ValueError("price_increase inconsistent with beta * retained_exports")
-    avg = sum(scen.supplier_avail.values()) / len(instance.suppliers)
-    if avg >= instance.ban_threshold:
-        flags = list(scen.ban_general.values()) + list(scen.ban_ally.values())
-        if any(f != 1 for f in flags):
-            raise ValueError("ban flags present although average availability met the threshold")
-
-
-def ban_flags(instance: Instance, ban_general: dict, ban_ally: dict) -> np.ndarray:
-    """Export flags per country and channel, (countries x 2) in country order.
-
-    Column 0 gates general exports; column 1 gates exports on the c1/ally
-    channel, which follows the ally flag inside the ally group and the
-    general flag elsewhere.
-    """
-    ally_group = set(instance.ally_group)
-    return np.array(
-        [
-            (ban_general[k], ban_ally[k] if k in ally_group else ban_general[k])
-            for k in instance.countries
-        ],
-        dtype=float,
-    )
+    avg = sum(scen.supplier_avail.tolist()) / len(instance.suppliers)
+    if avg >= instance.ban_threshold and (scen.flags != 1).any():
+        raise ValueError("ban flags present although average availability met the threshold")
 
 
 def retained_by_country(instance: Instance, flags: np.ndarray) -> np.ndarray:
-    """Export volume each country keeps home, (countries x 2) as in `ban_flags`."""
+    """Export volume each country keeps home, in the layout of `flags`:
+    (countries x 2), or (n x countries x 2) for n scenarios."""
     exports = np.array(
         [(instance.exports_general[k], instance.exports_to_c1[k]) for k in instance.countries]
     )
     return exports * (1.0 - flags)
 
 
-def retained_exports(instance: Instance, ban_general: dict, ban_ally: dict) -> float:
+def retained_exports(instance: Instance, flags: np.ndarray) -> float:
     """Total exogenous export volume kept inside banning countries."""
-    kept = retained_by_country(instance, ban_flags(instance, ban_general, ban_ally))
-    return float(ordered_sum(kept.ravel()))
+    return float(ordered_sum(retained_by_country(instance, flags).ravel()))
 
 
 def price_increase(instance: Instance, retained: float) -> float:
@@ -106,15 +94,14 @@ def price_increase(instance: Instance, retained: float) -> float:
     return instance.beta * retained
 
 
-def _effective_export_prob(instance: Instance, overrides: RiskOverrides) -> dict:
+def _effective_export_prob(instance: Instance, overrides: RiskOverrides) -> list:
+    """Each country's probability of keeping exports open, in country order."""
+    prob = [instance.export_prob[k] for k in instance.countries]
     if overrides.force_export_prob_one:
-        return {k: 1.0 for k in instance.countries}
+        return [1.0] * len(prob)
     if overrides.export_prob_scale is not None:
-        return {
-            k: min(1.0, max(0.0, p * overrides.export_prob_scale))
-            for k, p in instance.export_prob.items()
-        }
-    return dict(instance.export_prob)
+        return [min(1.0, max(0.0, p * overrides.export_prob_scale)) for p in prob]
+    return prob
 
 
 def sample_scenario(
@@ -125,50 +112,44 @@ def sample_scenario(
 ) -> Scenario:
     overrides = overrides or RiskOverrides()
 
-    supplier_avail = {}
+    supplier_avail = []
     for i in instance.suppliers:
         strain = instance.supplier_strain_pmf[i].sample(rng)
         up = 1.0 if rng.random() < instance.supplier_avail_prob[i] else 0.0
-        supplier_avail[i] = strain * up
-    plant_avail = {}
+        supplier_avail.append(strain * up)
+    plant_avail = []
     for j in instance.plant_candidates:
         strain = instance.plant_strain_pmf[j].sample(rng)
         up = 1.0 if rng.random() < instance.plant_avail_prob[j] else 0.0
-        plant_avail[j] = strain * up
+        plant_avail.append(strain * up)
 
-    demand = {
-        k: max(0.0, float(rng.normal(instance.demand_mean[k], instance.demand_sd[k])))
+    demand = [
+        max(0.0, float(rng.normal(instance.demand_mean[k], instance.demand_sd[k])))
         for k in instance.countries
-    }
+    ]
 
     threshold = (
         instance.ban_threshold if overrides.ban_threshold is None else overrides.ban_threshold
     )
-    avg_avail = sum(supplier_avail.values()) / len(instance.suppliers)
+    avg_avail = sum(supplier_avail) / len(instance.suppliers)
 
-    ally_group = instance.ally_group
+    flags = np.ones((len(instance.countries), 2), dtype=np.int8)
     if avg_avail < threshold:
-        prob = _effective_export_prob(instance, overrides)
-        ban_general = {k: (1 if rng.random() < prob[k] else 0) for k in instance.countries}
-        ban_ally = {}
-        for k in ally_group:
-            if ban_general[k] == 1:
-                ban_ally[k] = 1
-            elif overrides.alliances_off:
-                ban_ally[k] = ban_general[k]
-            else:
-                ban_ally[k] = 1 if rng.random() < instance.ally_export_prob[k] else 0
-    else:
-        ban_general = {k: 1 for k in instance.countries}
-        ban_ally = {k: 1 for k in ally_group}
+        # a general flag sets both columns; a banned ally then draws its channel
+        for n, p in enumerate(_effective_export_prob(instance, overrides)):
+            flags[n] = 1 if rng.random() < p else 0
+        if not overrides.alliances_off:
+            for k in instance.ally_group:
+                n = instance.countries.index(k)
+                if flags[n, 0] == 0:
+                    flags[n, 1] = 1 if rng.random() < instance.ally_export_prob[k] else 0
 
-    retained = retained_exports(instance, ban_general, ban_ally)
+    retained = retained_exports(instance, flags)
     return Scenario(
-        supplier_avail=supplier_avail,
-        plant_avail=plant_avail,
-        demand=demand,
-        ban_general=ban_general,
-        ban_ally=ban_ally,
+        supplier_avail=np.array(supplier_avail),
+        plant_avail=np.array(plant_avail),
+        demand=np.array(demand),
+        flags=flags,
         retained_exports=retained,
         price_increase=price_increase(instance, retained),
         probability=probability,

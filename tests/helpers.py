@@ -6,10 +6,13 @@ and hands it to scipy's HiGHS, completely bypassing the package's LP path.
 The dict-keyed retained-export, cut-term and evaluation loops are the
 references the package's array formulas must reproduce exactly; so are the
 former per-scenario `evaluate_design` and `run_lshaped` sums (the batched
-ones must equal them bit for bit), the former single-cut enumeration
-master, the former recursive branch and bound, the full-pricing,
-refactorizing simplex and the evaluate command's per-country CSV writer
-below.
+ones must equal them bit for bit), the former dict sampler
+(`reference_sample_scenario`, whose draws the array sampler must equal in
+order), the former single-cut enumeration master, the former recursive
+branch and bound, the full-pricing, refactorizing simplex and the evaluate
+command's per-country CSV writer below.
+The references read a scenario through its one dict view, `scenario_maps`,
+and `plain_scenario` builds a scenario's arrays from dicts.
 `count_calls` counts the calls made through one module binding, to show
 what a memo saved or that no factorization ran; `record_recourse_lps`
 keeps each scenario LP's inputs and answer for a replay, and
@@ -54,7 +57,7 @@ from strainchain.recourse import (
     RecourseSolver,
     cut_terms_from,
 )
-from strainchain.scenarios import RiskOverrides, retained_exports, sample_batch
+from strainchain.scenarios import RiskOverrides, price_increase, retained_exports, sample_batch
 from strainchain.stats import ordered_sum
 from strainchain.simplex import (
     DEGENERATE_STEP,
@@ -76,12 +79,124 @@ def country_retained(instance: Instance, k: str, ban_general: dict, ban_ally: di
     return kept
 
 
+@dataclasses.dataclass(frozen=True)
+class ScenarioMaps:
+    """A scenario keyed by supplier, plant and country: the former dict form."""
+
+    supplier_avail: dict        # supplier -> capacity fraction in [0, 1]
+    plant_avail: dict           # plant -> capacity fraction in [0, 1]
+    demand: dict                # country -> units, >= 0
+    ban_general: dict           # country -> 0/1, 1 = exports allowed
+    ban_ally: dict              # ally-group country -> 0/1, 1 = exports to allies allowed
+    retained_exports: float
+    price_increase: float
+    probability: float = 1.0
+
+
+def reference_flags(instance: Instance, ban_general: dict, ban_ally: dict) -> np.ndarray:
+    """The (countries x 2) int8 flags of dict flags: the general flag, then
+    the c1/ally channel, which is the ally flag inside the ally group and the
+    general flag elsewhere."""
+    ally_group = set(instance.ally_group)
+    return np.array(
+        [
+            (ban_general[k], ban_ally[k] if k in ally_group else ban_general[k])
+            for k in instance.countries
+        ],
+        dtype=np.int8,
+    )
+
+
+def scenario_maps(instance: Instance, scenario: Scenario) -> ScenarioMaps:
+    """The scenario's arrays read by position into dicts."""
+    general = scenario.flags[:, 0].tolist()
+    channel = dict(zip(instance.countries, scenario.flags[:, 1].tolist()))
+    return ScenarioMaps(
+        supplier_avail=dict(zip(instance.suppliers, scenario.supplier_avail.tolist())),
+        plant_avail=dict(zip(instance.plant_candidates, scenario.plant_avail.tolist())),
+        demand=dict(zip(instance.countries, scenario.demand.tolist())),
+        ban_general=dict(zip(instance.countries, general)),
+        ban_ally={k: channel[k] for k in instance.ally_group},
+        retained_exports=scenario.retained_exports,
+        price_increase=scenario.price_increase,
+        probability=scenario.probability,
+    )
+
+
+def reference_sample_scenario(
+    instance: Instance,
+    rng: np.random.Generator,
+    overrides: RiskOverrides | None = None,
+    probability: float = 1.0,
+) -> ScenarioMaps:
+    """The former dict sampler, whose draws the package's must equal in order."""
+    overrides = overrides or RiskOverrides()
+
+    supplier_avail = {}
+    for i in instance.suppliers:
+        strain = instance.supplier_strain_pmf[i].sample(rng)
+        up = 1.0 if rng.random() < instance.supplier_avail_prob[i] else 0.0
+        supplier_avail[i] = strain * up
+    plant_avail = {}
+    for j in instance.plant_candidates:
+        strain = instance.plant_strain_pmf[j].sample(rng)
+        up = 1.0 if rng.random() < instance.plant_avail_prob[j] else 0.0
+        plant_avail[j] = strain * up
+
+    demand = {
+        k: max(0.0, float(rng.normal(instance.demand_mean[k], instance.demand_sd[k])))
+        for k in instance.countries
+    }
+
+    threshold = (
+        instance.ban_threshold if overrides.ban_threshold is None else overrides.ban_threshold
+    )
+    avg_avail = sum(supplier_avail.values()) / len(instance.suppliers)
+
+    ally_group = instance.ally_group
+    if avg_avail < threshold:
+        if overrides.force_export_prob_one:
+            prob = {k: 1.0 for k in instance.countries}
+        elif overrides.export_prob_scale is not None:
+            prob = {
+                k: min(1.0, max(0.0, p * overrides.export_prob_scale))
+                for k, p in instance.export_prob.items()
+            }
+        else:
+            prob = dict(instance.export_prob)
+        ban_general = {k: (1 if rng.random() < prob[k] else 0) for k in instance.countries}
+        ban_ally = {}
+        for k in ally_group:
+            if ban_general[k] == 1:
+                ban_ally[k] = 1
+            elif overrides.alliances_off:
+                ban_ally[k] = ban_general[k]
+            else:
+                ban_ally[k] = 1 if rng.random() < instance.ally_export_prob[k] else 0
+    else:
+        ban_general = {k: 1 for k in instance.countries}
+        ban_ally = {k: 1 for k in ally_group}
+
+    retained = retained_exports(instance, reference_flags(instance, ban_general, ban_ally))
+    return ScenarioMaps(
+        supplier_avail=supplier_avail,
+        plant_avail=plant_avail,
+        demand=demand,
+        ban_general=ban_general,
+        ban_ally=ban_ally,
+        retained_exports=retained,
+        price_increase=price_increase(instance, retained),
+        probability=probability,
+    )
+
+
 def reference_cut_terms(instance: Instance, scenario: Scenario, solution) -> tuple[float, dict]:
     """Cut terms from the solution's arrays read by position, one `+=` at a time.
 
     The sums are explicit loops because `sum()` of floats is compensated
     from Python 3.12 on and would round differently.
     """
+    scenario = scenario_maps(instance, scenario)
     s = solution.solver
     a_sup = {
         i: instance.supplier_capacity[i] * scenario.supplier_avail[i]
@@ -143,6 +258,7 @@ def reference_evaluation(instance: Instance, design: Design, scenarios, solver) 
     for scen in scenarios:
         sol = solve_one(solver, design, scen)
         samples.append(fixed + sol.objective)
+        scen = scenario_maps(instance, scen)
         unmet, escalated = sol.unmet.tolist(), sol.escalated.tolist()
         for k in instance.countries:
             short = unmet[solver.kpos[k]]
@@ -187,7 +303,7 @@ def reference_evaluate_design(instance: Instance, design: Design, scenarios, sol
         sol = solve_one(solver, design, scen, pool)
         samples.append(fixed + sol.objective)
         shortage += sol.unmet / n
-        demand += solver.arrays(scen).demand / n
+        demand += scen.demand / n
         base_short = ordered_sum(solver.shortage_price * sol.unmet / n, base_short)
         esc_short = ordered_sum(scen.price_increase * sol.escalated / n, esc_short)
         raw_flow += sol.raw / n
@@ -324,7 +440,7 @@ def tiny_instance(
 
 
 def plain_scenario(inst: Instance, demand=None, sup=None, pl=None, g=None, ga=None) -> Scenario:
-    """Scenario with explicit fields; retained exports and price derived."""
+    """Scenario built from dicts with explicit fields; retained exports and price derived."""
     demand = demand or {k: inst.demand_mean[k] for k in inst.countries}
     sup = sup or {i: 1.0 for i in inst.suppliers}
     pl = pl or {j: 1.0 for j in inst.plant_candidates}
@@ -333,13 +449,13 @@ def plain_scenario(inst: Instance, demand=None, sup=None, pl=None, g=None, ga=No
     for k in inst.ally_group:  # an open general flag always opens the ally flag
         if g[k] == 1:
             ga[k] = 1
-    retained = retained_exports(inst, g, ga)
+    flags = reference_flags(inst, g, ga)
+    retained = retained_exports(inst, flags)
     return Scenario(
-        supplier_avail=sup,
-        plant_avail=pl,
-        demand=demand,
-        ban_general=g,
-        ban_ally=ga,
+        supplier_avail=np.array([sup[i] for i in inst.suppliers], dtype=float),
+        plant_avail=np.array([pl[j] for j in inst.plant_candidates], dtype=float),
+        demand=np.array([demand[k] for k in inst.countries], dtype=float),
+        flags=flags,
         retained_exports=retained,
         price_increase=inst.beta * retained,
         probability=1.0,
@@ -433,15 +549,16 @@ def corner_scenario(inst, seed, corner):
         inst, (seed,), 1, RiskOverrides(export_prob_scale=0.4, ban_threshold=1.0)
     )[0]
     if corner == "suppliers_down":
-        return dataclasses.replace(scen, supplier_avail={i: 0.0 for i in inst.suppliers})
+        return dataclasses.replace(scen, supplier_avail=np.zeros(len(inst.suppliers)))
     if corner == "zero_demand":
-        return dataclasses.replace(scen, demand={k: 0.0 for k in inst.countries})
+        return dataclasses.replace(scen, demand=np.zeros(len(inst.countries)))
     if corner == "all_banning":
+        maps = scenario_maps(inst, scen)
         return plain_scenario(
             inst,
-            demand=scen.demand,
-            sup=scen.supplier_avail,
-            pl=scen.plant_avail,
+            demand=maps.demand,
+            sup=maps.supplier_avail,
+            pl=maps.plant_avail,
             g={k: 0 for k in inst.countries},
             ga={k: 0 for k in inst.ally_group},
         )
@@ -484,6 +601,7 @@ def enumeration_optimum(instance, scenarios, solver=None, forced=None):
 
 def raw_lp_objective(inst: Instance, design: Design, scen: Scenario) -> float:
     """Independent oracle: explicit row formulation solved by scipy HiGHS."""
+    scen = scenario_maps(inst, scen)
     I, J, K = list(inst.suppliers), list(inst.plant_candidates), list(inst.countries)
     ally_raw, ally_dist = inst.ally_supply_arcs(), inst.ally_distribution_arcs()
     nI, nJ, nK = len(I), len(J), len(K)

@@ -34,6 +34,7 @@ from helpers import (
     enumeration_optimum,
     plain_scenario,
     recourse_cut_terms,
+    reference_flags,
     small_random_instance,
     solve_one,
     tiny_instance,
@@ -260,7 +261,7 @@ def test_criterion_5_retained_exports_closed_form_and_gate():
     )
     g = {"c1": 0, "c2": 1, "c3": 0, "c4": 1, "c5": 1, "c6": 1}
     ga = {"c1": 1, "c2": 1, "c4": 1}
-    retained = retained_exports(inst, g, ga)
+    retained = retained_exports(inst, reference_flags(inst, g, ga))
     e = inst.exports_general
     ec1 = inst.exports_to_c1
     assert retained == e["c1"] + e["c3"] + ec1["c3"]  # exact closed form
@@ -270,7 +271,7 @@ def test_criterion_5_retained_exports_closed_form_and_gate():
     risky = small_random_instance(seed=5150, n_countries=5)
     gated = 0
     for scen in sample_batch(risky, (43, 0), 400, RiskOverrides(export_prob_scale=0.3)):
-        avg = sum(scen.supplier_avail.values()) / len(risky.suppliers)
+        avg = sum(scen.supplier_avail.tolist()) / len(risky.suppliers)
         if avg >= risky.ban_threshold:
             gated += 1
             assert scen.retained_exports == 0.0

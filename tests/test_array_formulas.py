@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from strainchain import RecourseSolver, evaluate_design, sample_batch
 from strainchain.recourse import cut_terms_from
-from strainchain.scenarios import ban_flags, retained_by_country, retained_exports
+from strainchain.scenarios import retained_by_country, retained_exports
 
 from helpers import (
     CORNERS,
@@ -19,6 +19,7 @@ from helpers import (
     design_from_code,
     reference_cut_terms,
     reference_evaluation,
+    scenario_maps,
     small_random_instance,
     solve_one,
     tiny_instance,
@@ -100,8 +101,9 @@ def test_cut_terms_add_in_the_reference_order(
 def test_retained_exports_equal_the_dict_reference(inst_seed, n_countries, scen_seed, corner):
     inst = small_random_instance(inst_seed, n_countries)
     scen = corner_scenario(inst, scen_seed, corner)
-    g, ga = scen.ban_general, scen.ban_ally
-    kept = retained_by_country(inst, ban_flags(inst, g, ga))
+    maps = scenario_maps(inst, scen)
+    g, ga = maps.ban_general, maps.ban_ally
+    kept = retained_by_country(inst, scen.flags)
     assert (kept[:, 0] + kept[:, 1]).tolist() == [
         country_retained(inst, k, g, ga) for k in inst.countries
     ]
@@ -110,7 +112,7 @@ def test_retained_exports_equal_the_dict_reference(inst_seed, n_countries, scen_
     for k in inst.countries:
         total += inst.exports_general[k] * (1 - g[k])
         total += inst.exports_to_c1[k] * (1 - (ga[k] if k in ally_group else g[k]))
-    assert retained_exports(inst, g, ga) == total
+    assert retained_exports(inst, scen.flags) == total
 
 
 @settings(EXACT, max_examples=20)

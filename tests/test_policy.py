@@ -101,10 +101,11 @@ def test_alliance_second_chance_relieves_ally_shortage_on_paired_seeds():
 
 def test_export_ban_case_overrides():
     inst = small_random_instance(seed=92, n_countries=4)
-    assert _effective_export_prob(inst, RiskOverrides(force_export_prob_one=True)) == {
-        k: 1.0 for k in inst.countries
-    }
-    scaled = _effective_export_prob(inst, RiskOverrides(export_prob_scale=0.8))
+    forced = _effective_export_prob(inst, RiskOverrides(force_export_prob_one=True))
+    assert dict(zip(inst.countries, forced)) == {k: 1.0 for k in inst.countries}
+    scaled = dict(
+        zip(inst.countries, _effective_export_prob(inst, RiskOverrides(export_prob_scale=0.8)))
+    )
     for k in inst.countries:
         assert scaled[k] == pytest.approx(0.8 * inst.export_prob[k])
 

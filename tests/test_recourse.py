@@ -21,6 +21,7 @@ from helpers import (
     raw_lp_objective,
     record_recourse_lps,
     recourse_cut_terms,
+    scenario_maps,
     small_random_instance,
     solve_one,
     solve_recourse,
@@ -76,7 +77,7 @@ def test_export_ban_cuts_off_the_non_ally_and_shields_the_home_market():
     assert sol.unmet[s.kpos["b"]] == pytest.approx(40.0)
     # home shortage stays below its banned demand, so the bump tranche is zero
     assert sol.escalated[s.kpos["a"]] == pytest.approx(0.0)
-    assert sol.unmet[s.kpos["a"]] <= scen.demand["a"] + 1e-9
+    assert sol.unmet[s.kpos["a"]] <= scenario_maps(inst, scen).demand["a"] + 1e-9
 
 
 def test_no_plant_capacity_means_pure_shortage():
@@ -113,6 +114,7 @@ def test_family_duals_reproduce_the_objective():
     for scen in _ban_heavy_batch(inst, (2, 0), 6):
         design = Design(open={j: 1 if n % 2 == 0 else 0 for n, j in enumerate(inst.plant_candidates)})
         sol = solve_one(solver, design, scen)
+        scen = scenario_maps(inst, scen)
         a = {i: inst.supplier_capacity[i] * scen.supplier_avail[i] for i in inst.suppliers}
         b = {j: inst.plant_capacity[j] * scen.plant_avail[j] for j in inst.plant_candidates}
         total = sum(
@@ -341,10 +343,10 @@ def test_complete_recourse_never_fails():
         rng = np.random.default_rng(trial)
         for scen in _ban_heavy_batch(inst, (6, trial), 3):
             # also zero out some capacities entirely
-            killed = dict(scen.supplier_avail)
-            for i in inst.suppliers:
+            killed = scen.supplier_avail.copy()
+            for n in range(len(inst.suppliers)):
                 if rng.random() < 0.3:
-                    killed[i] = 0.0
+                    killed[n] = 0.0
             import dataclasses
 
             harsh = dataclasses.replace(scen, supplier_avail=killed)

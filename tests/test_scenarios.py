@@ -1,10 +1,15 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strainchain import (
     RiskOverrides,
+    Scenario,
+    dump_scenarios,
     generate_synthetic_instance,
     price_increase,
     retained_exports,
@@ -14,7 +19,26 @@ from strainchain import (
 )
 from strainchain.scenarios import scenario_rng
 
-from helpers import tiny_instance
+from helpers import (
+    plain_scenario,
+    reference_flags,
+    reference_sample_scenario,
+    scenario_maps,
+    small_random_instance,
+    tiny_instance,
+)
+
+
+def same_scenario(a: Scenario, b: Scenario) -> bool:
+    """Field by field, bit for bit."""
+    return all(
+        np.asarray(getattr(a, f.name)).tobytes() == np.asarray(getattr(b, f.name)).tobytes()
+        for f in dataclasses.fields(Scenario)
+    )
+
+
+def same_batch(a: list, b: list) -> bool:
+    return len(a) == len(b) and all(same_scenario(x, y) for x, y in zip(a, b))
 
 
 def certain_instance(**kw):
@@ -25,10 +49,11 @@ def certain_instance(**kw):
 def test_no_uncertainty_instance_yields_flat_scenarios():
     inst = certain_instance()
     for scen in sample_batch(inst, seed=1, n=20):
-        assert all(v == 1.0 for v in scen.supplier_avail.values())
-        assert all(v == 1.0 for v in scen.plant_avail.values())
-        assert all(f == 1 for f in scen.ban_general.values())
-        assert all(f == 1 for f in scen.ban_ally.values())
+        maps = scenario_maps(inst, scen)
+        assert all(v == 1.0 for v in maps.supplier_avail.values())
+        assert all(v == 1.0 for v in maps.plant_avail.values())
+        assert all(f == 1 for f in maps.ban_general.values())
+        assert all(f == 1 for f in maps.ban_ally.values())
         assert scen.retained_exports == 0.0
         assert scen.price_increase == 0.0
         validate_scenario(inst, scen)
@@ -38,14 +63,14 @@ def test_zero_availability_probability_disables_the_plant():
     inst = tiny_instance(countries=("a", "b"))
     inst = inst.perturbed(plant_avail_prob={"a": 0.0, "b": 1.0})
     for scen in sample_batch(inst, seed=2, n=50):
-        assert scen.plant_avail["a"] == 0.0
+        assert scenario_maps(inst, scen).plant_avail["a"] == 0.0
 
 
 def test_disruption_frequency_matches_bernoulli_rate():
     # strain mass at 1 so the capacity factor is exactly the Bernoulli draw
     inst = tiny_instance(countries=("a",))
     inst = inst.perturbed(plant_avail_prob={"a": 0.97})
-    draws = [s.plant_avail["a"] for s in sample_batch(inst, seed=3, n=1000)]
+    draws = [scenario_maps(inst, s).plant_avail["a"] for s in sample_batch(inst, seed=3, n=1000)]
     mean = np.mean(draws)
     # +-3 sigma band around 0.97 for 1000 Bernoulli draws
     assert 0.955 <= mean <= 0.985
@@ -66,7 +91,7 @@ def test_retained_exports_zero_when_everything_is_open():
     inst = exports_fixture()
     g = {k: 1 for k in inst.countries}
     ga = {k: 1 for k in inst.ally_group}
-    assert retained_exports(inst, g, ga) == 0.0
+    assert retained_exports(inst, reference_flags(inst, g, ga)) == 0.0
 
 
 def test_retained_exports_hand_computed_mixed_flags():
@@ -75,7 +100,7 @@ def test_retained_exports_hand_computed_mixed_flags():
     g = {"c1": 0, "c2": 1, "c3": 0}
     ga = {"c1": 1, "c2": 1}
     # general tranche: 10 + 8; c1-channel tranche: only c3's (non-ally, gate g)
-    assert retained_exports(inst, g, ga) == pytest.approx(18.0 + 6.0)
+    assert retained_exports(inst, reference_flags(inst, g, ga)) == pytest.approx(18.0 + 6.0)
 
 
 def test_retained_exports_full_ally_pattern():
@@ -88,7 +113,7 @@ def test_retained_exports_full_ally_pattern():
     )
     g = {"c1": 0, "c2": 1, "c3": 0}
     ga = {"c1": 1, "c2": 1}
-    assert retained_exports(inst, g, ga) == pytest.approx(24.0)
+    assert retained_exports(inst, reference_flags(inst, g, ga)) == pytest.approx(24.0)
 
 
 def test_price_increase_is_linear_with_hand_values():
@@ -118,23 +143,25 @@ def test_forcing_export_probability_one_suppresses_every_ban():
     inst = risky_instance()
     batch = sample_batch(inst, seed=4, n=100, overrides=RiskOverrides(force_export_prob_one=True))
     for scen in batch:
-        assert all(f == 1 for f in scen.ban_general.values())
-        assert all(f == 1 for f in scen.ban_ally.values())
+        maps = scenario_maps(inst, scen)
+        assert all(f == 1 for f in maps.ban_general.values())
+        assert all(f == 1 for f in maps.ban_ally.values())
 
 
 def test_batches_are_deterministic_in_seed_and_overrides():
     inst = risky_instance()
     ov = RiskOverrides(export_prob_scale=0.9)
-    assert sample_batch(inst, 5, 40, ov) == sample_batch(inst, 5, 40, ov)
-    assert sample_batch(inst, 5, 40, ov) != sample_batch(inst, 6, 40, ov)
+    assert same_batch(sample_batch(inst, 5, 40, ov), sample_batch(inst, 5, 40, ov))
+    assert not same_batch(sample_batch(inst, 5, 40, ov), sample_batch(inst, 6, 40, ov))
 
 
 def test_alliances_off_pins_ally_flags_to_general_flags():
     inst = risky_instance()
     batch = sample_batch(inst, seed=7, n=200, overrides=RiskOverrides(alliances_off=True))
     for scen in batch:
+        maps = scenario_maps(inst, scen)
         for k in inst.ally_group:
-            assert scen.ban_ally[k] == scen.ban_general[k]
+            assert maps.ban_ally[k] == maps.ban_general[k]
 
 
 def test_ally_second_chance_never_hurts_and_mitigates_on_average():
@@ -143,10 +170,11 @@ def test_ally_second_chance_never_hurts_and_mitigates_on_average():
     open_general = {k: 0 for k in inst.ally_group}
     open_ally = {k: 0 for k in inst.ally_group}
     for scen in batch:
+        maps = scenario_maps(inst, scen)
         for k in inst.ally_group:
-            assert scen.ban_ally[k] >= scen.ban_general[k]
-            open_general[k] += scen.ban_general[k]
-            open_ally[k] += scen.ban_ally[k]
+            assert maps.ban_ally[k] >= maps.ban_general[k]
+            open_general[k] += maps.ban_general[k]
+            open_ally[k] += maps.ban_ally[k]
     for k in inst.ally_group:
         assert open_ally[k] > open_general[k]  # with rho=0.5 the gap is large
 
@@ -156,13 +184,13 @@ def test_ban_gate_forces_all_flags_open_above_threshold():
     for scen in sample_batch(inst, seed=9, n=100):
         assert scen.retained_exports == 0.0
         assert scen.price_increase == 0.0
-        assert all(f == 1 for f in scen.ban_general.values())
+        assert all(f == 1 for f in scenario_maps(inst, scen).ban_general.values())
 
 
 def test_demand_is_clamped_at_zero():
     inst = tiny_instance(countries=("a",), demand={"a": 1.0})
     inst = inst.perturbed(demand_sd={"a": 50.0})
-    draws = [s.demand["a"] for s in sample_batch(inst, seed=10, n=300)]
+    draws = [scenario_maps(inst, s).demand["a"] for s in sample_batch(inst, seed=10, n=300)]
     assert min(draws) == 0.0  # huge sd guarantees clamped draws
     assert all(d >= 0.0 for d in draws)
 
@@ -180,25 +208,26 @@ def test_override_arms_share_capacity_and_demand_draws():
     off = sample_batch(inst, 12, 50, RiskOverrides(alliances_off=True))
     forced = sample_batch(inst, 12, 50, RiskOverrides(force_export_prob_one=True))
     for s0, s1, s2 in zip(base, off, forced):
-        assert s0.supplier_avail == s1.supplier_avail == s2.supplier_avail
-        assert s0.plant_avail == s1.plant_avail == s2.plant_avail
-        assert s0.demand == s1.demand == s2.demand
-        assert s0.ban_general == s1.ban_general
+        for name in ("supplier_avail", "plant_avail", "demand"):
+            assert (
+                getattr(s0, name).tobytes()
+                == getattr(s1, name).tobytes()
+                == getattr(s2, name).tobytes()
+            ), name
+        assert s0.flags[:, 0].tobytes() == s1.flags[:, 0].tobytes()
 
 
 def test_sampling_order_is_stable_for_single_scenarios():
     inst = risky_instance()
     one = sample_scenario(inst, scenario_rng(13, 0))
     again = sample_scenario(inst, scenario_rng(13, 0))
-    assert one == again
+    assert same_scenario(one, again)
 
 
 def test_scenario_dump_writes_one_row_per_scenario(tmp_path):
     inst = risky_instance()
     batch = sample_batch(inst, seed=14, n=6)
     path = tmp_path / "scenarios.csv"
-    from strainchain import dump_scenarios
-
     dump_scenarios(inst, batch, path)
     with path.open(encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
@@ -211,3 +240,111 @@ def test_scenario_dump_writes_one_row_per_scenario(tmp_path):
     # retained exports column round-trips as a float and matches the scenario
     idx = header.index("retained_exports")
     assert float(rows[1][idx]) == batch[0].retained_exports
+
+
+def test_scenario_dump_rows_equal_the_dict_sampler_rows(tmp_path):
+    inst = risky_instance()
+    ov = RiskOverrides(export_prob_scale=0.6)
+    batch = sample_batch(inst, 15, 6, ov)
+    dump_scenarios(inst, batch, tmp_path / "scenarios.csv")
+    with (tmp_path / "scenarios.csv").open(encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+
+    expected = [
+        ["scenario", "probability"]
+        + [f"supplier_avail:{i}" for i in inst.suppliers]
+        + [f"plant_avail:{j}" for j in inst.plant_candidates]
+        + [f"demand:{k}" for k in inst.countries]
+        + [f"ban_general:{k}" for k in inst.countries]
+        + [f"ban_ally:{k}" for k in inst.ally_group]
+        + ["retained_exports", "price_increase"]
+    ]
+    for w in range(6):
+        ref = reference_sample_scenario(inst, scenario_rng(15, w), ov, probability=1.0 / 6)
+        expected.append(
+            [str(w), repr(ref.probability)]
+            + [repr(ref.supplier_avail[i]) for i in inst.suppliers]
+            + [repr(ref.plant_avail[j]) for j in inst.plant_candidates]
+            + [repr(ref.demand[k]) for k in inst.countries]
+            + [str(ref.ban_general[k]) for k in inst.countries]
+            + [str(ref.ban_ally[k]) for k in inst.ally_group]
+            + [repr(ref.retained_exports), repr(ref.price_increase)]
+        )
+    assert rows == expected
+    flags = [v for row in rows[1:] for h, v in zip(rows[0], row) if h.startswith("ban_")]
+    assert set(flags) == {"0", "1"}  # banned and open flags both written as integers
+
+
+OVERRIDES = st.builds(
+    RiskOverrides,
+    force_export_prob_one=st.booleans(),
+    export_prob_scale=st.none() | st.floats(0.0, 2.0),
+    # 0 is never hit and 1.01 always is; None keeps the instance's threshold
+    ban_threshold=st.none() | st.sampled_from([0.0, 1.01]) | st.floats(0.5, 1.0),
+    alliances_off=st.booleans(),
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    inst_seed=st.integers(0, 10_000),
+    n_countries=st.integers(2, 6),
+    with_allies=st.booleans(),
+    seed=st.integers(0, 10_000),
+    overrides=st.none() | OVERRIDES,
+)
+def test_sampled_arrays_equal_the_dict_sampler_by_position(
+    inst_seed, n_countries, with_allies, seed, overrides
+):
+    inst = small_random_instance(inst_seed, n_countries, with_allies)
+    for w in range(4):
+        rng, ref_rng = scenario_rng(seed, w), scenario_rng(seed, w)
+        scen = sample_scenario(inst, rng, overrides, probability=0.25)
+        ref = reference_sample_scenario(inst, ref_rng, overrides, probability=0.25)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state  # the same draws
+        for name, order in (
+            ("supplier_avail", inst.suppliers),
+            ("plant_avail", inst.plant_candidates),
+            ("demand", inst.countries),
+        ):
+            values = getattr(ref, name)
+            assert getattr(scen, name).tobytes() == np.array([values[x] for x in order]).tobytes()
+        assert scen.flags.dtype == np.int8
+        flags = reference_flags(inst, ref.ban_general, ref.ban_ally)
+        assert scen.flags.tobytes() == flags.tobytes()
+        for name in ("retained_exports", "price_increase", "probability"):
+            got, want = np.float64(getattr(scen, name)), np.float64(getattr(ref, name))
+            assert got.tobytes() == want.tobytes(), name
+        if overrides is None or overrides.ban_threshold is None:
+            validate_scenario(inst, scen)
+
+
+def doctored_fixture():
+    """exports_fixture's countries with every supplier at half capacity, so a
+    ban passes the threshold check; c1 and c2 form the ally group."""
+    inst = exports_fixture()
+    sup = {i: 0.5 for i in inst.suppliers}
+    return inst, sup
+
+
+def test_validate_scenario_requires_the_general_flag_on_the_channel_outside_the_ally_group():
+    inst, sup = doctored_fixture()
+    c3 = inst.countries.index("c3")
+    for general in (0, 1):
+        scen = plain_scenario(inst, sup=sup, g={"c1": 1, "c2": 1, "c3": general})
+        validate_scenario(inst, scen)
+        flags = scen.flags.copy()
+        flags[c3, 1] = 1 - general
+        with pytest.raises(ValueError, match="c1-channel flag for 'c3' must equal its general"):
+            validate_scenario(inst, dataclasses.replace(scen, flags=flags))
+
+
+def test_validate_scenario_requires_an_open_channel_under_an_open_ally_general_flag():
+    inst, sup = doctored_fixture()
+    # a banned ally may keep its channel open: the second chance
+    validate_scenario(inst, plain_scenario(inst, sup=sup, g={"c1": 1, "c2": 0, "c3": 1}))
+    scen = plain_scenario(inst, sup=sup)
+    flags = scen.flags.copy()
+    flags[inst.countries.index("c2"), 1] = 0
+    with pytest.raises(ValueError, match="ally flag for 'c2' must be 1 when the general flag"):
+        validate_scenario(inst, dataclasses.replace(scen, flags=flags))
