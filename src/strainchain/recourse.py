@@ -11,6 +11,30 @@ tranche families are reconstructed from reduced costs; they are always
 feasible for the row formulation, which is what makes the cuts valid at
 every design.
 
+The LP's matrix `RecourseSolver.A` is totally unimodular (TU): every
+square submatrix has determinant 0 or +-1. Its rows are supplier capacity,
+plant capacity, country demand and plant balance; its columns the
+supplier-plant and plant-country arcs, S1, S2 and E per country, and the
+supplier and plant slacks. Proof: split each plant j into an in-node and
+an out-node joined by an arc t_j. The supplier->in, t_j and out->country
+arcs form a directed graph, and its node-arc incidence matrix (+1 at an
+arc's tail, -1 at its head) is TU. Appending a unit row per plant (its
+capacity: a 1 at t_j) and unit columns (a 1 in each supplier row and in
+each capacity row for the slacks, a -1 in each country row for S1 and S2
+and a +1 for E) keeps it TU, by expanding a determinant along the unit
+row or column. Pivoting on a +-1 entry keeps a matrix TU (Schrijver 1986,
+chapter 19), and so does taking a submatrix. Pivot on each t_j in its
+out-node row (the -1 of t_j and a +1 per drug arc out of j), then delete
+that row and column t_j: the pivot adds the out-node row to j's in-node
+and capacity rows and changes no other row. The in-node row becomes the
+negated balance row (-1 per raw arc into j, +1 per drug arc out), the
+capacity row becomes the plant capacity row (the drug arcs out of j and
+j's slack), and each country row is the negated demand row. Negating rows
+keeps a matrix TU, so A is TU. Hence every basis inverse and every
+entering column B^-1 a is 0/+-1, which `simplex` relies on to keep its
+inverses exact without factorizing. An exhaustive Ghouila-Houri (1962)
+row-split check confirms it on small shapes in the tests.
+
 Inside a solve everything is an array in the solver's fixed orders:
 suppliers, plant candidates and countries as in the instance (a sampled
 `Scenario` is already arrays in these orders), then supplier-plant arcs

@@ -1,14 +1,15 @@
-"""Bounded-variable primal simplex with sparse pivots.
+"""Bounded-variable primal simplex with sparse pivots, exact on totally
+unimodular matrices.
 
 Solves  min c.x  s.t.  A x = b,  0 <= x <= u  (u may be +inf or 0) given a
-starting basis that the caller knows to be feasible. The recourse problems
-always admit one (slacks plus shortage/excess plus the self-distribution
-columns), so no phase-1 is needed here.
+starting basis that the caller knows to be feasible, and its inverse. The
+recourse problems always admit one (slacks plus shortage/excess plus the
+self-distribution columns) whose inverse has a closed form, so no phase-1
+and no factorization is needed here.
 
 Pivot rule is Dantzig with a permanent switch to Bland's rule after a long
 degenerate streak, which guarantees termination. The basis inverse is kept
-explicitly. A caller that knows the starting basis inverse in closed form
-passes it in and saves the first factorization.
+explicitly, from the start inverse the caller passes.
 
 Pricing covers only the columns that can ever enter: those whose upper
 bound exceeds the pivot tolerance (a gated arc of a closed plant has upper
@@ -27,17 +28,22 @@ would subtract an exact zero, so this is exact in value for any data, and
 every pivot decision is the one the dense update makes. The basic costs and
 bounds are carried across pivots.
 
-B^-1 is exact while it is integral, every entering column is integral,
-every pivot element is +-1 and no sum or product reaches 2^53, which is
-read from the start inverse, the entering columns and the pivot elements
-themselves. While it holds, the refreshes every REFRESH_EVERY pivots and the
-final polish recompute the basic values, duals and reduced costs from the
-updated inverse without refactorizing, and the return checks the primal
-residual |Ax - b| instead, since no factorization has checked a caller's
-start inverse. Otherwise LAPACK's inv refactorizes the basis at those points,
-as a drifting inverse needs. On the recourse bases LAPACK's inverse is exact
-too, and the two differ only in the sign of zero entries, which no returned
-array shows. The returned reduced costs cover every column.
+A must be totally unimodular (TU): every square submatrix has determinant
+0 or +-1. The recourse matrix is (the proof is in `recourse`). Then every
+basis inverse is 0/+-1, its entries being cofactors over a determinant of
++-1, and so is every entering column d, since pivoting keeps a matrix TU.
+So B^-1 stays exact without a factorization: each pass checks that every
+nonzero entry of d is +-1 and raises SimplexError otherwise, as only an A
+that is not TU shows one. By induction from a 0/+-1 start inverse, every
+pivot element is +-1 and every rank-1 update adds and multiplies small
+integers, which floats do exactly. With every nonzero of d at +-1, the
+ratio test's steps are basic values or their distances to an upper bound,
+and Dantzig's tie-break on the largest |d| takes the first tied row. The
+refreshes every REFRESH_EVERY pivots and the final polish recompute the
+basic values, and the polish the duals and reduced costs, from the updated
+inverse. No guard reads whether the caller's start inverse is the start
+basis's own, so the return checks the primal residual |Ax - b|, where a
+wrong one shows. The returned reduced costs cover every column.
 
 A caller that solves many LPs with the same A (one design's evaluation
 batch, or the N scenario LPs of one decomposition iteration, which differ
@@ -50,11 +56,9 @@ A_N x_N), from the gemv of the final polish, lie within [0, u_B] up to
 POOL_PRIMAL_TOL, and no nonbasic column that can move has a reduced cost of
 the wrong sign beyond the pricing tolerance; an entry that holds a column at
 an upper bound this LP lacks is skipped. Otherwise the LP is solved from its
-start basis on the same pivot path as without a pool, and its final basis
-joins the pool only when the exactness proof above holds at the end, so the
-pool holds exact inverses only and adds no LAPACK call. The start basis may
-be passed as a function, so that its inverse is built only when no pooled
-basis answers.
+start basis on the same pivot path as without a pool, and its final basis,
+with its exact inverse, joins the pool. The start basis may be passed as a
+function, so that its inverse is built only when no pooled basis answers.
 
 A caller may also pass a perturbed right-hand side and bounds (b', u') of
 the same LP. The call first answers (b, u) as above. Then the primal
@@ -65,7 +69,7 @@ optimal dual at (b, u) that is also optimal at (b', u'). x, the at-upper
 mask and the objective stay the (b, u) answer's. If the start is no
 feasible basis at (b', u'), or the re-optimized one fails the certificate
 at (b, u), the (b, u) answer's duals are kept and `kept_dual` is set. A
-pool entry keeps the basis last re-optimized from it (when exact); a later
+pool entry keeps the basis last re-optimized from it; a later
 LP that the entry answers first tries that basis at both points and
 re-optimizes only if it fails. `recourse` perturbs the decomposition's LPs
 toward a core point, which makes these duals Magnanti-Wong (Pareto-optimal)
@@ -94,22 +98,21 @@ with another pool could have returned another of them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-REFRESH_EVERY = 60      # pivots between full basis-inverse refactorizations
+REFRESH_EVERY = 60      # pivots between recomputations of the basic values from B^-1
 DEGENERATE_STEP = 1e-11 # step sizes below this count toward the Bland switch
-EXACT_LIMIT = 2 ** 53   # integers up to this magnitude add and multiply exactly
-RESIDUAL_TOL = 1e-9     # |Ax - b| allowed without a refactorization, relative to the data
+RESIDUAL_TOL = 1e-9     # |Ax - b| a solve may return, relative to the data
 POOL_PRIMAL_TOL = 1e-9  # bound violation a pooled basis may show, relative to 1 + max |b|
-PIVOT_TOL = 1e-10       # pivot elements and column spans at or below this count as zero
+PIVOT_TOL = 1e-10       # spans at or below this count as zero; relative ratio-test tie tolerance
 ANSWER_KEY_BYTES = 16   # digest size of an answer table's keys
 
 
 class SimplexError(RuntimeError):
-    """Internal numerical failure (iteration cap, singular basis, unbounded ray)."""
+    """A solve that cannot finish: the iteration cap, an unbounded ray, a
+    matrix that is not totally unimodular, or a wrong start basis or inverse."""
 
 
 @dataclass
@@ -212,10 +215,6 @@ def _pricing_columns(A: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, np.nd
     return A.take(cols, axis=1), pos
 
 
-def _integral(values: np.ndarray) -> bool:
-    return np.array_equal(values, np.trunc(values))
-
-
 def _primal_tol(b) -> float:
     return POOL_PRIMAL_TOL * (1.0 + float(np.abs(b).max(initial=0.0)))
 
@@ -292,13 +291,14 @@ def solve_bounded_lp(
 ) -> LpSolution:
     """Optimal vertex from a feasible starting basis, every nonbasic column at 0.
 
-    basis is the start basis, or a function returning (start basis, its
-    inverse), called only when no pooled basis answers. basis_inverse, when
-    given, must equal inv(A[:, basis]); it is updated in place. A wrong one
-    that no refactorization replaces raises SimplexError naming the primal
+    A must be totally unimodular; a pivot that shows it is not raises
+    SimplexError. basis is the start basis, or a function returning (start
+    basis, its inverse), called only when no pooled basis answers. An array
+    basis needs basis_inverse, which must equal inv(A[:, basis]) and is
+    updated in place; a wrong one raises SimplexError naming the primal
     residual. pool, when given, holds `PoolEntry`s of earlier optimal bases
     of LPs with this same A; one of them may answer the LP with no pivot
-    (iterations 0), and an LP solved by pivoting adds its exact final basis.
+    (iterations 0), and an LP solved by pivoting adds its final basis.
     perturbed, when given, is (b', upper') of the same LP: the duals returned
     are then those of a basis optimal at both points, when one is found (see
     the module docstring). answers, when given, is an answer table of LPs
@@ -338,23 +338,24 @@ def _solve(A, b, c, upper, basis, max_iterations, basis_inverse, pool, perturbed
         basis = np.asarray(basis, dtype=np.intp).copy()
         if basis.shape != (m,):
             raise SimplexError("basis must list exactly one column per row")
+        if basis_inverse is None:
+            raise SimplexError("a start basis needs its inverse, basis_inverse")
         at_upper = np.zeros(n, dtype=bool)  # every column starts at 0; False while basic
-        basis, at_upper, Binv, xB, y, rc, iterations, exact = _pivot(
+        basis, at_upper, Binv, xB, y, rc, iterations = _pivot(
             A, b, c, upper, basis, at_upper, basis_inverse, max_iterations, rc_tol
         )
         solution = _solution(c, upper, finite_ub, basis, at_upper, xB, y, rc, iterations)
-        if exact:
-            # no factorization has checked a caller's start inverse: a wrong one shows here
-            x = solution.x
-            residual = float(np.abs(A @ x - b).max(initial=0.0))
-            scale = 1.0 + max(float(np.abs(b).max(initial=0.0)), float(x.max(initial=0.0)))
-            if residual > RESIDUAL_TOL * scale:
-                raise SimplexError(
-                    f"primal residual |Ax - b| = {residual:.3g}: the start basis inverse is wrong"
-                )
-            if pool is not None:
-                entry = PoolEntry(basis, at_upper.copy(), Binv.copy())
-                pool.append(entry)
+        # nothing has checked a caller's start inverse: a wrong one shows here
+        x = solution.x
+        residual = float(np.abs(A @ x - b).max(initial=0.0))
+        scale = 1.0 + max(float(np.abs(b).max(initial=0.0)), float(x.max(initial=0.0)))
+        if residual > RESIDUAL_TOL * scale:
+            raise SimplexError(
+                f"primal residual |Ax - b| = {residual:.3g}: the start basis inverse is wrong"
+            )
+        if pool is not None:
+            entry = PoolEntry(basis, at_upper.copy(), Binv.copy())
+            pool.append(entry)
     if perturbed is None:
         return solution
     duals, passes = _reoptimized(
@@ -375,7 +376,7 @@ def _reoptimized(A, b, c, upper, perturbed, start, entry, max_iterations, rc_tol
     start is the (basis, at-upper mask, B^-1) that answered (b, upper), and
     entry its pool entry or None. The entry's stored basis is tried first;
     otherwise the simplex re-optimizes from a copy of start at `perturbed`,
-    and an exact result is stored in the entry.
+    and the result is stored in the entry.
     """
     b2, upper2 = perturbed
     movable = (upper > PIVOT_TOL) | (upper2 > PIVOT_TOL)
@@ -396,12 +397,12 @@ def _reoptimized(A, b, c, upper, perturbed, start, entry, max_iterations, rc_tol
     basis, at_upper, Binv = (array.copy() for array in start)
     if not _primal_feasible(A, b2, upper2, basis, at_upper, Binv):
         return None, 0  # the start is no feasible basis of the perturbed LP
-    basis, at_upper, Binv, _, y, rc, passes, exact = _pivot(
+    basis, at_upper, Binv, _, y, rc, passes = _pivot(
         A, b2, c, upper2, basis, at_upper, Binv, max_iterations, rc_tol
     )
     if not optimal_at_both(basis, at_upper, Binv, rc):
         return None, passes
-    if entry is not None and exact:
+    if entry is not None:
         entry.pareto = (basis, at_upper, Binv)
     return (y, rc), passes
 
@@ -409,12 +410,12 @@ def _reoptimized(A, b, c, upper, perturbed, start, entry, max_iterations, rc_tol
 def _pivot(A, b, c, upper, basis, at_upper, Binv, max_iterations, rc_tol):
     """Pivot from a feasible basis to an optimal one.
 
-    basis, at_upper (the nonbasic columns held at upper) and Binv (None to
-    factorize the basis) are updated in place. Returns (basis,
-    at_upper, Binv, basic values, duals, reduced costs, iterations, whether
-    Binv was proven exact); Binv is refactorized at the end unless it was.
-    iterations counts the pricing passes, the last of which finds no
-    entering column; a bound flip's pass counts too.
+    basis, at_upper (the nonbasic columns held at upper) and Binv, the
+    basis's 0/+-1 inverse, are updated in place. An entering column B^-1 a_e
+    with a nonzero entry other than +-1 raises SimplexError: A is not totally
+    unimodular. Returns (basis, at_upper, Binv, basic values, duals, reduced
+    costs, iterations). iterations counts the pricing passes, the last of
+    which finds no entering column; a bound flip's pass counts too.
     """
     m, n = A.shape
     finite_ub = np.isfinite(upper)
@@ -432,40 +433,12 @@ def _pivot(A, b, c, upper, basis, at_upper, Binv, max_iterations, rc_tol):
     direction[basis_pos[basis_pos >= 0]] = 0.0
     c_basis, ub_basis = c[basis], upper[basis]
 
-    def inverse():
-        try:
-            return np.linalg.inv(A[:, basis])
-        except np.linalg.LinAlgError as exc:
-            raise SimplexError("singular basis") from exc
-
-    def basic_values(Binv):
+    def basic_values():
         x_nb = np.where(at_upper & finite_ub, upper, 0.0)
         x_nb[basis] = 0.0
         return Binv @ (b - A @ x_nb)
 
-    if Binv is None:
-        Binv = inverse()
-    # inv_bound is the largest |entry| Binv has held while proven exact (inf
-    # once it is not); entered lists the columns whose check is still due
-    inv_bound = float(np.abs(Binv).max(initial=0.0)) if _integral(Binv) else np.inf
-    entered = []
-
-    def still_exact() -> bool:
-        nonlocal inv_bound
-        if entered and inv_bound < np.inf:
-            cols = A[:, entered]
-            if not _integral(cols):
-                inv_bound = np.inf
-            else:
-                # an entry of Binv @ a sums at most bound * |a|_1; the update
-                # adds a product of two such values to an entry
-                bound, col_norm = int(inv_bound), int(np.abs(cols).sum(axis=0).max())
-                if bound * (1 + bound * col_norm) > EXACT_LIMIT:
-                    inv_bound = np.inf
-            entered.clear()
-        return inv_bound < np.inf
-
-    xB = basic_values(Binv)
+    xB = basic_values()
     bland = False
     degenerate_streak = 0
     pivots_since_refresh = 0
@@ -498,14 +471,18 @@ def _pivot(A, b, c, upper, basis, at_upper, Binv, max_iterations, rc_tol):
         d_rows = d[rows]
         # xB moves by -t * delta as the entering var moves by sigma*t
         delta = (sigma * d_rows).tolist()
+        if any(abs(dl) != 1.0 for dl in delta):
+            raise SimplexError(
+                "an entering column B^-1 a has an entry other than 0 and +-1:"
+                " A is not totally unimodular"
+            )
         x_rows = xB[rows].tolist()
 
         # step length to the first bound: basic vars to lower, basic vars to
-        # upper, or the entering variable's own span (a bound flip)
+        # upper, or the entering variable's own span (a bound flip); each
+        # delta is +-1, and u - x is inf at an infinite upper bound
         steps = [
-            x / dl if dl > PIVOT_TOL
-            else (u - x) / -dl if dl < -PIVOT_TOL and math.isfinite(u)
-            else np.inf
+            x if dl > 0.0 else u - x
             for dl, x, u in zip(delta, x_rows, ub_basis[rows].tolist())
         ]
         t_flip = upper[e] if finite_ub[e] else np.inf
@@ -523,9 +500,9 @@ def _pivot(A, b, c, upper, basis, at_upper, Binv, max_iterations, rc_tol):
             if bland:
                 i = min(tied, key=lambda j: basis[row_list[j]])
             else:
-                i = max(tied, key=lambda j: abs(delta[j]))  # the first of equal maxima
+                i = tied[0]  # Dantzig's largest |pivot|: every one is 1, so the first
             leave = row_list[i]
-            leave_to_upper = delta[i] < -PIVOT_TOL
+            leave_to_upper = delta[i] < 0.0
 
         if t_best <= DEGENERATE_STEP:
             degenerate_streak += 1
@@ -555,34 +532,21 @@ def _pivot(A, b, c, upper, basis, at_upper, Binv, max_iterations, rc_tol):
         basis_pos[leave] = k
         direction[k] = 0.0
 
-        piv = d[leave]
-        if abs(piv) < PIVOT_TOL:
-            raise SimplexError("numerically singular pivot")
         # rank-1 update of the rows where d is nonzero; every other row would
-        # subtract an exact zero
-        row = Binv[leave] / piv
+        # subtract an exact zero, and the pivot element is +-1
+        row = Binv[leave] / d[leave]
         update = Binv[rows] - np.multiply.outer(d_rows, row)
         update[i] = row
         Binv[rows] = update
-        if inv_bound < np.inf and abs(piv) == 1.0:
-            entered.append(e)
-            inv_bound = max(inv_bound, float(np.abs(update).max()))
-        else:
-            inv_bound = np.inf
 
         pivots_since_refresh += 1
         if pivots_since_refresh >= REFRESH_EVERY:
-            if not still_exact():
-                Binv = inverse()
-            xB = basic_values(Binv)
+            xB = basic_values()
             pivots_since_refresh = 0
     else:
         raise SimplexError(f"iteration cap {max_iterations} exceeded")
 
-    exact = still_exact()
-    if not exact:
-        Binv = inverse()  # final polish for accurate primals/duals
-    xB = basic_values(Binv)
+    xB = basic_values()  # final polish: basic values, duals and reduced costs from B^-1
     y = c_basis @ Binv
     rc = c - y @ A
-    return basis, at_upper, Binv, xB, y, rc, iteration, exact
+    return basis, at_upper, Binv, xB, y, rc, iteration

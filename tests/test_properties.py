@@ -8,11 +8,12 @@ match the HiGHS row formulation, and the optimality cut built from the
 solve must underestimate the recourse value at all 2^J designs and touch it
 at the design it came from. The all-closed design has no package solve (a
 design must open a plant), so HiGHS prices it. Each scenario LP must also
-be byte-equal to the dense, refactorizing reference simplex while calling
-no LAPACK inverse: on these 0/+-1 problems the updated basis inverse is
-exact. A batch of such scenarios evaluated through one basis pool must
-answer each LP the pool answers with the objective of a solve without a
-pool, within 1e-9 relative, and each LP it solves cold byte-equal to one.
+be byte-equal to the dense reference simplex, which refactorizes with
+LAPACK, while calling no LAPACK inverse: the matrix is totally unimodular,
+so the updated 0/+-1 basis inverse is exact. A batch of such scenarios
+evaluated through one basis pool must answer each LP the pool answers with
+the objective of a solve without a pool, within 1e-9 relative, and each LP
+it solves cold byte-equal to one.
 Solved through a pool with the decomposition's perturbation, such a batch
 (one plant may have no capacity) must keep each unperturbed answer's flows
 and objective to the bit, and each cut from the re-optimized duals must be

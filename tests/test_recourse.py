@@ -41,6 +41,52 @@ def one_country(dm=80.0):
     )
 
 
+def ghouila_houri_unsplit(A: np.ndarray) -> list:
+    """The row subsets of A (as bitmasks) that no split into two parts
+    leaves with every column's difference of part sums in {0, +-1}. By
+    Ghouila-Houri (1962), A is totally unimodular iff there are none.
+
+    Every signing v in {-1, 0, +1}^m is tried: its support is a row subset,
+    its signs a split, and the split is good when every entry of v @ A lies
+    in {0, +-1}.
+    """
+    m = A.shape[0]
+    powers, bits = 3 ** np.arange(m), 1 << np.arange(m)
+    chunk = 3**8
+    split = np.zeros(1 << m, dtype=bool)
+    for first in range(0, 3**m, chunk):
+        digits = np.arange(first, min(first + chunk, 3**m))[:, None] // powers % 3
+        signs = np.where(digits == 2, -1.0, digits)
+        good = (np.abs(signs @ A) <= 1.0).all(axis=1)
+        split[(digits[good] != 0) @ bits] = True
+    return np.flatnonzero(~split).tolist()
+
+
+def test_ghouila_houri_check_finds_an_odd_cycle():
+    # the incidence of a triangle (determinant 2): only all three rows
+    # together have no split
+    A = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
+    assert ghouila_houri_unsplit(A) == [0b111]
+    assert ghouila_houri_unsplit(A[:2]) == []
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(2, 1, 2), (2, 2, 3), (2, 3, 4), "every_country_both"],
+    ids=["2_1_2", "2_2_3", "2_3_4", "every_country_both"],
+)
+def test_recourse_matrix_is_totally_unimodular(shape):
+    # the proof in the recourse module docstring, checked exhaustively on
+    # 6, 9 and 12 rows; the last instance makes every country a supplier
+    # and a plant candidate, with allies
+    if shape == "every_country_both":
+        inst = small_random_instance(seed=3, n_countries=3)
+    else:
+        inst = generate_synthetic_instance(*shape, seed=1)
+    A = RecourseSolver(inst).A
+    assert ghouila_houri_unsplit(A) == []
+
+
 def test_single_country_served_in_full():
     inst = one_country(80.0)
     sol = solve_recourse(inst, Design(open={"a": 1}), plain_scenario(inst))

@@ -25,42 +25,57 @@ from helpers import (
 
 
 def random_lp(rng):
-    """Random feasible bounded LP in the solver's equality form plus a start basis.
+    """Random feasible bounded LP on a totally unimodular matrix, in the
+    solver's equality form, plus a start basis and its inverse.
 
-    Equality rows get big-cost artificials so the all-artificial/slack basis is
-    feasible; the optimum drives them to zero because the RHS is attainable.
+    The rows are nodes of a random digraph and the first columns its arcs,
+    each a column of the node-arc incidence matrix; one more node has no
+    row, so an arc to or from it has a single nonzero. The first rows are
+    equalities with big-cost +-1 artificials, signed so that the
+    all-artificial/slack basis is feasible, and the others are <= rows with
+    slacks; unit columns keep the matrix TU. A point within the bounds meets
+    every row, so the optimum drives the artificials to zero. A negative
+    cost sits only on a bounded arc, so no ray lowers the objective.
     """
     m_eq = int(rng.integers(1, 5))
     m_le = int(rng.integers(1, 5))
+    m = m_eq + m_le
     n0 = int(rng.integers(3, 12))
-    A_eq = rng.normal(size=(m_eq, n0))
-    A_le = np.abs(rng.normal(size=(m_le, n0)))
-    c = np.abs(rng.normal(size=n0)) * rng.choice([0.0, 1.0, 1.0], size=n0)
+    tails = rng.integers(0, m + 1, n0)
+    heads = (tails + rng.integers(1, m + 1, n0)) % (m + 1)  # no loops
+    incidence = np.zeros((m + 1, n0))
+    incidence[tails, np.arange(n0)] = 1.0
+    incidence[heads, np.arange(n0)] = -1.0
+    A_eq, A_le = incidence[:m_eq], incidence[m_eq:m]
     u = np.where(rng.random(n0) < 0.4, np.inf, rng.uniform(0.0, 5.0, n0))
+    cost = np.where(np.isfinite(u), rng.normal(size=n0), np.abs(rng.normal(size=n0)))
+    c = cost * rng.choice([0.0, 1.0, 1.0], size=n0)
     x0 = np.where(np.isfinite(u), rng.uniform(0, 1) * np.minimum(u, 3.0), rng.uniform(0, 3.0, n0))
     b_eq = A_eq @ x0
-    b_le = A_le @ x0 + rng.uniform(0.0, 2.0, m_le)
+    b_le = np.maximum(A_le @ x0, 0.0) + rng.uniform(0.0, 2.0, m_le)
 
     big = 1e5
-    A = np.zeros((m_eq + m_le, n0 + m_le + m_eq))
+    sign = np.where(b_eq >= 0, 1.0, -1.0)
+    A = np.zeros((m, n0 + m_le + m_eq))
     A[:m_eq, :n0] = A_eq
     A[m_eq:, :n0] = A_le
     A[m_eq:, n0 : n0 + m_le] = np.eye(m_le)
-    A[:m_eq, n0 + m_le :] = np.diag(np.where(b_eq >= 0, 1.0, -1.0))
+    A[:m_eq, n0 + m_le :] = np.diag(sign)
     b = np.concatenate([b_eq, b_le])
     cc = np.concatenate([c, np.zeros(m_le), big * np.ones(m_eq)])
     uu = np.concatenate([u, np.full(m_le, np.inf), np.full(m_eq, np.inf)])
     basis = np.concatenate(
         [np.arange(n0 + m_le, n0 + m_le + m_eq), np.arange(n0, n0 + m_le)]
     )
-    return (A, b, cc, uu, basis), (c, A_le, b_le, A_eq, b_eq, u)
+    start = np.diag(np.concatenate([sign, np.ones(m_le)]))  # A[:, basis] is its own inverse
+    return (A, b, cc, uu, basis), start, (c, A_le, b_le, A_eq, b_eq, u)
 
 
 def test_matches_reference_solver_on_random_problems():
     rng = np.random.default_rng(42)
     for _ in range(150):
-        (A, b, cc, uu, basis), (c, A_le, b_le, A_eq, b_eq, u) = random_lp(rng)
-        sol = solve_bounded_lp(A, b, cc, uu, basis)
+        (A, b, cc, uu, basis), start, (c, A_le, b_le, A_eq, b_eq, u) = random_lp(rng)
+        sol = solve_bounded_lp(A, b, cc, uu, basis, basis_inverse=start)
         ref = linprog(
             c,
             A_ub=A_le,
@@ -77,8 +92,8 @@ def test_matches_reference_solver_on_random_problems():
 def test_duality_identity_holds_exactly():
     rng = np.random.default_rng(7)
     for _ in range(80):
-        (A, b, cc, uu, basis), _ = random_lp(rng)
-        sol = solve_bounded_lp(A, b, cc, uu, basis)
+        (A, b, cc, uu, basis), start, _ = random_lp(rng)
+        sol = solve_bounded_lp(A, b, cc, uu, basis, basis_inverse=start)
         mu = float(np.sum(sol.reduced_costs[sol.at_upper] * uu[sol.at_upper]))
         dual = float(sol.row_duals @ b) + mu
         assert dual == pytest.approx(sol.objective, rel=1e-7, abs=1e-7)
@@ -87,8 +102,8 @@ def test_duality_identity_holds_exactly():
 def test_primal_point_is_feasible():
     rng = np.random.default_rng(9)
     for _ in range(40):
-        (A, b, cc, uu, basis), _ = random_lp(rng)
-        sol = solve_bounded_lp(A, b, cc, uu, basis)
+        (A, b, cc, uu, basis), start, _ = random_lp(rng)
+        sol = solve_bounded_lp(A, b, cc, uu, basis, basis_inverse=start)
         resid = np.abs(A @ sol.x - b).max()
         assert resid <= 1e-7 * (1.0 + np.abs(b).max())
         assert (sol.x >= -1e-9).all()
@@ -101,14 +116,17 @@ def test_iteration_cap_raises():
     b = np.array([1.0])
     c = np.array([-0.0, 1.0])
     u = np.array([np.inf, np.inf])
-    with pytest.raises(SimplexError):
-        solve_bounded_lp(A, b, c, u, np.array([1]), max_iterations=0)
+    with pytest.raises(SimplexError, match="iteration cap"):
+        solve_bounded_lp(A, b, c, u, np.array([1]), max_iterations=0, basis_inverse=np.eye(1))
 
 
 def test_bad_basis_shape_raises():
     A = np.eye(2)
     with pytest.raises(SimplexError):
         solve_bounded_lp(A, np.ones(2), np.ones(2), np.full(2, np.inf), np.array([0]))
+    # an array basis must come with its inverse
+    with pytest.raises(SimplexError, match="inverse"):
+        solve_bounded_lp(A, np.ones(2), np.ones(2), np.full(2, np.inf), np.array([0, 1]))
 
 
 def _assert_same_solution(args, kwargs=None):
@@ -174,51 +192,25 @@ def test_recourse_lps_refreshed_every_two_pivots_match_without_inv(monkeypatch):
         inv_calls.clear()
 
 
-@pytest.mark.parametrize("refresh", [simplex.REFRESH_EVERY, 2])
-def test_real_valued_lps_refactorize_and_match_the_reference(monkeypatch, refresh):
-    # the first pivot brings in a real-valued column, so every later refresh
-    # and the final polish refactorize, as the reference does
-    monkeypatch.setattr(simplex, "REFRESH_EVERY", refresh)
-    monkeypatch.setattr(helpers, "REFRESH_EVERY", refresh)
-    inv_calls = count_calls(monkeypatch, np.linalg, "inv")
-    rng = np.random.default_rng(12)
-    pivoted = 0
-    for _ in range(60):
-        (A, b, cc, uu, basis), _ = random_lp(rng)
-        start = np.linalg.inv(A[:, basis])  # the +-1 slack and artificial columns
-        inv_calls.clear()
-        got = solve_bounded_lp(A, b, cc, uu, basis, basis_inverse=start.copy())
-        mine = len(inv_calls)
-        ref = reference_solve_bounded_lp(A, b, cc, uu, basis, basis_inverse=start.copy())
-        assert_same_lp_solution(got, ref)
-        if got.iterations > 1:
-            assert mine == len(inv_calls) - mine
-            pivoted += 1
-    assert pivoted > 30
-
-
 @pytest.mark.parametrize(
     "entering, b",
     [
-        # column 0 enters first (Dantzig's first maximum) and leaves row 0
-        ([2.0, 1.0], [4.0, 3.0]),          # at ratio 4/2 < 3/1: pivot element 2
-        ([1.0, 0.5], [4.0, 3.0]),          # at 4/1 < 3/0.5: a fractional column
-        ([1.0, 2.0**53], [1.0, 2.0**60]),  # at 1/1 < 2^60/2^53: B^-1 reaches 2^53
-        # at 1/1 < 2^40/2^27: B^-1 holds 2^27, which times a column of norm
-        # 2^27 + 1 could pass 2^53
-        ([1.0, 2.0**27], [1.0, 2.0**40]),
+        # column 0 enters first (Dantzig's first maximum) at the slack basis,
+        # so the entering column B^-1 a_0 is column 0 itself
+        ([2.0, 1.0], [4.0, 3.0]),          # the ratio test's pivot element would be 2
+        ([1.0, 0.5], [4.0, 3.0]),          # a fractional column
+        ([1.0, 2.0**53], [1.0, 2.0**60]),  # B^-1 would reach 2^53
+        ([1.0, 2.0**27], [1.0, 2.0**40]),  # B^-1 would hold 2^27
     ],
     ids=["pivot_element_two", "fractional_column", "beyond_2_53", "inverse_grows"],
 )
-def test_lps_outside_the_exact_class_refactorize(monkeypatch, entering, b):
+def test_lps_outside_the_tu_class_raise(entering, b):
     A = np.array([[entering[0], 1.0, 1.0, 0.0], [entering[1], 1.0, 0.0, 1.0]])
     args = (A, np.array(b), np.array([-1.0, -1.0, 0.0, 0.0]), np.full(4, np.inf), [2, 3])
-    inv_calls = count_calls(monkeypatch, np.linalg, "inv")
     pool = []
-    got = solve_bounded_lp(*args, basis_inverse=np.eye(2), pool=pool)
-    assert inv_calls
-    assert not pool  # only a proven-exact inverse is pooled
-    assert_same_lp_solution(got, reference_solve_bounded_lp(*args, basis_inverse=np.eye(2)))
+    with pytest.raises(SimplexError, match="not totally unimodular"):
+        solve_bounded_lp(*args, basis_inverse=np.eye(2), pool=pool)
+    assert not pool  # a solve that raises pools nothing
 
 
 def test_wrong_start_inverse_raises_naming_the_primal_residual(monkeypatch):
@@ -263,7 +255,7 @@ def _certificate_holds(kind, variant, entry):
 
 # an entry holding a column at an infinite bound is skipped before any
 # arithmetic, which would make its basic values NaN with a RuntimeWarning
-@pytest.mark.filterwarnings("error::RuntimeWarning")
+# (an error under the suite's warning filter)
 @pytest.mark.parametrize("kind", ["capacities", "s2_costs", "unbounded_at_upper"])
 def test_a_pooled_basis_answers_only_where_its_certificate_holds(monkeypatch, kind):
     solvers = []
@@ -285,7 +277,7 @@ def test_a_pooled_basis_answers_only_where_its_certificate_holds(monkeypatch, ki
             assert got.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
         else:
             assert_same_lp_solution(got, cold)
-            assert len(pool) == 2  # an exact cold solve adds its final basis
+            assert len(pool) == 2  # a cold solve adds its final basis
         outcomes.append(expected)
     # both outcomes occur, except that an unbounded at-upper column always skips
     assert outcomes.count(False) >= 4
@@ -305,25 +297,36 @@ def test_lp_with_every_column_fixed_stops_at_once():
     rng = np.random.default_rng(5)
     m, n = 3, 7
     A = np.hstack([np.eye(m), rng.normal(size=(m, n - m))])
-    sol = _assert_same_solution((A, np.zeros(m), rng.normal(size=n), np.zeros(n), np.arange(m)))
+    args = (A, np.zeros(m), rng.normal(size=n), np.zeros(n), np.arange(m))
+    sol = _assert_same_solution(args, {"basis_inverse": np.eye(m)})
     assert sol.iterations == 1
     assert np.array_equal(sol.x, np.zeros(n))
 
 
-def test_degenerate_cycle_switches_to_blands_rule():
-    # Hall and McKinnon's two-row LP, on which Dantzig's rule cycles through
-    # degenerate pivots at the origin, closed by a sum row x1..x4 <= 1 so it
-    # is bounded; every pivot of the cycle is degenerate, so more than
-    # 40 + 2m iterations means the solver switched to Bland's rule
-    B = np.array([[0.4, 0.2, -1.4, -0.2], [-7.8, -1.4, 7.8, 0.4], [1.0, 1.0, 1.0, 1.0]])
-    m = B.shape[0]
-    A = np.hstack([B, np.eye(m)])
-    c = np.array([-2.3, -2.15, 13.55, 0.4, 0.0, 0.0, 0.0])
-    upper = np.full(7, np.inf)
-    upper[2] = 3.0  # a finite bound too, to exercise the flip test
-    sol = _assert_same_solution((A, np.array([0.0, 0.0, 1.0]), c, upper, np.arange(4, 7)))
+def test_a_long_degenerate_streak_switches_to_blands_rule(monkeypatch):
+    # one row x_1 + ... + x_60 + s = b over 60 bounded columns of negative
+    # cost: Dantzig's rule flips the cheapest columns to their bounds one
+    # pass at a time. With every step counted as degenerate, the streak
+    # passes 40 + 2m and Bland's rule, which enters the lowest index
+    # instead, takes more passes to the same optimum
+    rng = np.random.default_rng(21)
+    n, m = 60, 1
+    A = np.ones((m, n + 1))
+    c = np.concatenate([-rng.uniform(1.0, 2.0, n), [0.0]])
+    upper = np.concatenate([rng.uniform(0.5, 1.5, n), [np.inf]])
+    args = (A, np.array([0.8 * upper[:n].sum()]), c, upper, [n])
+    dantzig = _assert_same_solution(args, {"basis_inverse": np.eye(m)})
+    monkeypatch.setattr(simplex, "DEGENERATE_STEP", np.inf)
+    monkeypatch.setattr(helpers, "DEGENERATE_STEP", np.inf)
+    sol = _assert_same_solution(args, {"basis_inverse": np.eye(m)})
     assert sol.iterations > 40 + 2 * m
-    assert sol.objective == pytest.approx(-0.875)
+    assert sol.iterations > dantzig.iterations
+    assert sol.objective == pytest.approx(dantzig.objective, rel=1e-12)
+    # the greedy fill of the cheapest columns is optimal
+    order = np.argsort(c[:n])
+    before = np.concatenate([[0.0], np.cumsum(upper[order])[:-1]])
+    fill = np.clip(args[1][0] - before, 0.0, upper[order])
+    assert sol.objective == pytest.approx(float(c[order] @ fill), rel=1e-12)
 
 
 def test_tied_columns_enter_in_column_order():
@@ -331,11 +334,12 @@ def test_tied_columns_enter_in_column_order():
     # maximum must be the copy full pricing picks, or x lands on the other
     rng = np.random.default_rng(8)
     for _ in range(40):
-        (A, b, cc, uu, basis), _ = random_lp(rng)
+        (A, b, cc, uu, basis), start, _ = random_lp(rng)
         fixed = np.where(rng.random(len(uu)) < 0.3, 0.0, uu)
         fixed[basis] = uu[basis]
         _assert_same_solution(
-            (np.hstack([A, A]), b, np.concatenate([cc, cc]), np.concatenate([fixed, uu]), basis)
+            (np.hstack([A, A]), b, np.concatenate([cc, cc]), np.concatenate([fixed, uu]), basis),
+            {"basis_inverse": start},
         )
 
 
@@ -356,11 +360,13 @@ def test_a_perturbation_changes_only_duals_it_certifies_at_both_points():
     A = np.array([[1.0, 1.0, 1.0]])
     b, c = np.array([1.0]), np.array([-1.0, -2.0, 0.0])
     upper = np.array([np.inf, 0.0, np.inf])
-    plain = solve_bounded_lp(A, b, c, upper, [2])
+    plain = solve_bounded_lp(A, b, c, upper, [2], basis_inverse=np.eye(1))
     assert plain.row_duals.tolist() == [-1.0]
 
     def perturbed(b2, upper2):
-        got = solve_bounded_lp(A, b, c, upper, [2], perturbed=(b2, upper2))
+        got = solve_bounded_lp(
+            A, b, c, upper, [2], basis_inverse=np.eye(1), perturbed=(b2, upper2)
+        )
         same = dataclasses.replace(got, iterations=plain.iterations, kept_dual=False)
         assert_same_lp_solution(same, plain)  # the unperturbed answer and its duals
         return got
