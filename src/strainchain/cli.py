@@ -49,6 +49,7 @@ from .report import (
 from .saa import SaaConfig, evaluate_design, evaluation_batch, run_saa
 from .scenarios import RiskOverrides
 from .simplex import SimplexError
+from .stats import ordered_total
 
 SOLVER_ERRORS = (RecourseError, SimplexError, IterationLimitError)
 EVAL_REL_TOL = 1e-9  # verify: reported evaluation mean vs cold solves, relative
@@ -361,7 +362,7 @@ def _cmd_verify(args) -> int:
                 violations.append({"scenario": w, "message": message})
     # the run's evaluation answered its LPs from a basis pool; its mean must
     # agree with these cold solves, added as evaluate_design adds them
-    cold = sum(samples) / len(scenarios)
+    cold = ordered_total(samples) / len(scenarios)
     if abs(cold - reported) > EVAL_REL_TOL * max(1.0, abs(reported)):
         violations.append(
             {"message": f"saa.eval_objective {reported!r} differs from the mean of "

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .instance import DiscretePmf, Instance, ValidationError, make_instance
+from .stats import ordered_total
 
 STRAIN_LEVELS = (0.70, 0.75, 0.80, 0.85, 0.90, 0.95, 1.00)
 
@@ -80,7 +81,7 @@ def generate_synthetic_instance(
 
     demand_mean = {k: float(10 ** rng.uniform(2.0, 3.2)) for k in countries}
     demand_sd = {k: float(demand_mean[k] * rng.uniform(0.10, 0.30)) for k in countries}
-    total_demand = sum(demand_mean.values())
+    total_demand = ordered_total(demand_mean.values())
 
     raw_cost = {i: float(rng.uniform(0.30, 0.50)) for i in suppliers}
     production_cost = {
@@ -109,7 +110,9 @@ def generate_synthetic_instance(
 
     exports_general = {k: float(demand_mean[k] * rng.uniform(0.1, 0.9)) for k in countries}
     exports_to_c1 = {k: float(demand_mean[k] * rng.uniform(0.05, 0.4)) for k in countries}
-    full_ban_retained = sum(exports_general.values()) + sum(exports_to_c1.values())
+    full_ban_retained = ordered_total(exports_general.values()) + ordered_total(
+        exports_to_c1.values()
+    )
     beta = float(base_price * rng.uniform(0.8, 1.5) / full_ban_retained)
 
     export_prob_base = {k: float(rng.uniform(0.955, 0.999)) for k in countries}

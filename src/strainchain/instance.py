@@ -12,7 +12,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from pathlib import Path
+
+import numpy as np
+
+from .stats import ordered_total
 
 INCOME_LEVELS = ("HIC", "UMIC", "LMIC", "LIC")
 
@@ -35,16 +40,7 @@ class DiscretePmf:
     probs: tuple[float, ...]
 
     def mean(self) -> float:
-        return sum(l * p for l, p in zip(self.levels, self.probs))
-
-    def sample(self, rng) -> float:
-        u = rng.random()
-        acc = 0.0
-        for level, p in zip(self.levels, self.probs):
-            acc += p
-            if u < acc:
-                return level
-        return self.levels[-1]
+        return ordered_total(l * p for l, p in zip(self.levels, self.probs))
 
     def to_dict(self) -> dict:
         return {"levels": list(self.levels), "probs": list(self.probs)}
@@ -89,6 +85,15 @@ class Instance:
     def ally_group(self) -> tuple[str, ...]:
         """Allies plus the interest country itself, canonical order."""
         return tuple(sorted(set(self.allies) | {self.interest_country}))
+
+    @cached_property
+    def exports(self) -> np.ndarray:
+        """(countries x 2) exogenous exports in country order: to the open
+        market, then on the c1/ally channel. Computed once per instance."""
+        return np.array(
+            [(self.exports_general[k], self.exports_to_c1[k]) for k in self.countries],
+            dtype=float,
+        )
 
     def ally_supply_arcs(self) -> set[tuple[str, str]]:
         """Raw-material arcs routed through the interest country's alliances."""
@@ -231,7 +236,7 @@ def validate_instance(inst: Instance) -> None:
             _require(all(0.0 <= l <= 1.0 for l in pmf.levels),
                      f"{what}[{k}]: support outside [0,1]")
             _require(all(p >= 0.0 for p in pmf.probs), f"{what}[{k}]: negative probability")
-            total = sum(pmf.probs)
+            total = ordered_total(pmf.probs)
             _require(abs(total - 1.0) <= PMF_WEIGHT_TOL,
                      f"{what}[{k}]: probabilities sum to {total!r}, not 1")
 
@@ -264,7 +269,9 @@ def validate_design(instance: Instance, design: Design) -> None:
 
 def fixed_cost(instance: Instance, design: Design) -> float:
     """First-stage cost of the design's open plants, added in plant order."""
-    return sum(instance.fixed_cost[j] * design.open[j] for j in instance.plant_candidates)
+    return ordered_total(
+        instance.fixed_cost[j] * design.open[j] for j in instance.plant_candidates
+    )
 
 
 # -- file format -----------------------------------------------------------

@@ -15,7 +15,10 @@ a hit returns what a lone `run_saa` would compute; arms may hold the same
 design and evaluation objects, which are read-only. The memo also answers
 each scenario LP that an earlier arm already solved from its answer table
 (see `saa`): an optimal answer of the same LP, which for an LP with
-several optima may be another one than a lone run would find. The two arms
+several optima may be another one than a lone run would find. Its fourth
+table holds each scenario batch's draws before any override applies, so
+the arms draw the study's distinct batches once and each applies only its
+own ban overrides to them, bit for bit as a fresh draw. The two arms
 of every other study have no work in common (one runs on a perturbed
 instance copy, or their overrides differ), so they run without a memo.
 """
@@ -28,6 +31,7 @@ from .instance import Instance, ValidationError
 from .report import country_rows, shortage_by_income
 from .saa import SaaConfig, SaaMemo, SaaReport, run_saa
 from .scenarios import RiskOverrides
+from .stats import ordered_total
 
 STUDY_KINDS = (
     "export_ban_cases",
@@ -228,11 +232,11 @@ def run_backshoring(
     )
 
     ev = arm_forced.report.evaluation
-    inflow_c1 = sum(
+    inflow_c1 = ordered_total(
         ev.expected_drug_flow[(j, c1)] for j in instance.plant_candidates
     )
     domestic = ev.expected_drug_flow.get((c1, c1), 0.0)
-    produced = sum(ev.expected_drug_flow[(c1, k)] for k in instance.countries)
+    produced = ordered_total(ev.expected_drug_flow[(c1, k)] for k in instance.countries)
     comparison = {
         "forced_minus_unforced_objective": arm_forced.report.eval_objective
         - arm_free.report.eval_objective,

@@ -106,7 +106,7 @@ import numpy as np
 from .instance import Design, Instance, validate_design
 from .scenarios import Scenario, retained_by_country
 from .simplex import SimplexError, solve_bounded_lp
-from .stats import ordered_sum
+from .stats import ordered_sum, ordered_total
 
 BALANCE_TOL = 1e-7       # absolute feasibility tolerance on balance rows
 DUALITY_REL_TOL = 1e-6   # relative primal/dual agreement required per solve
@@ -578,7 +578,7 @@ def check_structural_theorems(
     shortage = dict(zip(s.K, solution.unmet.tolist()))
     excess = dict(zip(s.K, solution.surplus.tolist()))
     inflow = {
-        k: sum(drug_flow[(j, k)] for j in instance.plant_candidates)
+        k: ordered_total(drug_flow[(j, k)] for j in instance.plant_candidates)
         for k in instance.countries
     }
 

@@ -33,6 +33,7 @@ from pathlib import Path
 from .instance import INCOME_LEVELS, Design, Instance, ValidationError
 from .saa import CostBreakdown, DesignEvaluation, SaaReport
 from .scenarios import Scenario
+from .stats import ordered_total
 
 BREAKDOWN_REL_TOL = 1e-6
 
@@ -151,10 +152,10 @@ def income_rows(per_country: list) -> list:
         members = [r for r in per_country if r["income_level"] == level]
         if not members:
             continue
-        dem = sum(r["expected_demand"] for r in members)
-        short = sum(r["expected_shortage"] for r in members)
+        dem = ordered_total(r["expected_demand"] for r in members)
+        short = ordered_total(r["expected_shortage"] for r in members)
         fracs = [r["shortage_fraction"] for r in members if r["expected_demand"] > 0]
-        mean = sum(fracs) / len(fracs) if fracs else 0.0
+        mean = ordered_total(fracs) / len(fracs) if fracs else 0.0
         values = (level, len(members), dem, short, shortage_fraction(short, dem), mean)
         rows.append(dict(zip(INCOME_COLUMNS, values)))
     return rows

@@ -38,6 +38,12 @@ the same checks, but it was found with the pool of the solve that first
 met the LP, so where an LP has several optimal vertices or duals it may be
 another one than a lone run would find. `run_saa` without a memo builds no
 table.
+
+Its fourth table, per instance, is a draws table (see `scenarios`): each
+batch's override-free numbers keyed by seed and size. Runs that differ only
+in their overrides, as the export-ban arms do, then draw each batch once and
+apply their own overrides to it; the scenarios are those a fresh draw gives,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -59,7 +65,7 @@ from .instance import (
 from .lshaped import check_forcing_values, run_lshaped
 from .recourse import RecourseSolver
 from .scenarios import RiskOverrides, sample_batch
-from .stats import critical_values, ordered_sum
+from .stats import critical_values, ordered_sum, ordered_total
 
 ROLE_OPTIMIZE, ROLE_EVALUATE = 0, 1
 
@@ -234,9 +240,9 @@ def evaluate_design(
         )
         sales = ordered_sum(drug.ravel(), sales)
 
-    mean = sum(samples) / n
+    mean = ordered_total(samples) / n
     if n > 1:
-        var = sum((s - mean) ** 2 for s in samples) / ((n - 1) * n)
+        var = ordered_total((s - mean) ** 2 for s in samples) / ((n - 1) * n)
     else:
         var = 0.0
     return DesignEvaluation(
@@ -268,42 +274,48 @@ def confidence_bounds(
     m_reps = len(objectives)
     if m_reps < 2:
         raise ValidationError("need at least two replication objectives")
-    z_bar = sum(objectives) / m_reps
-    var_bar = sum((z - z_bar) ** 2 for z in objectives) / ((m_reps - 1) * m_reps)
+    z_bar = ordered_total(objectives) / m_reps
+    var_bar = ordered_total((z - z_bar) ** 2 for z in objectives) / ((m_reps - 1) * m_reps)
     t_crit, z_crit = critical_values(alpha, m_reps - 1)
     return z_bar - t_crit * math.sqrt(var_bar), eval_mean + z_crit * eval_std_error
 
 
-def evaluation_batch(instance: Instance, config: SaaConfig, pass_idx: int) -> list:
-    """The evaluation sample shared by every candidate design of one pass."""
+def evaluation_batch(
+    instance: Instance, config: SaaConfig, pass_idx: int, draws: dict | None = None
+) -> list:
+    """The evaluation sample shared by every candidate design of one pass;
+    `draws` is the instance's draws table, if any (see `sample_batch`)."""
     return sample_batch(
         instance,
         (config.base_seed, pass_idx, ROLE_EVALUATE),
         config.evaluation_scenarios,
         config.evaluate_overrides,
+        draws,
     )
 
 
 class SaaMemo:
-    """Replication outcomes, design evaluations and scenario LP answers
-    shared across run_saa calls.
+    """Replication outcomes, design evaluations, scenario LP answers and
+    scenario draws shared across run_saa calls.
 
     The LP answers are shared by content (see the module docstring); the
-    table keeps each in compact form and a hit returns fresh arrays. Reports
-    made on one memo share their designs and evaluations; treat them as
-    read-only.
+    table keeps each in compact form and a hit returns fresh arrays. The
+    draws table keeps each sampled batch's numbers before any override
+    applies. Reports made on one memo share their designs and evaluations;
+    treat them as read-only.
     """
 
     def __init__(self):
-        # id(instance) -> (instance, replications, evaluations, LP answers);
-        # holding the instance keeps its id from being reused while the memo lives
+        # id(instance) -> (instance, replications, evaluations, LP answers,
+        # draws); holding the instance keeps its id from being reused while
+        # the memo lives
         self._tables: dict = {}
 
-    def tables(self, instance: Instance) -> tuple[dict, dict, dict]:
-        _, replications, evaluations, answers = self._tables.setdefault(
-            id(instance), (instance, {}, {}, {})
+    def tables(self, instance: Instance) -> tuple[dict, dict, dict, dict]:
+        _, replications, evaluations, answers, draws = self._tables.setdefault(
+            id(instance), (instance, {}, {}, {}, {})
         )
-        return replications, evaluations, answers
+        return replications, evaluations, answers, draws
 
 
 def _replication_key(config: SaaConfig, pass_idx: int, m: int) -> tuple:
@@ -329,12 +341,13 @@ def _evaluation_key(config: SaaConfig, pass_idx: int, design: Design) -> tuple:
     )
 
 
-def _run_replication(instance, config, solver, pass_idx, m):
+def _run_replication(instance, config, solver, pass_idx, m, draws):
     scens = sample_batch(
         instance,
         (config.base_seed, pass_idx, ROLE_OPTIMIZE, m),
         config.optimization_scenarios,
         config.optimize_overrides,
+        draws,
     )
     result = run_lshaped(
         instance,
@@ -351,9 +364,9 @@ def run_saa(instance: Instance, config: SaaConfig, memo: SaaMemo | None = None) 
     """Sampled optimization with bounds; `memo` shares work with earlier calls."""
     config = config.validated()
     if memo is None:
-        replications, evaluations, answers = {}, {}, None
+        replications, evaluations, answers, draws = {}, {}, None, None
     else:
-        replications, evaluations, answers = memo.tables(instance)
+        replications, evaluations, answers, draws = memo.tables(instance)
     solver = RecourseSolver(instance, answers)
     m_reps = config.replications
 
@@ -363,7 +376,9 @@ def run_saa(instance: Instance, config: SaaConfig, memo: SaaMemo | None = None) 
         for m in range(m_reps):
             key = _replication_key(config, pass_idx, m)
             if key not in replications:
-                replications[key] = _run_replication(instance, config, solver, pass_idx, m)
+                replications[key] = _run_replication(
+                    instance, config, solver, pass_idx, m, draws
+                )
             outcomes.append(replications[key])
         objectives = [z for z, _ in outcomes]
         designs = [d for _, d in outcomes]
@@ -371,7 +386,7 @@ def run_saa(instance: Instance, config: SaaConfig, memo: SaaMemo | None = None) 
         keys = [_evaluation_key(config, pass_idx, d) for d in designs]
         missing = {k: d for k, d in zip(keys, designs) if k not in evaluations}
         if missing:
-            eval_batch = evaluation_batch(instance, config, pass_idx)
+            eval_batch = evaluation_batch(instance, config, pass_idx, draws)
             for k, d in missing.items():
                 evaluations[k] = evaluate_design(instance, d, eval_batch, solver)
         best_m = min(range(m_reps), key=lambda m: evaluations[keys[m]].mean_objective)

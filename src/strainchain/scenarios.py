@@ -18,6 +18,24 @@ substream so batches are reproducible regardless of evaluation order or
 parallelism. Ban flags are drawn after everything else, which keeps
 capacity/demand draws identical across risk-override arms (common random
 numbers).
+
+Draw layout: a batch draws each scenario's numbers with three generator
+calls on its substream, in the order above (`batch_draws`): 2F uniforms,
+the strain and then the up uniform of each of the F suppliers and plants;
+K normal demands; and K + A uniforms, one per country for its general flag
+and then the A ally uniforms, which the allies whose general flag comes up
+banned read in ally-group order. None of them depends on a risk override,
+so a batch's `Draws` (availability, demand, the average supplier
+availability and the flag uniforms, as (n, .) stacks) serve every override,
+and `sample_batch` applies one override's threshold, export probabilities
+and ally rule to the whole stack. A caller may keep a draws table, (seed,
+n) -> `Draws`, so that batches of one seed under several overrides draw
+once: `saa.SaaMemo` keeps one per instance for the export-ban study's arms.
+Drawing flag uniforms that no flag reads shifts no later number, since
+each scenario has its own substream, so a batch is bit for bit the one
+drawn scenario by scenario. `sample_scenario`, a batch of one on the
+caller's generator, draws only the flag uniforms its flags read, so the
+generator moves as it would under one draw per flag.
 """
 
 from __future__ import annotations
@@ -27,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import Instance
-from .stats import ordered_sum
+from .stats import ordered_sum, ordered_total
 
 PRICE_LINK_TOL = 1e-12  # |price_increase - beta*retained| tolerance in validation
 
@@ -68,7 +86,7 @@ def validate_scenario(instance: Instance, scen: Scenario) -> None:
     expected = price_increase(instance, scen.retained_exports)
     if abs(scen.price_increase - expected) > PRICE_LINK_TOL * max(1.0, abs(expected)):
         raise ValueError("price_increase inconsistent with beta * retained_exports")
-    avg = sum(scen.supplier_avail.tolist()) / len(instance.suppliers)
+    avg = ordered_total(scen.supplier_avail.tolist()) / len(instance.suppliers)
     if avg >= instance.ban_threshold and (scen.flags != 1).any():
         raise ValueError("ban flags present although average availability met the threshold")
 
@@ -76,10 +94,7 @@ def validate_scenario(instance: Instance, scen: Scenario) -> None:
 def retained_by_country(instance: Instance, flags: np.ndarray) -> np.ndarray:
     """Export volume each country keeps home, in the layout of `flags`:
     (countries x 2), or (n x countries x 2) for n scenarios."""
-    exports = np.array(
-        [(instance.exports_general[k], instance.exports_to_c1[k]) for k in instance.countries]
-    )
-    return exports * (1.0 - flags)
+    return instance.exports * (1.0 - flags)
 
 
 def retained_exports(instance: Instance, flags: np.ndarray) -> float:
@@ -104,56 +119,136 @@ def _effective_export_prob(instance: Instance, overrides: RiskOverrides) -> list
     return prob
 
 
+@dataclass(frozen=True, eq=False)
+class Draws:
+    """What n scenarios draw before any risk override applies, as (n, .)
+    stacks in the instance's orders."""
+
+    supplier_avail: np.ndarray  # (n, suppliers)
+    plant_avail: np.ndarray     # (n, plant candidates)
+    demand: np.ndarray          # (n, countries), clamped at zero
+    average_avail: np.ndarray   # (n,) mean supplier availability, added in supplier order
+    uniforms: np.ndarray        # (n, countries + ally group): ban, then ally uniforms
+
+
+def _demand_params(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
+    return (
+        np.array([instance.demand_mean[k] for k in instance.countries], dtype=float),
+        np.array([instance.demand_sd[k] for k in instance.countries], dtype=float),
+    )
+
+
+def _draws(instance: Instance, facility: np.ndarray, normal: np.ndarray, uniforms) -> Draws:
+    """Map each row's facility uniforms (strain, then up, per supplier and
+    then per plant) and normal demand draws to availability and demand."""
+    pmfs = [instance.supplier_strain_pmf[i] for i in instance.suppliers]
+    pmfs += [instance.plant_strain_pmf[j] for j in instance.plant_candidates]
+    up_prob = [instance.supplier_avail_prob[i] for i in instance.suppliers]
+    up_prob += [instance.plant_avail_prob[j] for j in instance.plant_candidates]
+    # a facility's strain is the first level whose running probability
+    # exceeds its uniform, else the last; a padded column of inf and copies
+    # of the last level make that the count of running sums <= u
+    width = 1 + max(len(pmf.levels) for pmf in pmfs)
+    running = np.full((len(pmfs), width), np.inf)
+    levels = np.empty((len(pmfs), width))
+    for f, pmf in enumerate(pmfs):
+        acc = 0.0
+        for l, p in enumerate(pmf.probs):
+            acc += p
+            running[f, l] = acc
+        levels[f] = pmf.levels + pmf.levels[-1:] * (width - len(pmf.levels))
+    picked = (facility[:, 0::2, None] >= running).sum(axis=2)
+    strain = levels[np.arange(len(pmfs)), picked]
+    avail = strain * (facility[:, 1::2] < np.array(up_prob, dtype=float))
+    supplier_avail = avail[:, : len(instance.suppliers)]
+    return Draws(
+        supplier_avail=supplier_avail,
+        plant_avail=avail[:, len(instance.suppliers) :],
+        demand=np.where(normal > 0.0, normal, 0.0),
+        average_avail=ordered_sum(supplier_avail, axis=1) / len(instance.suppliers),
+        uniforms=uniforms,
+    )
+
+
+def batch_draws(instance: Instance, seed, n: int) -> Draws:
+    """The override-free numbers of scenarios 0..n-1 of a root seed, each on
+    its own substream in the order of a scenario's draws: the strain and up
+    uniforms per supplier and per plant, the normal demands, then the ban
+    uniforms and the ally uniforms, which the flags consume in order."""
+    mean, sd = _demand_params(instance)
+    facility = np.empty((n, 2 * (len(instance.suppliers) + len(instance.plant_candidates))))
+    normal = np.empty((n, len(mean)))
+    uniforms = np.empty((n, len(mean) + len(instance.ally_group)))
+    for w in range(n):
+        rng = scenario_rng(seed, w)
+        rng.random(out=facility[w])
+        normal[w] = rng.normal(mean, sd)
+        rng.random(out=uniforms[w])
+    return _draws(instance, facility, normal, uniforms)
+
+
+def _ban_threshold(instance: Instance, overrides: RiskOverrides) -> float:
+    if overrides.ban_threshold is None:
+        return instance.ban_threshold
+    return overrides.ban_threshold
+
+
+def _scenarios(
+    instance: Instance, draws: Draws, overrides: RiskOverrides, probability: float
+) -> list[Scenario]:
+    """The scenarios of the draws under one override: a general flag sets
+    both columns, and a banned ally then draws its channel."""
+    K = len(instance.countries)
+    fires = draws.average_avail < _ban_threshold(instance, overrides)
+    prob = np.array(_effective_export_prob(instance, overrides), dtype=float)
+    general = (draws.uniforms[:, :K] < prob) | ~fires[:, None]
+    flags = np.repeat(general[:, :, None], 2, axis=2).astype(np.int8)
+    if not overrides.alliances_off:
+        ally = [instance.countries.index(k) for k in instance.ally_group]
+        banned = ~general[:, ally]
+        # the j-th banned ally of a scenario reads its j-th ally uniform
+        order = np.maximum(np.cumsum(banned, axis=1) - 1, 0)
+        ally_u = np.take_along_axis(draws.uniforms[:, K:], order, axis=1)
+        ally_prob = np.array([instance.ally_export_prob[k] for k in instance.ally_group])
+        flags[:, ally, 1] = ~banned | (ally_u < ally_prob)
+    retained = ordered_sum(retained_by_country(instance, flags).reshape(len(flags), -1), axis=1)
+    return [
+        Scenario(
+            supplier_avail=draws.supplier_avail[w],
+            plant_avail=draws.plant_avail[w],
+            demand=draws.demand[w],
+            flags=flags[w],
+            retained_exports=kept,
+            price_increase=price_increase(instance, kept),
+            probability=probability,
+        )
+        for w, kept in enumerate(retained.tolist())
+    ]
+
+
 def sample_scenario(
     instance: Instance,
     rng: np.random.Generator,
     overrides: RiskOverrides | None = None,
     probability: float = 1.0,
 ) -> Scenario:
+    """One scenario on the caller's generator, as a batch of one. Only the
+    flag uniforms that the flags read are drawn, so the generator moves as a
+    loop over the flags would move it."""
     overrides = overrides or RiskOverrides()
-
-    supplier_avail = []
-    for i in instance.suppliers:
-        strain = instance.supplier_strain_pmf[i].sample(rng)
-        up = 1.0 if rng.random() < instance.supplier_avail_prob[i] else 0.0
-        supplier_avail.append(strain * up)
-    plant_avail = []
-    for j in instance.plant_candidates:
-        strain = instance.plant_strain_pmf[j].sample(rng)
-        up = 1.0 if rng.random() < instance.plant_avail_prob[j] else 0.0
-        plant_avail.append(strain * up)
-
-    demand = [
-        max(0.0, float(rng.normal(instance.demand_mean[k], instance.demand_sd[k])))
-        for k in instance.countries
-    ]
-
-    threshold = (
-        instance.ban_threshold if overrides.ban_threshold is None else overrides.ban_threshold
-    )
-    avg_avail = sum(supplier_avail) / len(instance.suppliers)
-
-    flags = np.ones((len(instance.countries), 2), dtype=np.int8)
-    if avg_avail < threshold:
-        # a general flag sets both columns; a banned ally then draws its channel
-        for n, p in enumerate(_effective_export_prob(instance, overrides)):
-            flags[n] = 1 if rng.random() < p else 0
+    K = len(instance.countries)
+    mean, sd = _demand_params(instance)
+    facility = rng.random(2 * (len(instance.suppliers) + len(instance.plant_candidates)))
+    uniforms = np.zeros((1, K + len(instance.ally_group)))
+    draws = _draws(instance, facility[None], rng.normal(mean, sd)[None], uniforms)
+    if draws.average_avail[0] < _ban_threshold(instance, overrides):
+        uniforms[0, :K] = general_u = rng.random(K)
         if not overrides.alliances_off:
-            for k in instance.ally_group:
-                n = instance.countries.index(k)
-                if flags[n, 0] == 0:
-                    flags[n, 1] = 1 if rng.random() < instance.ally_export_prob[k] else 0
-
-    retained = retained_exports(instance, flags)
-    return Scenario(
-        supplier_avail=np.array(supplier_avail),
-        plant_avail=np.array(plant_avail),
-        demand=np.array(demand),
-        flags=flags,
-        retained_exports=retained,
-        price_increase=price_increase(instance, retained),
-        probability=probability,
-    )
+            prob = np.array(_effective_export_prob(instance, overrides), dtype=float)
+            ally = [instance.countries.index(k) for k in instance.ally_group]
+            banned = int(np.count_nonzero(general_u[ally] >= prob[ally]))
+            uniforms[0, K : K + banned] = rng.random(banned)
+    return _scenarios(instance, draws, overrides, probability)[0]
 
 
 def _seed_parts(seed) -> tuple[int, ...]:
@@ -175,11 +270,20 @@ def sample_batch(
     seed,
     n: int,
     overrides: RiskOverrides | None = None,
+    draws: dict | None = None,
 ) -> list[Scenario]:
-    """n independent scenarios with probability 1/n each, deterministic in seed."""
+    """n independent scenarios with probability 1/n each, deterministic in seed.
+
+    draws, when given, is a draws table of this instance: (seed, n) ->
+    `batch_draws`, read instead of drawing again and filled on a miss.
+    """
     if n < 1:
         raise ValueError("need at least one scenario")
-    return [
-        sample_scenario(instance, scenario_rng(seed, w), overrides, probability=1.0 / n)
-        for w in range(n)
-    ]
+    if draws is None:
+        stack = batch_draws(instance, seed, n)
+    else:
+        key = (_seed_parts(seed), n)
+        if key not in draws:
+            draws[key] = batch_draws(instance, seed, n)
+        stack = draws[key]
+    return _scenarios(instance, stack, overrides or RiskOverrides(), 1.0 / n)

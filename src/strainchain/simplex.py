@@ -16,9 +16,10 @@ bound exceeds the pivot tolerance (a gated arc of a closed plant has upper
 bound 0 and never moves). Their reduced costs come from a copy of those
 columns, taken once per solve and laid out so that each is rounded exactly
 as in the full product, and each candidate's bound state is kept as a
-direction (-1 at lower, +1 at upper, 0 basic) updated at every pivot. The
-candidates are in column order, so Dantzig's first maximum and Bland's
-lowest index pick the column that full pricing would.
+direction (-1 at lower, +1 at upper, 0 basic) updated at every pivot.
+Pricing runs in the copy's layout, whose padding columns have direction 0.
+The candidates are in column order there, so Dantzig's first maximum and
+Bland's lowest index pick the column that full pricing would.
 
 Each pivot touches only what changes. The entering column d = B^-1 a_e of a
 0/+-1 network matrix has a handful of nonzeros, so the ratio test, its
@@ -26,7 +27,9 @@ tie-break and the basic-value update run over those rows on Python floats,
 and the rank-1 update rewrites only those rows of B^-1: every other entry
 would subtract an exact zero, so this is exact in value for any data, and
 every pivot decision is the one the dense update makes. The basic costs and
-bounds are carried across pivots.
+bounds are carried across pivots; the basic values and bounds, and each
+basic column's place in the pricing copy, are Python lists between
+refreshes, as a pass reads only a few entries of each.
 
 A must be totally unimodular (TU): every square submatrix has determinant
 0 or +-1. The recourse matrix is (the proof is in `recourse`). Then every
@@ -98,7 +101,7 @@ with another pool could have returned another of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -130,12 +133,20 @@ class LpSolution:
 class PoolEntry:
     """An exact optimal basis in a pool: its columns, at-upper mask and B^-1,
     and the (basis, at-upper mask, B^-1) last re-optimized from it at a
-    perturbation, if any."""
+    perturbation, if any. The columns held at upper, which every LP the
+    entry is tried on reads, and their bytes, which key the LP's b - A x_N,
+    are taken once."""
 
     basis: np.ndarray
     at_upper: np.ndarray
     inverse: np.ndarray
     pareto: tuple | None = None
+    upper_cols: np.ndarray = field(init=False, repr=False)
+    upper_key: bytes = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.upper_cols = self.at_upper.nonzero()[0]
+        self.upper_key = self.upper_cols.tobytes()
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -154,11 +165,11 @@ class TableAnswer:
 
     @classmethod
     def of(cls, solution: LpSolution) -> "TableAnswer":
-        x_pos = np.flatnonzero(solution.x.view(np.uint64))
-        values = np.concatenate([solution.row_duals, solution.x[x_pos]])
-        positions = np.concatenate([x_pos, np.flatnonzero(solution.at_upper)])
+        x = solution.x
+        x_pos = x.view(np.uint64).nonzero()[0]
+        parts = (solution.row_duals, x[x_pos], x_pos, solution.at_upper.nonzero()[0])
         return cls(
-            packed=values.tobytes() + positions.tobytes(),
+            packed=b"".join(part.tobytes() for part in parts),
             nonzeros=x_pos.size,
             objective=solution.objective,
             kept_dual=solution.kept_dual,
@@ -191,9 +202,11 @@ def answer_key(b, c, upper, perturbed) -> bytes:
     # imported here: hashlib loads OpenSSL (about 4 ms), which only a table needs
     import hashlib
 
+    # each array is hashed through its buffer, with no bytes copy: copying
+    # them, whether one by one or joined for a single call, costs more
     digest = hashlib.blake2b(digest_size=ANSWER_KEY_BYTES)
     for array in (b, c, upper, *(perturbed or ())):
-        digest.update(np.asarray(array, dtype=float).tobytes())
+        digest.update(np.ascontiguousarray(array, dtype=float))
     return digest.digest()
 
 
@@ -215,50 +228,64 @@ def _pricing_columns(A: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, np.nd
     return A.take(cols, axis=1), pos
 
 
+def _abs_max(v) -> float:
+    return float(np.maximum.reduce(np.abs(v), initial=0.0))
+
+
 def _primal_tol(b) -> float:
-    return POOL_PRIMAL_TOL * (1.0 + float(np.abs(b).max(initial=0.0)))
+    return POOL_PRIMAL_TOL * (1.0 + _abs_max(b))
 
 
-def _within_bounds(xB, ub_basis, tol) -> bool:
-    return xB.min(initial=0.0) >= -tol and (xB - ub_basis).max(initial=0.0) <= tol
+def _within_bounds(xB, upper, basis, tol) -> bool:
+    """Whether the basic values xB lie within [0, upper[basis]], up to tol."""
+    return (
+        np.minimum.reduce(xB, initial=0.0) >= -tol
+        and np.maximum.reduce(xB - upper[basis], initial=0.0) <= tol
+    )
 
 
-def _primal_feasible(A, b, upper, basis, at_upper, Binv) -> bool:
-    """Whether the basis, with the columns at_upper at their bounds, has its
-    basic values within their bounds at (b, upper)."""
-    if not np.isfinite(upper[at_upper]).all():
+def _nonbasic_values(upper, cols) -> np.ndarray:
+    """x_N: the columns cols at their upper bounds, every other column at 0.
+    Basic columns are never at upper, so this is the polish's x_N."""
+    x_N = np.zeros(upper.shape)
+    x_N[cols] = upper[cols]
+    return x_N
+
+
+def _primal_feasible(A, b, upper, basis, cols, Binv, tol) -> bool:
+    """Whether the basis, with the columns cols at their bounds, has its
+    basic values within their bounds at (b, upper), up to tol."""
+    if not np.isfinite(upper[cols]).all():
         return False  # x_N would hold inf, and the basic values NaN
-    # basic columns are never at upper, so this is the polish's x_N
-    xB = Binv @ (b - A @ np.where(at_upper, upper, 0.0))
-    return _within_bounds(xB, upper[basis], _primal_tol(b))
+    xB = Binv @ (b - A @ _nonbasic_values(upper, cols))
+    return _within_bounds(xB, upper, basis, tol)
 
 
 def _dual_feasible(rc, basis, at_upper, movable, rc_tol) -> bool:
     # a violation is rc times the direction the column may move in
     viol = np.where(at_upper, rc, -rc)
     viol[basis] = 0.0
-    return viol[movable].max(initial=0.0) <= rc_tol
+    return np.maximum.reduce(viol[movable], initial=0.0) <= rc_tol
 
 
-def _pooled_answer(pool, A, b, c, upper, finite_ub, movable, rc_tol):
+def _pooled_answer(pool, A, b, c, upper, finite_ub, movable, rc_tol, tol):
     """(entry, basic values, duals, reduced costs) of the first pooled basis
     optimal for this LP, or None."""
-    tol = _primal_tol(b)
-    rhs = {}  # b - A x_N, by the columns held at upper
+    rhs = {}  # b - A x_N, by the entries' columns held at upper
     for entry in pool:
-        basis, at_upper, Binv = entry.basis, entry.at_upper, entry.inverse
-        if not finite_ub[at_upper].all():
+        cols = entry.upper_cols
+        if cols.size and not finite_ub[cols].all():
             continue  # x_N would hold inf, and the basic values NaN
-        key = at_upper.tobytes()
-        if key not in rhs:
-            # basic columns are never at upper, so this is the polish's x_N
-            rhs[key] = b - A @ np.where(at_upper, upper, 0.0)
-        xB = Binv @ rhs[key]
-        if not _within_bounds(xB, upper[basis], tol):
+        rhs_N = rhs.get(entry.upper_key)
+        if rhs_N is None:
+            rhs_N = rhs[entry.upper_key] = b - A @ _nonbasic_values(upper, cols)
+        basis, Binv = entry.basis, entry.inverse
+        xB = Binv @ rhs_N
+        if not _within_bounds(xB, upper, basis, tol):
             continue
         y = c[basis] @ Binv
         rc = c - y @ A
-        if _dual_feasible(rc, basis, at_upper, movable, rc_tol):
+        if _dual_feasible(rc, basis, entry.at_upper, movable, rc_tol):
             return entry, xB, y, rc
     return None
 
@@ -323,10 +350,12 @@ def _solve(A, b, c, upper, basis, max_iterations, basis_inverse, pool, perturbed
     finite_ub = np.isfinite(upper)
     if max_iterations is None:
         max_iterations = 500 + 40 * (m + n)
-    rc_tol = 1e-9 * max(1.0, float(np.abs(c).max(initial=0.0)))
+    rc_tol = 1e-9 * max(1.0, _abs_max(c))
+    b_max = _abs_max(b)
+    tol = POOL_PRIMAL_TOL * (1.0 + b_max)
     answer = None
     if pool:
-        answer = _pooled_answer(pool, A, b, c, upper, finite_ub, upper > PIVOT_TOL, rc_tol)
+        answer = _pooled_answer(pool, A, b, c, upper, finite_ub, upper > PIVOT_TOL, rc_tol, tol)
     if answer is not None:
         entry, xB, y, rc = answer
         basis, at_upper, Binv = entry.basis, entry.at_upper, entry.inverse
@@ -348,7 +377,7 @@ def _solve(A, b, c, upper, basis, max_iterations, basis_inverse, pool, perturbed
         # nothing has checked a caller's start inverse: a wrong one shows here
         x = solution.x
         residual = float(np.abs(A @ x - b).max(initial=0.0))
-        scale = 1.0 + max(float(np.abs(b).max(initial=0.0)), float(x.max(initial=0.0)))
+        scale = 1.0 + max(b_max, float(x.max(initial=0.0)))
         if residual > RESIDUAL_TOL * scale:
             raise SimplexError(
                 f"primal residual |Ax - b| = {residual:.3g}: the start basis inverse is wrong"
@@ -359,7 +388,7 @@ def _solve(A, b, c, upper, basis, max_iterations, basis_inverse, pool, perturbed
     if perturbed is None:
         return solution
     duals, passes = _reoptimized(
-        A, b, c, upper, perturbed, (basis, at_upper, Binv), entry, max_iterations, rc_tol
+        A, b, c, upper, perturbed, (basis, at_upper, Binv), entry, max_iterations, rc_tol, tol
     )
     solution.iterations += passes
     if duals is None:
@@ -369,23 +398,25 @@ def _solve(A, b, c, upper, basis, max_iterations, basis_inverse, pool, perturbed
     return solution
 
 
-def _reoptimized(A, b, c, upper, perturbed, start, entry, max_iterations, rc_tol):
+def _reoptimized(A, b, c, upper, perturbed, start, entry, max_iterations, rc_tol, tol):
     """((duals, reduced costs) of a basis optimal both at `perturbed` and at
     (b, upper), or None; the pricing passes spent).
 
     start is the (basis, at-upper mask, B^-1) that answered (b, upper), and
     entry its pool entry or None. The entry's stored basis is tried first;
     otherwise the simplex re-optimizes from a copy of start at `perturbed`,
-    and the result is stored in the entry.
+    and the result is stored in the entry. tol is the primal tolerance at b.
     """
     b2, upper2 = perturbed
     movable = (upper > PIVOT_TOL) | (upper2 > PIVOT_TOL)
+    tol2 = _primal_tol(b2)
 
     def optimal_at_both(basis, at_upper, Binv, rc) -> bool:
-        return (
-            _dual_feasible(rc, basis, at_upper, movable, rc_tol)
-            and _primal_feasible(A, b2, upper2, basis, at_upper, Binv)
-            and _primal_feasible(A, b, upper, basis, at_upper, Binv)
+        if not _dual_feasible(rc, basis, at_upper, movable, rc_tol):
+            return False
+        cols = at_upper.nonzero()[0]
+        return _primal_feasible(A, b2, upper2, basis, cols, Binv, tol2) and _primal_feasible(
+            A, b, upper, basis, cols, Binv, tol
         )
 
     if entry is not None and entry.pareto is not None:
@@ -394,9 +425,10 @@ def _reoptimized(A, b, c, upper, perturbed, start, entry, max_iterations, rc_tol
         rc = c - y @ A
         if optimal_at_both(basis, at_upper, Binv, rc):
             return (y, rc), 0
-    basis, at_upper, Binv = (array.copy() for array in start)
-    if not _primal_feasible(A, b2, upper2, basis, at_upper, Binv):
+    basis, at_upper, Binv = start
+    if not _primal_feasible(A, b2, upper2, basis, at_upper.nonzero()[0], Binv, tol2):
         return None, 0  # the start is no feasible basis of the perturbed LP
+    basis, at_upper, Binv = (array.copy() for array in start)
     basis, at_upper, Binv, _, y, rc, passes = _pivot(
         A, b2, c, upper2, basis, at_upper, Binv, max_iterations, rc_tol
     )
@@ -421,24 +453,35 @@ def _pivot(A, b, c, upper, basis, at_upper, Binv, max_iterations, rc_tol):
     finite_ub = np.isfinite(upper)
     # only a column whose span exceeds PIVOT_TOL can ever enter; cand is
     # sorted, so both pivot rules pick the column full pricing would
-    cand = np.flatnonzero(upper > PIVOT_TOL)
+    cand = (upper > PIVOT_TOL).nonzero()[0]
     A_price, price_pos = _pricing_columns(A, cand)
-    c_cand = c[cand]
-    cand_pos = np.full(n, -1)
-    cand_pos[cand] = np.arange(cand.size)
-    basis_pos = cand_pos[basis]  # -1 for a basic column that can never enter
+    # pricing runs in the copy's layout, candidate i at price_pos[i]; the
+    # copy's other columns have cost 0 and direction 0, so their violation
+    # is 0, never above rc_tol, and they never enter
+    width = A_price.shape[1]
+    c_price = np.zeros(width)
+    c_price[price_pos] = c[cand]
+    column = np.full(width, -1)  # the column of A at each layout position
+    column[price_pos] = cand
+    position = np.full(n, -1)
+    position[cand] = price_pos
+    basis_pos = position[basis]  # -1 for a basic column that can never enter
     # a candidate's violation is its reduced cost times its direction: -1 at
     # lower (wants rc < 0), +1 at upper (wants rc > 0), 0 in the basis
-    direction = np.where(at_upper[cand], 1.0, -1.0)
+    direction = np.zeros(width)
+    direction[price_pos] = np.where(at_upper[cand], 1.0, -1.0)
     direction[basis_pos[basis_pos >= 0]] = 0.0
-    c_basis, ub_basis = c[basis], upper[basis]
+    c_basis = c[basis]
+    # the per-row state the ratio test reads is kept in Python lists, which
+    # a pass reads a few entries of at a time
+    basis_pos, ub_basis = basis_pos.tolist(), upper[basis].tolist()
 
     def basic_values():
         x_nb = np.where(at_upper & finite_ub, upper, 0.0)
         x_nb[basis] = 0.0
         return Binv @ (b - A @ x_nb)
 
-    xB = basic_values()
+    xB = basic_values().tolist()
     bland = False
     degenerate_streak = 0
     pivots_since_refresh = 0
@@ -449,7 +492,7 @@ def _pivot(A, b, c, upper, basis, at_upper, Binv, max_iterations, rc_tol):
             break
         if not flipped:
             y = c_basis @ Binv
-            rc = c_cand - (y @ A_price)[price_pos]
+            rc = c_price - y @ A_price
         viol = rc * direction
         if bland:
             idx = np.nonzero(viol > rc_tol)[0]
@@ -460,34 +503,34 @@ def _pivot(A, b, c, upper, basis, at_upper, Binv, max_iterations, rc_tol):
             k = int(viol.argmax())
             if viol[k] <= rc_tol:
                 break
-        e = int(cand[k])
+        e = int(column[k])
 
-        sigma = -1.0 if at_upper[e] else 1.0
+        at_upper_e = bool(at_upper[e])
         d = Binv @ A[:, e]
         # only the handful of rows where d is nonzero move or can block the
         # step, so the ratio test runs over them on Python floats
-        rows = np.flatnonzero(d)
+        rows = d.nonzero()[0]
         row_list = rows.tolist()
-        d_rows = d[rows]
-        # xB moves by -t * delta as the entering var moves by sigma*t
-        delta = (sigma * d_rows).tolist()
-        if any(abs(dl) != 1.0 for dl in delta):
+        d_list = d[rows].tolist()
+        if not set(map(abs, d_list)) <= {1.0}:
             raise SimplexError(
                 "an entering column B^-1 a has an entry other than 0 and +-1:"
                 " A is not totally unimodular"
             )
-        x_rows = xB[rows].tolist()
+        # xB moves by -t * delta as the entering var moves by sigma*t, sigma
+        # -1 from upper and +1 from lower
+        delta = [-dl for dl in d_list] if at_upper_e else d_list
+        x_rows = [xB[r] for r in row_list]
 
         # step length to the first bound: basic vars to lower, basic vars to
         # upper, or the entering variable's own span (a bound flip); each
         # delta is +-1, and u - x is inf at an infinite upper bound
         steps = [
-            x if dl > 0.0 else u - x
-            for dl, x, u in zip(delta, x_rows, ub_basis[rows].tolist())
+            x if dl > 0.0 else ub_basis[r] - x for r, dl, x in zip(row_list, delta, x_rows)
         ]
-        t_flip = upper[e] if finite_ub[e] else np.inf
+        t_flip = float(upper[e])  # inf at an infinite upper bound
         t_best = min(min(steps, default=np.inf), t_flip)
-        if not np.isfinite(t_best):
+        if not t_best < np.inf:
             raise SimplexError("unbounded direction in a cost-nonnegative problem")
         t_best = max(t_best, 0.0)
         tie_tol = PIVOT_TOL * max(1.0, t_best)
@@ -515,17 +558,18 @@ def _pivot(A, b, c, upper, basis, at_upper, Binv, max_iterations, rc_tol):
             xB[r] = x - t_best * dl
         flipped = leave < 0
         if flipped:
-            at_upper[e] = ~at_upper[e]
-            direction[k] = -direction[k]
+            at_upper[e] = not at_upper_e
+            direction[k] = -1.0 if at_upper_e else 1.0
             continue
 
         # pivot: entering takes row `leave`
-        x_enter = (upper[e] - t_best) if at_upper[e] else t_best
+        x_enter = (t_flip - t_best) if at_upper_e else t_best
         out_col = int(basis[leave])
         at_upper[out_col] = leave_to_upper
         at_upper[e] = False
         basis[leave] = e
-        c_basis[leave], ub_basis[leave] = c[e], upper[e]
+        c_basis[leave] = c[e]
+        ub_basis[leave] = t_flip
         xB[leave] = x_enter
         if basis_pos[leave] >= 0:
             direction[basis_pos[leave]] = 1.0 if leave_to_upper else -1.0
@@ -533,15 +577,22 @@ def _pivot(A, b, c, upper, basis, at_upper, Binv, max_iterations, rc_tol):
         direction[k] = 0.0
 
         # rank-1 update of the rows where d is nonzero; every other row would
-        # subtract an exact zero, and the pivot element is +-1
-        row = Binv[leave] / d[leave]
-        update = Binv[rows] - np.multiply.outer(d_rows, row)
-        update[i] = row
-        Binv[rows] = update
+        # subtract an exact zero. Each d_r is +-1, so dividing the pivot row
+        # by d_leave keeps or negates it, and subtracting d_r times it from
+        # row r subtracts or adds it: in place, with the same bits
+        pivot_row = Binv[leave]
+        if d_list[i] < 0.0:
+            np.negative(pivot_row, out=pivot_row)
+        for r, dr in zip(row_list, d_list):
+            if r != leave:
+                if dr > 0.0:
+                    Binv[r] -= pivot_row
+                else:
+                    Binv[r] += pivot_row
 
         pivots_since_refresh += 1
         if pivots_since_refresh >= REFRESH_EVERY:
-            xB = basic_values()
+            xB = basic_values().tolist()
             pivots_since_refresh = 0
     else:
         raise SimplexError(f"iteration cap {max_iterations} exceeded")

@@ -175,3 +175,13 @@ def ordered_sum(terms, start=0.0, axis=0):
     stacked[0] = start
     stacked[1:] = terms
     return np.add.accumulate(stacked, axis=0)[-1]
+
+
+def ordered_total(values):
+    """`values` added one at a time from the integer 0, as `sum()` adds them
+    before Python 3.12: from 3.12 on `sum()` compensates float rounding, so
+    every float total of the package is added here to keep one set of bits."""
+    total = 0
+    for value in values:
+        total += value
+    return total

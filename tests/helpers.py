@@ -123,6 +123,18 @@ def scenario_maps(instance: Instance, scenario: Scenario) -> ScenarioMaps:
     )
 
 
+def reference_level(pmf: DiscretePmf, rng: np.random.Generator) -> float:
+    """The former `DiscretePmf.sample`: the first level whose running
+    probability exceeds one uniform, else the last level."""
+    u = rng.random()
+    acc = 0.0
+    for level, p in zip(pmf.levels, pmf.probs):
+        acc += p
+        if u < acc:
+            return level
+    return pmf.levels[-1]
+
+
 def reference_sample_scenario(
     instance: Instance,
     rng: np.random.Generator,
@@ -134,12 +146,12 @@ def reference_sample_scenario(
 
     supplier_avail = {}
     for i in instance.suppliers:
-        strain = instance.supplier_strain_pmf[i].sample(rng)
+        strain = reference_level(instance.supplier_strain_pmf[i], rng)
         up = 1.0 if rng.random() < instance.supplier_avail_prob[i] else 0.0
         supplier_avail[i] = strain * up
     plant_avail = {}
     for j in instance.plant_candidates:
-        strain = instance.plant_strain_pmf[j].sample(rng)
+        strain = reference_level(instance.plant_strain_pmf[j], rng)
         up = 1.0 if rng.random() < instance.plant_avail_prob[j] else 0.0
         plant_avail[j] = strain * up
 
@@ -151,7 +163,10 @@ def reference_sample_scenario(
     threshold = (
         instance.ban_threshold if overrides.ban_threshold is None else overrides.ban_threshold
     )
-    avg_avail = sum(supplier_avail.values()) / len(instance.suppliers)
+    total_avail = 0  # a loop: sum() of floats is compensated from Python 3.12 on
+    for value in supplier_avail.values():
+        total_avail += value
+    avg_avail = total_avail / len(instance.suppliers)
 
     ally_group = instance.ally_group
     if avg_avail < threshold:

@@ -1,5 +1,7 @@
+import builtins
 import json
 import re
+import shutil
 import threading
 
 import pytest
@@ -8,6 +10,7 @@ from strainchain import recourse
 from strainchain.cli import cli_main
 from strainchain.recourse import RecourseSolver
 from strainchain.simplex import solve_bounded_lp
+from strainchain.stats import ordered_total
 
 from helpers import (
     record_table_lookups,
@@ -278,6 +281,69 @@ def test_the_export_ban_study_answers_repeats_from_its_table_and_writes_the_same
 
     with_table = artifacts(tmp / "with_table")
     assert len(with_table) > 6 and with_table == artifacts(out)
+
+
+def compensated_sum(iterable, /, start=0):
+    """`sum()` as Python 3.12 adds: a float total with Neumaier compensation,
+    integers exactly; anything else as the running interpreter adds it."""
+    items = list(iterable)
+    terms = [start, *items]
+    numbers = all(isinstance(v, (int, float)) for v in terms)
+    if not numbers or all(isinstance(v, int) for v in terms):
+        return compensated_sum.plain(items, start)
+    total, compensation = float(start), 0.0
+    for value in map(float, items):
+        step = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - step) + value
+        else:
+            compensation += (value - step) + total
+        total = step
+    return total + compensation
+
+
+compensated_sum.plain = builtins.sum
+
+
+def test_artifacts_keep_their_bits_when_sum_compensates_float_rounding(tmp_path, monkeypatch):
+    # Python 3.12's sum() rounds a float total differently, and the package
+    # supports 3.10 on: its float totals are added one term at a time, so gen,
+    # solve, evaluate, the export-ban study and verify write the same bytes
+    assert compensated_sum([0.1] * 10) == 1.0 > ordered_total([0.1] * 10)
+    assert compensated_sum([2, 3]) == 5
+    work = tmp_path / "work"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "saa": {"replications": 2, "optimization_scenarios": 5, "evaluation_scenarios": 20,
+                "max_passes": 1, "evaluate_overrides": {"export_prob_scale": 0.7}},
+        "studies": [{"kind": "export_ban_cases"}],
+    }), encoding="utf-8")
+
+    def run_all():
+        shutil.rmtree(work, ignore_errors=True)
+        assert cli_main(["gen", "--out", str(work), "--seed", "3", "--countries", "6",
+                         "--suppliers", "2", "--plants", "3"]) == 0
+        common = ["--instance", str(work / "instance.json"), "--config", str(config)]
+        assert cli_main(["solve", *common, "--out", str(work / "run"),
+                         "--dump-scenarios", str(work / "run-scenarios.csv")]) == 0
+        report = json.loads((work / "run" / "report.json").read_text(encoding="utf-8"))
+        design = json.dumps(report["saa"]["incumbent"])
+        assert cli_main(["evaluate", *common, "--design", design, "--out", str(work / "eval"),
+                         "--dump-scenarios", str(work / "eval-scenarios.csv")]) == 0
+        assert cli_main(["study", *common, "--out", str(work / "studies")]) == 0
+        for report in sorted(work.rglob("report.json")):
+            assert cli_main(["verify", "--run", str(report.parent)]) == 0
+        return {
+            path.relative_to(work): path.read_bytes()
+            for path in sorted(work.rglob("*"))
+            if path.is_file() and path.name != "timings.json"
+        }
+
+    plain = run_all()
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    compensated = run_all()
+    assert len(plain) > 20 and compensated.keys() == plain.keys()
+    assert [p for p in plain if compensated[p] != plain[p]] == []
 
 
 def test_verify_flags_a_reported_evaluation_mean_the_cold_solves_do_not_give(workdir):

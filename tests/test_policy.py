@@ -15,7 +15,7 @@ from strainchain import (
     run_sensitivity,
     run_study,
 )
-from strainchain import saa
+from strainchain import saa, scenarios
 from strainchain.policy import (
     apply_backshoring_quality,
     apply_pricing_scheme,
@@ -327,6 +327,15 @@ def test_misspecified_arms_reuse_case_zero_and_evaluate_each_design_once(monkeyp
         for d in arm.report.candidate_designs
     }
     assert len(evaluations) == len(distinct)
+
+
+def test_the_arms_draw_each_scenario_once(monkeypatch):
+    inst = small_random_instance(seed=95, n_countries=4)
+    draws = count_calls(monkeypatch, scenarios, "batch_draws")
+    samples = count_calls(monkeypatch, saa, "sample_batch")
+    run_export_ban_cases(inst, FAST)
+    # each arm applies its overrides to the numbers of the pass's M + 1 seeds
+    assert len(draws) == FAST.replications + 1 < len(samples)
 
 
 def test_a_misspecified_arm_solves_the_pass_case_zero_never_ran(monkeypatch):

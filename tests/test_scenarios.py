@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strainchain import (
+    DiscretePmf,
     RiskOverrides,
     Scenario,
     dump_scenarios,
@@ -348,3 +349,76 @@ def test_validate_scenario_requires_an_open_channel_under_an_open_ally_general_f
     flags[inst.countries.index("c2"), 1] = 0
     with pytest.raises(ValueError, match="ally flag for 'c2' must be 1 when the general flag"):
         validate_scenario(inst, dataclasses.replace(scen, flags=flags))
+
+
+# -- the batch sampler against the dict sampler -------------------------------------
+
+OVERRIDE_KINDS = {
+    "none": None,
+    "force_export_prob_one": RiskOverrides(force_export_prob_one=True),
+    "export_prob_scale": RiskOverrides(export_prob_scale=0.6),
+    "ban_threshold": RiskOverrides(ban_threshold=0.75),
+    "alliances_off": RiskOverrides(alliances_off=True),
+}
+
+
+def ban_heavy_instance(seed):
+    """risky_instance with allies, a ban gate that fires in most scenarios
+    but not all, and strain PMFs of one to four levels, a zero-probability
+    level among them."""
+    inst = risky_instance(seed)
+    pmfs = [
+        DiscretePmf(levels=(1.0,), probs=(1.0,)),
+        DiscretePmf(levels=(0.0, 0.5, 1.0), probs=(0.3, 0.0, 0.7)),
+        DiscretePmf(levels=(0.2, 0.4, 0.6, 0.9), probs=(0.1, 0.2, 0.3, 0.4)),
+    ]
+    return inst.perturbed(
+        ban_threshold=0.9,
+        supplier_strain_pmf={i: pmfs[n % 3] for n, i in enumerate(inst.suppliers)},
+        plant_strain_pmf={j: pmfs[(n + 1) % 3] for n, j in enumerate(inst.plant_candidates)},
+    )
+
+
+def assert_equals_reference(inst, scen, ref):
+    """A sampled scenario against the dict sampler's, by position and bits."""
+    for name, order in (
+        ("supplier_avail", inst.suppliers),
+        ("plant_avail", inst.plant_candidates),
+        ("demand", inst.countries),
+    ):
+        values = getattr(ref, name)
+        assert getattr(scen, name).tobytes() == np.array([values[x] for x in order]).tobytes()
+    assert scen.flags.tobytes() == reference_flags(inst, ref.ban_general, ref.ban_ally).tobytes()
+    for name in ("retained_exports", "price_increase", "probability"):
+        got, want = np.float64(getattr(scen, name)), np.float64(getattr(ref, name))
+        assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("kind", list(OVERRIDE_KINDS))
+def test_batches_equal_the_dict_sampler_by_position(kind):
+    overrides = OVERRIDE_KINDS[kind]
+    banned_allies = quiet = 0
+    for seed in range(6):
+        inst = ban_heavy_instance(seed)
+        ally = [inst.countries.index(k) for k in inst.ally_group]
+        batch = sample_batch(inst, (seed, 4), 40, overrides)
+        for w, scen in enumerate(batch):
+            ref = reference_sample_scenario(inst, scenario_rng((seed, 4), w), overrides, 1 / 40)
+            assert_equals_reference(inst, scen, ref)
+            banned_allies += int((scen.flags[ally, 0] == 0).sum())
+            quiet += bool((scen.flags == 1).all())
+    # the ally second chance and the closed ban gate both occur
+    assert quiet > 0
+    assert banned_allies > 0 or kind == "force_export_prob_one"
+
+
+def test_a_batch_read_from_a_draws_table_equals_one_drawn_afresh():
+    inst = ban_heavy_instance(7)
+    table = {}
+    for overrides in OVERRIDE_KINDS.values():
+        shared = sample_batch(inst, (8, 1), 30, overrides, draws=table)
+        assert same_batch(shared, sample_batch(inst, (8, 1), 30, overrides))
+    assert len(table) == 1  # every override read the one entry
+    assert same_batch(sample_batch(inst, (8, 1), 31, draws=table), sample_batch(inst, (8, 1), 31))
+    assert same_batch(sample_batch(inst, 8, 30, draws=table), sample_batch(inst, 8, 30))
+    assert len(table) == 3

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from strainchain import Design, RecourseSolver, RiskOverrides, run_lshaped, sample_batch, simplex
+from strainchain import (
+    Design,
+    RecourseSolver,
+    RiskOverrides,
+    generate_synthetic_instance,
+    run_lshaped,
+    sample_batch,
+    simplex,
+)
 from strainchain.simplex import (
     LpSolution,
     SimplexError,
@@ -190,6 +198,66 @@ def test_recourse_lps_refreshed_every_two_pivots_match_without_inv(monkeypatch):
         assert not inv_calls
         assert_same_lp_solution(got, reference_solve_bounded_lp(*args, basis_inverse=start.copy()))
         inv_calls.clear()
+
+
+# suppliers, plant candidates and countries of the benchmark's three workloads
+WORKLOAD_SIZES = ((3, 5, 10), (8, 16, 60), (3, 21, 21))
+
+
+def _workload_lps(monkeypatch):
+    """Scenario LPs of the benchmark workloads' instances as the
+    decomposition poses them: each design's batch with one basis pool and
+    the LPs perturbed toward the core point."""
+    with monkeypatch.context() as patch:
+        lps = record_recourse_lps(patch)
+        for sizes in WORKLOAD_SIZES:
+            inst = generate_synthetic_instance(*sizes, seed=1)
+            solver = RecourseSolver(inst)
+            scens = sample_batch(inst, (41, sizes[1]), 5, RiskOverrides(export_prob_scale=0.8))
+            rng = np.random.default_rng(sizes[1])
+            for _ in range(3):
+                opened = rng.random(len(solver.pl)) < 0.4
+                opened[rng.integers(len(opened))] = True
+                design = Design(open=dict(zip(solver.pl, opened.astype(int).tolist())))
+                for _ in solver.batches(design, scens, [], pareto=True):
+                    pass
+    assert len(lps) == 45 and all(perturbed is not None for *_, perturbed in lps)
+    return lps
+
+
+def test_workload_lps_pivot_as_the_reference_simplex(monkeypatch):
+    """The pivot loop against the full-pricing reference, bit for bit: each
+    LP cold from its start basis, then the Pareto step's re-optimization
+    from that optimal basis at the perturbed point, where it is feasible."""
+    reoptimized = 0
+    for (A, b, c, upper, basis), start, _, (b2, upper2) in _workload_lps(monkeypatch):
+        pool = []
+        cold = solve_bounded_lp(A, b, c, upper, basis, basis_inverse=start.copy(), pool=pool)
+        ref = reference_solve_bounded_lp(A, b, c, upper, basis, basis_inverse=start.copy())
+        assert_same_lp_solution(cold, ref)
+        entry = pool[0]
+        at_upper = entry.at_upper
+        if not np.isfinite(upper2[at_upper]).all():
+            continue
+        xB = entry.inverse @ (b2 - A @ np.where(at_upper, upper2, 0.0))
+        tol = 1e-9 * (1.0 + np.abs(b2).max())
+        if not ((xB >= -tol) & (xB <= upper2[entry.basis] + tol)).all():
+            continue  # no feasible start at the perturbed point: no re-optimization
+        m, n = A.shape
+        rc_tol = 1e-9 * max(1.0, float(np.abs(c).max()))
+        basis2, at_upper2, _, xB2, y2, rc2, passes = simplex._pivot(
+            A, b2, c, upper2, entry.basis.copy(), at_upper.copy(), entry.inverse.copy(),
+            500 + 40 * (m + n), rc_tol,
+        )
+        got = simplex._solution(
+            c, upper2, np.isfinite(upper2), basis2, at_upper2, xB2, y2, rc2, passes
+        )
+        ref = reference_solve_bounded_lp(
+            A, b2, c, upper2, entry.basis, at_upper=at_upper, basis_inverse=entry.inverse.copy()
+        )
+        assert_same_lp_solution(got, ref)
+        reoptimized += passes > 1
+    assert reoptimized >= 20
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
@@ -5,6 +7,7 @@ from scipy import stats as scipy_stats
 from strainchain.stats import (
     critical_values,
     normal_upper,
+    ordered_total,
     regularized_incomplete_beta,
     student_t_sf,
     student_t_upper,
@@ -76,3 +79,14 @@ def test_domain_errors():
         critical_values(0.01, 0)
     with pytest.raises(ValueError):
         student_t_sf(1.0, -1)
+
+
+def test_ordered_total_adds_one_term_at_a_time():
+    values = [0.1] * 10 + [1e16, 1.0, -1e16]
+    total = 0
+    for value in values:
+        total += value
+    assert ordered_total(values) == total != math.fsum(values)
+    assert ordered_total(iter(values)) == total
+    assert ordered_total([2, 3]) == 5 and isinstance(ordered_total([2, 3]), int)
+    assert ordered_total([]) == 0
