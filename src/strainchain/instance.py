@@ -22,6 +22,9 @@ from .stats import ordered_total
 INCOME_LEVELS = ("HIC", "UMIC", "LMIC", "LIC")
 
 PMF_WEIGHT_TOL = 1e-9  # max deviation of a strain PMF's total probability from 1
+# largest magnitude of any number: a product of three stays below 1e300, so
+# costs, flows and their sums never overflow a float
+MAGNITUDE_LIMIT = 1e100
 
 
 class ValidationError(ValueError):
@@ -144,7 +147,7 @@ def is_finite_number(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
 
 
-def _check_map(mapping: dict, keys, what: str, lo: float = 0.0, hi: float | None = None) -> None:
+def _check_map(mapping: dict, keys, what: str, lo: float = 0.0, hi: float = MAGNITUDE_LIMIT) -> None:
     keys = list(keys)
     _require(isinstance(mapping, dict), f"{what} must be a map of country ids")
     if set(mapping) != set(keys):
@@ -154,9 +157,8 @@ def _check_map(mapping: dict, keys, what: str, lo: float = 0.0, hi: float | None
     for k in keys:
         v = mapping[k]
         _require(is_finite_number(v), f"{what}[{k}] is not a finite number, got {v!r}")
-        if v < lo or (hi is not None and v > hi):
-            bound = f"[{lo}, {hi}]" if hi is not None else f">= {lo}"
-            raise ValidationError(f"{what} out of {bound} for {k!r}")
+        if not lo <= v <= hi:
+            raise ValidationError(f"{what} out of [{lo}, {hi}] for {k!r}")
 
 
 def validate_instance(inst: Instance) -> None:
@@ -201,7 +203,7 @@ def validate_instance(inst: Instance) -> None:
     for name in ("beta", "ban_threshold"):
         value = getattr(inst, name)
         _require(is_finite_number(value), f"{name} is not a finite number, got {value!r}")
-    _require(inst.beta >= 0.0, "beta out of [0, inf)")
+    _require(0.0 <= inst.beta <= MAGNITUDE_LIMIT, f"beta out of [0, {MAGNITUDE_LIMIT}]")
     _require(0.0 <= inst.ban_threshold <= 1.0, "ban_threshold out of [0,1]")
 
     t1_keys = {(i, j) for i in inst.suppliers for j in inst.plant_candidates}
@@ -209,7 +211,8 @@ def validate_instance(inst: Instance) -> None:
         raise ValidationError("transport1: keys must cover all (supplier, plant) pairs")
     for (i, j), v in inst.transport1.items():
         _require(is_finite_number(v), f"transport1 is not a finite number for ({i}, {j})")
-        _require(v >= 0.0, f"transport1 negative for ({i}, {j})")
+        _require(0.0 <= v <= MAGNITUDE_LIMIT,
+                 f"transport1 out of [0, {MAGNITUDE_LIMIT}] for ({i}, {j})")
         if i == j:
             _require(v == 0.0, f"transport1 must be 0 on self pair ({i}, {j})")
     t2_keys = {(j, k) for j in inst.plant_candidates for k in K}
@@ -217,7 +220,8 @@ def validate_instance(inst: Instance) -> None:
         raise ValidationError("transport2: keys must cover all (plant, country) pairs")
     for (j, k), v in inst.transport2.items():
         _require(is_finite_number(v), f"transport2 is not a finite number for ({j}, {k})")
-        _require(v >= 0.0, f"transport2 negative for ({j}, {k})")
+        _require(0.0 <= v <= MAGNITUDE_LIMIT,
+                 f"transport2 out of [0, {MAGNITUDE_LIMIT}] for ({j}, {k})")
         if j == k:
             _require(v == 0.0, f"transport2 must be 0 on self pair ({j}, {k})")
 

@@ -403,6 +403,7 @@ def run_lshaped(
     n_scen = len(scenarios)
     master = Master(instance, n_scen, forced)
     solver = solver or RecourseSolver(instance)
+    data = solver.arrays(scenarios)  # every iteration solves the same scenarios
     groups = master.groups
     group_of = np.arange(n_scen) * groups // n_scen
 
@@ -447,7 +448,7 @@ def run_lshaped(
         constants = np.zeros(groups)
         coefficients = np.zeros((groups, len(master.plants)))
         bases = []
-        for batch in solver.batches(candidate, scenarios, bases, pareto=True):
+        for batch in solver.batches(candidate, data, bases, pareto=True):
             kept_duals += int(batch.kept_dual.sum())
             mean_recourse = float(ordered_sum(batch.objective / n_scen, mean_recourse))
             const, coeff = cut_terms_from(batch)

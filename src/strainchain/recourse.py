@@ -33,7 +33,10 @@ j's slack), and each country row is the negated demand row. Negating rows
 keeps a matrix TU, so A is TU. Hence every basis inverse and every
 entering column B^-1 a is 0/+-1, which `simplex` relies on to keep its
 inverses exact without factorizing. An exhaustive Ghouila-Houri (1962)
-row-split check confirms it on small shapes in the tests.
+row-split check confirms it on small shapes in the tests. Each column has
+at most three nonzeros (a drug arc's plant capacity, demand and balance
+rows), which the simplex prices from through the `simplex.Columns` each
+solver builds once (`RecourseSolver.columns`).
 
 Inside a solve everything is an array in the solver's fixed orders:
 suppliers, plant candidates and countries as in the instance (a sampled
@@ -42,7 +45,9 @@ suppliers, plant candidates and countries as in the instance (a sampled
 design-independent arrays of the scenarios solved at one design
 (capacities, the demand right-hand side net of retained exports, the
 shielded volumes and the gated arc capacities) are derived as (n, .) stacks
-in one step per `RecourseSolver.batches` call (`RecourseSolver.arrays`). The
+in one step (`RecourseSolver.arrays`), once per scenario list: a caller that
+solves one list at several designs (`lshaped.run_lshaped` at each
+iteration, `saa.run_saa` for each candidate) passes them to `batches`. The
 start basis (slacks, the S2 or E column of each country by the sign of its
 right-hand side, and each plant's self-distribution column) has a 0/+-1
 inverse in closed form, so a solve starts pivoting without factorizing; it
@@ -57,13 +62,16 @@ simplex call and stores the answer in the batch's stacks. Once every row is answ
 `ScenarioBatch.check` derives the flows, the gate and tranche duals and the
 cut terms (`cut_terms_from`: (k,) constants and (k, J) coefficients in plant
 order) over the whole stack and checks every row's balances and strong
-duality; a failure names the row's scenario. Each sum runs along one row in
-the order a loop over that scenario adds it, so a batch answers bit for bit
-as k single solves. A batch holds at most BATCH_LIMIT floats per (k, n)
-stack, so a long scenario list (an evaluation's N' = 300 on 1,292 columns)
+duality, each test written so that a NaN fails it; a failure names the row's
+scenario. Each sum runs along one row in the order a loop over that scenario
+adds it, so a batch answers bit for bit as k single solves, at any batch
+size. A batch holds at most BATCH_LIMIT floats per (k, n) stack, so a long
+scenario list (an evaluation's N' = 300 on 1,292 columns, 6 rows a batch)
 comes in several batches, whose totals the callers carry from one to the
-next. A `RecourseSolution` is one row of a checked batch; a single LP is
-solved as a batch of one.
+next. The limit is 2^13: each batch pays a fixed count of numpy calls, which
+2^12 paid twice as often, and each doubling doubles the stacks' memory. A
+`RecourseSolution` is one row of a checked batch; a single LP is solved as a
+batch of one.
 
 A solve may pass the simplex a pool of earlier optimal bases;
 `saa.evaluate_design` keeps one per evaluation and `lshaped.run_lshaped`
@@ -105,14 +113,14 @@ import numpy as np
 
 from .instance import Design, Instance, validate_design
 from .scenarios import Scenario, retained_by_country
-from .simplex import SimplexError, solve_bounded_lp
+from .simplex import Columns, SimplexError, solve_bounded_lp
 from .stats import ordered_sum, ordered_total
 
 BALANCE_TOL = 1e-7       # absolute feasibility tolerance on balance rows
 DUALITY_REL_TOL = 1e-6   # relative primal/dual agreement required per solve
 PARETO_STEP = 1e-6       # mu: a `pareto` solve perturbs the openings y to y + mu (y0 - y)
 CORE_POINT = 0.5         # y0, every plant half open: inside the hull of the designs
-BATCH_LIMIT = 1 << 12    # floats in one (k, n) stack of a batch, k <= BATCH_LIMIT // n (32 KB)
+BATCH_LIMIT = 1 << 13    # floats in one (k, n) stack of a batch, k <= BATCH_LIMIT // n (64 KB)
 
 
 class RecourseError(RuntimeError):
@@ -133,6 +141,9 @@ class ScenarioArrays:
     cap_u: np.ndarray          # origin capacity x export gate per supplier-plant arc
     cap_v: np.ndarray          # origin capacity x export gate per plant-country arc
     price_increase: np.ndarray  # the scenario's bump on the escalated tranche, (n,)
+
+    def __len__(self) -> int:
+        return len(self.a_sup)
 
     def rows(self, start: int, stop: int) -> ScenarioArrays:
         """The stacks' rows start to stop, as views."""
@@ -240,12 +251,13 @@ class ScenarioBatch:
         drug = self.drug.reshape(k, nJ, nK)
         inflow = self.raw.reshape(k, nI, nJ).sum(axis=1)
         scale = 1.0 + np.abs(x).max(axis=1, initial=0.0)
+        # each test is written so that a NaN fails it
         residual = np.abs(inflow - drug.sum(axis=2)).max(axis=1, initial=0.0)
-        self._fail(residual > BALANCE_TOL * scale, "flow balance residual beyond tolerance")
+        self._fail(~(residual <= BALANCE_TOL * scale), "flow balance residual beyond tolerance")
         data = self.data
         residual = drug.sum(axis=1) + s1 + s2 - e + data.retained - data.demand
         residual = np.abs(residual).max(axis=1, initial=0.0)
-        self._fail(residual > BALANCE_TOL * scale, "demand balance residual beyond tolerance")
+        self._fail(~(residual <= BALANCE_TOL * scale), "demand balance residual beyond tolerance")
 
         y_rows, rc = self.row_duals, self.reduced_costs
         self.pi_supplier = np.minimum(0.0, y_rows[:, s.rSup : s.rSup + nI])
@@ -265,7 +277,7 @@ class ScenarioBatch:
         objective = self.objective
         tol = DUALITY_REL_TOL * np.maximum(1.0, np.abs(objective))
         self._fail(
-            np.abs(tight - objective) > tol,
+            ~(np.abs(tight - objective) <= tol),
             "duality violation: dual value {tight!r} vs objective {objective!r}",
             tight=tight,
             objective=objective,
@@ -354,6 +366,7 @@ class RecourseSolver:
         A[self.rSup : self.rSup + nI, self.oSlackS : self.oSlackS + nI] = np.eye(nI)
         A[self.rPl : self.rPl + nJ, self.oSlackP : self.oSlackP + nJ] = np.eye(nJ)
         self.A = A
+        self.columns = Columns(A)  # what the simplex prices from
 
         base_cost = np.zeros(n)
         for a, (i, j) in enumerate(self.u_arcs):
@@ -433,21 +446,26 @@ class RecourseSolver:
         return basis, inverse
 
     def batches(
-        self, design: Design, scenarios: list, pool: list | None = None, pareto: bool = False
+        self,
+        design: Design,
+        scenarios: list | ScenarioArrays,
+        pool: list | None = None,
+        pareto: bool = False,
     ):
         """Solve the scenarios at a design; yields checked `ScenarioBatch`es
         of at most max(1, BATCH_LIMIT // n) rows, in scenario order.
 
-        The scenarios' arrays are derived once (`arrays`) and each batch
+        scenarios is a list of scenarios or their `arrays`, which a caller
+        that solves one list at several designs derives once; each batch
         takes its rows. Each LP is one `solve` call, given `pool`; with
         `pareto` the batches also hold the LPs perturbed toward CORE_POINT
         (see `solve`).
         """
         validate_design(self.instance, design)
         y = np.array([float(design.open[j]) for j in self.pl])
-        data = self.arrays(scenarios)
+        data = scenarios if isinstance(scenarios, ScenarioArrays) else self.arrays(scenarios)
         rows = max(1, BATCH_LIMIT // self.n)
-        for first in range(0, len(scenarios), rows):
+        for first in range(0, len(data), rows):
             batch = ScenarioBatch(self, design, y, data.rows(first, first + rows), first, pareto)
             for s in range(batch.size):
                 self.solve(batch, s, pool)
@@ -468,7 +486,7 @@ class RecourseSolver:
             perturbed = (perturbed[0][s], perturbed[1][s])
         try:
             sol = solve_bounded_lp(
-                self.A,
+                self.columns,
                 batch.b[s],
                 batch.cost[s],
                 batch.upper[s],

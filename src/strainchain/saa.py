@@ -63,7 +63,7 @@ from .instance import (
     validate_design,
 )
 from .lshaped import check_forcing_values, run_lshaped
-from .recourse import RecourseSolver
+from .recourse import RecourseSolver, ScenarioArrays
 from .scenarios import RiskOverrides, sample_batch
 from .stats import critical_values, ordered_sum, ordered_total
 
@@ -197,11 +197,13 @@ class SaaReport:
 def evaluate_design(
     instance: Instance,
     design: Design,
-    scenarios: list,
+    scenarios: list | ScenarioArrays,
     solver: RecourseSolver | None = None,
 ) -> DesignEvaluation:
     """Sample mean, standard error, and per-country/cost detail for one design.
 
+    scenarios is a list of scenarios or their `RecourseSolver.arrays`; a
+    caller that evaluates several designs on one list derives them once.
     The scenario LPs are solved in batches (see `recourse`) and share one
     basis pool (see `simplex`), so an earlier scenario's optimal basis
     answers a later LP whenever it is optimal there.
@@ -386,9 +388,9 @@ def run_saa(instance: Instance, config: SaaConfig, memo: SaaMemo | None = None) 
         keys = [_evaluation_key(config, pass_idx, d) for d in designs]
         missing = {k: d for k, d in zip(keys, designs) if k not in evaluations}
         if missing:
-            eval_batch = evaluation_batch(instance, config, pass_idx, draws)
+            eval_data = solver.arrays(evaluation_batch(instance, config, pass_idx, draws))
             for k, d in missing.items():
-                evaluations[k] = evaluate_design(instance, d, eval_batch, solver)
+                evaluations[k] = evaluate_design(instance, d, eval_data, solver)
         best_m = min(range(m_reps), key=lambda m: evaluations[keys[m]].mean_objective)
         incumbent = designs[best_m]
         chosen = evaluations[keys[best_m]]

@@ -13,13 +13,20 @@ explicitly, from the start inverse the caller passes.
 
 Pricing covers only the columns that can ever enter: those whose upper
 bound exceeds the pivot tolerance (a gated arc of a closed plant has upper
-bound 0 and never moves). Their reduced costs come from a copy of those
-columns, taken once per solve and laid out so that each is rounded exactly
-as in the full product, and each candidate's bound state is kept as a
-direction (-1 at lower, +1 at upper, 0 basic) updated at every pivot.
-Pricing runs in the copy's layout, whose padding columns have direction 0.
-The candidates are in column order there, so Dantzig's first maximum and
-Bland's lowest index pick the column that full pricing would.
+bound 0 and never moves). It reads A through its `Columns`, built once per
+A (`recourse` builds one per solver; an array is wrapped on entry), which
+hold each column's at most p nonzeros, all +-1, as positions in [y, -y, 0].
+Each pass computes y = c_B B^-1 with one gemv, gathers those positions for
+the candidates and adds the p rows in row order, c - ((t0 + t1) + t2) for
+p = 3: a handful of additions per column instead of an m-long product. The
+row order is the order in which a loop over rows adds; a BLAS product may
+group two of a column's three nonzeros first, and the two can differ in
+the last bit. Each candidate's bound state is kept as a direction (-1 at
+lower, +1 at upper, 0 basic) updated at every pivot. The candidates are in
+column order, so Dantzig's first maximum and Bland's lowest index pick the
+column that full pricing would. The final polish prices every column with
+the full product c - y @ A, the expression every answer path ends on, so
+the reduced costs a solve returns do not depend on the pricing kernel.
 
 Each pivot touches only what changes. The entering column d = B^-1 a_e of a
 0/+-1 network matrix has a handful of nonzeros, so the ratio test, its
@@ -28,8 +35,13 @@ and the rank-1 update rewrites only those rows of B^-1: every other entry
 would subtract an exact zero, so this is exact in value for any data, and
 every pivot decision is the one the dense update makes. The basic costs and
 bounds are carried across pivots; the basic values and bounds, and each
-basic column's place in the pricing copy, are Python lists between
+basic column's place among the candidates, are Python lists between
 refreshes, as a pass reads only a few entries of each.
+
+Basic values are B^-1 (b - A x_N), where x_N holds the nonbasic columns at
+upper at their bounds. With no column at upper the product A x_N is skipped
+and b itself is used: A @ 0 is +0 in every entry, and b - (+0) is b bit for
+bit, -0.0 included.
 
 A must be totally unimodular (TU): every square submatrix has determinant
 0 or +-1. The recourse matrix is (the proof is in `recourse`). Then every
@@ -62,6 +74,14 @@ an upper bound this LP lacks is skipped. Otherwise the LP is solved from its
 start basis on the same pivot path as without a pool, and its final basis,
 with its exact inverse, joins the pool. The start basis may be passed as a
 function, so that its inverse is built only when no pooled basis answers.
+An entry that fails the primal test remembers a row that failed it, its
+witness: the lowest basic value, or the one furthest above its bound. A
+later lookup first computes that one basic value, a dot product, and passes
+the entry over when it violates a bound by more than the tolerance plus a
+rounding bound: a row of the 0/+-1 inverse sums the entries of b - A_N x_N
+with signs, so any summation order lands within gamma_m ||b - A_N x_N||_1
+of the exact value, and the full test would fail too. Otherwise the full
+test runs as before. The same entry answers as without the screen.
 
 A caller may also pass a perturbed right-hand side and bounds (b', u') of
 the same LP. The call first answers (b, u) as above. Then the primal
@@ -135,7 +155,8 @@ class PoolEntry:
     and the (basis, at-upper mask, B^-1) last re-optimized from it at a
     perturbation, if any. The columns held at upper, which every LP the
     entry is tried on reads, and their bytes, which key the LP's b - A x_N,
-    are taken once."""
+    are taken once. `witness` is the row whose basic value last showed the
+    basis primal infeasible, or -1."""
 
     basis: np.ndarray
     at_upper: np.ndarray
@@ -143,10 +164,47 @@ class PoolEntry:
     pareto: tuple | None = None
     upper_cols: np.ndarray = field(init=False, repr=False)
     upper_key: bytes = field(init=False, repr=False)
+    witness: int = field(default=-1, init=False, repr=False)
 
     def __post_init__(self):
         self.upper_cols = self.at_upper.nonzero()[0]
         self.upper_key = self.upper_cols.tobytes()
+
+
+class Columns:
+    """A 0/+-1 matrix, built once per A, and each column's nonzeros as
+    positions in y_ext = [y, -y, 0], a vector of length 2m + 1.
+
+    index[i, j] is r where column j's i-th nonzero, in row order, is a +1 in
+    row r, m + r where it is a -1, and 2m past the column's last nonzero;
+    index has p rows, the most nonzeros any column has. Adding the p rows
+    of y_ext gathered at index, in order, gives y @ a_j with column j's
+    nonzeros added in row order. Any other entry raises SimplexError: a
+    totally unimodular matrix has none.
+    """
+
+    __slots__ = ("matrix", "index")
+
+    def __init__(self, A):
+        A = np.asarray(A, dtype=float)
+        bad = (A != 0.0) & (A != 1.0) & (A != -1.0)
+        if bad.any():
+            r, j = np.argwhere(bad)[0]
+            raise SimplexError(
+                f"A[{r}, {j}] = {A[r, j]!r} is not 0 or +-1: A is not totally unimodular"
+            )
+        m, n = A.shape
+        cols, rows = (A.T != 0.0).nonzero()  # column by column, rows ascending
+        counts = np.bincount(cols, minlength=n)
+        slot = np.arange(cols.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        self.index = np.full((max(1, int(counts.max(initial=0))), n), 2 * m)
+        self.index[slot, cols] = rows + m * (A[rows, cols] < 0.0)
+        self.matrix = A
+
+    @classmethod
+    def of(cls, A) -> "Columns":
+        """A itself if it is a Columns, else A wrapped."""
+        return A if isinstance(A, cls) else cls(A)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -210,24 +268,6 @@ def answer_key(b, c, upper, perturbed) -> bytes:
     return digest.digest()
 
 
-def _pricing_columns(A: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The columns `cand` of A, laid out so that y @ copy rounds like y @ A.
-
-    The BLAS vector-matrix product of a C-ordered matrix sums the last
-    n % 4 entries in a scalar tail and the others in blocks of four, with
-    different rounding. The copy therefore holds the candidates before A's
-    tail, padded with copies of column 0 to a multiple of four, followed by
-    A's whole tail. Returns the copy and the position of each candidate in it.
-    """
-    n = A.shape[1]
-    tail = n - n % 4
-    split = int(np.searchsorted(cand, tail))
-    pad = -split % 4
-    cols = np.concatenate([cand[:split], np.zeros(pad, dtype=np.intp), np.arange(tail, n)])
-    pos = np.concatenate([np.arange(split), cand[split:] + (split + pad - tail)])
-    return A.take(cols, axis=1), pos
-
-
 def _abs_max(v) -> float:
     return float(np.maximum.reduce(np.abs(v), initial=0.0))
 
@@ -236,12 +276,30 @@ def _primal_tol(b) -> float:
     return POOL_PRIMAL_TOL * (1.0 + _abs_max(b))
 
 
-def _within_bounds(xB, upper, basis, tol) -> bool:
-    """Whether the basic values xB lie within [0, upper[basis]], up to tol."""
-    return (
-        np.minimum.reduce(xB, initial=0.0) >= -tol
-        and np.maximum.reduce(xB - upper[basis], initial=0.0) <= tol
-    )
+def _violated_row(xB, upper, basis, tol) -> int:
+    """A row whose basic value lies below 0 or above upper[basis] by more
+    than tol, the worst of either kind, or -1 if none does; NaN violates."""
+    if not xB.size:
+        return -1
+    low = int(xB.argmin())
+    if not xB[low] >= -tol:
+        return low
+    over = xB - upper[basis]
+    high = int(over.argmax())
+    if not over[high] <= tol:
+        return high
+    return -1
+
+
+def _reduced_costs(c_cand, y_ext, index) -> np.ndarray:
+    """c_j - y @ a_j for the columns of index, a gather from `Columns.index`,
+    each column's at most p nonzeros added in row order: c - ((t0 + t1) + t2)
+    for p = 3. y_ext is [y, -y, 0]."""
+    terms = y_ext[index]
+    priced = terms[0]
+    for i in range(1, len(terms)):
+        priced += terms[i]
+    return c_cand - priced
 
 
 def _nonbasic_values(upper, cols) -> np.ndarray:
@@ -252,13 +310,20 @@ def _nonbasic_values(upper, cols) -> np.ndarray:
     return x_N
 
 
+def _rhs(A, b, upper, cols) -> np.ndarray:
+    """b - A x_N with the columns cols held at upper. With none held this is
+    b itself: A @ 0 is +0 in every entry, and b - (+0) is b, -0.0 included."""
+    if not cols.size:
+        return b
+    return b - A @ _nonbasic_values(upper, cols)
+
+
 def _primal_feasible(A, b, upper, basis, cols, Binv, tol) -> bool:
     """Whether the basis, with the columns cols at their bounds, has its
     basic values within their bounds at (b, upper), up to tol."""
     if not np.isfinite(upper[cols]).all():
         return False  # x_N would hold inf, and the basic values NaN
-    xB = Binv @ (b - A @ _nonbasic_values(upper, cols))
-    return _within_bounds(xB, upper, basis, tol)
+    return _violated_row(Binv @ _rhs(A, b, upper, cols), upper, basis, tol) < 0
 
 
 def _dual_feasible(rc, basis, at_upper, movable, rc_tol) -> bool:
@@ -268,20 +333,47 @@ def _dual_feasible(rc, basis, at_upper, movable, rc_tol) -> bool:
     return np.maximum.reduce(viol[movable], initial=0.0) <= rc_tol
 
 
+def _screen_bound(rhs_N, tol) -> float:
+    """The violation beyond which one basic value, a row of a 0/+-1 inverse
+    times rhs_N summed in any order, shows the primal test failing.
+
+    Such a sum lies within gamma_m ||rhs_N||_1 of its exact value (gamma_m =
+    m u / (1 - m u), u = 2^-53), and so does the test's gemv, so the two
+    differ by at most 2 gamma_m ||rhs_N||_1; 2^-50 m (||rhs_N||_1 + tol) is
+    more than that plus the rounding of the comparisons.
+    """
+    return tol + 2.0**-50 * rhs_N.size * (float(np.abs(rhs_N).sum()) + tol)
+
+
 def _pooled_answer(pool, A, b, c, upper, finite_ub, movable, rc_tol, tol):
     """(entry, basic values, duals, reduced costs) of the first pooled basis
-    optimal for this LP, or None."""
-    rhs = {}  # b - A x_N, by the entries' columns held at upper
+    optimal for this LP, or None.
+
+    An entry that failed the primal test before is first tested on its
+    witness row alone, with one dot product; a violation there beyond
+    `_screen_bound` is one the full test makes too, so the entry is passed
+    over as the full test would pass it over.
+    """
+    rhs = {}  # (b - A x_N, its screen bound), by the entries' columns held at upper
     for entry in pool:
         cols = entry.upper_cols
         if cols.size and not finite_ub[cols].all():
             continue  # x_N would hold inf, and the basic values NaN
-        rhs_N = rhs.get(entry.upper_key)
-        if rhs_N is None:
-            rhs_N = rhs[entry.upper_key] = b - A @ _nonbasic_values(upper, cols)
+        known = rhs.get(entry.upper_key)
+        if known is None:
+            rhs_N = _rhs(A, b, upper, cols)
+            known = rhs[entry.upper_key] = (rhs_N, _screen_bound(rhs_N, tol))
+        rhs_N, bound = known
         basis, Binv = entry.basis, entry.inverse
+        w = entry.witness
+        if w >= 0:
+            x_w = float(Binv[w] @ rhs_N)
+            if x_w < -bound or x_w - upper[basis[w]] > bound:
+                continue
         xB = Binv @ rhs_N
-        if not _within_bounds(xB, upper, basis, tol):
+        row = _violated_row(xB, upper, basis, tol)
+        if row >= 0:
+            entry.witness = row
             continue
         y = c[basis] @ Binv
         rc = c - y @ A
@@ -305,7 +397,7 @@ def _solution(c, upper, finite_ub, basis, at_upper, xB, y, rc, iterations) -> Lp
 
 
 def solve_bounded_lp(
-    A: np.ndarray,
+    A: np.ndarray | Columns,
     b: np.ndarray,
     c: np.ndarray,
     upper: np.ndarray,
@@ -318,34 +410,37 @@ def solve_bounded_lp(
 ) -> LpSolution:
     """Optimal vertex from a feasible starting basis, every nonbasic column at 0.
 
-    A must be totally unimodular; a pivot that shows it is not raises
-    SimplexError. basis is the start basis, or a function returning (start
-    basis, its inverse), called only when no pooled basis answers. An array
-    basis needs basis_inverse, which must equal inv(A[:, basis]) and is
-    updated in place; a wrong one raises SimplexError naming the primal
-    residual. pool, when given, holds `PoolEntry`s of earlier optimal bases
-    of LPs with this same A; one of them may answer the LP with no pivot
-    (iterations 0), and an LP solved by pivoting adds its final basis.
-    perturbed, when given, is (b', upper') of the same LP: the duals returned
-    are then those of a basis optimal at both points, when one is found (see
-    the module docstring). answers, when given, is an answer table of LPs
-    with this same A: an LP it holds is answered from it (iterations 0),
-    and any other LP's answer is added to it. iterations counts pricing
-    passes, not pivots.
+    A must be totally unimodular, and is passed as its `Columns` or as an
+    array, which is wrapped; an entry other than 0 and +-1, or a pivot that
+    shows A is not TU, raises SimplexError. basis is the start basis, or a
+    function returning (start basis, its inverse), called only when no
+    pooled basis answers. An array basis needs basis_inverse, which must
+    equal inv(A[:, basis]) and is updated in place; a wrong one raises
+    SimplexError naming the primal residual. pool, when given, holds
+    `PoolEntry`s of earlier optimal bases of LPs with this same A; one of
+    them may answer the LP with no pivot (iterations 0), and an LP solved by
+    pivoting adds its final basis. perturbed, when given, is (b', upper') of
+    the same LP: the duals returned are then those of a basis optimal at
+    both points, when one is found (see the module docstring). answers, when
+    given, is an answer table of LPs with this same A: an LP it holds is
+    answered from it (iterations 0), and any other LP's answer is added to
+    it. iterations counts pricing passes, not pivots.
     """
+    A = Columns.of(A)
     if answers is not None:
         key = answer_key(b, c, upper, perturbed)
         known = answers.get(key)
         if known is not None:
-            return known.solution(A, c)
+            return known.solution(A.matrix, c)
     solution = _solve(A, b, c, upper, basis, max_iterations, basis_inverse, pool, perturbed)
     if answers is not None:
         answers[key] = TableAnswer.of(solution)
     return solution
 
 
-def _solve(A, b, c, upper, basis, max_iterations, basis_inverse, pool, perturbed) -> LpSolution:
-    """`solve_bounded_lp` without an answer table."""
+def _solve(cols, b, c, upper, basis, max_iterations, basis_inverse, pool, perturbed) -> LpSolution:
+    """`solve_bounded_lp` without an answer table; cols is A's `Columns`."""
+    A = cols.matrix
     m, n = A.shape
     finite_ub = np.isfinite(upper)
     if max_iterations is None:
@@ -371,7 +466,7 @@ def _solve(A, b, c, upper, basis, max_iterations, basis_inverse, pool, perturbed
             raise SimplexError("a start basis needs its inverse, basis_inverse")
         at_upper = np.zeros(n, dtype=bool)  # every column starts at 0; False while basic
         basis, at_upper, Binv, xB, y, rc, iterations = _pivot(
-            A, b, c, upper, basis, at_upper, basis_inverse, max_iterations, rc_tol
+            cols, b, c, upper, basis, at_upper, basis_inverse, max_iterations, rc_tol
         )
         solution = _solution(c, upper, finite_ub, basis, at_upper, xB, y, rc, iterations)
         # nothing has checked a caller's start inverse: a wrong one shows here
@@ -388,7 +483,7 @@ def _solve(A, b, c, upper, basis, max_iterations, basis_inverse, pool, perturbed
     if perturbed is None:
         return solution
     duals, passes = _reoptimized(
-        A, b, c, upper, perturbed, (basis, at_upper, Binv), entry, max_iterations, rc_tol, tol
+        cols, b, c, upper, perturbed, (basis, at_upper, Binv), entry, max_iterations, rc_tol, tol
     )
     solution.iterations += passes
     if duals is None:
@@ -398,7 +493,7 @@ def _solve(A, b, c, upper, basis, max_iterations, basis_inverse, pool, perturbed
     return solution
 
 
-def _reoptimized(A, b, c, upper, perturbed, start, entry, max_iterations, rc_tol, tol):
+def _reoptimized(cols, b, c, upper, perturbed, start, entry, max_iterations, rc_tol, tol):
     """((duals, reduced costs) of a basis optimal both at `perturbed` and at
     (b, upper), or None; the pricing passes spent).
 
@@ -407,17 +502,21 @@ def _reoptimized(A, b, c, upper, perturbed, start, entry, max_iterations, rc_tol
     otherwise the simplex re-optimizes from a copy of start at `perturbed`,
     and the result is stored in the entry. tol is the primal tolerance at b.
     """
+    A = cols.matrix
     b2, upper2 = perturbed
     movable = (upper > PIVOT_TOL) | (upper2 > PIVOT_TOL)
     tol2 = _primal_tol(b2)
 
-    def optimal_at_both(basis, at_upper, Binv, rc) -> bool:
+    def optimal_at_both(basis, at_upper, Binv, rc, xB2=None) -> bool:
+        """xB2, when given, is the basis's basic values at `perturbed`."""
         if not _dual_feasible(rc, basis, at_upper, movable, rc_tol):
             return False
         cols = at_upper.nonzero()[0]
-        return _primal_feasible(A, b2, upper2, basis, cols, Binv, tol2) and _primal_feasible(
-            A, b, upper, basis, cols, Binv, tol
-        )
+        if xB2 is None:
+            feasible2 = _primal_feasible(A, b2, upper2, basis, cols, Binv, tol2)
+        else:
+            feasible2 = _violated_row(xB2, upper2, basis, tol2) < 0
+        return feasible2 and _primal_feasible(A, b, upper, basis, cols, Binv, tol)
 
     if entry is not None and entry.pareto is not None:
         basis, at_upper, Binv = entry.pareto
@@ -429,10 +528,12 @@ def _reoptimized(A, b, c, upper, perturbed, start, entry, max_iterations, rc_tol
     if not _primal_feasible(A, b2, upper2, basis, at_upper.nonzero()[0], Binv, tol2):
         return None, 0  # the start is no feasible basis of the perturbed LP
     basis, at_upper, Binv = (array.copy() for array in start)
-    basis, at_upper, Binv, _, y, rc, passes = _pivot(
-        A, b2, c, upper2, basis, at_upper, Binv, max_iterations, rc_tol
+    basis, at_upper, Binv, xB2, y, rc, passes = _pivot(
+        cols, b2, c, upper2, basis, at_upper, Binv, max_iterations, rc_tol
     )
-    if not optimal_at_both(basis, at_upper, Binv, rc):
+    # the polish's xB2 is what the test at b' computes: every column the
+    # pivots hold at upper has a finite bound there
+    if not optimal_at_both(basis, at_upper, Binv, rc, xB2):
         return None, passes
     if entry is not None:
         entry.pareto = (basis, at_upper, Binv)
@@ -442,44 +543,39 @@ def _reoptimized(A, b, c, upper, perturbed, start, entry, max_iterations, rc_tol
 def _pivot(A, b, c, upper, basis, at_upper, Binv, max_iterations, rc_tol):
     """Pivot from a feasible basis to an optimal one.
 
-    basis, at_upper (the nonbasic columns held at upper) and Binv, the
-    basis's 0/+-1 inverse, are updated in place. An entering column B^-1 a_e
-    with a nonzero entry other than +-1 raises SimplexError: A is not totally
+    A is the matrix's `Columns`, or an array, which is wrapped. basis,
+    at_upper (the nonbasic columns held at upper) and Binv, the basis's
+    0/+-1 inverse, are updated in place. An entering column B^-1 a_e with a
+    nonzero entry other than +-1 raises SimplexError: A is not totally
     unimodular. Returns (basis, at_upper, Binv, basic values, duals, reduced
     costs, iterations). iterations counts the pricing passes, the last of
     which finds no entering column; a bound flip's pass counts too.
     """
+    cols = Columns.of(A)
+    A = cols.matrix
     m, n = A.shape
     finite_ub = np.isfinite(upper)
     # only a column whose span exceeds PIVOT_TOL can ever enter; cand is
     # sorted, so both pivot rules pick the column full pricing would
     cand = (upper > PIVOT_TOL).nonzero()[0]
-    A_price, price_pos = _pricing_columns(A, cand)
-    # pricing runs in the copy's layout, candidate i at price_pos[i]; the
-    # copy's other columns have cost 0 and direction 0, so their violation
-    # is 0, never above rc_tol, and they never enter
-    width = A_price.shape[1]
-    c_price = np.zeros(width)
-    c_price[price_pos] = c[cand]
-    column = np.full(width, -1)  # the column of A at each layout position
-    column[price_pos] = cand
+    index = cols.index[:, cand]
+    c_cand = c[cand]
     position = np.full(n, -1)
-    position[cand] = price_pos
+    position[cand] = np.arange(cand.size)
     basis_pos = position[basis]  # -1 for a basic column that can never enter
     # a candidate's violation is its reduced cost times its direction: -1 at
     # lower (wants rc < 0), +1 at upper (wants rc > 0), 0 in the basis
-    direction = np.zeros(width)
-    direction[price_pos] = np.where(at_upper[cand], 1.0, -1.0)
+    direction = np.where(at_upper[cand], 1.0, -1.0)
     direction[basis_pos[basis_pos >= 0]] = 0.0
     c_basis = c[basis]
     # the per-row state the ratio test reads is kept in Python lists, which
     # a pass reads a few entries of at a time
     basis_pos, ub_basis = basis_pos.tolist(), upper[basis].tolist()
+    y_ext = np.zeros(2 * m + 1)  # [y, -y, 0], which `index` points into
+    y, neg_y = y_ext[:m], y_ext[m : 2 * m]
 
     def basic_values():
-        x_nb = np.where(at_upper & finite_ub, upper, 0.0)
-        x_nb[basis] = 0.0
-        return Binv @ (b - A @ x_nb)
+        return Binv @ _rhs(A, b, upper, (at_upper & finite_ub).nonzero()[0])
 
     xB = basic_values().tolist()
     bland = False
@@ -491,8 +587,9 @@ def _pivot(A, b, c, upper, basis, at_upper, Binv, max_iterations, rc_tol):
         if not cand.size:
             break
         if not flipped:
-            y = c_basis @ Binv
-            rc = c_price - y @ A_price
+            np.matmul(c_basis, Binv, out=y)  # c_basis @ Binv, written into y_ext
+            np.negative(y, out=neg_y)
+            rc = _reduced_costs(c_cand, y_ext, index)
         viol = rc * direction
         if bland:
             idx = np.nonzero(viol > rc_tol)[0]
@@ -503,8 +600,7 @@ def _pivot(A, b, c, upper, basis, at_upper, Binv, max_iterations, rc_tol):
             k = int(viol.argmax())
             if viol[k] <= rc_tol:
                 break
-        e = int(column[k])
-
+        e = int(cand[k])
         at_upper_e = bool(at_upper[e])
         d = Binv @ A[:, e]
         # only the handful of rows where d is nonzero move or can block the

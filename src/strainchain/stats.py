@@ -170,7 +170,9 @@ def ordered_sum(terms, start=0.0, axis=0):
     cut terms, the retained-export total and the evaluation totals are
     accumulated in this fixed order so every artifact stays reproducible.
     """
-    terms = np.moveaxis(np.asarray(terms, dtype=float), axis, 0)
+    terms = np.asarray(terms, dtype=float)
+    if axis:
+        terms = np.moveaxis(terms, axis, 0)
     stacked = np.empty((len(terms) + 1,) + terms.shape[1:])
     stacked[0] = start
     stacked[1:] = terms

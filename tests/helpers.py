@@ -1094,7 +1094,7 @@ def record_recourse_lps(monkeypatch) -> list:
             A, b, c, upper, basis, basis_inverse=basis_inverse, pool=pool, perturbed=perturbed,
             answers=answers,
         )
-        lps.append(((A, b, c, upper, basis), start, solution, perturbed))
+        lps.append(((A.matrix, b, c, upper, basis), start, solution, perturbed))
         return solution
 
     monkeypatch.setattr(recourse, "solve_bounded_lp", record)

@@ -394,6 +394,10 @@ BAD_INSTANCE = {
                         "plant_strain_pmf[k0]: levels and probs must be finite"),
     "countries_number": (("countries",), 5, "countries"),
     "interest_country_list": (("interest_country",), ["k0"], "interest_country"),
+    # finite, but products of such numbers overflow a float
+    "demand_mean_huge": (("demand_mean", None), 1e308, "demand_mean"),
+    "transport2_huge": (("transport2", None, "k1"), 1e101, "transport2 out of"),
+    "beta_huge": (("beta",), 1e150, "beta"),
 }
 
 
@@ -420,6 +424,23 @@ def test_non_finite_instance_numbers_exit_one_before_solving(workdir, monkeypatc
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_demand_that_would_overflow_exits_one_naming_it(workdir, capsys):
+    # a solve of this instance used to overflow its shortage costs, pass every
+    # batch check on NaN and end in "no plant open"
+    tmp, instance_path, config_path = workdir
+    raw = json.loads(instance_path.read_text(encoding="utf-8"))
+    country = next(iter(raw["demand_mean"]))
+    raw["demand_mean"][country] = 1e308
+    bad = tmp / "huge.json"
+    bad.write_text(json.dumps(raw), encoding="utf-8")
+    rc = cli_main(["solve", "--instance", str(bad), "--config", str(config_path),
+                   "--out", str(tmp / "huge_run")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"demand_mean out of [0.0, 1e+100] for '{country}'" in err
+    assert "no plant open" not in err
 
 
 @pytest.mark.parametrize(

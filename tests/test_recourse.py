@@ -571,3 +571,26 @@ def test_a_doctored_table_answer_fails_the_solve_checks(monkeypatch, doctor):
     answers[key] = TableAnswer.of(dataclasses.replace(answer, **{doctor: changed[doctor]}))
     with pytest.raises(RecourseError):
         solve_one(solver, design, scen)
+
+
+@pytest.mark.parametrize(
+    "doctor, failure",
+    [("objective", "duality violation"), ("x", "flow balance"), ("row_duals", "duality")],
+)
+def test_a_nan_in_a_batch_fails_its_checks(monkeypatch, doctor, failure):
+    # NaN compares false with everything, so a check written `residual > tol`
+    # would let it through
+    inst = small_random_instance(seed=96, n_countries=4)
+    scens = sample_batch(inst, (96,), 3, RiskOverrides(export_prob_scale=0.6))
+    design = Design(open={j: 1 for j in inst.plant_candidates})
+    solve = RecourseSolver.solve
+
+    def doctored(self, batch, s, pool=None):
+        solve(self, batch, s, pool)
+        if s == 1:
+            getattr(batch, doctor)[s] = np.nan
+
+    monkeypatch.setattr(RecourseSolver, "solve", doctored)
+    with pytest.raises(RecourseError, match=f"scenario 1: {failure}"):
+        for _ in RecourseSolver(inst).batches(design, scens):
+            pass

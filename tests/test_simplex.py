@@ -16,8 +16,8 @@ from strainchain import (
 from strainchain.simplex import (
     LpSolution,
     SimplexError,
+    Columns,
     TableAnswer,
-    _pricing_columns,
     solve_bounded_lp,
 )
 
@@ -364,7 +364,8 @@ def test_a_pooled_basis_answers_its_own_lp_to_the_bit(monkeypatch):
 def test_lp_with_every_column_fixed_stops_at_once():
     rng = np.random.default_rng(5)
     m, n = 3, 7
-    A = np.hstack([np.eye(m), rng.normal(size=(m, n - m))])
+    # one +-1 per column keeps A totally unimodular
+    A = np.hstack([np.eye(m), np.eye(m)[:, rng.integers(0, m, n - m)] * rng.choice([-1, 1], n - m)])
     args = (A, np.zeros(m), rng.normal(size=n), np.zeros(n), np.arange(m))
     sol = _assert_same_solution(args, {"basis_inverse": np.eye(m)})
     assert sol.iterations == 1
@@ -411,15 +412,134 @@ def test_tied_columns_enter_in_column_order():
         )
 
 
-def test_pricing_columns_round_like_the_full_product():
+def _sparse_matrix(rng, m, n, p):
+    """A random m x n 0/+-1 matrix whose columns hold 1 to p nonzeros."""
+    A = np.zeros((m, n))
+    for j in range(n):
+        rows = rng.choice(m, size=int(rng.integers(1, min(p, m) + 1)), replace=False)
+        A[rows, j] = rng.choice([-1.0, 1.0], size=rows.size)
+    return A
+
+
+def _row_order_reduced_costs(A, c, y, cand):
+    """c_j - y @ a_j with a_j's nonzeros added one at a time in row order,
+    then the padding zeros up to the most nonzeros any column has."""
+    p = max(1, int((A != 0).sum(axis=0).max(initial=0)))
+    out = []
+    for j in cand.tolist():
+        terms = [float(y[r] * A[r, j]) for r in np.flatnonzero(A[:, j])]
+        terms += [0.0] * (p - len(terms))
+        acc = terms[0]
+        for term in terms[1:]:
+            acc += term
+        out.append(float(c[j]) - acc)
+    return np.array(out)
+
+
+def _recourse_matrices():
+    for seed in range(6):
+        inst = small_random_instance(seed=70 + seed, n_countries=3 + seed % 4)
+        yield RecourseSolver(inst).A
+
+
+def _kernel_matrices(rng):
+    for A in _recourse_matrices():
+        yield A
+    for _ in range(60):
+        m, n = int(rng.integers(1, 40)), int(rng.integers(1, 300))
+        yield _sparse_matrix(rng, m, n, int(rng.integers(1, 5)))
+    for _ in range(20):  # network shaped: a node-arc incidence with one node's row dropped
+        (A, *_), _, _ = random_lp(rng)
+        yield A
+
+
+def test_sparse_pricing_adds_in_row_order_and_matches_the_full_product():
     rng = np.random.default_rng(3)
-    for _ in range(300):
-        m, n = int(rng.integers(1, 120)), int(rng.integers(1, 1400))
-        A = rng.normal(size=(m, n)) * (rng.random((m, n)) < rng.random())
-        y = rng.normal(size=m)
-        cand = np.flatnonzero(rng.random(n) < rng.random())
-        copy, pos = _pricing_columns(A, cand)
-        assert np.array_equal((y @ copy)[pos], (y @ A)[cand])
+    checked = 0
+    for A in _kernel_matrices(rng):
+        m, n = A.shape
+        columns = Columns(A)
+        assert columns.index.shape[0] == max(1, int((A != 0).sum(axis=0).max()))
+        for _ in range(5):
+            y = rng.normal(size=m) * rng.choice([1e-3, 1.0, 1e3], size=m)
+            c = rng.normal(size=n)
+            cand = np.flatnonzero(rng.random(n) < rng.random())
+            y_ext = np.concatenate([y, -y, [0.0]])
+            got = simplex._reduced_costs(c[cand], y_ext, columns.index[:, cand])
+            assert got.tobytes() == _row_order_reduced_costs(A, c, y, cand).tobytes()
+            # another summation order than the BLAS product's, within 2 ulps of
+            # the terms' scale
+            scale = np.abs(c) + np.abs(y) @ np.abs(A)
+            assert (np.abs(got - (c - y @ A)[cand]) <= 2 * np.spacing(scale[cand])).all()
+            checked += cand.size
+    assert checked > 10_000
+
+
+@pytest.mark.parametrize("entry", [2.0, 0.5, -3.0, np.nan])
+def test_a_matrix_with_an_entry_other_than_0_and_1_is_not_totally_unimodular(entry):
+    A = np.array([[1.0, 0.0, -1.0], [0.0, 1.0, 1.0]])
+    A[1, 2] = entry
+    with pytest.raises(SimplexError, match=r"A\[1, 2\] = .* not totally unimodular"):
+        Columns(A)
+
+
+def _slack_pool_lp(b):
+    """Two rows with their slacks basic, and a pool entry holding that basis
+    whose witness is row 0: the entry's basic values are b itself."""
+    A = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
+    b = np.array(b, dtype=float)
+    upper = np.array([5.0, 5.0, 4.0, 4.0])
+    entry = simplex.PoolEntry(np.array([2, 3]), np.zeros(4, dtype=bool), np.eye(2))
+    entry.witness = 0
+    tol = simplex._primal_tol(b)
+    args = (A, b, np.zeros(4), upper, np.isfinite(upper), upper > 1e-10, 1e-9, tol)
+    return entry, args, tol
+
+
+def test_the_witness_row_rejects_a_pooled_basis_without_the_full_test(monkeypatch):
+    entry, args, _ = _slack_pool_lp([-1.0, 1.0])
+    full_tests = count_calls(monkeypatch, simplex, "_violated_row")
+    assert simplex._pooled_answer([entry], *args) is None
+    assert not full_tests and entry.witness == 0
+    entry, args, _ = _slack_pool_lp([4.5, 1.0])  # above the upper bound
+    assert simplex._pooled_answer([entry], *args) is None
+    assert not full_tests
+
+
+def test_a_witness_row_that_passes_leaves_the_full_test_to_reject(monkeypatch):
+    entry, args, _ = _slack_pool_lp([1.0, -1.0])
+    full_tests = count_calls(monkeypatch, simplex, "_violated_row")
+    assert simplex._pooled_answer([entry], *args) is None
+    assert len(full_tests) == 1
+    assert entry.witness == 1  # the row that rejected it now screens it
+
+
+@pytest.mark.parametrize("beyond_tol", [True, False])
+def test_a_violation_inside_the_rounding_margin_falls_through_to_the_exact_test(
+    monkeypatch, beyond_tol
+):
+    tol = simplex._primal_tol(np.array([0.0, 1.0]))
+    margin = simplex._screen_bound(np.array([tol, 1.0]), tol) - tol
+    assert 0.0 < margin < tol
+    # just beyond tol, which the exact test rejects, or just inside it
+    x0 = tol + margin / 2 if beyond_tol else tol / 2
+    entry, args, _ = _slack_pool_lp([-x0, 1.0])
+    full_tests = count_calls(monkeypatch, simplex, "_violated_row")
+    answer = simplex._pooled_answer([entry], *args)
+    assert len(full_tests) == 1
+    assert (answer is None) == beyond_tol
+
+
+def test_a_right_hand_side_of_minus_zero_keeps_its_bits_with_nothing_at_upper():
+    A = np.array([[1.0, -1.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
+    b = np.array([-0.0, 0.0])
+    none = np.array([], dtype=np.intp)
+    assert simplex._rhs(A, b, np.full(4, 3.0), none) is b
+    assert (b - A @ np.zeros(4)).tobytes() == b.tobytes()
+    for c in ([1.0, 2.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]):
+        _assert_same_solution(
+            (A, b, np.array(c), np.full(4, 3.0), [2, 3]), {"basis_inverse": np.eye(2)}
+        )
 
 
 def test_a_perturbation_changes_only_duals_it_certifies_at_both_points():
