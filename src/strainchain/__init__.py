@@ -59,10 +59,10 @@ from .saa import (
 from .scenarios import (
     RiskOverrides,
     Scenario,
+    Scenarios,
     price_increase,
     retained_exports,
     sample_batch,
-    sample_scenario,
     validate_scenario,
 )
 from .stats import critical_values
@@ -86,6 +86,7 @@ __all__ = [
     "SaaMemo",
     "SaaReport",
     "Scenario",
+    "Scenarios",
     "StudyResult",
     "StudySpec",
     "ValidationError",
@@ -111,7 +112,6 @@ __all__ = [
     "run_sensitivity",
     "run_study",
     "sample_batch",
-    "sample_scenario",
     "solve_master",
     "validate_design",
     "validate_instance",

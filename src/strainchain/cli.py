@@ -335,6 +335,11 @@ def _cmd_verify(args) -> int:
     instance_path = args.instance or artifact.config_echo.get("instance")
     if not instance_path:
         raise ValidationError("run config does not record the instance path; pass --instance")
+    if not isinstance(instance_path, str):
+        raise ValidationError(
+            f"run report {report_path}: config.instance must be a path string, "
+            f"got {instance_path!r}"
+        )
     inst = load_instance(instance_path)
     design = Design(open=dict(artifact.saa.incumbent.open))
     validate_design(inst, design)

@@ -84,6 +84,7 @@ import numpy as np
 
 from .instance import Design, Instance, ValidationError, fixed_cost
 from .recourse import RecourseSolver, cut_terms_from
+from .scenarios import Scenarios
 from .stats import ordered_sum
 
 ENUMERATION_LIMIT = 20
@@ -364,7 +365,7 @@ def _master_by_branch_and_bound(master: Master):
 
 def run_lshaped(
     instance: Instance,
-    scenarios: list,
+    scenarios: Scenarios,
     epsilon: float,
     forced: dict | None = None,
     max_iterations: int = 500,

@@ -39,19 +39,20 @@ rows), which the simplex prices from through the `simplex.Columns` each
 solver builds once (`RecourseSolver.columns`).
 
 Inside a solve everything is an array in the solver's fixed orders:
-suppliers, plant candidates and countries as in the instance (a sampled
-`Scenario` is already arrays in these orders), then supplier-plant arcs
+suppliers, plant candidates and countries as in the instance, which are
+the orders of a `scenarios.Scenarios` stack, then supplier-plant arcs
 (`u_arcs`) and plant-country arcs (`v_arcs`), row-major. The
 design-independent arrays of the scenarios solved at one design
 (capacities, the demand right-hand side net of retained exports, the
-shielded volumes and the gated arc capacities) are derived as (n, .) stacks
-in one step (`RecourseSolver.arrays`), once per scenario list: a caller that
-solves one list at several designs (`lshaped.run_lshaped` at each
-iteration, `saa.run_saa` for each candidate) passes them to `batches`. The
-start basis (slacks, the S2 or E column of each country by the sign of its
-right-hand side, and each plant's self-distribution column) has a 0/+-1
-inverse in closed form, so a solve starts pivoting without factorizing; it
-is built only when no pooled basis answers the LP.
+shielded volumes and the gated arc capacities) are derived from the
+scenarios' stacks as (n, .) stacks in one step (`RecourseSolver.arrays`),
+once per `Scenarios`: a caller that solves one stack at several designs
+(`lshaped.run_lshaped` at each iteration, `saa.run_saa` for each candidate)
+passes them to `batches`. The start basis (slacks, the S2 or E column of
+each country by the sign of its right-hand side, and each plant's
+self-distribution column) has a 0/+-1 inverse in closed form, so a solve
+starts pivoting without factorizing; it is built only when no pooled basis
+answers the LP.
 
 The scenarios solved at one design are solved in batches
 (`RecourseSolver.batches`), after the design is checked once. A
@@ -66,7 +67,7 @@ duality, each test written so that a NaN fails it; a failure names the row's
 scenario. Each sum runs along one row in the order a loop over that scenario
 adds it, so a batch answers bit for bit as k single solves, at any batch
 size. A batch holds at most BATCH_LIMIT floats per (k, n) stack, so a long
-scenario list (an evaluation's N' = 300 on 1,292 columns, 6 rows a batch)
+scenario stack (an evaluation's N' = 300 on 1,292 columns, 6 rows a batch)
 comes in several batches, whose totals the callers carry from one to the
 next. The limit is 2^13: each batch pays a fixed count of numpy calls, which
 2^12 paid twice as often, and each doubling doubles the stacks' memory. A
@@ -112,7 +113,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .instance import Design, Instance, validate_design
-from .scenarios import Scenario, retained_by_country
+from .scenarios import Scenario, Scenarios, retained_by_country
 from .simplex import Columns, SimplexError, solve_bounded_lp
 from .stats import ordered_sum, ordered_total
 
@@ -189,7 +190,7 @@ SOLUTION_STACKS = tuple(f.name for f in fields(RecourseSolution))[3:-1]
 
 class ScenarioBatch:
     """The LPs of k scenarios at one design as (k, .) stacks; row s is the
-    scenario `first + s` of the caller's list.
+    scenario `first + s` of the caller's stack.
 
     Built in one step: `data` holds the scenarios' rows of the solver's
     `ScenarioArrays`, `b`, `cost` and `upper` the LPs, and `perturbed`, for
@@ -408,13 +409,13 @@ class RecourseSolver:
 
     # -- scenario/design dependent pieces ---------------------------------
 
-    def arrays(self, scenarios: list[Scenario]) -> ScenarioArrays:
-        """The scenarios' design-independent arrays, (n, .) stacks in one step."""
+    def arrays(self, scenarios: Scenarios) -> ScenarioArrays:
+        """The scenarios' design-independent arrays, (n, .) stacks derived
+        from theirs in one step; the scenarios' stacks are only read."""
         n = len(scenarios)
-        a_sup = self.sup_capacity * np.stack([scen.supplier_avail for scen in scenarios])
-        b_pl = self.pl_capacity * np.stack([scen.plant_avail for scen in scenarios])
-        demand = np.stack([scen.demand for scen in scenarios])
-        flags = np.stack([scen.flags for scen in scenarios])
+        a_sup = self.sup_capacity * scenarios.supplier_avail
+        b_pl = self.pl_capacity * scenarios.plant_avail
+        demand, flags = scenarios.demand, scenarios.flags
         kept = retained_by_country(self.instance, flags)
         retained = kept[..., 0] + kept[..., 1]
         gates = np.ones((n, 2 * self.nK + 1))
@@ -433,7 +434,7 @@ class RecourseSolver:
             shield=demand * (1.0 - flags[..., 0]),
             cap_u=cap_u.reshape(n, -1),
             cap_v=cap_v.reshape(n, -1),
-            price_increase=np.array([scen.price_increase for scen in scenarios]),
+            price_increase=scenarios.price_increase,
         )
 
     def start_basis(self, rhs_dem: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -448,15 +449,15 @@ class RecourseSolver:
     def batches(
         self,
         design: Design,
-        scenarios: list | ScenarioArrays,
+        scenarios: Scenarios | ScenarioArrays,
         pool: list | None = None,
         pareto: bool = False,
     ):
         """Solve the scenarios at a design; yields checked `ScenarioBatch`es
         of at most max(1, BATCH_LIMIT // n) rows, in scenario order.
 
-        scenarios is a list of scenarios or their `arrays`, which a caller
-        that solves one list at several designs derives once; each batch
+        scenarios is a `Scenarios` stack or its `arrays`, which a caller
+        that solves one stack at several designs derives once; each batch
         takes its rows. Each LP is one `solve` call, given `pool`; with
         `pareto` the batches also hold the LPs perturbed toward CORE_POINT
         (see `solve`).

@@ -32,7 +32,7 @@ from pathlib import Path
 
 from .instance import INCOME_LEVELS, Design, Instance, ValidationError
 from .saa import CostBreakdown, DesignEvaluation, SaaReport
-from .scenarios import Scenario
+from .scenarios import Scenarios
 from .stats import ordered_total
 
 BREAKDOWN_REL_TOL = 1e-6
@@ -314,8 +314,9 @@ def write_country_csv(out_dir, per_country: list) -> None:
     _write_csv(Path(out_dir) / "shortage_by_country.csv", COUNTRY_COLUMNS, per_country)
 
 
-def dump_scenarios(instance: Instance, scenarios: list[Scenario], path) -> None:
-    """Audit CSV: one row per scenario with every sampled field plus G and the price bump."""
+def dump_scenarios(instance: Instance, scenarios: Scenarios, path) -> None:
+    """Audit CSV: one row per scenario of the stack, `scenarios[w]`, with
+    every sampled field plus G and the price bump."""
     header = (
         ["scenario", "probability"]
         + [f"supplier_avail:{i}" for i in instance.suppliers]

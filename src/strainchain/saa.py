@@ -64,7 +64,7 @@ from .instance import (
 )
 from .lshaped import check_forcing_values, run_lshaped
 from .recourse import RecourseSolver, ScenarioArrays
-from .scenarios import RiskOverrides, sample_batch
+from .scenarios import RiskOverrides, Scenarios, sample_batch
 from .stats import critical_values, ordered_sum, ordered_total
 
 ROLE_OPTIMIZE, ROLE_EVALUATE = 0, 1
@@ -197,13 +197,13 @@ class SaaReport:
 def evaluate_design(
     instance: Instance,
     design: Design,
-    scenarios: list | ScenarioArrays,
+    scenarios: Scenarios | ScenarioArrays,
     solver: RecourseSolver | None = None,
 ) -> DesignEvaluation:
     """Sample mean, standard error, and per-country/cost detail for one design.
 
-    scenarios is a list of scenarios or their `RecourseSolver.arrays`; a
-    caller that evaluates several designs on one list derives them once.
+    scenarios is a `Scenarios` stack or its `RecourseSolver.arrays`; a
+    caller that evaluates several designs on one stack derives them once.
     The scenario LPs are solved in batches (see `recourse`) and share one
     basis pool (see `simplex`), so an earlier scenario's optimal basis
     answers a later LP whenever it is optimal there.
@@ -284,7 +284,7 @@ def confidence_bounds(
 
 def evaluation_batch(
     instance: Instance, config: SaaConfig, pass_idx: int, draws: dict | None = None
-) -> list:
+) -> Scenarios:
     """The evaluation sample shared by every candidate design of one pass;
     `draws` is the instance's draws table, if any (see `sample_batch`)."""
     return sample_batch(

@@ -7,11 +7,12 @@ availability fraction falls below the instance's ban threshold; allies get a
 second Bernoulli chance when the general flag comes up banned. Retained
 exports and the induced unit-price bump are computed last.
 
-A scenario is arrays in the instance's orders, which are the solver's:
-suppliers, plant candidates and countries. Its export flags are one
-(countries x 2) array: column 0 gates general exports, column 1 the c1/ally
-channel, which follows the ally flag inside the ally group and the general
-flag elsewhere.
+Sampled scenarios are one `Scenarios` record of (n, .) stacks in the
+instance's orders, which are the solver's: suppliers, plant candidates and
+countries. Their export flags are one (n x countries x 2) array: column 0
+gates general exports, column 1 the c1/ally channel, which follows the ally
+flag inside the ally group and the general flag elsewhere. `scenarios[w]`
+is row w as a `Scenario`, and a slice is a sub-stack, both views.
 
 Streams: one root seed; each scenario draws from its own counter-derived
 substream so batches are reproducible regardless of evaluation order or
@@ -33,14 +34,13 @@ n) -> `Draws`, so that batches of one seed under several overrides draw
 once: `saa.SaaMemo` keeps one per instance for the export-ban study's arms.
 Drawing flag uniforms that no flag reads shifts no later number, since
 each scenario has its own substream, so a batch is bit for bit the one
-drawn scenario by scenario. `sample_scenario`, a batch of one on the
-caller's generator, draws only the flag uniforms its flags read, so the
-generator moves as it would under one draw per flag.
+drawn scenario by scenario. A batch's stacks alias its draws, which a draws
+table shares among overrides, so they are only ever read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -62,7 +62,7 @@ class RiskOverrides:
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """One sampled scenario as arrays in the instance's orders."""
+    """One scenario as arrays in the instance's orders: a row of `Scenarios`."""
 
     supplier_avail: np.ndarray  # (suppliers,) capacity fraction in [0, 1]
     plant_avail: np.ndarray     # (plant candidates,) capacity fraction in [0, 1]
@@ -71,6 +71,32 @@ class Scenario:
     retained_exports: float     # units kept home by the bans
     price_increase: float       # money/unit bump applied to the escalated shortage tranche
     probability: float = 1.0
+
+
+@dataclass(frozen=True, eq=False)
+class Scenarios:
+    """n scenarios as (n, .) stacks of `Scenario`'s fields, each scenario
+    with probability `probability`. `scenarios[w]` is row w as a `Scenario`,
+    `scenarios[a:b]` the rows a to b; both are views. Iterating yields the
+    rows."""
+
+    supplier_avail: np.ndarray    # (n, suppliers)
+    plant_avail: np.ndarray       # (n, plant candidates)
+    demand: np.ndarray            # (n, countries)
+    flags: np.ndarray             # (n, countries, 2) int8
+    retained_exports: np.ndarray  # (n,)
+    price_increase: np.ndarray    # (n,)
+    probability: float = 1.0
+
+    def __len__(self) -> int:
+        return len(self.demand)
+
+    def __getitem__(self, w):
+        rows = [getattr(self, f.name)[w] for f in fields(self)[:-1]]
+        if isinstance(w, slice):
+            return Scenarios(*rows, probability=self.probability)
+        *arrays, kept, bump = rows
+        return Scenario(*arrays, float(kept), float(bump), self.probability)
 
 
 def validate_scenario(instance: Instance, scen: Scenario) -> None:
@@ -102,9 +128,10 @@ def retained_exports(instance: Instance, flags: np.ndarray) -> float:
     return float(ordered_sum(retained_by_country(instance, flags).ravel()))
 
 
-def price_increase(instance: Instance, retained: float) -> float:
-    """Linear unit-price bump induced by the retained export volume."""
-    if retained < 0:
+def price_increase(instance: Instance, retained: float | np.ndarray):
+    """Linear unit-price bump induced by the retained export volume: one
+    scenario's, or an (n,) stack's row by row."""
+    if np.any(np.less(retained, 0)):
         raise ValueError("retained volume must be nonnegative")
     return instance.beta * retained
 
@@ -131,16 +158,22 @@ class Draws:
     uniforms: np.ndarray        # (n, countries + ally group): ban, then ally uniforms
 
 
-def _demand_params(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
-    return (
-        np.array([instance.demand_mean[k] for k in instance.countries], dtype=float),
-        np.array([instance.demand_sd[k] for k in instance.countries], dtype=float),
-    )
+def batch_draws(instance: Instance, seed, n: int) -> Draws:
+    """The override-free numbers of scenarios 0..n-1 of a root seed, each on
+    its own substream in the order of a scenario's draws: the strain and up
+    uniforms per supplier and per plant, the normal demands, then the ban
+    uniforms and the ally uniforms, which the flags consume in order."""
+    mean = np.array([instance.demand_mean[k] for k in instance.countries], dtype=float)
+    sd = np.array([instance.demand_sd[k] for k in instance.countries], dtype=float)
+    facility = np.empty((n, 2 * (len(instance.suppliers) + len(instance.plant_candidates))))
+    normal = np.empty((n, len(mean)))
+    uniforms = np.empty((n, len(mean) + len(instance.ally_group)))
+    for w in range(n):
+        rng = scenario_rng(seed, w)
+        rng.random(out=facility[w])
+        normal[w] = rng.normal(mean, sd)
+        rng.random(out=uniforms[w])
 
-
-def _draws(instance: Instance, facility: np.ndarray, normal: np.ndarray, uniforms) -> Draws:
-    """Map each row's facility uniforms (strain, then up, per supplier and
-    then per plant) and normal demand draws to availability and demand."""
     pmfs = [instance.supplier_strain_pmf[i] for i in instance.suppliers]
     pmfs += [instance.plant_strain_pmf[j] for j in instance.plant_candidates]
     up_prob = [instance.supplier_avail_prob[i] for i in instance.suppliers]
@@ -170,36 +203,14 @@ def _draws(instance: Instance, facility: np.ndarray, normal: np.ndarray, uniform
     )
 
 
-def batch_draws(instance: Instance, seed, n: int) -> Draws:
-    """The override-free numbers of scenarios 0..n-1 of a root seed, each on
-    its own substream in the order of a scenario's draws: the strain and up
-    uniforms per supplier and per plant, the normal demands, then the ban
-    uniforms and the ally uniforms, which the flags consume in order."""
-    mean, sd = _demand_params(instance)
-    facility = np.empty((n, 2 * (len(instance.suppliers) + len(instance.plant_candidates))))
-    normal = np.empty((n, len(mean)))
-    uniforms = np.empty((n, len(mean) + len(instance.ally_group)))
-    for w in range(n):
-        rng = scenario_rng(seed, w)
-        rng.random(out=facility[w])
-        normal[w] = rng.normal(mean, sd)
-        rng.random(out=uniforms[w])
-    return _draws(instance, facility, normal, uniforms)
-
-
-def _ban_threshold(instance: Instance, overrides: RiskOverrides) -> float:
-    if overrides.ban_threshold is None:
-        return instance.ban_threshold
-    return overrides.ban_threshold
-
-
 def _scenarios(
     instance: Instance, draws: Draws, overrides: RiskOverrides, probability: float
-) -> list[Scenario]:
+) -> Scenarios:
     """The scenarios of the draws under one override: a general flag sets
     both columns, and a banned ally then draws its channel."""
     K = len(instance.countries)
-    fires = draws.average_avail < _ban_threshold(instance, overrides)
+    threshold = overrides.ban_threshold
+    fires = draws.average_avail < (instance.ban_threshold if threshold is None else threshold)
     prob = np.array(_effective_export_prob(instance, overrides), dtype=float)
     general = (draws.uniforms[:, :K] < prob) | ~fires[:, None]
     flags = np.repeat(general[:, :, None], 2, axis=2).astype(np.int8)
@@ -212,43 +223,15 @@ def _scenarios(
         ally_prob = np.array([instance.ally_export_prob[k] for k in instance.ally_group])
         flags[:, ally, 1] = ~banned | (ally_u < ally_prob)
     retained = ordered_sum(retained_by_country(instance, flags).reshape(len(flags), -1), axis=1)
-    return [
-        Scenario(
-            supplier_avail=draws.supplier_avail[w],
-            plant_avail=draws.plant_avail[w],
-            demand=draws.demand[w],
-            flags=flags[w],
-            retained_exports=kept,
-            price_increase=price_increase(instance, kept),
-            probability=probability,
-        )
-        for w, kept in enumerate(retained.tolist())
-    ]
-
-
-def sample_scenario(
-    instance: Instance,
-    rng: np.random.Generator,
-    overrides: RiskOverrides | None = None,
-    probability: float = 1.0,
-) -> Scenario:
-    """One scenario on the caller's generator, as a batch of one. Only the
-    flag uniforms that the flags read are drawn, so the generator moves as a
-    loop over the flags would move it."""
-    overrides = overrides or RiskOverrides()
-    K = len(instance.countries)
-    mean, sd = _demand_params(instance)
-    facility = rng.random(2 * (len(instance.suppliers) + len(instance.plant_candidates)))
-    uniforms = np.zeros((1, K + len(instance.ally_group)))
-    draws = _draws(instance, facility[None], rng.normal(mean, sd)[None], uniforms)
-    if draws.average_avail[0] < _ban_threshold(instance, overrides):
-        uniforms[0, :K] = general_u = rng.random(K)
-        if not overrides.alliances_off:
-            prob = np.array(_effective_export_prob(instance, overrides), dtype=float)
-            ally = [instance.countries.index(k) for k in instance.ally_group]
-            banned = int(np.count_nonzero(general_u[ally] >= prob[ally]))
-            uniforms[0, K : K + banned] = rng.random(banned)
-    return _scenarios(instance, draws, overrides, probability)[0]
+    return Scenarios(
+        supplier_avail=draws.supplier_avail,
+        plant_avail=draws.plant_avail,
+        demand=draws.demand,
+        flags=flags,
+        retained_exports=retained,
+        price_increase=price_increase(instance, retained),
+        probability=probability,
+    )
 
 
 def _seed_parts(seed) -> tuple[int, ...]:
@@ -271,7 +254,7 @@ def sample_batch(
     n: int,
     overrides: RiskOverrides | None = None,
     draws: dict | None = None,
-) -> list[Scenario]:
+) -> Scenarios:
     """n independent scenarios with probability 1/n each, deterministic in seed.
 
     draws, when given, is a draws table of this instance: (seed, n) ->

@@ -12,7 +12,10 @@ order), the former single-cut enumeration master, the former recursive
 branch and bound, the full-pricing, refactorizing simplex and the evaluate
 command's per-country CSV writer below.
 The references read a scenario through its one dict view, `scenario_maps`,
-and `plain_scenario` builds a scenario's arrays from dicts.
+and `plain_scenario` builds a scenario's arrays from dicts. The package reads
+scenarios as one `Scenarios` stack only: `stack` stacks hand-built rows, and
+`reference_arrays` is the former `RecourseSolver.arrays`, which re-stacked
+the rows of a scenario list, and whose bytes the stack's reader must equal.
 `count_calls` counts the calls made through one module binding, to show
 what a memo saved or that no factorization ran; `record_recourse_lps`
 keeps each scenario LP's inputs and answer for a replay, and
@@ -39,6 +42,7 @@ from strainchain import (
     DiscretePmf,
     Instance,
     Scenario,
+    Scenarios,
     make_instance,
 )
 from strainchain.instance import ValidationError, fixed_cost
@@ -55,9 +59,16 @@ from strainchain.recourse import (
     RecourseError,
     RecourseSolution,
     RecourseSolver,
+    ScenarioArrays,
     cut_terms_from,
 )
-from strainchain.scenarios import RiskOverrides, price_increase, retained_exports, sample_batch
+from strainchain.scenarios import (
+    RiskOverrides,
+    price_increase,
+    retained_by_country,
+    retained_exports,
+    sample_batch,
+)
 from strainchain.stats import ordered_sum
 from strainchain.simplex import (
     DEGENERATE_STEP,
@@ -477,6 +488,41 @@ def plain_scenario(inst: Instance, demand=None, sup=None, pl=None, g=None, ga=No
     )
 
 
+def stack(rows) -> Scenarios:
+    """Scenario rows as one stack, with the first row's probability."""
+    fields = dataclasses.fields(Scenarios)
+    columns = [np.array([getattr(row, f.name) for row in rows]) for f in fields]
+    return Scenarios(*columns[:-1], probability=rows[0].probability)
+
+
+def reference_arrays(solver: RecourseSolver, scenarios) -> ScenarioArrays:
+    """The former `RecourseSolver.arrays`: each stack rebuilt from the rows."""
+    n = len(scenarios)
+    a_sup = solver.sup_capacity * np.stack([scen.supplier_avail for scen in scenarios])
+    b_pl = solver.pl_capacity * np.stack([scen.plant_avail for scen in scenarios])
+    demand = np.stack([scen.demand for scen in scenarios])
+    flags = np.stack([scen.flags for scen in scenarios])
+    kept = retained_by_country(solver.instance, flags)
+    retained = kept[..., 0] + kept[..., 1]
+    gates = np.ones((n, 2 * solver.nK + 1))
+    gates[:, :-1] = flags.reshape(n, -1)
+    cap_u = gates[:, solver.u_gate].reshape(n, solver.nI, solver.nJ)
+    cap_u *= a_sup[:, :, None]
+    cap_v = gates[:, solver.v_gate].reshape(n, solver.nJ, solver.nK)
+    cap_v *= b_pl[:, :, None]
+    return ScenarioArrays(
+        a_sup=a_sup,
+        b_pl=b_pl,
+        demand=demand,
+        retained=retained,
+        rhs_dem=demand - retained,
+        shield=demand * (1.0 - flags[..., 0]),
+        cap_u=cap_u.reshape(n, -1),
+        cap_v=cap_v.reshape(n, -1),
+        price_increase=np.array([scen.price_increase for scen in scenarios]),
+    )
+
+
 def small_random_instance(seed: int, n_countries: int = 5, with_allies: bool = True) -> Instance:
     """Hand-scaled random instance (demands and capacities O(10)).
 
@@ -711,7 +757,7 @@ def raw_lp_objective(inst: Instance, design: Design, scen: Scenario) -> float:
 
 def solve_one(solver, design: Design, scenario: Scenario, pool=None, pareto=False):
     """One scenario's solve: the package's batch path on a batch of one."""
-    return next(solver.batches(design, [scenario], pool, pareto)).solution(0)
+    return next(solver.batches(design, stack([scenario]), pool, pareto)).solution(0)
 
 
 def solve_recourse(instance: Instance, design: Design, scenario: Scenario) -> RecourseSolution:

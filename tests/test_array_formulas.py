@@ -22,6 +22,7 @@ from helpers import (
     scenario_maps,
     small_random_instance,
     solve_one,
+    stack,
     tiny_instance,
 )
 
@@ -125,7 +126,7 @@ def test_retained_exports_equal_the_dict_reference(inst_seed, n_countries, scen_
 )
 def test_evaluation_equals_the_dict_loop(inst_seed, n_countries, design_code, scen_seed, corners):
     inst = small_random_instance(inst_seed, n_countries)
-    scenarios = [corner_scenario(inst, scen_seed + w, c) for w, c in enumerate(corners)]
+    scenarios = stack([corner_scenario(inst, scen_seed + w, c) for w, c in enumerate(corners)])
     design = design_from_code(inst, design_code)
     solver = RecourseSolver(inst)
     expected = reference_evaluation(inst, design, scenarios, solver)

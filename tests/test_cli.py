@@ -822,22 +822,27 @@ BAD_SAA = {"passes_0": ("passes", 0), "passes_x": ("passes", "x"),
            "passes_null": ("passes", None), "passes_1.5": ("passes", 1.5),
            "passes_above_max": ("passes", 6), "eval_objective_x": ("eval_objective", "x"),
            "eval_objective_nan": ("eval_objective", float("nan"))}
+# config.instance values that are not a path string
+BAD_INSTANCE_PATH = {"instance_int": 5, "instance_true": True, "instance_list": ["a"]}
 
 
 @pytest.mark.parametrize(
-    "content", [None, '{"config": ', "{}", "config_not_an_object", *BAD_SAA]
+    "content", [None, '{"config": ', "{}", "config_not_an_object", *BAD_SAA, *BAD_INSTANCE_PATH]
 )
 def test_verify_on_a_bad_report_exits_one_naming_it(workdir, capsys, content):
     tmp, instance_path, config_path = workdir
+    case = content
     run = tmp / "run"
     report = run / "report.json"
-    if content == "config_not_an_object" or content in BAD_SAA:
+    if content == "config_not_an_object" or content in BAD_SAA or content in BAD_INSTANCE_PATH:
         assert cli_main(["solve", "--instance", str(instance_path), "--config",
                          str(config_path), "--out", str(run)]) == 0
         payload = json.loads(report.read_text(encoding="utf-8"))
         if content in BAD_SAA:
             name, value = BAD_SAA[content]
             payload["saa"][name] = value
+        elif content in BAD_INSTANCE_PATH:
+            payload["config"]["instance"] = BAD_INSTANCE_PATH[content]
         else:
             payload["config"] = ["x"]
         content = json.dumps(payload)
@@ -845,7 +850,9 @@ def test_verify_on_a_bad_report_exits_one_naming_it(workdir, capsys, content):
     if content is not None:
         report.write_text(content, encoding="utf-8")
     assert cli_main(["verify", "--run", str(run)]) == 1
-    assert str(report) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(report) in err
+    assert case not in BAD_INSTANCE_PATH or "config.instance" in err
     assert not (run / "verify.json").exists()
 
 

@@ -42,6 +42,7 @@ from helpers import (
     reference_branch_and_bound,
     reference_master_by_enumeration,
     small_random_instance,
+    stack,
     tiny_instance,
 )
 
@@ -99,7 +100,7 @@ def test_a_bad_forcing_is_rejected_when_the_master_is_built(forced, named, enume
     with pytest.raises(ValidationError, match=named):
         Master(inst, 3, forced, enumeration_limit)
     with pytest.raises(ValidationError, match=named):
-        run_lshaped(inst, [plain_scenario(inst)], epsilon=1e-9, forced=forced)
+        run_lshaped(inst, stack([plain_scenario(inst)]), epsilon=1e-9, forced=forced)
     assert check_forcing(inst, {"a": 0}) == {"a": 0}
     assert check_forcing(inst, None) == {}
 
@@ -488,7 +489,7 @@ def _scenario_pool(inst, seed, n):
 
 def test_deterministic_instance_matches_design_enumeration():
     inst = small_random_instance(seed=21, n_countries=4)
-    scen = [plain_scenario(inst)]
+    scen = stack([plain_scenario(inst)])
     solver = RecourseSolver(inst)
     result = run_lshaped(inst, scen, epsilon=1e-9, solver=solver)
     best_val, best_design = enumeration_optimum(inst, scen, solver)
@@ -616,7 +617,7 @@ def test_forced_opening_restricts_the_feasible_set():
 def test_empty_scenario_list_is_rejected():
     inst = small_random_instance(seed=67, n_countries=3)
     with pytest.raises(ValidationError):
-        run_lshaped(inst, [], epsilon=1e-5)
+        run_lshaped(inst, _scenario_pool(inst, (14, 0), 3)[:0], epsilon=1e-5)
     with pytest.raises(ValidationError):
         run_lshaped(inst, _scenario_pool(inst, (14, 0), 3), epsilon=0.0)
 

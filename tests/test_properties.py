@@ -65,6 +65,7 @@ from helpers import (
     reference_solve_bounded_lp,
     small_random_instance,
     solve_one,
+    stack,
     tiny_instance,
     with_plants,
 )
@@ -117,7 +118,7 @@ def evaluation_batches(draw):
     inst, _, design = draw(cases())
     seed = draw(st.integers(0, 10_000))
     corners = draw(st.lists(st.sampled_from(CORNERS), min_size=2, max_size=8))
-    return inst, [corner_scenario(inst, seed + w, c) for w, c in enumerate(corners)], design
+    return inst, stack([corner_scenario(inst, seed + w, c) for w, c in enumerate(corners)]), design
 
 
 @PROPERTY

@@ -28,6 +28,7 @@ from helpers import (
     record_table_lookups,
     small_random_instance,
     solve_one,
+    stack,
     tiny_instance,
 )
 
@@ -158,7 +159,7 @@ def test_pass_cap_reports_unresolved_gap():
 
 def test_evaluate_design_on_identical_scenarios_has_zero_error(monkeypatch):
     inst = no_uncertainty_instance()
-    scens = [plain_scenario(inst), plain_scenario(inst)]
+    scens = stack([plain_scenario(inst), plain_scenario(inst)])
     lps = record_recourse_lps(monkeypatch)
     ev = evaluate_design(inst, Design(open={"a": 1, "b": 0}), scens)
     # the first LP's optimal basis answers the second from the pool
@@ -177,7 +178,7 @@ def test_evaluate_design_two_scenario_hand_arithmetic():
     fixed = 10.0
     q1 = solve_one(solver, design, s1).objective
     q2 = solve_one(solver, design, s2).objective
-    ev = evaluate_design(inst, design, [s1, s2], solver)
+    ev = evaluate_design(inst, design, stack([s1, s2]), solver)
     mean = (fixed + q1 + fixed + q2) / 2
     var = ((fixed + q1 - mean) ** 2 + (fixed + q2 - mean) ** 2) / (1 * 2)
     assert ev.mean_objective == pytest.approx(mean)

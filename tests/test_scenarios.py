@@ -8,38 +8,39 @@ from hypothesis import strategies as st
 
 from strainchain import (
     DiscretePmf,
+    RecourseSolver,
     RiskOverrides,
-    Scenario,
+    Scenarios,
     dump_scenarios,
     generate_synthetic_instance,
     price_increase,
     retained_exports,
     sample_batch,
-    sample_scenario,
     validate_scenario,
 )
+from strainchain.recourse import ScenarioArrays
 from strainchain.scenarios import scenario_rng
 
 from helpers import (
+    CORNERS,
+    corner_scenario,
     plain_scenario,
+    reference_arrays,
     reference_flags,
     reference_sample_scenario,
     scenario_maps,
     small_random_instance,
+    stack,
     tiny_instance,
 )
 
 
-def same_scenario(a: Scenario, b: Scenario) -> bool:
-    """Field by field, bit for bit."""
-    return all(
+def same_fields(a, b) -> bool:
+    """Field by field, bit for bit: two `Scenario` rows or two `Scenarios` stacks."""
+    return type(a) is type(b) and all(
         np.asarray(getattr(a, f.name)).tobytes() == np.asarray(getattr(b, f.name)).tobytes()
-        for f in dataclasses.fields(Scenario)
+        for f in dataclasses.fields(a)
     )
-
-
-def same_batch(a: list, b: list) -> bool:
-    return len(a) == len(b) and all(same_scenario(x, y) for x, y in zip(a, b))
 
 
 def certain_instance(**kw):
@@ -130,6 +131,18 @@ def test_price_increase_is_linear_with_hand_values():
         price_increase(inst, -1.0)
 
 
+def test_price_increase_on_a_retained_stack_is_beta_times_each_row():
+    inst = exports_fixture()
+    sampled = sample_batch(risky_instance(), 16, 50).retained_exports
+    for retained in (np.array([0.0, 24.0, 90000.0, 13.5 + 29.25, 1e-300]), sampled):
+        bumps = price_increase(inst, retained)
+        assert bumps.shape == retained.shape
+        for kept, bump in zip(retained.tolist(), bumps.tolist()):
+            assert np.float64(bump).tobytes() == np.float64(inst.beta * kept).tobytes()
+    with pytest.raises(ValueError):
+        price_increase(inst, np.array([1.0, -1e-9, 2.0]))
+
+
 def risky_instance(seed=0):
     inst = generate_synthetic_instance(3, 4, 8, seed=seed)
     # force the ban gate open every scenario and make bans common
@@ -152,8 +165,8 @@ def test_forcing_export_probability_one_suppresses_every_ban():
 def test_batches_are_deterministic_in_seed_and_overrides():
     inst = risky_instance()
     ov = RiskOverrides(export_prob_scale=0.9)
-    assert same_batch(sample_batch(inst, 5, 40, ov), sample_batch(inst, 5, 40, ov))
-    assert not same_batch(sample_batch(inst, 5, 40, ov), sample_batch(inst, 6, 40, ov))
+    assert same_fields(sample_batch(inst, 5, 40, ov), sample_batch(inst, 5, 40, ov))
+    assert not same_fields(sample_batch(inst, 5, 40, ov), sample_batch(inst, 6, 40, ov))
 
 
 def test_alliances_off_pins_ally_flags_to_general_flags():
@@ -216,13 +229,6 @@ def test_override_arms_share_capacity_and_demand_draws():
                 == getattr(s2, name).tobytes()
             ), name
         assert s0.flags[:, 0].tobytes() == s1.flags[:, 0].tobytes()
-
-
-def test_sampling_order_is_stable_for_single_scenarios():
-    inst = risky_instance()
-    one = sample_scenario(inst, scenario_rng(13, 0))
-    again = sample_scenario(inst, scenario_rng(13, 0))
-    assert same_scenario(one, again)
 
 
 def test_scenario_dump_writes_one_row_per_scenario(tmp_path):
@@ -298,24 +304,12 @@ def test_sampled_arrays_equal_the_dict_sampler_by_position(
     inst_seed, n_countries, with_allies, seed, overrides
 ):
     inst = small_random_instance(inst_seed, n_countries, with_allies)
+    batch = sample_batch(inst, seed, 4, overrides)
     for w in range(4):
-        rng, ref_rng = scenario_rng(seed, w), scenario_rng(seed, w)
-        scen = sample_scenario(inst, rng, overrides, probability=0.25)
-        ref = reference_sample_scenario(inst, ref_rng, overrides, probability=0.25)
-        assert rng.bit_generator.state == ref_rng.bit_generator.state  # the same draws
-        for name, order in (
-            ("supplier_avail", inst.suppliers),
-            ("plant_avail", inst.plant_candidates),
-            ("demand", inst.countries),
-        ):
-            values = getattr(ref, name)
-            assert getattr(scen, name).tobytes() == np.array([values[x] for x in order]).tobytes()
+        scen = batch[w]
+        ref = reference_sample_scenario(inst, scenario_rng(seed, w), overrides, probability=0.25)
         assert scen.flags.dtype == np.int8
-        flags = reference_flags(inst, ref.ban_general, ref.ban_ally)
-        assert scen.flags.tobytes() == flags.tobytes()
-        for name in ("retained_exports", "price_increase", "probability"):
-            got, want = np.float64(getattr(scen, name)), np.float64(getattr(ref, name))
-            assert got.tobytes() == want.tobytes(), name
+        assert_equals_reference(inst, scen, ref)
         if overrides is None or overrides.ban_threshold is None:
             validate_scenario(inst, scen)
 
@@ -417,8 +411,43 @@ def test_a_batch_read_from_a_draws_table_equals_one_drawn_afresh():
     table = {}
     for overrides in OVERRIDE_KINDS.values():
         shared = sample_batch(inst, (8, 1), 30, overrides, draws=table)
-        assert same_batch(shared, sample_batch(inst, (8, 1), 30, overrides))
+        assert same_fields(shared, sample_batch(inst, (8, 1), 30, overrides))
     assert len(table) == 1  # every override read the one entry
-    assert same_batch(sample_batch(inst, (8, 1), 31, draws=table), sample_batch(inst, (8, 1), 31))
-    assert same_batch(sample_batch(inst, 8, 30, draws=table), sample_batch(inst, 8, 30))
+    assert same_fields(sample_batch(inst, (8, 1), 31, draws=table), sample_batch(inst, (8, 1), 31))
+    assert same_fields(sample_batch(inst, 8, 30, draws=table), sample_batch(inst, 8, 30))
     assert len(table) == 3
+
+
+@pytest.mark.parametrize("kind", [*OVERRIDE_KINDS, "corners"])
+def test_solver_arrays_read_the_stack_as_the_rows_restacked(kind):
+    if kind == "corners":
+        inst = small_random_instance(41, 4)
+        rows = [corner_scenario(inst, 41 + w, c) for w, c in enumerate(CORNERS * 2)]
+        scenarios = stack(rows)
+    else:
+        inst = ban_heavy_instance(3)
+        scenarios = sample_batch(inst, (3, 9), 25, OVERRIDE_KINDS[kind])
+        rows = [scenarios[w] for w in range(25)]
+    before = [getattr(scenarios, f.name).copy() for f in dataclasses.fields(Scenarios)[:-1]]
+    solver = RecourseSolver(inst)
+    got, want = solver.arrays(scenarios), reference_arrays(solver, rows)
+    for f in dataclasses.fields(ScenarioArrays):
+        mine, theirs = getattr(got, f.name), getattr(want, f.name)
+        assert (mine.dtype, mine.shape) == (theirs.dtype, theirs.shape), f.name
+        assert mine.tobytes() == theirs.tobytes(), f.name
+    # the stacks may alias a shared draws table, so they are only read
+    for old, f in zip(before, dataclasses.fields(Scenarios)):
+        assert getattr(scenarios, f.name).tobytes() == old.tobytes(), f.name
+
+    n = len(rows)
+    assert len(scenarios) == n
+    for w, row in enumerate(rows):
+        assert same_fields(scenarios[w], row)
+        assert type(scenarios[w].retained_exports) is type(scenarios[w].price_increase) is float
+    a, b = 1, n - 2
+    part = scenarios[a:b]
+    assert type(part) is Scenarios and len(part) == b - a
+    assert part.probability == scenarios.probability
+    assert np.shares_memory(part.demand, scenarios.demand)
+    for w in range(b - a):
+        assert same_fields(part[w], rows[a + w])
