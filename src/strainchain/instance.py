@@ -177,6 +177,10 @@ def validate_instance(inst: Instance) -> None:
     _require(isinstance(inst.interest_country, str) and inst.interest_country in kset,
              "interest_country not in countries")
     _require(set(inst.allies) <= kset, "allies not a subset of countries")
+    for name in ("suppliers", "plant_candidates", "allies"):
+        ids = getattr(inst, name)
+        repeated = next((k for i, k in enumerate(ids) if k in ids[:i]), None)
+        _require(repeated is None, f"{name}: duplicate id {repeated!r}")
     _require(inst.interest_country not in inst.allies, "interest_country listed as its own ally")
 
     _require(isinstance(inst.income_level, dict), "income_level must be a map of country ids")

@@ -121,6 +121,7 @@ BALANCE_TOL = 1e-7       # absolute feasibility tolerance on balance rows
 DUALITY_REL_TOL = 1e-6   # relative primal/dual agreement required per solve
 PARETO_STEP = 1e-6       # mu: a `pareto` solve perturbs the openings y to y + mu (y0 - y)
 CORE_POINT = 0.5         # y0, every plant half open: inside the hull of the designs
+THEOREM_TOL = 1e-6       # slack the structural diagnostics allow, absolute or per unit of demand
 BATCH_LIMIT = 1 << 13    # floats in one (k, n) stack of a batch, k <= BATCH_LIMIT // n (64 KB)
 
 
@@ -569,7 +570,6 @@ def check_structural_theorems(
     design: Design,
     scenario: Scenario,
     solution: RecourseSolution,
-    tol: float = 1e-6,
 ) -> list:
     """Diagnostics on an optimal solution; returns human-readable violations.
 
@@ -581,6 +581,7 @@ def check_structural_theorems(
     - no plant may keep serving a destination when rerouting one unit to a
       strictly more penalized, reachable, undersupplied destination would pay.
     """
+    tol = THEOREM_TOL
     violations: list[str] = []
     ally_group = set(instance.ally_group)
     ally_raw = instance.ally_supply_arcs()

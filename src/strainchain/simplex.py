@@ -9,7 +9,9 @@ and no factorization is needed here.
 
 Pivot rule is Dantzig with a permanent switch to Bland's rule after a long
 degenerate streak, which guarantees termination. The basis inverse is kept
-explicitly, from the start inverse the caller passes.
+explicitly, from the start inverse the caller passes. One `Basis` record
+holds a basis: its columns, at-upper mask and B^-1. The pivot loop updates
+it in place, and the pool, the final polish and the Pareto step read it.
 
 Pricing covers only the columns that can ever enter: those whose upper
 bound exceeds the pivot tolerance (a gated arc of a closed plant has upper
@@ -63,7 +65,7 @@ wrong one shows. The returned reduced costs cover every column.
 A caller that solves many LPs with the same A (one design's evaluation
 batch, or the N scenario LPs of one decomposition iteration, which differ
 only in b, the bounds and some costs) may pass a pool: a list of
-`PoolEntry`s, each an earlier optimal basis, its at-upper mask and B^-1.
+`PoolEntry`s, each the `Basis` an earlier LP ended on.
 Before pricing, each entry is tried in the order it was added; the first
 whose optimality certificate holds answers the LP with no pivot. The
 certificate is the one the pivot loop stops on: the basic values B^-1(b -
@@ -92,9 +94,9 @@ optimal dual at (b, u) that is also optimal at (b', u'). x, the at-upper
 mask and the objective stay the (b, u) answer's. If the start is no
 feasible basis at (b', u'), or the re-optimized one fails the certificate
 at (b, u), the (b, u) answer's duals are kept and `kept_dual` is set. A
-pool entry keeps the basis last re-optimized from it; a later
-LP that the entry answers first tries that basis at both points and
-re-optimizes only if it fails. `recourse` perturbs the decomposition's LPs
+`Basis` keeps the one last re-optimized from it as its `pareto`, so a later
+LP that a pool entry answers first tries the entry's `pareto` at both points
+and re-optimizes only if it fails. `recourse` perturbs the decomposition's LPs
 toward a core point, which makes these duals Magnanti-Wong (Pareto-optimal)
 ones.
 
@@ -150,18 +152,29 @@ class LpSolution:
 
 
 @dataclass(eq=False)
-class PoolEntry:
-    """An exact optimal basis in a pool: its columns, at-upper mask and B^-1,
-    and the (basis, at-upper mask, B^-1) last re-optimized from it at a
-    perturbation, if any. The columns held at upper, which every LP the
-    entry is tried on reads, and their bytes, which key the LP's b - A x_N,
-    are taken once. `witness` is the row whose basic value last showed the
-    basis primal infeasible, or -1."""
+class Basis:
+    """A basis of A and the state the simplex keeps with it: its columns, one
+    per row, the nonbasic columns held at their upper bounds, its exact
+    0/+-1 inverse B^-1, and the basis last re-optimized from it at a
+    perturbation, if any. The pivot loop updates the first three in place."""
 
-    basis: np.ndarray
-    at_upper: np.ndarray
-    inverse: np.ndarray
-    pareto: tuple | None = None
+    columns: np.ndarray  # intp, length m
+    at_upper: np.ndarray  # bool, length n; False while basic
+    inverse: np.ndarray  # m x m
+    pareto: Basis | None = None
+
+    def copy(self) -> Basis:
+        """A basis with copies of the three arrays and no re-optimized one."""
+        return Basis(self.columns.copy(), self.at_upper.copy(), self.inverse.copy())
+
+
+@dataclass(eq=False)
+class PoolEntry(Basis):
+    """An exact optimal basis in a pool. The columns held at upper, which
+    every LP the entry is tried on reads, and their bytes, which key the LP's
+    b - A x_N, are taken once. `witness` is the row whose basic value last
+    showed the basis primal infeasible, or -1."""
+
     upper_cols: np.ndarray = field(init=False, repr=False)
     upper_key: bytes = field(init=False, repr=False)
     witness: int = field(default=-1, init=False, repr=False)
@@ -277,14 +290,15 @@ def _primal_tol(b) -> float:
 
 
 def _violated_row(xB, upper, basis, tol) -> int:
-    """A row whose basic value lies below 0 or above upper[basis] by more
-    than tol, the worst of either kind, or -1 if none does; NaN violates."""
+    """A row whose basic value lies below 0 or above its column's upper bound
+    by more than tol, the worst of either kind, or -1 if none does; NaN
+    violates."""
     if not xB.size:
         return -1
     low = int(xB.argmin())
     if not xB[low] >= -tol:
         return low
-    over = xB - upper[basis]
+    over = xB - upper[basis.columns]
     high = int(over.argmax())
     if not over[high] <= tol:
         return high
@@ -318,18 +332,26 @@ def _rhs(A, b, upper, cols) -> np.ndarray:
     return b - A @ _nonbasic_values(upper, cols)
 
 
-def _primal_feasible(A, b, upper, basis, cols, Binv, tol) -> bool:
-    """Whether the basis, with the columns cols at their bounds, has its
-    basic values within their bounds at (b, upper), up to tol."""
+def _duals(A, c, basis):
+    """(y, rc): the basis's duals y = c_B B^-1 and every column's reduced cost
+    c - y @ A, the full product every answer path ends on."""
+    y = c[basis.columns] @ basis.inverse
+    return y, c - y @ A
+
+
+def _primal_feasible(A, b, upper, basis, tol) -> bool:
+    """Whether the basis, its at-upper columns at their bounds, has its basic
+    values within their bounds at (b, upper), up to tol."""
+    cols = basis.at_upper.nonzero()[0]
     if not np.isfinite(upper[cols]).all():
         return False  # x_N would hold inf, and the basic values NaN
-    return _violated_row(Binv @ _rhs(A, b, upper, cols), upper, basis, tol) < 0
+    return _violated_row(basis.inverse @ _rhs(A, b, upper, cols), upper, basis, tol) < 0
 
 
-def _dual_feasible(rc, basis, at_upper, movable, rc_tol) -> bool:
+def _dual_feasible(rc, basis, movable, rc_tol) -> bool:
     # a violation is rc times the direction the column may move in
-    viol = np.where(at_upper, rc, -rc)
-    viol[basis] = 0.0
+    viol = np.where(basis.at_upper, rc, -rc)
+    viol[basis.columns] = 0.0
     return np.maximum.reduce(viol[movable], initial=0.0) <= rc_tol
 
 
@@ -364,33 +386,32 @@ def _pooled_answer(pool, A, b, c, upper, finite_ub, movable, rc_tol, tol):
             rhs_N = _rhs(A, b, upper, cols)
             known = rhs[entry.upper_key] = (rhs_N, _screen_bound(rhs_N, tol))
         rhs_N, bound = known
-        basis, Binv = entry.basis, entry.inverse
         w = entry.witness
         if w >= 0:
-            x_w = float(Binv[w] @ rhs_N)
-            if x_w < -bound or x_w - upper[basis[w]] > bound:
+            x_w = float(entry.inverse[w] @ rhs_N)
+            if x_w < -bound or x_w - upper[entry.columns[w]] > bound:
                 continue
-        xB = Binv @ rhs_N
-        row = _violated_row(xB, upper, basis, tol)
+        xB = entry.inverse @ rhs_N
+        row = _violated_row(xB, upper, entry, tol)
         if row >= 0:
             entry.witness = row
             continue
-        y = c[basis] @ Binv
-        rc = c - y @ A
-        if _dual_feasible(rc, basis, entry.at_upper, movable, rc_tol):
+        y, rc = _duals(A, c, entry)
+        if _dual_feasible(rc, entry, movable, rc_tol):
             return entry, xB, y, rc
     return None
 
 
-def _solution(c, upper, finite_ub, basis, at_upper, xB, y, rc, iterations) -> LpSolution:
-    x = np.where(at_upper & finite_ub, upper, 0.0)
-    x[basis] = xB
+def _solution(c, upper, finite_ub, basis, xB, y, rc, iterations) -> LpSolution:
+    """The LP's answer at the basis; its at-upper mask is a copy."""
+    x = np.where(basis.at_upper & finite_ub, upper, 0.0)
+    x[basis.columns] = xB
     np.clip(x, 0.0, None, out=x)
     return LpSolution(
         x=x,
         row_duals=y,
         reduced_costs=rc,
-        at_upper=at_upper,
+        at_upper=basis.at_upper.copy(),
         objective=float(c @ x),
         iterations=iterations,
     )
@@ -452,23 +473,20 @@ def _solve(cols, b, c, upper, basis, max_iterations, basis_inverse, pool, pertur
     if pool:
         answer = _pooled_answer(pool, A, b, c, upper, finite_ub, upper > PIVOT_TOL, rc_tol, tol)
     if answer is not None:
-        entry, xB, y, rc = answer
-        basis, at_upper, Binv = entry.basis, entry.at_upper, entry.inverse
-        solution = _solution(c, upper, finite_ub, basis, at_upper.copy(), xB, y, rc, 0)
+        basis, xB, y, rc = answer
+        solution = _solution(c, upper, finite_ub, basis, xB, y, rc, 0)
     else:
-        entry = None
         if callable(basis):
             basis, basis_inverse = basis()
-        basis = np.asarray(basis, dtype=np.intp).copy()
-        if basis.shape != (m,):
+        columns = np.asarray(basis, dtype=np.intp).copy()
+        if columns.shape != (m,):
             raise SimplexError("basis must list exactly one column per row")
         if basis_inverse is None:
             raise SimplexError("a start basis needs its inverse, basis_inverse")
-        at_upper = np.zeros(n, dtype=bool)  # every column starts at 0; False while basic
-        basis, at_upper, Binv, xB, y, rc, iterations = _pivot(
-            cols, b, c, upper, basis, at_upper, basis_inverse, max_iterations, rc_tol
-        )
-        solution = _solution(c, upper, finite_ub, basis, at_upper, xB, y, rc, iterations)
+        # every column starts at 0
+        basis = Basis(columns, np.zeros(n, dtype=bool), basis_inverse)
+        xB, y, rc, iterations = _pivot(cols, b, c, upper, basis, max_iterations, rc_tol)
+        solution = _solution(c, upper, finite_ub, basis, xB, y, rc, iterations)
         # nothing has checked a caller's start inverse: a wrong one shows here
         x = solution.x
         residual = float(np.abs(A @ x - b).max(initial=0.0))
@@ -478,13 +496,11 @@ def _solve(cols, b, c, upper, basis, max_iterations, basis_inverse, pool, pertur
                 f"primal residual |Ax - b| = {residual:.3g}: the start basis inverse is wrong"
             )
         if pool is not None:
-            entry = PoolEntry(basis, at_upper.copy(), Binv.copy())
-            pool.append(entry)
+            basis = PoolEntry(basis.columns, basis.at_upper, basis.inverse.copy())
+            pool.append(basis)
     if perturbed is None:
         return solution
-    duals, passes = _reoptimized(
-        cols, b, c, upper, perturbed, (basis, at_upper, Binv), entry, max_iterations, rc_tol, tol
-    )
+    duals, passes = _reoptimized(cols, b, c, upper, perturbed, basis, max_iterations, rc_tol, tol)
     solution.iterations += passes
     if duals is None:
         solution.kept_dual = True
@@ -493,65 +509,57 @@ def _solve(cols, b, c, upper, basis, max_iterations, basis_inverse, pool, pertur
     return solution
 
 
-def _reoptimized(cols, b, c, upper, perturbed, start, entry, max_iterations, rc_tol, tol):
+def _reoptimized(cols, b, c, upper, perturbed, start, max_iterations, rc_tol, tol):
     """((duals, reduced costs) of a basis optimal both at `perturbed` and at
     (b, upper), or None; the pricing passes spent).
 
-    start is the (basis, at-upper mask, B^-1) that answered (b, upper), and
-    entry its pool entry or None. The entry's stored basis is tried first;
-    otherwise the simplex re-optimizes from a copy of start at `perturbed`,
-    and the result is stored in the entry. tol is the primal tolerance at b.
+    start is the `Basis` that answered (b, upper). Its `pareto` basis is
+    tried first; otherwise the simplex re-optimizes from a copy of start at
+    `perturbed`, and a result optimal at both points becomes start's
+    `pareto`. tol is the primal tolerance at b.
     """
     A = cols.matrix
     b2, upper2 = perturbed
     movable = (upper > PIVOT_TOL) | (upper2 > PIVOT_TOL)
     tol2 = _primal_tol(b2)
 
-    def optimal_at_both(basis, at_upper, Binv, rc, xB2=None) -> bool:
+    def optimal_at_both(basis, rc, xB2=None) -> bool:
         """xB2, when given, is the basis's basic values at `perturbed`."""
-        if not _dual_feasible(rc, basis, at_upper, movable, rc_tol):
+        if not _dual_feasible(rc, basis, movable, rc_tol):
             return False
-        cols = at_upper.nonzero()[0]
         if xB2 is None:
-            feasible2 = _primal_feasible(A, b2, upper2, basis, cols, Binv, tol2)
+            feasible2 = _primal_feasible(A, b2, upper2, basis, tol2)
         else:
             feasible2 = _violated_row(xB2, upper2, basis, tol2) < 0
-        return feasible2 and _primal_feasible(A, b, upper, basis, cols, Binv, tol)
+        return feasible2 and _primal_feasible(A, b, upper, basis, tol)
 
-    if entry is not None and entry.pareto is not None:
-        basis, at_upper, Binv = entry.pareto
-        y = c[basis] @ Binv
-        rc = c - y @ A
-        if optimal_at_both(basis, at_upper, Binv, rc):
+    pareto = start.pareto
+    if pareto is not None:
+        y, rc = _duals(A, c, pareto)
+        if optimal_at_both(pareto, rc):
             return (y, rc), 0
-    basis, at_upper, Binv = start
-    if not _primal_feasible(A, b2, upper2, basis, at_upper.nonzero()[0], Binv, tol2):
+    if not _primal_feasible(A, b2, upper2, start, tol2):
         return None, 0  # the start is no feasible basis of the perturbed LP
-    basis, at_upper, Binv = (array.copy() for array in start)
-    basis, at_upper, Binv, xB2, y, rc, passes = _pivot(
-        cols, b2, c, upper2, basis, at_upper, Binv, max_iterations, rc_tol
-    )
+    pareto = start.copy()
+    xB2, y, rc, passes = _pivot(cols, b2, c, upper2, pareto, max_iterations, rc_tol)
     # the polish's xB2 is what the test at b' computes: every column the
     # pivots hold at upper has a finite bound there
-    if not optimal_at_both(basis, at_upper, Binv, rc, xB2):
+    if not optimal_at_both(pareto, rc, xB2):
         return None, passes
-    if entry is not None:
-        entry.pareto = (basis, at_upper, Binv)
+    start.pareto = pareto
     return (y, rc), passes
 
 
-def _pivot(A, b, c, upper, basis, at_upper, Binv, max_iterations, rc_tol):
+def _pivot(cols, b, c, upper, basis, max_iterations, rc_tol):
     """Pivot from a feasible basis to an optimal one.
 
-    A is the matrix's `Columns`, or an array, which is wrapped. basis,
-    at_upper (the nonbasic columns held at upper) and Binv, the basis's
-    0/+-1 inverse, are updated in place. An entering column B^-1 a_e with a
-    nonzero entry other than +-1 raises SimplexError: A is not totally
-    unimodular. Returns (basis, at_upper, Binv, basic values, duals, reduced
-    costs, iterations). iterations counts the pricing passes, the last of
-    which finds no entering column; a bound flip's pass counts too.
+    cols is the matrix's `Columns`. basis, a `Basis`, is updated in place:
+    its columns, at-upper mask and inverse become the optimal basis's. An
+    entering column B^-1 a_e with a nonzero entry other than +-1 raises
+    SimplexError: A is not totally unimodular. Returns (basic values, duals,
+    reduced costs, iterations). iterations counts the pricing passes, the
+    last of which finds no entering column; a bound flip's pass counts too.
     """
-    cols = Columns.of(A)
     A = cols.matrix
     m, n = A.shape
     finite_ub = np.isfinite(upper)
@@ -562,15 +570,17 @@ def _pivot(A, b, c, upper, basis, at_upper, Binv, max_iterations, rc_tol):
     c_cand = c[cand]
     position = np.full(n, -1)
     position[cand] = np.arange(cand.size)
-    basis_pos = position[basis]  # -1 for a basic column that can never enter
+    # bound once: the passes read and write these locals, not the record
+    basic, at_upper, Binv = basis.columns, basis.at_upper, basis.inverse
+    basis_pos = position[basic]  # -1 for a basic column that can never enter
     # a candidate's violation is its reduced cost times its direction: -1 at
     # lower (wants rc < 0), +1 at upper (wants rc > 0), 0 in the basis
     direction = np.where(at_upper[cand], 1.0, -1.0)
     direction[basis_pos[basis_pos >= 0]] = 0.0
-    c_basis = c[basis]
+    c_basis = c[basic]
     # the per-row state the ratio test reads is kept in Python lists, which
     # a pass reads a few entries of at a time
-    basis_pos, ub_basis = basis_pos.tolist(), upper[basis].tolist()
+    basis_pos, ub_basis = basis_pos.tolist(), upper[basic].tolist()
     y_ext = np.zeros(2 * m + 1)  # [y, -y, 0], which `index` points into
     y, neg_y = y_ext[:m], y_ext[m : 2 * m]
 
@@ -637,7 +647,7 @@ def _pivot(A, b, c, upper, basis, at_upper, Binv, max_iterations, rc_tol):
         else:
             tied = [j for j, step in enumerate(steps) if step <= t_best + tie_tol]
             if bland:
-                i = min(tied, key=lambda j: basis[row_list[j]])
+                i = min(tied, key=lambda j: basic[row_list[j]])
             else:
                 i = tied[0]  # Dantzig's largest |pivot|: every one is 1, so the first
             leave = row_list[i]
@@ -660,10 +670,10 @@ def _pivot(A, b, c, upper, basis, at_upper, Binv, max_iterations, rc_tol):
 
         # pivot: entering takes row `leave`
         x_enter = (t_flip - t_best) if at_upper_e else t_best
-        out_col = int(basis[leave])
+        out_col = int(basic[leave])
         at_upper[out_col] = leave_to_upper
         at_upper[e] = False
-        basis[leave] = e
+        basic[leave] = e
         c_basis[leave] = c[e]
         ub_basis[leave] = t_flip
         xB[leave] = x_enter
@@ -694,6 +704,5 @@ def _pivot(A, b, c, upper, basis, at_upper, Binv, max_iterations, rc_tol):
         raise SimplexError(f"iteration cap {max_iterations} exceeded")
 
     xB = basic_values()  # final polish: basic values, duals and reduced costs from B^-1
-    y = c_basis @ Binv
-    rc = c - y @ A
-    return basis, at_upper, Binv, xB, y, rc, iteration
+    y, rc = _duals(A, c, basis)
+    return xB, y, rc, iteration

@@ -426,6 +426,30 @@ def test_non_finite_instance_numbers_exit_one_before_solving(workdir, monkeypatc
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["suppliers", "plant_candidates", "allies"])
+def test_a_repeated_id_exits_one_naming_its_list(workdir, monkeypatch, capsys, name):
+    # a repeated plant candidate used to solve a different LP: both copies'
+    # arcs landed in the first copy's capacity row
+    tmp, instance_path, config_path = workdir
+    raw = json.loads(instance_path.read_text(encoding="utf-8"))
+    repeated = raw[name][-1]
+    raw[name].append(repeated)
+    bad = tmp / "repeated.json"
+    bad.write_text(json.dumps(raw), encoding="utf-8")
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve started on an invalid instance")
+
+    monkeypatch.setattr("strainchain.cli.run_saa", no_solve)
+    out = tmp / "repeated_run"
+    rc = cli_main(["solve", "--instance", str(bad), "--config", str(config_path),
+                   "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{name}: duplicate id {repeated!r}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_demand_that_would_overflow_exits_one_naming_it(workdir, capsys):
     # a solve of this instance used to overflow its shortage costs, pass every
     # batch check on NaN and end in "no plant open"

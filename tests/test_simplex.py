@@ -241,19 +241,17 @@ def test_workload_lps_pivot_as_the_reference_simplex(monkeypatch):
             continue
         xB = entry.inverse @ (b2 - A @ np.where(at_upper, upper2, 0.0))
         tol = 1e-9 * (1.0 + np.abs(b2).max())
-        if not ((xB >= -tol) & (xB <= upper2[entry.basis] + tol)).all():
+        if not ((xB >= -tol) & (xB <= upper2[entry.columns] + tol)).all():
             continue  # no feasible start at the perturbed point: no re-optimization
         m, n = A.shape
         rc_tol = 1e-9 * max(1.0, float(np.abs(c).max()))
-        basis2, at_upper2, _, xB2, y2, rc2, passes = simplex._pivot(
-            A, b2, c, upper2, entry.basis.copy(), at_upper.copy(), entry.inverse.copy(),
-            500 + 40 * (m + n), rc_tol,
+        basis2 = entry.copy()
+        xB2, y2, rc2, passes = simplex._pivot(
+            Columns(A), b2, c, upper2, basis2, 500 + 40 * (m + n), rc_tol
         )
-        got = simplex._solution(
-            c, upper2, np.isfinite(upper2), basis2, at_upper2, xB2, y2, rc2, passes
-        )
+        got = simplex._solution(c, upper2, np.isfinite(upper2), basis2, xB2, y2, rc2, passes)
         ref = reference_solve_bounded_lp(
-            A, b2, c, upper2, entry.basis, at_upper=at_upper, basis_inverse=entry.inverse.copy()
+            A, b2, c, upper2, entry.columns, at_upper=at_upper, basis_inverse=entry.inverse.copy()
         )
         assert_same_lp_solution(got, ref)
         reoptimized += passes > 1
@@ -308,7 +306,7 @@ def _variant(kind, args, solver, entry, rng):
 def _certificate_holds(kind, variant, entry):
     """The reference's answer: is the pooled basis optimal for the variant?"""
     A, b, c, upper, _ = variant
-    basis, at_upper, Binv = entry.basis, entry.at_upper, entry.inverse
+    basis, at_upper, Binv = entry.columns, entry.at_upper, entry.inverse
     if kind == "capacities":  # the costs and bounds are the entry's own: only b can break it
         xB = Binv @ (b - A @ np.where(at_upper, upper, 0.0))
         scale = 1.0 + np.abs(b).max()
@@ -570,9 +568,6 @@ def test_a_perturbation_changes_only_duals_it_certifies_at_both_points():
     assert not got.kept_dual and got.iterations == plain.iterations + 1
 
 
-# -- the answer table ------------------------------------------------------------
-
-
 def _pareto_recourse_lps(monkeypatch):
     """The scenario LPs of one decomposition run, each with its perturbation."""
     with monkeypatch.context() as patch:
@@ -581,6 +576,30 @@ def _pareto_recourse_lps(monkeypatch):
         run_lshaped(inst, sample_batch(inst, (32,), 6, RiskOverrides(export_prob_scale=0.6)), 1e-5)
     assert lps and all(perturbed is not None for *_, perturbed in lps)
     return lps
+
+
+def test_a_pooled_answer_reuses_the_pareto_basis_stored_with_it(monkeypatch):
+    """The second solve of an LP is answered by the pool entry the first
+    added, and the basis re-optimized from that entry certifies its duals
+    again at both points with no pass."""
+    checked = 0
+    for args, start, _, perturbed in _pareto_recourse_lps(monkeypatch):
+        A = args[0]
+        pool = []
+        first = solve_bounded_lp(*args, basis_inverse=start.copy(), pool=pool, perturbed=perturbed)
+        if first.kept_dual:
+            continue
+        pareto = pool[0].pareto
+        assert np.array_equal(pareto.inverse @ A[:, pareto.columns], np.eye(A.shape[0]))
+        again = solve_bounded_lp(*args, basis_inverse=start.copy(), pool=pool, perturbed=perturbed)
+        assert again.iterations == 0 and not again.kept_dual and len(pool) == 1
+        for name in ("row_duals", "reduced_costs"):
+            assert getattr(again, name).tobytes() == getattr(first, name).tobytes(), name
+        checked += 1
+    assert checked >= 10
+
+
+# -- the answer table ------------------------------------------------------------
 
 
 @pytest.mark.parametrize("perturbation", [False, True])
