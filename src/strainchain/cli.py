@@ -28,6 +28,7 @@ from .instance import (
     fixed_cost,
     is_finite_number,
     load_instance,
+    parse_json,
     validate_design,
     write_instance,
 )
@@ -92,7 +93,7 @@ def _load_config_file(path: str | None) -> dict:
         return {}
     p = Path(path)
     try:
-        raw = json.loads(p.read_text(encoding="utf-8"))
+        raw = parse_json(p.read_text(encoding="utf-8"), f"config {p}")
     except OSError as exc:
         raise ValidationError(f"cannot read config {p}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -219,7 +220,7 @@ def _cmd_solve(args) -> int:
 
 def _parse_design(raw: str, instance: Instance) -> Design:
     try:
-        data = json.loads(raw)
+        data = parse_json(raw, "--design")
     except json.JSONDecodeError as exc:
         raise ValidationError(f"--design is not valid JSON: {exc.msg}") from exc
     if not isinstance(data, dict):

@@ -284,6 +284,28 @@ def fixed_cost(instance: Instance, design: Design) -> float:
 
 # -- file format -----------------------------------------------------------
 
+def parse_json(text: str, where: str, error: type[ValidationError] = ValidationError):
+    """`json.loads`, but an object that repeats a key raises `error`.
+
+    Python's json keeps a repeated key's last value, so a file that states a
+    field twice would be read silently with the second. `where` (the file or
+    flag the text came from) prefixes the message; a syntax error still
+    raises `json.JSONDecodeError` for the caller to report.
+    """
+
+    def unique(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen = set()
+            for key, _ in pairs:
+                if key in seen:
+                    raise error(f"{where}: repeated key {key!r}")
+                seen.add(key)
+        return obj
+
+    return json.loads(text, object_pairs_hook=unique)
+
+
 def _pairs_to_nested(pairs: dict) -> dict:
     out: dict = {}
     for (a, b), v in sorted(pairs.items()):
@@ -344,7 +366,7 @@ def load_instance(path) -> Instance:
     except OSError as exc:
         raise InstanceFormatError(f"cannot read instance file {path}: {exc}") from exc
     try:
-        raw = json.loads(text)
+        raw = parse_json(text, str(path), InstanceFormatError)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(
             f"parse error in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}"

@@ -7,7 +7,7 @@ numbers), and every writer here creates its directory and reports an
 unwritable path as a ValidationError naming it; `check_writable_dir` and
 `check_writable_file` let a command find an unusable output path before it
 solves anything, and `load_artifact` reports a missing, unparsable or
-incomplete report.json the same way.
+incomplete report.json, or one that repeats a key, the same way.
 
 Records are written from their dataclass fields: `asdict` or `fields()`
 gives each key, and only the values JSON cannot hold (designs, arc-keyed
@@ -30,7 +30,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from .instance import INCOME_LEVELS, Design, Instance, ValidationError
+from .instance import INCOME_LEVELS, Design, Instance, ValidationError, parse_json
 from .saa import CostBreakdown, DesignEvaluation, SaaReport
 from .scenarios import Scenarios
 from .stats import ordered_total
@@ -222,14 +222,17 @@ def artifact_from_dict(d: dict) -> RunArtifact:
 def load_artifact(path) -> RunArtifact:
     path = Path(path)
     try:
-        with path.open(encoding="utf-8") as fh:
-            return artifact_from_dict(json.load(fh))
+        raw = parse_json(path.read_text(encoding="utf-8"), f"run report {path}")
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"run report parse error in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"run report {path} is not UTF-8: {exc}") from exc
+    try:
+        return artifact_from_dict(raw)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"run report {path} is incomplete or malformed: {exc!r}") from exc
 

@@ -450,6 +450,66 @@ def test_a_repeated_id_exits_one_naming_its_list(workdir, monkeypatch, capsys, n
     assert not out.exists()
 
 
+def _repeating(obj: dict, key: str, first) -> str:
+    """`obj` as JSON text that states `key` twice: `first`, then its own value."""
+    return "{" + f"{json.dumps(key)}: {json.dumps(first)}, " + json.dumps(obj)[1:]
+
+
+@pytest.mark.parametrize(
+    "case", ["instance_map_key", "instance_top_level_key", "config_key", "design_key",
+             "report_key"]
+)
+def test_a_repeated_json_key_exits_one_naming_it(workdir, monkeypatch, capsys, case):
+    # json keeps a repeated key's last value, so each of these used to run on
+    # the second value (or, for the design, report "no plant open")
+    tmp, instance_path, config_path = workdir
+    raw = json.loads(instance_path.read_text(encoding="utf-8"))
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    run = tmp / "run"
+    if case == "report_key":
+        assert cli_main(["solve", "--instance", str(instance_path), "--config",
+                         str(config_path), "--out", str(run)]) == 0
+        report = run / "report.json"
+        payload = json.loads(report.read_text(encoding="utf-8"))
+        report.write_text(_repeating(payload, "config", ["x"]), encoding="utf-8")
+        capsys.readouterr()
+        assert cli_main(["verify", "--run", str(run)]) == 1
+        err = capsys.readouterr().err
+        assert f"{report}: repeated key 'config'" in err and "Traceback" not in err
+        assert not (run / "verify.json").exists()
+        return
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started on an input with a repeated key")
+
+    monkeypatch.setattr("strainchain.cli.run_saa", no_run)
+    monkeypatch.setattr("strainchain.cli.evaluate_design", no_run)
+    bad = tmp / "repeated.json"
+    command = ["solve", "--instance", str(bad), "--config", str(config_path)]
+    if case == "instance_map_key":
+        key = next(iter(raw["demand_mean"]))
+        text = json.dumps({**raw, "demand_mean": "@"})
+        bad.write_text(text.replace('"@"', _repeating(raw["demand_mean"], key, 99999.0)),
+                       encoding="utf-8")
+    elif case == "instance_top_level_key":
+        key = "countries"
+        bad.write_text(_repeating(raw, key, ["k0"]), encoding="utf-8")
+    elif case == "config_key":
+        key = "saa"
+        bad.write_text(_repeating(config, key, {"replications": 1}), encoding="utf-8")
+        command = ["solve", "--instance", str(instance_path), "--config", str(bad)]
+    else:
+        key = "k0"
+        bad = "--design"
+        command = ["evaluate", "--instance", str(instance_path), "--config", str(config_path),
+                   "--design", '{"k0": 1, "k0": 0}']
+    rc = cli_main([*command, "--out", str(run)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{bad}: repeated key {key!r}" in err and "Traceback" not in err
+    assert not run.exists()
+
+
 def test_demand_that_would_overflow_exits_one_naming_it(workdir, capsys):
     # a solve of this instance used to overflow its shortage costs, pass every
     # batch check on NaN and end in "no plant open"
