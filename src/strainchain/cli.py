@@ -14,7 +14,6 @@ them), 2 solver failures.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from dataclasses import asdict, fields, replace
@@ -29,6 +28,7 @@ from .instance import (
     is_finite_number,
     load_instance,
     parse_json,
+    read_json,
     validate_design,
     write_instance,
 )
@@ -92,14 +92,7 @@ def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
     p = Path(path)
-    try:
-        raw = parse_json(p.read_text(encoding="utf-8"), f"config {p}")
-    except OSError as exc:
-        raise ValidationError(f"cannot read config {p}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"config parse error in {p} at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
+    raw = read_json(p, f"config {p}")
     if not isinstance(raw, dict):
         raise ValidationError(f"{p}: config top level must be a JSON object")
     unknown = sorted(set(raw) - CONFIG_SECTIONS)
@@ -219,10 +212,7 @@ def _cmd_solve(args) -> int:
 
 
 def _parse_design(raw: str, instance: Instance) -> Design:
-    try:
-        data = parse_json(raw, "--design")
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"--design is not valid JSON: {exc.msg}") from exc
+    data = parse_json(raw, "--design")
     if not isinstance(data, dict):
         raise ValidationError("--design must be a JSON object of plant -> 0/1")
     open_map = {j: 0 for j in instance.plant_candidates}

@@ -22,6 +22,7 @@ STRAIN_LEVELS = (0.70, 0.75, 0.80, 0.85, 0.90, 0.95, 1.00)
 PRICE_FACTOR = {"HIC": 3.0, "UMIC": 2.2, "LMIC": 0.55, "LIC": 0.40}
 COST_FACTOR = {"HIC": 1.30, "UMIC": 1.10, "LMIC": 0.85, "LIC": 0.80}
 
+BASE_PRICE = 2.0  # money per unit; scales fixed costs, shortage prices and beta
 RISK_PROFILES = ("low", "high")
 HIGH_RISK_SCALE = 0.8  # export probabilities in the high profile vs the low one
 
@@ -39,7 +40,6 @@ def generate_synthetic_instance(
     num_countries: int,
     seed: int,
     risk_profile: str = "low",
-    base_price: float = 2.0,
 ) -> Instance:
     """Deterministic-in-seed synthetic instance.
 
@@ -88,7 +88,7 @@ def generate_synthetic_instance(
         j: float(rng.uniform(0.55, 0.90) * COST_FACTOR[income[j]]) for j in plants
     }
     fixed_cost = {
-        j: float(total_demand * base_price * rng.uniform(0.015, 0.05) * COST_FACTOR[income[j]])
+        j: float(total_demand * BASE_PRICE * rng.uniform(0.015, 0.05) * COST_FACTOR[income[j]])
         for j in plants
     }
     transport1 = {
@@ -102,7 +102,7 @@ def generate_synthetic_instance(
         for k in countries
     }
     shortage_price = {
-        k: float(base_price * PRICE_FACTOR[income[k]] * rng.uniform(0.9, 1.1)) for k in countries
+        k: float(BASE_PRICE * PRICE_FACTOR[income[k]] * rng.uniform(0.9, 1.1)) for k in countries
     }
 
     supplier_capacity = {i: float(total_demand * rng.uniform(0.5, 0.9)) for i in suppliers}
@@ -113,7 +113,7 @@ def generate_synthetic_instance(
     full_ban_retained = ordered_total(exports_general.values()) + ordered_total(
         exports_to_c1.values()
     )
-    beta = float(base_price * rng.uniform(0.8, 1.5) / full_ban_retained)
+    beta = float(BASE_PRICE * rng.uniform(0.8, 1.5) / full_ban_retained)
 
     export_prob_base = {k: float(rng.uniform(0.955, 0.999)) for k in countries}
     scale = HIGH_RISK_SCALE if risk_profile == "high" else 1.0

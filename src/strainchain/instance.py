@@ -143,8 +143,14 @@ def _require(cond: bool, message: str) -> None:
 
 
 def is_finite_number(value) -> bool:
-    """An int or float that is finite; a bool is not a number here."""
-    return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+    """An int or float that is finite; a bool is not a number here, and an
+    int too large for a float is not finite."""
+    try:
+        return (
+            not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+        )
+    except OverflowError:
+        return False
 
 
 def _check_map(mapping: dict, keys, what: str, lo: float = 0.0, hi: float = MAGNITUDE_LIMIT) -> None:
@@ -285,12 +291,15 @@ def fixed_cost(instance: Instance, design: Design) -> float:
 # -- file format -----------------------------------------------------------
 
 def parse_json(text: str, where: str, error: type[ValidationError] = ValidationError):
-    """`json.loads`, but an object that repeats a key raises `error`.
+    """`json.loads`, but text that is not JSON, or an object that repeats a
+    key, raises `error`.
 
     Python's json keeps a repeated key's last value, so a file that states a
     field twice would be read silently with the second. `where` (the file or
-    flag the text came from) prefixes the message; a syntax error still
-    raises `json.JSONDecodeError` for the caller to report.
+    flag the text came from) names the input in the message; a syntax error
+    gives its line and column, and an integer literal longer than Python
+    converts (4300 digits by default) or arrays and objects nested deeper
+    than its recursion limit are reported too.
     """
 
     def unique(pairs: list) -> dict:
@@ -303,7 +312,28 @@ def parse_json(text: str, where: str, error: type[ValidationError] = ValidationE
                 seen.add(key)
         return obj
 
-    return json.loads(text, object_pairs_hook=unique)
+    try:
+        return json.loads(text, object_pairs_hook=unique)
+    except ValidationError:
+        raise  # a repeated key, already named
+    except json.JSONDecodeError as exc:
+        raise error(
+            f"parse error in {where} at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from exc
+    except (ValueError, RecursionError) as exc:  # int()'s digit limit, or nesting too deep
+        raise error(f"{where}: {exc}") from exc
+
+
+def read_json(path, where: str, error: type[ValidationError] = ValidationError):
+    """The JSON value of the file at `path`, read by `parse_json`; a file
+    that cannot be read or is not UTF-8 raises `error` naming `where`."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise error(f"cannot read {where}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{where} is not UTF-8: {exc}") from exc
+    return parse_json(text, where, error)
 
 
 def _pairs_to_nested(pairs: dict) -> dict:
@@ -361,16 +391,7 @@ def instance_from_dict(d: dict) -> Instance:
 
 def load_instance(path) -> Instance:
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InstanceFormatError(f"cannot read instance file {path}: {exc}") from exc
-    try:
-        raw = parse_json(text, str(path), InstanceFormatError)
-    except json.JSONDecodeError as exc:
-        raise InstanceFormatError(
-            f"parse error in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
+    raw = read_json(path, f"instance file {path}", InstanceFormatError)
     if not isinstance(raw, dict):
         raise InstanceFormatError(f"{path}: top level must be a JSON object")
     return instance_from_dict(raw)

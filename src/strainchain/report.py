@@ -30,7 +30,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from .instance import INCOME_LEVELS, Design, Instance, ValidationError, parse_json
+from .instance import INCOME_LEVELS, Design, Instance, ValidationError, read_json
 from .saa import CostBreakdown, DesignEvaluation, SaaReport
 from .scenarios import Scenarios
 from .stats import ordered_total
@@ -221,16 +221,7 @@ def artifact_from_dict(d: dict) -> RunArtifact:
 
 def load_artifact(path) -> RunArtifact:
     path = Path(path)
-    try:
-        raw = parse_json(path.read_text(encoding="utf-8"), f"run report {path}")
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"run report parse error in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"run report {path} is not UTF-8: {exc}") from exc
+    raw = read_json(path, f"run report {path}")
     try:
         return artifact_from_dict(raw)
     except (KeyError, TypeError, ValueError) as exc:

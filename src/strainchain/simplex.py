@@ -16,8 +16,8 @@ it in place, and the pool, the final polish and the Pareto step read it.
 Pricing covers only the columns that can ever enter: those whose upper
 bound exceeds the pivot tolerance (a gated arc of a closed plant has upper
 bound 0 and never moves). It reads A through its `Columns`, built once per
-A (`recourse` builds one per solver; an array is wrapped on entry), which
-hold each column's at most p nonzeros, all +-1, as positions in [y, -y, 0].
+A (`recourse` builds one per solver), which hold each column's at most p
+nonzeros, all +-1, as positions in [y, -y, 0].
 Each pass computes y = c_B B^-1 with one gemv, gathers those positions for
 the candidates and adds the p rows in row order, c - ((t0 + t1) + t2) for
 p = 3: a handful of additions per column instead of an m-long product. The
@@ -74,8 +74,8 @@ POOL_PRIMAL_TOL, and no nonbasic column that can move has a reduced cost of
 the wrong sign beyond the pricing tolerance; an entry that holds a column at
 an upper bound this LP lacks is skipped. Otherwise the LP is solved from its
 start basis on the same pivot path as without a pool, and its final basis,
-with its exact inverse, joins the pool. The start basis may be passed as a
-function, so that its inverse is built only when no pooled basis answers.
+with its exact inverse, joins the pool. The start basis and its inverse come
+from a function, called only when no pooled basis answers.
 An entry that fails the primal test remembers a row that failed it, its
 witness: the lowest basic value, or the one furthest above its bound. A
 later lookup first computes that one basic value, a dot product, and passes
@@ -213,11 +213,6 @@ class Columns:
         self.index = np.full((max(1, int(counts.max(initial=0))), n), 2 * m)
         self.index[slot, cols] = rows + m * (A[rows, cols] < 0.0)
         self.matrix = A
-
-    @classmethod
-    def of(cls, A) -> "Columns":
-        """A itself if it is a Columns, else A wrapped."""
-        return A if isinstance(A, cls) else cls(A)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -418,54 +413,49 @@ def _solution(c, upper, finite_ub, basis, xB, y, rc, iterations) -> LpSolution:
 
 
 def solve_bounded_lp(
-    A: np.ndarray | Columns,
+    cols: Columns,
     b: np.ndarray,
     c: np.ndarray,
     upper: np.ndarray,
-    basis,
-    max_iterations: int | None = None,
-    basis_inverse: np.ndarray | None = None,
+    start,
     pool: list | None = None,
     perturbed: tuple | None = None,
     answers: dict | None = None,
 ) -> LpSolution:
     """Optimal vertex from a feasible starting basis, every nonbasic column at 0.
 
-    A must be totally unimodular, and is passed as its `Columns` or as an
-    array, which is wrapped; an entry other than 0 and +-1, or a pivot that
-    shows A is not TU, raises SimplexError. basis is the start basis, or a
-    function returning (start basis, its inverse), called only when no
-    pooled basis answers. An array basis needs basis_inverse, which must
-    equal inv(A[:, basis]) and is updated in place; a wrong one raises
-    SimplexError naming the primal residual. pool, when given, holds
-    `PoolEntry`s of earlier optimal bases of LPs with this same A; one of
-    them may answer the LP with no pivot (iterations 0), and an LP solved by
-    pivoting adds its final basis. perturbed, when given, is (b', upper') of
-    the same LP: the duals returned are then those of a basis optimal at
-    both points, when one is found (see the module docstring). answers, when
-    given, is an answer table of LPs with this same A: an LP it holds is
-    answered from it (iterations 0), and any other LP's answer is added to
-    it. iterations counts pricing passes, not pivots.
+    cols is A's `Columns`; A must be totally unimodular, and a pivot that
+    shows it is not raises SimplexError. start() returns (start basis, its
+    inverse) and is called only when no pooled basis answers. It must return
+    fresh arrays: the solve updates them in place, and the pool keeps them.
+    The inverse must equal inv(A[:, basis]); a wrong one raises SimplexError
+    naming the primal residual. pool, when given, holds `PoolEntry`s of
+    earlier optimal bases of LPs with this same A; one of them may answer
+    the LP with no pivot (iterations 0), and an LP solved by pivoting adds
+    its final basis. perturbed, when given, is (b', upper') of the same LP:
+    the duals returned are then those of a basis optimal at both points,
+    when one is found (see the module docstring). answers, when given, is an
+    answer table of LPs with this same A: an LP it holds is answered from it
+    (iterations 0), and any other LP's answer is added to it. iterations
+    counts pricing passes, not pivots.
     """
-    A = Columns.of(A)
     if answers is not None:
         key = answer_key(b, c, upper, perturbed)
         known = answers.get(key)
         if known is not None:
-            return known.solution(A.matrix, c)
-    solution = _solve(A, b, c, upper, basis, max_iterations, basis_inverse, pool, perturbed)
+            return known.solution(cols.matrix, c)
+    solution = _solve(cols, b, c, upper, start, pool, perturbed)
     if answers is not None:
         answers[key] = TableAnswer.of(solution)
     return solution
 
 
-def _solve(cols, b, c, upper, basis, max_iterations, basis_inverse, pool, perturbed) -> LpSolution:
-    """`solve_bounded_lp` without an answer table; cols is A's `Columns`."""
+def _solve(cols, b, c, upper, start, pool, perturbed) -> LpSolution:
+    """`solve_bounded_lp` without an answer table."""
     A = cols.matrix
     m, n = A.shape
     finite_ub = np.isfinite(upper)
-    if max_iterations is None:
-        max_iterations = 500 + 40 * (m + n)
+    max_iterations = 500 + 40 * (m + n)
     rc_tol = 1e-9 * max(1.0, _abs_max(c))
     b_max = _abs_max(b)
     tol = POOL_PRIMAL_TOL * (1.0 + b_max)
@@ -476,18 +466,12 @@ def _solve(cols, b, c, upper, basis, max_iterations, basis_inverse, pool, pertur
         basis, xB, y, rc = answer
         solution = _solution(c, upper, finite_ub, basis, xB, y, rc, 0)
     else:
-        if callable(basis):
-            basis, basis_inverse = basis()
-        columns = np.asarray(basis, dtype=np.intp).copy()
-        if columns.shape != (m,):
-            raise SimplexError("basis must list exactly one column per row")
-        if basis_inverse is None:
-            raise SimplexError("a start basis needs its inverse, basis_inverse")
+        columns, inverse = start()
         # every column starts at 0
-        basis = Basis(columns, np.zeros(n, dtype=bool), basis_inverse)
+        basis = Basis(columns, np.zeros(n, dtype=bool), inverse)
         xB, y, rc, iterations = _pivot(cols, b, c, upper, basis, max_iterations, rc_tol)
         solution = _solution(c, upper, finite_ub, basis, xB, y, rc, iterations)
-        # nothing has checked a caller's start inverse: a wrong one shows here
+        # nothing has checked the start inverse: a wrong one shows here
         x = solution.x
         residual = float(np.abs(A @ x - b).max(initial=0.0))
         scale = 1.0 + max(b_max, float(x.max(initial=0.0)))
@@ -496,7 +480,7 @@ def _solve(cols, b, c, upper, basis, max_iterations, basis_inverse, pool, pertur
                 f"primal residual |Ax - b| = {residual:.3g}: the start basis inverse is wrong"
             )
         if pool is not None:
-            basis = PoolEntry(basis.columns, basis.at_upper, basis.inverse.copy())
+            basis = PoolEntry(basis.columns, basis.at_upper, basis.inverse)
             pool.append(basis)
     if perturbed is None:
         return solution

@@ -73,6 +73,7 @@ from strainchain.stats import ordered_sum
 from strainchain.simplex import (
     DEGENERATE_STEP,
     REFRESH_EVERY,
+    Columns,
     LpSolution,
     SimplexError,
     answer_key,
@@ -934,6 +935,17 @@ def reference_branch_and_bound(master: Master) -> tuple[Design, float]:
     return Design(open=dict(zip(plants, best_bits))), float(best_value)
 
 
+def solve_lp(A, b, c, upper, basis, inverse, **kwargs) -> LpSolution:
+    """`solve_bounded_lp` on the array A from the start basis `basis` and its
+    inverse: the simplex gets A's `Columns` and a start function returning
+    fresh copies of both, so the caller's arrays are left as they are.
+    kwargs (pool, perturbed, answers) are passed on."""
+    basis = np.asarray(basis, dtype=np.intp)
+    return solve_bounded_lp(
+        Columns(A), b, c, upper, lambda: (basis.copy(), np.array(inverse, dtype=float)), **kwargs
+    )
+
+
 def reference_solve_bounded_lp(
     A, b, c, upper, basis, at_upper=None, max_iterations=None, basis_inverse=None
 ) -> LpSolution:
@@ -1125,22 +1137,19 @@ def record_recourse_lps(monkeypatch) -> list:
 
     Each call appends ((A, b, c, upper, basis), start inverse, solution,
     perturbed); the start basis and its inverse are built for every call,
-    and the inverse is a copy, since the solver updates its own in place. A
+    and the simplex gets copies of both, since it updates them in place. A
     solve's basis pool and perturbation are passed on, so a pooled answer is
     recorded as given.
     """
     lps = []
 
-    def record(A, b, c, upper, basis, basis_inverse=None, pool=None, perturbed=None,
-               answers=None):
-        if callable(basis):
-            basis, basis_inverse = basis()
-        start = basis_inverse.copy()
+    def record(cols, b, c, upper, start, pool=None, perturbed=None, answers=None):
+        basis, inverse = start()
         solution = solve_bounded_lp(
-            A, b, c, upper, basis, basis_inverse=basis_inverse, pool=pool, perturbed=perturbed,
-            answers=answers,
+            cols, b, c, upper, lambda: (basis.copy(), inverse.copy()), pool=pool,
+            perturbed=perturbed, answers=answers,
         )
-        lps.append(((A.matrix, b, c, upper, basis), start, solution, perturbed))
+        lps.append(((cols.matrix, b, c, upper, basis), inverse, solution, perturbed))
         return solution
 
     monkeypatch.setattr(recourse, "solve_bounded_lp", record)
@@ -1153,10 +1162,10 @@ def record_table_lookups(monkeypatch) -> list:
     held the LP before the call)."""
     lookups = []
 
-    def record(A, b, c, upper, basis, answers=None, **kwargs):
+    def record(cols, b, c, upper, start, answers=None, **kwargs):
         held = answers is not None and answer_key(b, c, upper, kwargs.get("perturbed")) in answers
         lookups.append((answers, held))
-        return solve_bounded_lp(A, b, c, upper, basis, answers=answers, **kwargs)
+        return solve_bounded_lp(cols, b, c, upper, start, answers=answers, **kwargs)
 
     monkeypatch.setattr(recourse, "solve_bounded_lp", record)
     return lookups

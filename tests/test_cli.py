@@ -474,8 +474,8 @@ def test_a_repeated_json_key_exits_one_naming_it(workdir, monkeypatch, capsys, c
         report.write_text(_repeating(payload, "config", ["x"]), encoding="utf-8")
         capsys.readouterr()
         assert cli_main(["verify", "--run", str(run)]) == 1
-        err = capsys.readouterr().err
-        assert f"{report}: repeated key 'config'" in err and "Traceback" not in err
+        # the whole line: the message names the report once
+        assert capsys.readouterr().err == f"error: run report {report}: repeated key 'config'\n"
         assert not (run / "verify.json").exists()
         return
 
@@ -485,6 +485,7 @@ def test_a_repeated_json_key_exits_one_naming_it(workdir, monkeypatch, capsys, c
     monkeypatch.setattr("strainchain.cli.run_saa", no_run)
     monkeypatch.setattr("strainchain.cli.evaluate_design", no_run)
     bad = tmp / "repeated.json"
+    where = f"instance file {bad}"
     command = ["solve", "--instance", str(bad), "--config", str(config_path)]
     if case == "instance_map_key":
         key = next(iter(raw["demand_mean"]))
@@ -497,16 +498,74 @@ def test_a_repeated_json_key_exits_one_naming_it(workdir, monkeypatch, capsys, c
     elif case == "config_key":
         key = "saa"
         bad.write_text(_repeating(config, key, {"replications": 1}), encoding="utf-8")
+        where = f"config {bad}"
         command = ["solve", "--instance", str(instance_path), "--config", str(bad)]
     else:
         key = "k0"
-        bad = "--design"
+        where = "--design"
         command = ["evaluate", "--instance", str(instance_path), "--config", str(config_path),
                    "--design", '{"k0": 1, "k0": 0}']
     rc = cli_main([*command, "--out", str(run)])
     assert rc == 1
+    # the whole line: the message names its input once
+    assert capsys.readouterr().err == f"error: {where}: repeated key {key!r}\n"
+    assert not run.exists()
+
+
+# case -> (command's input that is bad, error line's start); a 401-digit
+# integer is beyond a float, 5,001 digits beyond what Python's int() reads,
+# and 100,000 nested arrays beyond the json decoder's recursion limit
+UNREADABLE = {
+    "instance_not_utf8": ("instance", "error: instance file {bad} is not UTF-8: "),
+    "config_not_utf8": ("config", "error: config {bad} is not UTF-8: "),
+    "instance_5001_digits": ("instance", "error: instance file {bad}: Exceeds the limit"),
+    "instance_nested_deep": ("instance", "error: instance file {bad}: maximum recursion depth"),
+    "design_5001_digits": ("design", "error: --design: Exceeds the limit"),
+    "beta_401_digits": ("instance", "error: beta is not a finite number, got 1000"),
+    "alpha_401_digits": ("config", "error: alpha must be a finite number, got 1000"),
+}
+
+
+@pytest.mark.parametrize("case", list(UNREADABLE))
+def test_an_input_python_cannot_decode_exits_one_naming_it(workdir, monkeypatch, capsys, case):
+    # each of these used to end in a traceback: a UnicodeDecodeError, the
+    # ValueError of int()'s digit limit, a RecursionError, or
+    # math.isfinite's OverflowError
+    tmp, instance_path, config_path = workdir
+    raw = json.loads(instance_path.read_text(encoding="utf-8"))
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    kind, start = UNREADABLE[case]
+    bad = tmp / "bad.json"
+    if case.endswith("not_utf8"):
+        bad.write_bytes(b"\xff\xfe{}")
+    elif case == "instance_5001_digits":
+        bad.write_text(json.dumps({**raw, "beta": "@"}).replace('"@"', "1" * 5001),
+                       encoding="utf-8")
+    elif case == "instance_nested_deep":
+        bad.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    elif case == "beta_401_digits":
+        bad.write_text(json.dumps({**raw, "beta": 10**400}), encoding="utf-8")
+    elif case == "alpha_401_digits":
+        config["saa"]["alpha"] = 10**400
+        bad.write_text(json.dumps(config), encoding="utf-8")
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started on an input that cannot be read")
+
+    monkeypatch.setattr("strainchain.cli.run_saa", no_run)
+    monkeypatch.setattr("strainchain.cli.evaluate_design", no_run)
+    instance = bad if kind == "instance" else instance_path
+    config_arg = bad if kind == "config" else config_path
+    command = ["solve", "--instance", str(instance), "--config", str(config_arg)]
+    if kind == "design":
+        command = ["evaluate", "--instance", str(instance_path), "--config", str(config_path),
+                   "--design", '{"k0": ' + "1" * 5001 + "}"]
+    run = tmp / "run"
+    rc = cli_main([*command, "--out", str(run)])
+    assert rc == 1
     err = capsys.readouterr().err
-    assert f"{bad}: repeated key {key!r}" in err and "Traceback" not in err
+    assert err.startswith(start.format(bad=bad)) and err.count("\n") == 1
+    assert "Traceback" not in err
     assert not run.exists()
 
 

@@ -28,7 +28,6 @@ from strainchain.lshaped import (
 )
 from strainchain import lshaped
 from strainchain.saa import ROLE_OPTIMIZE
-from strainchain.simplex import solve_bounded_lp
 
 from helpers import (
     OptimalityCut,
@@ -42,6 +41,7 @@ from helpers import (
     reference_branch_and_bound,
     reference_master_by_enumeration,
     small_random_instance,
+    solve_lp,
     stack,
     tiny_instance,
 )
@@ -534,12 +534,12 @@ def test_each_decomposition_iteration_shares_one_basis_pool(monkeypatch):
         # x, the objective and the at-upper mask are the answer without a
         # perturbation through the iteration's pool, which an LP no pooled
         # basis answers pivots to on its own path
-        unperturbed = solve_bounded_lp(*args, basis_inverse=start.copy(), pool=bases)
+        unperturbed = solve_lp(*args, start, pool=bases)
         for name in ("x", "at_upper"):
             assert getattr(solution, name).tobytes() == getattr(unperturbed, name).tobytes()
         assert solution.objective == unperturbed.objective
         assert solution.iterations >= unperturbed.iterations
-        cold = solve_bounded_lp(*args, basis_inverse=start.copy())
+        cold = solve_lp(*args, start)
         if unperturbed.iterations:
             assert_same_lp_solution(unperturbed, cold)
         else:
@@ -555,9 +555,7 @@ def test_each_decomposition_iteration_shares_one_basis_pool(monkeypatch):
             reoptimized += 1
             # the start basis is feasible there: only plant capacities change
             b_mu, upper_mu = perturbed
-            at_perturbed = solve_bounded_lp(
-                A, b_mu, c, upper_mu, args[4], basis_inverse=start.copy()
-            )
+            at_perturbed = solve_lp(A, b_mu, c, upper_mu, args[4], start)
             assert _dual_value(duals, rc, b_mu, upper_mu) == pytest.approx(
                 at_perturbed.objective, rel=1e-9
             )

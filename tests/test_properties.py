@@ -47,7 +47,6 @@ from strainchain import (
 from strainchain.lshaped import Master, solve_master
 from strainchain.recourse import CORE_POINT, cut_terms_from
 from strainchain.scenarios import RiskOverrides
-from strainchain.simplex import solve_bounded_lp
 
 from helpers import (
     CORNERS,
@@ -64,6 +63,7 @@ from helpers import (
     reference_master_by_enumeration,
     reference_solve_bounded_lp,
     small_random_instance,
+    solve_lp,
     solve_one,
     stack,
     tiny_instance,
@@ -130,7 +130,7 @@ def test_pooled_evaluation_answers_match_solves_without_a_pool(batch):
         evaluate_design(inst, design, scens, RecourseSolver(inst))
     assert len(lps) == len(scens)
     for args, start, solution, _ in lps:
-        cold = solve_bounded_lp(*args, basis_inverse=start)
+        cold = solve_lp(*args, start)
         if solution.iterations == 0:  # answered by a pooled basis
             assert solution.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
         else:

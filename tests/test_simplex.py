@@ -28,6 +28,7 @@ from helpers import (
     record_recourse_lps,
     reference_solve_bounded_lp,
     small_random_instance,
+    solve_lp,
     solve_one,
 )
 
@@ -83,7 +84,7 @@ def test_matches_reference_solver_on_random_problems():
     rng = np.random.default_rng(42)
     for _ in range(150):
         (A, b, cc, uu, basis), start, (c, A_le, b_le, A_eq, b_eq, u) = random_lp(rng)
-        sol = solve_bounded_lp(A, b, cc, uu, basis, basis_inverse=start)
+        sol = solve_lp(A, b, cc, uu, basis, start)
         ref = linprog(
             c,
             A_ub=A_le,
@@ -101,7 +102,7 @@ def test_duality_identity_holds_exactly():
     rng = np.random.default_rng(7)
     for _ in range(80):
         (A, b, cc, uu, basis), start, _ = random_lp(rng)
-        sol = solve_bounded_lp(A, b, cc, uu, basis, basis_inverse=start)
+        sol = solve_lp(A, b, cc, uu, basis, start)
         mu = float(np.sum(sol.reduced_costs[sol.at_upper] * uu[sol.at_upper]))
         dual = float(sol.row_duals @ b) + mu
         assert dual == pytest.approx(sol.objective, rel=1e-7, abs=1e-7)
@@ -111,7 +112,7 @@ def test_primal_point_is_feasible():
     rng = np.random.default_rng(9)
     for _ in range(40):
         (A, b, cc, uu, basis), start, _ = random_lp(rng)
-        sol = solve_bounded_lp(A, b, cc, uu, basis, basis_inverse=start)
+        sol = solve_lp(A, b, cc, uu, basis, start)
         resid = np.abs(A @ sol.x - b).max()
         assert resid <= 1e-7 * (1.0 + np.abs(b).max())
         assert (sol.x >= -1e-9).all()
@@ -124,34 +125,20 @@ def test_iteration_cap_raises():
     b = np.array([1.0])
     c = np.array([-0.0, 1.0])
     u = np.array([np.inf, np.inf])
+    basis = simplex.Basis(np.array([1]), np.zeros(2, dtype=bool), np.eye(1))
     with pytest.raises(SimplexError, match="iteration cap"):
-        solve_bounded_lp(A, b, c, u, np.array([1]), max_iterations=0, basis_inverse=np.eye(1))
+        simplex._pivot(Columns(A), b, c, u, basis, 0, 1e-9)
 
 
-def test_bad_basis_shape_raises():
-    A = np.eye(2)
-    with pytest.raises(SimplexError):
-        solve_bounded_lp(A, np.ones(2), np.ones(2), np.full(2, np.inf), np.array([0]))
-    # an array basis must come with its inverse
-    with pytest.raises(SimplexError, match="inverse"):
-        solve_bounded_lp(A, np.ones(2), np.ones(2), np.full(2, np.inf), np.array([0, 1]))
-
-
-def _assert_same_solution(args, kwargs=None):
+def _assert_same_solution(args, inverse):
     """Restricted pricing and sparse pivots against the dense, refactorizing
-    full-pricing reference, byte for byte.
+    full-pricing reference, byte for byte, from the start basis args[4] and
+    its inverse.
 
-    Both get their own copy of a passed basis inverse (it is updated in place).
+    Both get their own copy of the inverse (it is updated in place).
     """
-    kwargs = dict(kwargs or {})
-    inverse = kwargs.pop("basis_inverse", None)
-
-    def run(solve):
-        extra = {} if inverse is None else {"basis_inverse": inverse.copy()}
-        return solve(*args, **kwargs, **extra)
-
-    got = run(solve_bounded_lp)
-    assert_same_lp_solution(got, run(reference_solve_bounded_lp))
+    got = solve_lp(*args, inverse)
+    assert_same_lp_solution(got, reference_solve_bounded_lp(*args, basis_inverse=inverse.copy()))
     return got
 
 
@@ -182,7 +169,7 @@ def _sampled_recourse_lps(monkeypatch, solvers=None):
 def test_restricted_pricing_matches_full_pricing_on_recourse_lps(monkeypatch):
     for args, start, _, _ in _sampled_recourse_lps(monkeypatch):
         assert (args[3] <= 1e-10).any()  # columns that can never enter
-        _assert_same_solution(args, {"basis_inverse": start})
+        _assert_same_solution(args, start)
 
 
 def test_recourse_lps_refreshed_every_two_pivots_match_without_inv(monkeypatch):
@@ -194,7 +181,7 @@ def test_recourse_lps_refreshed_every_two_pivots_match_without_inv(monkeypatch):
     assert max(sol.iterations for _, _, sol, _ in lps) > 10
     inv_calls = count_calls(monkeypatch, np.linalg, "inv")
     for args, start, _, _ in lps:
-        got = solve_bounded_lp(*args, basis_inverse=start.copy())
+        got = solve_lp(*args, start)
         assert not inv_calls
         assert_same_lp_solution(got, reference_solve_bounded_lp(*args, basis_inverse=start.copy()))
         inv_calls.clear()
@@ -232,7 +219,7 @@ def test_workload_lps_pivot_as_the_reference_simplex(monkeypatch):
     reoptimized = 0
     for (A, b, c, upper, basis), start, _, (b2, upper2) in _workload_lps(monkeypatch):
         pool = []
-        cold = solve_bounded_lp(A, b, c, upper, basis, basis_inverse=start.copy(), pool=pool)
+        cold = solve_lp(A, b, c, upper, basis, start, pool=pool)
         ref = reference_solve_bounded_lp(A, b, c, upper, basis, basis_inverse=start.copy())
         assert_same_lp_solution(cold, ref)
         entry = pool[0]
@@ -275,7 +262,7 @@ def test_lps_outside_the_tu_class_raise(entering, b):
     args = (A, np.array(b), np.array([-1.0, -1.0, 0.0, 0.0]), np.full(4, np.inf), [2, 3])
     pool = []
     with pytest.raises(SimplexError, match="not totally unimodular"):
-        solve_bounded_lp(*args, basis_inverse=np.eye(2), pool=pool)
+        solve_lp(*args, np.eye(2), pool=pool)
     assert not pool  # a solve that raises pools nothing
 
 
@@ -284,7 +271,7 @@ def test_wrong_start_inverse_raises_naming_the_primal_residual(monkeypatch):
     row = int(np.flatnonzero(b)[-1])  # a row whose basic value the flip changes
     start[row, row] = -start[row, row]
     with pytest.raises(SimplexError, match="primal residual"):
-        solve_bounded_lp(A, b, c, upper, basis, basis_inverse=start)
+        solve_bounded_lp(Columns(A), b, c, upper, lambda: (basis.copy(), start))
 
 
 def _variant(kind, args, solver, entry, rng):
@@ -330,14 +317,14 @@ def test_a_pooled_basis_answers_only_where_its_certificate_holds(monkeypatch, ki
     outcomes = []
     for (args, start, _, _), solver in zip(lps, solvers):
         pool = []
-        first = solve_bounded_lp(*args, basis_inverse=start.copy(), pool=pool)
+        first = solve_lp(*args, start, pool=pool)
         assert len(pool) == 1 and first.iterations > 0
         if kind == "unbounded_at_upper" and not pool[0].at_upper.any():
             continue
         variant = _variant(kind, args, solver, pool[0], rng)
         expected = _certificate_holds(kind, variant, pool[0])
-        got = solve_bounded_lp(*variant, basis_inverse=start.copy(), pool=pool)
-        cold = solve_bounded_lp(*variant, basis_inverse=start.copy())
+        got = solve_lp(*variant, start, pool=pool)
+        cold = solve_lp(*variant, start)
         if expected:
             assert got.iterations == 0 and len(pool) == 1  # a pooled answer adds nothing
             assert got.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
@@ -353,8 +340,8 @@ def test_a_pooled_basis_answers_only_where_its_certificate_holds(monkeypatch, ki
 def test_a_pooled_basis_answers_its_own_lp_to_the_bit(monkeypatch):
     for args, start, _, _ in _sampled_recourse_lps(monkeypatch):
         pool = []
-        cold = solve_bounded_lp(*args, basis_inverse=start.copy(), pool=pool)
-        again = solve_bounded_lp(*args, basis_inverse=start.copy(), pool=pool)
+        cold = solve_lp(*args, start, pool=pool)
+        again = solve_lp(*args, start, pool=pool)
         assert again.iterations == 0 and len(pool) == 1
         assert_same_lp_solution(dataclasses.replace(again, iterations=cold.iterations), cold)
 
@@ -365,7 +352,7 @@ def test_lp_with_every_column_fixed_stops_at_once():
     # one +-1 per column keeps A totally unimodular
     A = np.hstack([np.eye(m), np.eye(m)[:, rng.integers(0, m, n - m)] * rng.choice([-1, 1], n - m)])
     args = (A, np.zeros(m), rng.normal(size=n), np.zeros(n), np.arange(m))
-    sol = _assert_same_solution(args, {"basis_inverse": np.eye(m)})
+    sol = _assert_same_solution(args, np.eye(m))
     assert sol.iterations == 1
     assert np.array_equal(sol.x, np.zeros(n))
 
@@ -382,10 +369,10 @@ def test_a_long_degenerate_streak_switches_to_blands_rule(monkeypatch):
     c = np.concatenate([-rng.uniform(1.0, 2.0, n), [0.0]])
     upper = np.concatenate([rng.uniform(0.5, 1.5, n), [np.inf]])
     args = (A, np.array([0.8 * upper[:n].sum()]), c, upper, [n])
-    dantzig = _assert_same_solution(args, {"basis_inverse": np.eye(m)})
+    dantzig = _assert_same_solution(args, np.eye(m))
     monkeypatch.setattr(simplex, "DEGENERATE_STEP", np.inf)
     monkeypatch.setattr(helpers, "DEGENERATE_STEP", np.inf)
-    sol = _assert_same_solution(args, {"basis_inverse": np.eye(m)})
+    sol = _assert_same_solution(args, np.eye(m))
     assert sol.iterations > 40 + 2 * m
     assert sol.iterations > dantzig.iterations
     assert sol.objective == pytest.approx(dantzig.objective, rel=1e-12)
@@ -406,7 +393,7 @@ def test_tied_columns_enter_in_column_order():
         fixed[basis] = uu[basis]
         _assert_same_solution(
             (np.hstack([A, A]), b, np.concatenate([cc, cc]), np.concatenate([fixed, uu]), basis),
-            {"basis_inverse": start},
+            start,
         )
 
 
@@ -536,7 +523,7 @@ def test_a_right_hand_side_of_minus_zero_keeps_its_bits_with_nothing_at_upper():
     assert (b - A @ np.zeros(4)).tobytes() == b.tobytes()
     for c in ([1.0, 2.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]):
         _assert_same_solution(
-            (A, b, np.array(c), np.full(4, 3.0), [2, 3]), {"basis_inverse": np.eye(2)}
+            (A, b, np.array(c), np.full(4, 3.0), [2, 3]), np.eye(2)
         )
 
 
@@ -546,13 +533,11 @@ def test_a_perturbation_changes_only_duals_it_certifies_at_both_points():
     A = np.array([[1.0, 1.0, 1.0]])
     b, c = np.array([1.0]), np.array([-1.0, -2.0, 0.0])
     upper = np.array([np.inf, 0.0, np.inf])
-    plain = solve_bounded_lp(A, b, c, upper, [2], basis_inverse=np.eye(1))
+    plain = solve_lp(A, b, c, upper, [2], np.eye(1))
     assert plain.row_duals.tolist() == [-1.0]
 
     def perturbed(b2, upper2):
-        got = solve_bounded_lp(
-            A, b, c, upper, [2], basis_inverse=np.eye(1), perturbed=(b2, upper2)
-        )
+        got = solve_lp(A, b, c, upper, [2], np.eye(1), perturbed=(b2, upper2))
         same = dataclasses.replace(got, iterations=plain.iterations, kept_dual=False)
         assert_same_lp_solution(same, plain)  # the unperturbed answer and its duals
         return got
@@ -586,12 +571,12 @@ def test_a_pooled_answer_reuses_the_pareto_basis_stored_with_it(monkeypatch):
     for args, start, _, perturbed in _pareto_recourse_lps(monkeypatch):
         A = args[0]
         pool = []
-        first = solve_bounded_lp(*args, basis_inverse=start.copy(), pool=pool, perturbed=perturbed)
+        first = solve_lp(*args, start, pool=pool, perturbed=perturbed)
         if first.kept_dual:
             continue
         pareto = pool[0].pareto
         assert np.array_equal(pareto.inverse @ A[:, pareto.columns], np.eye(A.shape[0]))
-        again = solve_bounded_lp(*args, basis_inverse=start.copy(), pool=pool, perturbed=perturbed)
+        again = solve_lp(*args, start, pool=pool, perturbed=perturbed)
         assert again.iterations == 0 and not again.kept_dual and len(pool) == 1
         for name in ("row_duals", "reduced_costs"):
             assert getattr(again, name).tobytes() == getattr(first, name).tobytes(), name
@@ -607,13 +592,9 @@ def test_a_repeated_lp_is_answered_from_the_table_to_the_bit(monkeypatch, pertur
     lps = (_pareto_recourse_lps if perturbation else _sampled_recourse_lps)(monkeypatch)
     for args, start, _, perturbed in lps:
         answers = {}
-        first = solve_bounded_lp(
-            *args, basis_inverse=start.copy(), perturbed=perturbed, answers=answers
-        )
+        first = solve_lp(*args, start, perturbed=perturbed, answers=answers)
         pool = [None]  # a hit reads no pool, or this entry would fail it
-        again = solve_bounded_lp(
-            *args, basis_inverse=start.copy(), pool=pool, perturbed=perturbed, answers=answers
-        )
+        again = solve_lp(*args, start, pool=pool, perturbed=perturbed, answers=answers)
         assert again.iterations == 0 and len(answers) == 1 and pool == [None]
         assert again.kept_dual == first.kept_dual
         assert_same_lp_solution(dataclasses.replace(again, iterations=first.iterations), first)
@@ -634,7 +615,7 @@ def test_an_lp_differing_in_one_entry_misses_the_table(monkeypatch):
         return out
 
     answers = {}
-    solve_bounded_lp(*args, basis_inverse=start.copy(), perturbed=perturbed, answers=answers)
+    solve_lp(*args, start, perturbed=perturbed, answers=answers)
     variants = [
         (nudged(b), c, upper, perturbed),
         (b, nudged(c), upper, perturbed),
@@ -644,10 +625,7 @@ def test_an_lp_differing_in_one_entry_misses_the_table(monkeypatch):
         (b, c, upper, None),
     ]
     for size, (b_, c_, upper_, perturbed_) in enumerate(variants, start=2):
-        got = solve_bounded_lp(
-            A, b_, c_, upper_, basis, basis_inverse=start.copy(), perturbed=perturbed_,
-            answers=answers,
-        )
+        got = solve_lp(A, b_, c_, upper_, basis, start, perturbed=perturbed_, answers=answers)
         assert got.iterations > 0 and len(answers) == size
 
 
