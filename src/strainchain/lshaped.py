@@ -11,9 +11,10 @@ cut is the sum of its scenarios' `cut_terms_from` constants and
 coefficients divided by N, added one scenario row at a time in scenario
 order (across batches too, so bit for bit a per-scenario loop's sum), so
 it underestimates the group's share of the sampled mean recourse cost at
-every design. The cuts are iteration-major: row 0 is every group's
-theta_g >= 0 floor (all zeros), row k the (G,) constants and (G, n)
-coefficients, in plant order, of iteration k. The master minimises
+every design. The cuts are kept by row: row 0 is every group's theta_g >= 0
+floor (all zeros), then come the seeded rows, if any, then one row per
+iteration, each the (G,) constants and (G, n) coefficients, in plant order.
+The master minimises
 
     fixed cost + sum over g of max(0, largest row-k cut of group g),
 
@@ -21,6 +22,24 @@ the group terms added left to right in the order of `stats.ordered_sum`.
 With G = 1 this is the averaged single-cut master, except that fixed costs
 are added in plant order (the former master's matrix-vector product could
 round their sum differently in the last bit).
+
+A run may start from seeded rows: before its first master solve, each
+design that another run evaluated gets one row, whose group cuts add, per
+scenario, the best cut at that design among the other run's stored row
+duals (a `DualStore`) that stay dual feasible for the scenario. Every run
+solves LPs with one matrix A, and the scenarios' costs differ only on the
+S2 columns, so a stored dual whose S2 reduced costs stay nonnegative (to
+the simplex's pricing tolerance) under a scenario's costs is a feasible
+point of that scenario LP's dual. Its dual value, a function of the
+openings, then underestimates the scenario's cost at every design (with
+fixed recourse, dual vertices found for some scenarios price the others:
+Higle and Sen 1991; Infanger 1992). A seeded row need not be tight
+anywhere, and only its validity is needed: the master's bound stays a lower
+bound, so the run still ends at the sampled optimum. The seeded rows shape
+the first proposals, which an empty master makes blind, so a seeded run
+solves fewer iterations. `Master.seeded_rows` counts them; `iterations`
+still counts only the iterations that solved N scenarios. `saa` seeds each
+replication after the first of a pass from the first's store (see there).
 
 A run ends when the gap between the master's bound and the best sampled
 cost closes, or when the master proposes a design it has already
@@ -133,6 +152,16 @@ def check_forcing(instance: Instance, forced: dict | None) -> dict:
     return forced
 
 
+@dataclass(frozen=True, eq=False)
+class DualStore:
+    """What a decomposition run leaves to seed another run's master: the
+    unique row duals of its LPs, (P, m), and the openings of the designs it
+    evaluated, (D, J) in plant order, in evaluation order."""
+
+    duals: np.ndarray
+    designs: np.ndarray
+
+
 @dataclass
 class LShapedResult:
     design: Design
@@ -141,6 +170,8 @@ class LShapedResult:
     lb_trace: list = field(default_factory=list)  # the master's bound, per master solve
     ub_trace: list = field(default_factory=list)  # the upper bound after each master solve
     kept_duals: int = 0    # decomposition LPs whose cut kept the unperturbed dual
+    seeded_rows: int = 0   # master rows priced from a `DualStore` before the first master solve
+    store: DualStore | None = field(default=None, compare=False, repr=False)
 
 
 class Master:
@@ -171,6 +202,7 @@ class Master:
         self.enumerates = n <= enumeration_limit
         self.groups = min(n_scenarios, ENVELOPE_LIMIT >> n) if self.enumerates else n_scenarios
         self.rows = 1
+        self.seeded_rows = 0
         self._constants = np.zeros((8, self.groups))
         self._coefficients = np.zeros((8, self.groups, n))
         if self.enumerates:
@@ -195,13 +227,15 @@ class Master:
     def coefficients(self) -> np.ndarray:
         return self._coefficients[: self.rows]
 
-    def add_cuts(self, constants, coefficients) -> None:
-        """Append one row: the (G,) constants and (G, n) coefficients of the group cuts."""
+    def add_cuts(self, constants, coefficients, seeded: bool = False) -> None:
+        """Append one row: the (G,) constants and (G, n) coefficients of the
+        group cuts; `seeded` marks a row priced from stored duals."""
         self._constants = _grown(self._constants, self.rows + 1)
         self._coefficients = _grown(self._coefficients, self.rows + 1)
         self._constants[self.rows] = constants
         self._coefficients[self.rows] = coefficients
         self.rows += 1
+        self.seeded_rows += seeded
 
 
 def solve_master(master: Master) -> tuple[Design, float]:
@@ -370,6 +404,7 @@ def run_lshaped(
     forced: dict | None = None,
     max_iterations: int = 500,
     solver: RecourseSolver | None = None,
+    seed_from: DualStore | None = None,
 ) -> LShapedResult:
     """Alternate master solves and scenario solves until the gap closes.
 
@@ -378,6 +413,13 @@ def run_lshaped(
     dual at the candidate that is also optimal at the openings perturbed
     toward the core point: a Magnanti-Wong cut, still valid at every design
     and tight at the candidate.
+
+    With `seed_from`, another run's `DualStore`, the master first gets one
+    seeded row per design in the store (see the module docstring): each
+    group's cut adds each scenario's best stored cut at that design
+    (`RecourseSolver.seeded_cut_terms`), divided by N, in scenario order,
+    as an iteration adds a solve's terms. The result's `store` holds this
+    run's own unique row duals and evaluated designs.
 
     The N scenario LPs of one iteration share one basis pool (see
     `simplex`): they share A and the candidate design, so an earlier
@@ -408,17 +450,39 @@ def run_lshaped(
     groups = master.groups
     group_of = np.arange(n_scen) * groups // n_scen
 
+    def empty_row():
+        return np.zeros(groups), np.zeros((groups, len(master.plants)))
+
+    def add_terms(row, first, const, coeff):
+        """Add scenarios first, first + 1, ...'s cut terms, divided by N, into
+        a row's group cuts."""
+        rows = group_of[first : first + len(const)]
+        np.add.at(row[0], rows, const / n_scen)  # one row at a time, in scenario order
+        np.add.at(row[1], rows, coeff / n_scen)
+
+    if seed_from is not None:
+        seeded = solver.seeded_cut_terms(data, seed_from.duals, seed_from.designs)
+        for const, coeff in zip(*seeded):
+            row = empty_row()
+            add_terms(row, 0, const, coeff)
+            master.add_cuts(*row, seeded=True)
+
     lb_trace: list[float] = []
     ub_trace: list[float] = []
     ub = np.inf
     incumbent: Design | None = None
     evaluated = set()
+    designs: list[np.ndarray] = []
+    duals: list[np.ndarray] = []
     kept_duals = 0
 
     def gap(lb):
         return (ub - lb) / ub if ub > 0 else 0.0
 
     def result():
+        rows = np.concatenate(duals) + 0.0  # every -0.0 a 0.0: equal duals, equal bytes
+        unique = b"".join(dict.fromkeys(map(bytes, rows)))  # in the order first solved
+        store = DualStore(np.frombuffer(unique).reshape(-1, rows.shape[1]), np.array(designs))
         return LShapedResult(
             design=incumbent,
             objective=ub,
@@ -426,6 +490,8 @@ def run_lshaped(
             lb_trace=lb_trace,
             ub_trace=ub_trace,
             kept_duals=kept_duals,
+            seeded_rows=master.seeded_rows,
+            store=store,
         )
 
     for _ in range(max_iterations):
@@ -443,19 +509,17 @@ def run_lshaped(
                 ub_trace,
             )
         evaluated.add(key)
+        designs.append(np.array([float(candidate.open[j]) for j in master.plants]))
 
         fixed = fixed_cost(instance, candidate)
         mean_recourse = 0.0
-        constants = np.zeros(groups)
-        coefficients = np.zeros((groups, len(master.plants)))
+        row = empty_row()
         bases = []
         for batch in solver.batches(candidate, data, bases, pareto=True):
             kept_duals += int(batch.kept_dual.sum())
             mean_recourse = float(ordered_sum(batch.objective / n_scen, mean_recourse))
-            const, coeff = cut_terms_from(batch)
-            rows = group_of[batch.first : batch.first + batch.size]
-            np.add.at(constants, rows, const / n_scen)  # one row at a time, in scenario order
-            np.add.at(coefficients, rows, coeff / n_scen)
+            duals.append(batch.row_duals)
+            add_terms(row, batch.first, *cut_terms_from(batch))
         del batch, bases
         z_n = fixed + mean_recourse
         if incumbent is None or z_n < ub:
@@ -465,7 +529,7 @@ def run_lshaped(
 
         if gap(lb) <= epsilon:
             return result()
-        master.add_cuts(constants, coefficients)
+        master.add_cuts(*row)
 
     raise IterationLimitError(
         f"no convergence within {max_iterations} iterations", lb_trace, ub_trace

@@ -60,7 +60,8 @@ The scenarios solved at one design are solved in batches
 sides, costs, upper bounds and, in the decomposition, perturbed (b', u') as
 (k, .) arrays in one step. `RecourseSolver.solve` answers one row with one
 simplex call and stores the answer in the batch's stacks. Once every row is answered,
-`ScenarioBatch.check` derives the flows, the gate and tranche duals and the
+`ScenarioBatch.check` derives the flows, the gate and tranche duals
+(`RecourseSolver.multipliers`) and the
 cut terms (`cut_terms_from`: (k,) constants and (k, J) coefficients in plant
 order) over the whole stack and checks every row's balances and strong
 duality, each test written so that a NaN fails it; a failure names the row's
@@ -73,6 +74,10 @@ next. The limit is 2^13: each batch pays a fixed count of numpy calls, which
 2^12 paid twice as often, and each doubling doubles the stacks' memory. A
 `RecourseSolution` is one row of a checked batch; a single LP is solved as a
 batch of one.
+
+`RecourseSolver.seeded_cut_terms` prices the row duals of earlier LPs on
+other scenarios with no solve: the seeded cuts of `lshaped`. Their terms
+come from the one cut formula, `cut_terms`, as a solve's do.
 
 A solve may pass the simplex a pool of earlier optimal bases;
 `saa.evaluate_design` keeps one per evaluation and `lshaped.run_lshaped`
@@ -114,7 +119,7 @@ import numpy as np
 
 from .instance import Design, Instance, validate_design
 from .scenarios import Scenario, Scenarios, retained_by_country
-from .simplex import Columns, SimplexError, solve_bounded_lp
+from .simplex import Columns, SimplexError, pricing_tol, reduced_costs, solve_bounded_lp
 from .stats import ordered_sum, ordered_total
 
 BALANCE_TOL = 1e-7       # absolute feasibility tolerance on balance rows
@@ -123,6 +128,7 @@ PARETO_STEP = 1e-6       # mu: a `pareto` solve perturbs the openings y to y + m
 CORE_POINT = 0.5         # y0, every plant half open: inside the hull of the designs
 THEOREM_TOL = 1e-6       # slack the structural diagnostics allow, absolute or per unit of demand
 BATCH_LIMIT = 1 << 13    # floats in one (k, n) stack of a batch, k <= BATCH_LIMIT // n (64 KB)
+SEED_LIMIT = 1 << 17     # floats in one intermediate of `RecourseSolver.seeded_cut_terms` (1 MB)
 
 
 class RecourseError(RuntimeError):
@@ -147,9 +153,9 @@ class ScenarioArrays:
     def __len__(self) -> int:
         return len(self.a_sup)
 
-    def rows(self, start: int, stop: int) -> ScenarioArrays:
-        """The stacks' rows start to stop, as views."""
-        return ScenarioArrays(*(getattr(self, f.name)[start:stop] for f in fields(self)))
+    def rows(self, index) -> ScenarioArrays:
+        """The stacks' rows at `index`: views for a slice, copies for an index array."""
+        return ScenarioArrays(*(getattr(self, f.name)[index] for f in fields(self)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,8 +220,7 @@ class ScenarioBatch:
     ):
         self.solver, self.design, self.y, self.data, self.first = solver, design, y, data, first
         self.size = k = len(data.a_sup)
-        self.cost = np.repeat(solver.base_cost[None], k, axis=0)
-        self.cost[:, solver.oS2 : solver.oS2 + solver.nK] += data.price_increase[:, None]
+        self.cost = solver.costs(data)
         self.b, self.upper = solver.rhs_and_bounds(self.data, y)
         self.perturbed = None
         if pareto:
@@ -261,19 +266,7 @@ class ScenarioBatch:
         residual = np.abs(residual).max(axis=1, initial=0.0)
         self._fail(~(residual <= BALANCE_TOL * scale), "demand balance residual beyond tolerance")
 
-        y_rows, rc = self.row_duals, self.reduced_costs
-        self.pi_supplier = np.minimum(0.0, y_rows[:, s.rSup : s.rSup + nI])
-        self.pi_supply_gate = np.where(
-            s.u_cross, np.minimum(0.0, rc[:, s.oU : s.oU + nI * nJ]), 0.0
-        )
-        self.pi_plant = np.minimum(0.0, y_rows[:, s.rPl : s.rPl + nJ])
-        self.pi_distribution_gate = np.where(
-            s.v_cross, np.minimum(0.0, rc[:, s.oV : s.oV + nJ * nK]), 0.0
-        )
-        self.pi_demand = y_rows[:, s.rDem : s.rDem + nK]
-        self.pi_balance = y_rows[:, s.rBal : s.rBal + nJ]
-        self.pi_aux = np.maximum(0.0, -rc[:, s.oS1 : s.oS1 + nK])
-
+        vars(self).update(s.multipliers(self.row_duals, self.reduced_costs))
         constants, coefficients = cut_terms_from(self)
         tight = constants + coefficients @ self.y
         objective = self.objective
@@ -468,7 +461,8 @@ class RecourseSolver:
         data = scenarios if isinstance(scenarios, ScenarioArrays) else self.arrays(scenarios)
         rows = max(1, BATCH_LIMIT // self.n)
         for first in range(0, len(data), rows):
-            batch = ScenarioBatch(self, design, y, data.rows(first, first + rows), first, pareto)
+            rows_at = data.rows(slice(first, first + rows))
+            batch = ScenarioBatch(self, design, y, rows_at, first, pareto)
             for s in range(batch.size):
                 self.solve(batch, s, pool)
             batch.check()
@@ -529,33 +523,196 @@ class RecourseSolver:
         b = np.concatenate([data.a_sup, data.b_pl * y, data.rhs_dem, np.zeros((k, nJ))], axis=1)
         return b, upper
 
+    def costs(self, data: ScenarioArrays) -> np.ndarray:
+        """The (k, n) costs of stacked scenario data: the base costs, each
+        scenario's price bump added on its S2 columns."""
+        cost = np.repeat(self.base_cost[None], len(data), axis=0)
+        cost[:, self.oS2 : self.oS2 + self.nK] += data.price_increase[:, None]
+        return cost
+
+    def multipliers(self, row_duals: np.ndarray, rc: np.ndarray) -> dict:
+        """The multipliers of k LPs, named as in `RecourseSolution`, as (k, .)
+        stacks from their (k, m) row duals and (k, n) reduced costs. The gate
+        and tranche duals are min(0, rc) on the gated arcs and max(0, -rc) on
+        S1; no scenario changes those columns' costs, so they are a row
+        dual's own, whichever scenario it prices."""
+        nI, nJ, nK = self.nI, self.nJ, self.nK
+        y_rows = row_duals
+        return {
+            "pi_supplier": np.minimum(0.0, y_rows[:, self.rSup : self.rSup + nI]),
+            "pi_supply_gate": np.where(
+                self.u_cross, np.minimum(0.0, rc[:, self.oU : self.oU + nI * nJ]), 0.0
+            ),
+            "pi_plant": np.minimum(0.0, y_rows[:, self.rPl : self.rPl + nJ]),
+            "pi_distribution_gate": np.where(
+                self.v_cross, np.minimum(0.0, rc[:, self.oV : self.oV + nJ * nK]), 0.0
+            ),
+            "pi_demand": y_rows[:, self.rDem : self.rDem + nK],
+            "pi_balance": y_rows[:, self.rBal : self.rBal + nJ],
+            "pi_aux": np.maximum(0.0, -rc[:, self.oS1 : self.oS1 + nK]),
+        }
+
+    def seeded_cut_terms(
+        self, data: ScenarioArrays, duals: np.ndarray, designs: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Cuts priced from stored row duals with no solve: per row of
+        `designs` ((D, J) openings in plant order), each of the N scenarios'
+        best cut there among the (P, m) `duals` of other LPs of this A, as
+        (D, N) constants and (D, N, J) coefficients.
+
+        A dual prices scenario s when every S2 column's reduced cost there,
+        (price + bump_s) - pi_dem, is at least -rc_tol of s's costs (the
+        simplex's `pricing_tol`). Only the S2 costs differ between scenarios,
+        and the multipliers of the other bounded columns depend on the dual
+        alone, so its cut is then a minorant of s's cost at every design.
+        Per (scenario, design) the cut of largest value there wins, among
+        the duals that price the scenario and the theta >= 0 floor (zero
+        terms, the first candidate). Ties, common where the design closes
+        plants whose coefficients differ, go to the larger value at the
+        core point, as the Pareto step of `pareto` solves picks among
+        optimal duals, and then to the first dual.
+
+        The choice is made in bulk, a chunk of duals at a time so that no
+        intermediate holds more than about SEED_LIMIT floats: the chunk's
+        multipliers once, then the (chunk, N) constants and the (J, chunk,
+        N) coefficients as matrix products, and their values at every
+        design and the core point. The S2 test is screened there as
+        min_k (price_k - pi_dem,k) + bump_s, which rounds apart from it only
+        at the tolerance's edge. Each chosen (scenario, dual) pair is then
+        tested as stated, and a pair that fails keeps the floor; the terms
+        of the others come from `cut_terms`, as a solve's do.
+        """
+        n_scen, n_designs, n_duals = len(data), len(designs), len(duals)
+        nI, nJ, nK = self.nI, self.nJ, self.nK
+        cost = self.costs(data)
+        rc_tol = pricing_tol(cost)
+        # what each multiplier of plant j's coefficient multiplies, per
+        # scenario, in the order the chunk's terms stack them below
+        factors = np.concatenate(
+            (
+                data.cap_u.reshape(n_scen, nI, nJ).transpose(2, 1, 0),
+                data.b_pl.T[:, None],
+                data.cap_v.reshape(n_scen, nJ, nK).transpose(1, 2, 0),
+                -data.shield[:, self.plant_kpos].T[:, None],
+            ),
+            axis=1,
+        )  # (J, I + 1 + K + 1, N)
+        constant_factors = np.concatenate((data.a_sup, data.rhs_dem), axis=1).T
+
+        def multipliers_of(pi):
+            return self.multipliers(pi, reduced_costs(self.columns, self.base_cost, pi))
+
+        def values_at_points(pi):
+            """(k, N, D + 1): each of k duals' cut value per scenario at each
+            design and then the core point, -inf where the screen finds it
+            does not price the scenario."""
+            k = len(pi)
+            mult = multipliers_of(pi)
+            margin = (self.shortage_price - mult["pi_demand"]).min(axis=1)
+            constants = (
+                np.concatenate((mult["pi_supplier"], mult["pi_demand"]), axis=1)
+                @ constant_factors
+            )
+            constants[~(margin[:, None] + data.price_increase >= -rc_tol)] = -np.inf
+            terms = np.concatenate(
+                (
+                    mult["pi_supply_gate"].reshape(k, nI, nJ).transpose(2, 0, 1),
+                    mult["pi_plant"].T[:, :, None],
+                    mult["pi_distribution_gate"].reshape(k, nJ, nK).transpose(1, 0, 2),
+                    mult["pi_aux"][:, self.plant_kpos].T[:, :, None],
+                ),
+                axis=2,
+            )  # (J, k, I + 1 + K + 1)
+            coefficients = (terms @ factors).reshape(nJ, k * n_scen)
+            values = (coefficients.T @ points.T).reshape(k, n_scen, n_designs + 1)
+            values += constants[:, :, None]
+            return values
+
+        def pair_terms(scen, dual):
+            """The cut terms of scenarios `scen` priced by the stored duals
+            `dual`, pair by pair; a pair that fails the S2 test gets zeros."""
+            used, of_pair = np.unique(dual, return_inverse=True)
+            mult = {name: stack[of_pair] for name, stack in multipliers_of(duals[used]).items()}
+            const, coeff = cut_terms(self, data.rows(scen), mult)
+            slack = cost[scen, self.oS2 : self.oS2 + nK] - mult["pi_demand"]
+            floor = ~(slack.min(axis=1) >= -rc_tol[scen])
+            const[floor] = 0.0
+            coeff[floor] = 0.0
+            return const, coeff
+
+        points = np.concatenate((designs, np.full((1, nJ), CORE_POINT)))
+        # the best so far per (scenario, design) and its value at the core
+        # point; the floor, zero everywhere, is the first candidate
+        best = np.zeros((n_scen, n_designs))
+        best_core = np.zeros((n_scen, n_designs))
+        choice = np.full((n_scen, n_designs), -1)
+        chunk = max(1, SEED_LIMIT // max(3 * self.n, n_scen * max(nJ, n_designs + 1)))
+        for first in range(0, n_duals, chunk):
+            values = values_at_points(duals[first : first + chunk])
+            values, core = values[:, :, :-1], values[:, :, -1]
+            top = values.max(axis=0)  # (N, D)
+            at = np.where(values == top, core[:, :, None], -np.inf).argmax(axis=0)
+            top_core = core[at, np.arange(n_scen)[:, None]]
+            better = (top > best) | ((top == best) & (top_core > best_core))
+            best[better] = top[better]
+            best_core[better] = top_core[better]
+            choice[better] = first + at[better]
+
+        # a pair's terms do not depend on the design; taken dual by dual, a
+        # block of pairs needs the multipliers of few duals
+        picked = choice >= 0
+        pairs, where = np.unique(
+            (choice * n_scen + np.arange(n_scen)[:, None])[picked], return_inverse=True
+        )
+        pair_dual, pair_scen = np.divmod(pairs, n_scen)
+        pair_constants = np.empty(len(pairs))
+        pair_coefficients = np.empty((len(pairs), nJ))
+        rows = max(1, SEED_LIMIT // (3 * self.n))
+        for first in range(0, len(pairs), rows):
+            at = slice(first, first + rows)
+            pair_constants[at], pair_coefficients[at] = pair_terms(pair_scen[at], pair_dual[at])
+        constants = np.zeros((n_scen, n_designs))
+        coefficients = np.zeros((n_scen, n_designs, nJ))
+        constants[picked] = pair_constants[where]
+        coefficients[picked] = pair_coefficients[where]
+        return constants.T, coefficients.transpose(1, 0, 2)
+
 
 # -- optimality-cut terms ----------------------------------------------------
 
 
 def cut_terms_from(batch: ScenarioBatch) -> tuple[np.ndarray, np.ndarray]:
-    """Affine minorants of the batch's scenario costs as functions of the design.
+    """Affine minorants of the batch's scenario costs as functions of the
+    design, from its multipliers (see `cut_terms`); each matches its
+    scenario's optimal cost at the batch's design."""
+    return cut_terms(batch.solver, batch.data, vars(batch))
 
+
+def cut_terms(solver: RecourseSolver, data: ScenarioArrays, pi) -> tuple[np.ndarray, np.ndarray]:
+    """The cut terms of k scenarios' data and multipliers, the one formula of
+    every optimality cut.
+
+    `pi` maps the names of `RecourseSolver.multipliers` to (k, .) stacks.
     Returns (k,) constants and (k, J) coefficients: constants[s] +
     coefficients[s] @ Y underestimates scenario s's optimal cost at every
-    feasible design (Y in plant order) and matches it at the batch's design.
-    A constant adds the supplier terms, then the demand terms; coefficient
-    j adds plant j's supply-gate terms in supplier order, its capacity term,
-    its distribution-gate terms in country order and its shield term, each
-    one at a time (see `ordered_sum`), row by row.
+    feasible design (Y in plant order). A constant adds the supplier terms,
+    then the demand terms; coefficient j adds plant j's supply-gate terms in
+    supplier order, its capacity term, its distribution-gate terms in
+    country order and its shield term, each one at a time (see
+    `ordered_sum`), row by row.
     """
-    s, data, k = batch.solver, batch.data, batch.size
+    s, k = solver, len(data)
     constants = ordered_sum(
-        np.concatenate((batch.pi_supplier * data.a_sup, batch.pi_demand * data.rhs_dem), axis=1),
+        np.concatenate((pi["pi_supplier"] * data.a_sup, pi["pi_demand"] * data.rhs_dem), axis=1),
         axis=1,
     )
     shield = data.shield[:, s.plant_kpos]
     terms = np.concatenate(
         (
-            (batch.pi_supply_gate * data.cap_u).reshape(k, s.nI, s.nJ),
-            (batch.pi_plant * data.b_pl)[:, None],
-            (batch.pi_distribution_gate * data.cap_v).reshape(k, s.nJ, s.nK).transpose(0, 2, 1),
-            (batch.pi_aux[:, s.plant_kpos] * -shield)[:, None],
+            (pi["pi_supply_gate"] * data.cap_u).reshape(k, s.nI, s.nJ),
+            (pi["pi_plant"] * data.b_pl)[:, None],
+            (pi["pi_distribution_gate"] * data.cap_v).reshape(k, s.nJ, s.nK).transpose(0, 2, 1),
+            (pi["pi_aux"][:, s.plant_kpos] * -shield)[:, None],
         ),
         axis=1,
     )

@@ -1,7 +1,7 @@
 """Replicated sampling driver: statistical bounds around the sampled optimum.
 
-Each pass runs M independent replications one after another, solves each
-replication's sampled problem exactly with the decomposition loop,
+Each pass runs M replications on independent samples one after another,
+solves each replication's sampled problem exactly with the decomposition loop,
 evaluates every candidate design on one shared evaluation batch (common
 random numbers), and forms a confidence lower bound from the replication
 objectives and an upper bound at the chosen design. Passes repeat with
@@ -14,10 +14,26 @@ flows and costs into its totals, carried from one batch to the next, one
 scenario row at a time (`stats.ordered_sum`): every total is bit for bit
 the one a loop over the scenarios adds.
 
+Replication 0 of a pass starts its decomposition from an empty master and
+keeps its `lshaped.DualStore`: the unique row duals of its LPs and the
+designs it evaluated. Each later replication of the pass starts from seeded
+rows priced from that store on its own sample (see `lshaped`). A seeded row
+is valid at every design, so a replication still returns the optimum of its
+own sample, and the samples stay independent; only the path there is
+shorter. On the 3/21/21 instance at the README's sizes (M = 30, N = 100)
+the decomposition iterations fell from 303 to 99. The seed source is
+replication 0 alone, not a store that grows with each replication (53
+iterations there), because then a replication is a function of its memo
+key: replication 0's inputs are replication m's with m set to 0. So a memo
+hit returns what a fresh run would compute, and a miss seeds as a fresh run
+does. And replications 1..M-1 depend on replication 0 only, not on one
+another, so once it is done they may run in any order or at once.
+
 A `SaaMemo` lets the `run_saa` calls of one study share work. It holds
-replication outcomes (objective, design) and design evaluations, each under
-the same `Instance` object only and keyed by every input the computation
-reads: a replication by pass, replication index, base seed, N, optimize
+replication outcomes (objective, design, and replication 0's store) and
+design evaluations, each under the same `Instance` object only and keyed
+by every input the computation reads: a replication by pass, replication
+index, base seed, N, optimize
 overrides, inner tolerance, forced plants and iteration cap; an evaluation
 by pass, base seed, N', evaluate overrides and the design. Sampling and the
 decomposition are deterministic functions of exactly those inputs, so a hit
@@ -68,6 +84,7 @@ from .scenarios import RiskOverrides, Scenarios, sample_batch
 from .stats import critical_values, ordered_sum, ordered_total
 
 ROLE_OPTIMIZE, ROLE_EVALUATE = 0, 1
+COUNT_LIMIT = 10**7  # most replications, and scenarios per sample, a config may ask for
 
 
 @dataclass(frozen=True)
@@ -90,6 +107,11 @@ class SaaConfig:
         for name in ("replications", "optimization_scenarios", "evaluation_scenarios",
                      "base_seed", "max_passes", "max_iterations"):
             _require_int(getattr(self, name), name)
+        for name in ("replications", "optimization_scenarios", "evaluation_scenarios"):
+            if getattr(self, name) > COUNT_LIMIT:
+                raise ValidationError(
+                    f"{name} must be at most {COUNT_LIMIT}, got {getattr(self, name)!r}"
+                )
         for name in ("alpha", "outer_gap_tolerance", "inner_gap_tolerance"):
             _require_finite(getattr(self, name), name)
         for name in ("optimize_overrides", "evaluate_overrides"):
@@ -300,11 +322,13 @@ class SaaMemo:
     """Replication outcomes, design evaluations, scenario LP answers and
     scenario draws shared across run_saa calls.
 
-    The LP answers are shared by content (see the module docstring); the
-    table keeps each in compact form and a hit returns fresh arrays. The
-    draws table keeps each sampled batch's numbers before any override
-    applies. Reports made on one memo share their designs and evaluations;
-    treat them as read-only.
+    A replication-0 entry also carries the replication's `DualStore`, so a
+    later replication missed after a hit on replication 0 is seeded from it
+    as a fresh run would seed it. The LP answers are shared by content (see
+    the module docstring); the table keeps each in compact form and a hit
+    returns fresh arrays. The draws table keeps each sampled batch's
+    numbers before any override applies. Reports made on one memo share
+    their designs and evaluations; treat them as read-only.
     """
 
     def __init__(self):
@@ -343,7 +367,9 @@ def _evaluation_key(config: SaaConfig, pass_idx: int, design: Design) -> tuple:
     )
 
 
-def _run_replication(instance, config, solver, pass_idx, m, draws):
+def _run_replication(instance, config, solver, pass_idx, m, draws, seed_from):
+    """Replication m's memo entry: (objective, design, its `DualStore` if m is 0,
+    else None); `seed_from` is replication 0's store, or None for m = 0."""
     scens = sample_batch(
         instance,
         (config.base_seed, pass_idx, ROLE_OPTIMIZE, m),
@@ -358,8 +384,9 @@ def _run_replication(instance, config, solver, pass_idx, m, draws):
         forced=config.forced_open or None,
         max_iterations=config.max_iterations,
         solver=solver,
+        seed_from=seed_from,
     )
-    return result.objective, result.design
+    return result.objective, result.design, result.store if m == 0 else None
 
 
 def run_saa(instance: Instance, config: SaaConfig, memo: SaaMemo | None = None) -> SaaReport:
@@ -378,12 +405,13 @@ def run_saa(instance: Instance, config: SaaConfig, memo: SaaMemo | None = None) 
         for m in range(m_reps):
             key = _replication_key(config, pass_idx, m)
             if key not in replications:
+                seed_from = outcomes[0][2] if m else None
                 replications[key] = _run_replication(
-                    instance, config, solver, pass_idx, m, draws
+                    instance, config, solver, pass_idx, m, draws, seed_from
                 )
             outcomes.append(replications[key])
-        objectives = [z for z, _ in outcomes]
-        designs = [d for _, d in outcomes]
+        objectives = [z for z, _, _ in outcomes]
+        designs = [d for _, d, _ in outcomes]
 
         keys = [_evaluation_key(config, pass_idx, d) for d in designs]
         missing = {k: d for k, d in zip(keys, designs) if k not in evaluations}

@@ -132,6 +132,7 @@ DEGENERATE_STEP = 1e-11 # step sizes below this count toward the Bland switch
 RESIDUAL_TOL = 1e-9     # |Ax - b| a solve may return, relative to the data
 POOL_PRIMAL_TOL = 1e-9  # bound violation a pooled basis may show, relative to 1 + max |b|
 PIVOT_TOL = 1e-10       # spans at or below this count as zero; relative ratio-test tie tolerance
+PRICING_TOL = 1e-9      # reduced-cost tolerance, relative to max(1, max |c|)
 ANSWER_KEY_BYTES = 16   # digest size of an answer table's keys
 
 
@@ -280,6 +281,13 @@ def _abs_max(v) -> float:
     return float(np.maximum.reduce(np.abs(v), initial=0.0))
 
 
+def pricing_tol(c: np.ndarray):
+    """The reduced-cost tolerance of an LP with costs c: a column prices out
+    when its reduced cost, times the direction it may move in, is at most
+    this. For a (k, n) stack of cost rows, the (k,) tolerances of its LPs."""
+    return PRICING_TOL * np.maximum(1.0, np.abs(c).max(axis=-1, initial=0.0))
+
+
 def _primal_tol(b) -> float:
     return POOL_PRIMAL_TOL * (1.0 + _abs_max(b))
 
@@ -309,6 +317,18 @@ def _reduced_costs(c_cand, y_ext, index) -> np.ndarray:
     for i in range(1, len(terms)):
         priced += terms[i]
     return c_cand - priced
+
+
+def reduced_costs(cols: Columns, c: np.ndarray, duals: np.ndarray) -> np.ndarray:
+    """c - y @ A for each row y of the (k, m) `duals`, as (k, n): each
+    column's nonzeros added in row order, as `_reduced_costs` adds them in
+    the pivot loop, one gather of the k rows at a time. At m = 100 this is
+    faster than the dense product."""
+    y_ext = np.concatenate((duals, -duals, np.zeros((len(duals), 1))), axis=1)  # (k, 2m + 1)
+    priced = y_ext[:, cols.index[0]]
+    for row in cols.index[1:]:
+        priced += y_ext[:, row]
+    return c - priced
 
 
 def _nonbasic_values(upper, cols) -> np.ndarray:
@@ -456,7 +476,7 @@ def _solve(cols, b, c, upper, start, pool, perturbed) -> LpSolution:
     m, n = A.shape
     finite_ub = np.isfinite(upper)
     max_iterations = 500 + 40 * (m + n)
-    rc_tol = 1e-9 * max(1.0, _abs_max(c))
+    rc_tol = float(pricing_tol(c))
     b_max = _abs_max(b)
     tol = POOL_PRIMAL_TOL * (1.0 + b_max)
     answer = None

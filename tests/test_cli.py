@@ -9,6 +9,7 @@ import pytest
 from strainchain import recourse
 from strainchain.cli import cli_main
 from strainchain.recourse import RecourseSolver
+from strainchain.saa import COUNT_LIMIT
 from strainchain.simplex import solve_bounded_lp
 from strainchain.stats import ordered_total
 
@@ -599,6 +600,9 @@ def test_demand_that_would_overflow_exits_one_naming_it(workdir, capsys):
         (("base_seed",), -1, "base_seed"),
         (("alpha",), float("nan"), "alpha"),
         (("alpha",), 1e-20, "alpha"),  # no t critical value at 1 degree of freedom
+        (("optimization_scenarios",), 10**30, "optimization_scenarios must be at most"),
+        (("evaluation_scenarios",), COUNT_LIMIT + 1, "evaluation_scenarios must be at most"),
+        (("replications",), 10**30, "replications must be at most"),
     ],
 )
 def test_bad_saa_config_values_exit_one_before_solving(

@@ -508,6 +508,43 @@ def test_exactness_against_enumeration_on_sampled_pools():
         assert result.design.open == best_design.open
 
 
+@pytest.mark.parametrize("enumeration_limit", [ENUMERATION_LIMIT, 0])
+def test_a_seeded_run_returns_the_enumeration_optimum(monkeypatch, enumeration_limit):
+    monkeypatch.setattr(
+        "strainchain.lshaped.Master", functools.partial(Master, enumeration_limit=enumeration_limit)
+    )
+    for trial in range(6):
+        inst = small_random_instance(seed=780 + trial, n_countries=4)
+        solver = RecourseSolver(inst)
+        store = run_lshaped(inst, _scenario_pool(inst, (18, trial), 12), 1e-9, solver=solver).store
+        scens = _scenario_pool(inst, (19, trial), 12)
+        result = run_lshaped(inst, scens, epsilon=1e-9, solver=solver, seed_from=store)
+        assert result.seeded_rows == len(store.designs) > 0
+        best_val, best_design = enumeration_optimum(inst, scens, solver)
+        assert result.objective == pytest.approx(best_val, rel=1e-6)
+        assert result.design.open == best_design.open
+
+
+def test_a_run_seeded_with_its_own_store_is_tight_at_every_stored_design():
+    # each solve's dual is in the store, so on the same scenarios the best
+    # stored cut at an evaluated design is that design's optimal cost
+    inst = small_random_instance(seed=790, n_countries=5)
+    scens = _scenario_pool(inst, (20, 0), 10)
+    solver = RecourseSolver(inst)
+    store = run_lshaped(inst, scens, epsilon=1e-9, solver=solver).store
+    assert len(store.designs) > 1
+    constants, coefficients = solver.seeded_cut_terms(
+        solver.arrays(scens), store.duals, store.designs
+    )
+    for d, y in enumerate(store.designs):
+        design = Design(open=dict(zip(inst.plant_candidates, y.astype(int).tolist())))
+        for batch in solver.batches(design, scens):
+            for row, objective in enumerate(batch.objective):
+                s = batch.first + row
+                value = constants[d, s] + coefficients[d, s] @ y
+                assert value == pytest.approx(objective, rel=1e-6, abs=1e-7)
+
+
 def _dual_value(duals, rc, b, upper):
     """The bounded LP's dual objective: y b minus each finite bound times
     the part of its reduced cost below zero."""

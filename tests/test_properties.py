@@ -18,7 +18,9 @@ Solved through a pool with the decomposition's perturbation, such a batch
 (one plant may have no capacity) must keep each unperturbed answer's flows
 and objective to the bit, and each cut from the re-optimized duals must be
 valid at every design, tight at its own and, at the core point, worth at
-least the cut from the unperturbed duals.
+least the cut from the unperturbed duals. A seeded cut, priced from one
+decomposition's stored duals on other corner scenarios, must not exceed the
+HiGHS optimum of any of them at any design.
 
 The master examples draw random multi-group cut rows, or rows built from
 real scenario solves: enumeration and branch and bound return the same
@@ -41,6 +43,7 @@ from strainchain import (
     SaaConfig,
     ValidationError,
     evaluate_design,
+    run_lshaped,
     run_saa,
     sample_batch,
 )
@@ -199,6 +202,39 @@ def test_pareto_cuts_are_valid_tight_and_dominant(batch):
             assert cut(design) <= value + CUT_TOL, design.open
         at_core = constant + CORE_POINT * sum(coeff.values())
         assert at_core >= base_constant + CORE_POINT * sum(base_coeff.values()) - CUT_TOL
+
+
+@st.composite
+def seeded_samples(draw):
+    """An instance, a source stack whose decomposition fills a `DualStore`,
+    and other scenarios to seed; both may hold corner scenarios."""
+    inst, _, _ = draw(cases())
+    seed = draw(st.integers(0, 10_000))
+    source = draw(st.lists(st.sampled_from(CORNERS), min_size=1, max_size=4))
+    target = draw(st.lists(st.sampled_from(CORNERS), min_size=1, max_size=4))
+    return (
+        inst,
+        stack([corner_scenario(inst, seed + w, c) for w, c in enumerate(source)]),
+        [corner_scenario(inst, seed + 100 + w, c) for w, c in enumerate(target)],
+    )
+
+
+@PROPERTY
+@given(seeded_samples())
+def test_seeded_cuts_never_exceed_the_highs_optimum_at_any_design(case):
+    inst, source, target = case
+    solver = RecourseSolver(inst)
+    store = run_lshaped(inst, source, epsilon=1e-9, solver=solver).store
+    constants, coefficients = solver.seeded_cut_terms(
+        solver.arrays(stack(target)), store.duals, store.designs
+    )
+    assert constants.shape == (len(store.designs), len(target))
+    for design in _all_designs(inst):
+        y = np.array([float(design.open[j]) for j in inst.plant_candidates])
+        for s, scen in enumerate(target):
+            value = raw_lp_objective(inst, design, scen)
+            # every seeded row's term for scenario s, one per stored design
+            assert (constants[:, s] + coefficients[:, s] @ y <= value + CUT_TOL).all(), design.open
 
 
 # -- the master over multi-group cuts ----------------------------------------

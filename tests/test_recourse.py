@@ -9,10 +9,11 @@ from strainchain import (
     RiskOverrides,
     check_structural_theorems,
     generate_synthetic_instance,
+    run_lshaped,
     sample_batch,
 )
-from strainchain.recourse import CORE_POINT, RecourseError
-from strainchain.simplex import TableAnswer
+from strainchain.recourse import CORE_POINT, RecourseError, cut_terms
+from strainchain.simplex import TableAnswer, pricing_tol
 
 from helpers import (
     country_retained,
@@ -334,6 +335,39 @@ def test_cuts_from_pooled_answers_are_valid_and_tight(monkeypatch):
     # some pooled answers carry another optimal dual than the cold solve, and
     # some re-optimized duals value the core point strictly higher
     assert pooled and moved and dominant
+
+
+def test_seeded_cut_terms_match_a_loop_over_the_stored_duals():
+    # the bulk choice against one stored dual and one scenario at a time:
+    # each dual whose S2 reduced costs pass the simplex's pricing tolerance
+    # prices the scenario with its `cut_terms`, the best value at each
+    # design wins, and the floor's 0 where none is positive
+    priced = refused = 0
+    for trial in range(4):
+        inst = small_random_instance(seed=310 + trial, n_countries=4)
+        solver = RecourseSolver(inst)
+        store = run_lshaped(inst, _ban_heavy_batch(inst, (5, trial), 6), 1e-9, solver=solver).store
+        data = solver.arrays(_ban_heavy_batch(inst, (6, trial), 6))
+        designs = np.array([[float(d.open[j]) for j in solver.pl] for d in enumerate_designs(inst)])
+        constants, coefficients = solver.seeded_cut_terms(data, store.duals, designs)
+        cost = solver.costs(data)
+        s2 = slice(solver.oS2, solver.oS2 + solver.nK)
+        for s in range(len(data)):
+            cuts = []
+            for pi in store.duals:
+                rc = cost[s] - pi @ solver.A
+                if not (rc[s2] >= -pricing_tol(cost[s])).all():
+                    refused += 1
+                    continue
+                priced += 1
+                mult = solver.multipliers(pi[None], rc[None])
+                const, coeff = cut_terms(solver, data.rows(slice(s, s + 1)), mult)
+                cuts.append((const[0], coeff[0]))
+            for d, y in enumerate(designs):
+                best = max([const + coeff @ y for const, coeff in cuts] + [0.0])
+                got = constants[d, s] + coefficients[d, s] @ y
+                assert got == pytest.approx(best, rel=1e-12, abs=1e-9)
+    assert priced and refused
 
 
 def test_zero_demand_zero_exports_gives_all_zero_cut():

@@ -1,6 +1,9 @@
+import json
 import math
+import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from strainchain import (
@@ -17,7 +20,8 @@ from strainchain import (
     sample_batch,
 )
 from strainchain import saa
-from strainchain.saa import ROLE_OPTIMIZE, evaluation_batch
+from strainchain.report import saa_report_to_dict
+from strainchain.saa import COUNT_LIMIT, ROLE_OPTIMIZE, evaluation_batch
 from strainchain.stats import critical_values
 
 from helpers import (
@@ -54,6 +58,35 @@ def test_config_domain_checks():
     assert replace(good, forced_open={"k1": 0, "k2": 1}).validated().forced_open == {
         "k1": 0, "k2": 1
     }
+
+
+@pytest.mark.parametrize("value", [10**30, COUNT_LIMIT + 1])
+@pytest.mark.parametrize("name", ["replications", "optimization_scenarios", "evaluation_scenarios"])
+def test_counts_above_the_limit_fail_naming_their_field_before_any_allocation(
+    monkeypatch, name, value
+):
+    inst = tiny_instance()
+    config = replace(
+        SaaConfig(replications=2, optimization_scenarios=2, evaluation_scenarios=2), **{name: value}
+    )
+    sampled = count_calls(monkeypatch, saa, "sample_batch")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=f"^{name} must be at most {COUNT_LIMIT}, got"):
+            run_saa(inst, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not sampled
+    assert peak < 1 << 16  # the message and the traceback; no sample, array or table
+
+
+def test_counts_at_the_limit_pass():
+    config = SaaConfig(
+        replications=COUNT_LIMIT, optimization_scenarios=COUNT_LIMIT,
+        evaluation_scenarios=COUNT_LIMIT,
+    )
+    assert config.validated() is config
 
 
 def test_hand_fixture_for_the_lower_bound():
@@ -334,3 +367,47 @@ def test_only_a_memo_gives_the_scenario_solves_an_answer_table(monkeypatch):
     run_saa(inst, MEMO_CFG, memo)
     table = memo.tables(inst)[2]
     assert table and all(given is table for given, _ in lookups)
+
+
+def _report_bytes(report) -> bytes:
+    return json.dumps(saa_report_to_dict(report), sort_keys=True).encode()
+
+
+def test_a_missed_replication_is_seeded_from_a_memo_hit_as_a_fresh_run_seeds_it(monkeypatch):
+    # M = 2, then M = 3 on one memo: replications 0 and 1 are hits, 2 a
+    # miss seeded from replication 0's memo entry
+    inst = small_random_instance(seed=84, n_countries=4)
+    memo = SaaMemo()
+    run_saa(inst, MEMO_CFG, memo)
+    three = replace(MEMO_CFG, replications=3)
+    seeds = []
+    real = saa.run_lshaped
+
+    def recorded(*args, seed_from=None, **kwargs):
+        seeds.append(seed_from)
+        return real(*args, seed_from=seed_from, **kwargs)
+
+    monkeypatch.setattr(saa, "run_lshaped", recorded)
+    report = run_saa(inst, three, memo)
+    monkeypatch.undo()
+    zero = memo.tables(inst)[0][saa._replication_key(three, 0, 0)]
+    assert len(seeds) == 1 and seeds[0] is zero[2]
+    assert _report_bytes(report) == _report_bytes(run_saa(inst, three))
+
+
+def test_only_replications_after_the_first_get_seeded_rows(monkeypatch):
+    inst = small_random_instance(seed=84, n_countries=4)
+    results = []
+    real = saa.run_lshaped
+
+    def recorded(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(saa, "run_lshaped", recorded)
+    run_saa(inst, replace(MEMO_CFG, replications=4))
+    assert results[0].seeded_rows == 0
+    assert all(r.seeded_rows == results[0].iterations for r in results[1:])
+    store = results[0].store
+    assert store.designs.shape == (results[0].iterations, len(inst.plant_candidates))
+    assert len(np.unique(store.duals, axis=0)) == len(store.duals)
